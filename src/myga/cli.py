@@ -5,7 +5,9 @@ One process runs one policy on one environment kind over a list of
 seeds, in ascending seed order, and emits two CSV files: a per-round
 log and a per-seed summary.  Identical configuration produces identical
 bytes.  Exit code 0 means success, 1 means a configuration or I/O
-error, 2 means the run finished but the auditor recorded violations.
+error or an internal invariant failure (such as a fixed-point residual
+over tolerance), 2 means the run finished but the auditor recorded
+violations.
 """
 
 from __future__ import annotations
@@ -91,11 +93,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_paths(out_prefix: str) -> tuple[str, str]:
+    return f"{out_prefix}_rounds.csv", f"{out_prefix}_summary.csv"
+
+
 def emit_csv(round_rows: list[tuple], summary_rows: list[tuple],
              out_prefix: str) -> tuple[str, str]:
     """Write the per-round and summary CSV files; header-only when empty."""
-    rounds_path = f"{out_prefix}_rounds.csv"
-    summary_path = f"{out_prefix}_summary.csv"
+    rounds_path, summary_path = _csv_paths(out_prefix)
     with open(rounds_path, "w", newline="\n") as fh:
         fh.write(ROUND_HEADER + "\n")
         for row in round_rows:
@@ -132,6 +137,11 @@ def execute(config: ExperimentConfig) -> ExperimentResult:
     """Run every seed and return reports, violations, and CSV rows."""
     result = ExperimentResult(config=config)
     collect_rounds = config.out is not None
+    if collect_rounds:
+        # Create or truncate both files now, so an unwritable prefix fails
+        # before round 1 rather than after the whole run.
+        for path in _csv_paths(config.out):
+            open(path, "w").close()
     l_star_for_bound = config.l_star if config.l_star is not None else float(config.horizon)
 
     for seed in sorted(config.seeds):

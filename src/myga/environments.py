@@ -14,7 +14,7 @@ numbers.
 
 from __future__ import annotations
 
-import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,9 +101,30 @@ def _adversarial_minority_round(spec: EnvSpec, t: int) -> RoundData:
     return RoundData(advices=advices, losses=losses)
 
 
-@functools.lru_cache(maxsize=8)
-def _load_replay_cached(path: str) -> tuple[RoundData, ...]:
-    return tuple(load_replay(path))
+# path -> ((st_mtime_ns, st_size) at parse time, parsed rounds), oldest first.
+_REPLAY_CACHE: dict[str, tuple[tuple[int, int], tuple[RoundData, ...]]] = {}
+_REPLAY_CACHE_SIZE = 8
+
+
+def _load_replay_cached(path: str, restat: bool) -> tuple[RoundData, ...]:
+    """Parsed rounds of a replay file, reparsed when its mtime or size changed.
+
+    The file is stat'ed only when ``restat`` is set, which ``generate`` does
+    at round 1 of every run: a stat costs a noticeable share of a replay
+    round, and a file rewritten in the middle of a run is not followed.  A
+    rewrite that keeps the size within the file system's timestamp
+    granularity is not seen either.
+    """
+    entry = _REPLAY_CACHE.get(path)
+    if entry is None or restat:
+        info = os.stat(path)
+        stamp = (info.st_mtime_ns, info.st_size)
+        if entry is None or entry[0] != stamp:
+            _REPLAY_CACHE.pop(path, None)
+            if len(_REPLAY_CACHE) >= _REPLAY_CACHE_SIZE:
+                del _REPLAY_CACHE[next(iter(_REPLAY_CACHE))]
+            entry = _REPLAY_CACHE[path] = (stamp, tuple(load_replay(path)))
+    return entry[1]
 
 
 def generate(spec: EnvSpec, t: int) -> RoundData:
@@ -116,7 +137,7 @@ def generate(spec: EnvSpec, t: int) -> RoundData:
         return _stochastic_gap_round(spec, t)
     if spec.kind == "adversarial_minority":
         return _adversarial_minority_round(spec, t)
-    rounds = _load_replay_cached(spec.replay_path)
+    rounds = _load_replay_cached(spec.replay_path, restat=t == 1)
     if len(rounds) < spec.horizon:
         raise ValueError(
             f"replay {spec.replay_path} holds {len(rounds)} rounds, horizon is {spec.horizon}")

@@ -10,16 +10,24 @@ q must therefore solve
 in sorted coordinates with pivot k.  On the minority side the equation
 decouples per arm: q(i) satisfies q(i) = base*zeta(i) + q(i) * (total
 weight of thresholds strictly below q(i)), a one-dimensional piecewise
-linear fixed point.  The solver grows a per-threshold zero boundary
-from full truncation upward until no boundary can advance, which lands
-on the least such fixed point.
+linear fixed point.
 
-``solve_fixed_point`` advances every boundary as far as the current
-masses justify in each sweep (a unit advance is only taken when the arm
-being crossed strictly exceeds the threshold, so no sweep overshoots),
-and counts unit advances.  Termination leaves boundaries and masses
-mutually consistent: an arm is above a threshold exactly when that
-threshold's boundary has passed it.
+``solve_fixed_point`` grows each minority arm from below.  It starts
+every arm at base*zeta(i), with every threshold truncating it, and in
+each pass searches the arm's mass into the ascending grid: the
+thresholds strictly below the mass keep the arm, so the arm's kept
+weight grows by the weights of the thresholds it newly crossed and its
+mass becomes base*zeta(i) / (1 - kept weight).  Masses only grow, no
+pass overshoots (an arm on a threshold stays truncated by it), and
+growth stops at the least fixed point once no arm crosses another
+threshold.  The work is a binary search per minority arm and pass plus
+one slice sum per newly crossed run of thresholds, so it scales with
+the few minority arms, not with the grid.
+
+The reported iteration count is the number of (minority arm, threshold)
+pairs with the arm strictly above the threshold: the unit advances of
+the equivalent per-threshold zero boundary, which for threshold j sits
+at k plus the number of minority arms above it.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ class MixtureWeights:
         if per.shape != (num_thresholds,):
             raise ValueError(
                 f"threshold weight count {per.shape} does not match grid size {num_thresholds}")
-        if self.base <= 0.0 or np.any(per <= 0.0):
+        if self.base <= 0.0 or (per.size and per.min() <= 0.0):
             raise ValueError("mixture weight shares must be strictly positive")
         total = self.base + float(per.sum())
         if abs(total - 1.0) > tol:
@@ -60,7 +68,7 @@ class MixtureWeights:
 def _require_sorted_inputs(zeta_sorted: np.ndarray, pivot: int,
                            thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     zeta = simplex.require_distribution(zeta_sorted, what="sorted mixture")
-    if np.any(np.diff(zeta) > 0.0):
+    if np.any(zeta[1:] > zeta[:-1]):
         raise ValueError("sorted mixture must be non-increasing")
     if not 1 <= pivot <= zeta.size:
         raise ValueError(f"pivot {pivot} outside [1, {zeta.size}]")
@@ -72,7 +80,7 @@ def _require_sorted_inputs(zeta_sorted: np.ndarray, pivot: int,
     if grid.ndim != 1:
         raise ValueError("thresholds must be a 1-d array")
     if grid.size:
-        if np.any(np.diff(grid) <= 0.0):
+        if (grid[1:] <= grid[:-1]).any():
             raise ValueError("thresholds must be strictly increasing")
         if grid[0] <= 0.0 or grid[-1] > 0.5:
             raise ValueError("thresholds must lie in (0, 1/2]")
@@ -94,44 +102,35 @@ def _solve(zeta_sorted: np.ndarray, pivot: int, weights: MixtureWeights,
 
     base = float(weights.base)
     w_thresh = np.asarray(weights.per_threshold, dtype=float)
-    zeta_min = zeta[k:]
+    base_min = base * zeta[k:]
 
-    # boundary[j]: first sorted index (0-based) zeroed for threshold j;
-    # starts at k (all minority zeroed), capped at num_arms (nothing zeroed).
-    boundary = np.full(grid.size, k, dtype=np.int64)
-    blocked = np.zeros(minority)
-    q_min = base * zeta_min
-    iterations = 0
+    # below[i]: thresholds strictly below minority arm i, all of which keep it.
+    below = [0] * minority
+    kept = np.zeros(minority)
+    q_min = base_min
     if sweep_log is not None:
-        sweep_log.append((q_min.copy(), boundary.copy()))
+        sweep_log.append((q_min.copy(), _boundaries(below, k, grid.size)))
 
-    max_sweeps = minority * grid.size + 2
-    for _ in range(max_sweeps):
-        ascending = q_min[::-1]
-        count_at_or_below = np.searchsorted(ascending, grid, side="right")
-        target = np.minimum(k + (minority - count_at_or_below), num_arms)
-        new_boundary = np.maximum(boundary, target)
-        moved = new_boundary > boundary
-        if not np.any(moved):
-            if not np.array_equal(boundary, target):
-                raise RuntimeError(
-                    "zero boundaries disagree with solved masses at termination")
+    # Every arm still moving crosses a threshold per pass, so an arm moves
+    # in at most |grid| passes and one more pass finds nothing to cross.
+    for _ in range(grid.size + 1):
+        reached = np.searchsorted(grid, q_min, side="left").tolist()
+        if reached == below:
             break
-        iterations += int((new_boundary - boundary).sum())
-        delta = np.zeros(minority + 1)
-        np.add.at(delta, boundary[moved] - k, w_thresh[moved])
-        np.add.at(delta, new_boundary[moved] - k, -w_thresh[moved])
-        blocked += np.cumsum(delta[:minority])
-        denom = 1.0 - blocked
+        for i, (old, new) in enumerate(zip(below, reached)):
+            if new > old:
+                kept[i] += w_thresh[old:new].sum()
+        below = reached
+        denom = 1.0 - kept
         if np.any(denom <= 0.0):
             raise RuntimeError("threshold weight mass exhausted the mixture")
-        q_min = base * zeta_min / denom
-        boundary = new_boundary
+        q_min = base_min / denom
         if sweep_log is not None:
-            sweep_log.append((q_min.copy(), boundary.copy()))
+            sweep_log.append((q_min.copy(), _boundaries(below, k, grid.size)))
     else:
         raise RuntimeError("boundary growth failed to terminate")
 
+    iterations = sum(below)
     if iterations > minority * grid.size:
         raise RuntimeError("unit advances exceeded the guaranteed bound")
 
@@ -145,6 +144,12 @@ def _solve(zeta_sorted: np.ndarray, pivot: int, weights: MixtureWeights,
     return q, iterations, resid
 
 
+def _boundaries(below: list[int], pivot: int, num_thresholds: int) -> np.ndarray:
+    """Per-threshold zero boundary: pivot plus the minority arms above the threshold."""
+    above = np.asarray(below)[:, None] > np.arange(num_thresholds)
+    return pivot + above.sum(axis=0)
+
+
 def solve_fixed_point(zeta_sorted: np.ndarray, pivot: int, weights: MixtureWeights,
                       thresholds: np.ndarray, sweep_log: list | None = None
                       ) -> tuple[np.ndarray, int]:
@@ -153,7 +158,7 @@ def solve_fixed_point(zeta_sorted: np.ndarray, pivot: int, weights: MixtureWeigh
     Returns the solved distribution and the number of unit boundary
     advances, which never exceeds (arms - pivot) * len(thresholds).
     ``sweep_log``, if given, receives one (minority masses, boundaries)
-    snapshot per sweep for diagnostic tests.  Raises RuntimeError rather
+    snapshot per growth pass for diagnostic tests.  Raises RuntimeError rather
     than returning a distribution whose residual exceeds 1e-9.
     """
     q, iterations, _ = _solve(zeta_sorted, pivot, weights, thresholds, sweep_log)
@@ -178,21 +183,16 @@ def mixture_residual(q: np.ndarray, zeta_sorted: np.ndarray, pivot: int,
         target = base * zeta
         return float(np.max(np.abs(q - target))) if q.size else 0.0
 
-    if q_min.size and np.any(np.diff(q_min) > 0.0):
-        # Arbitrary (non-monotone) minority blocks take the literal route.
-        removed = q_min[None, :] <= grid[:, None]
-        dropped = (q_min[None, :] * removed).sum(axis=1)
-        kept_weight = ((~removed) * w_thresh[:, None]).sum(axis=0)
-    else:
-        ascending = q_min[::-1]
-        prefix = np.concatenate(([0.0], np.cumsum(ascending)))
-        dropped = prefix[np.searchsorted(ascending, grid, side="right")]
-        weight_prefix = np.concatenate(([0.0], np.cumsum(w_thresh)))
-        kept_weight = weight_prefix[np.searchsorted(grid, q_min, side="left")]
+    # Arm i is kept by the thresholds strictly below it and dropped by the
+    # rest, so the majority's intake sum_j w_j * (minority mass <= grid[j])
+    # regroups per arm; no arm order is assumed.
+    below = np.searchsorted(grid, q_min, side="left").tolist()
+    kept_weight = np.array([w_thresh[:b].sum() for b in below])
+    dropped_weight = sum(x * float(w_thresh[b:].sum()) for x, b in zip(q_min.tolist(), below))
 
     target = np.empty_like(q)
     target[k:] = base * zeta[k:] + q_min * kept_weight
-    scale = (1.0 - base) + float(w_thresh @ dropped) / majority_mass
+    scale = (1.0 - base) + dropped_weight / majority_mass
     target[:k] = base * zeta[:k] + q[:k] * scale
     return float(np.max(np.abs(q - target)))
 

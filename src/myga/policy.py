@@ -191,8 +191,7 @@ class MygaPolicy:
             raise ValueError(
                 f"advice matrix {advices.shape} does not match "
                 f"({self.cfg.num_experts}, {self.cfg.num_arms})")
-        for row in advices:
-            simplex.require_distribution(row, what="expert advice")
+        simplex.require_distribution_rows(advices, what="expert advice")
 
         w_real, w_aux = self.state.weights()
         zeta_original = simplex.weighted_average(advices, w_real)

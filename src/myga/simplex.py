@@ -36,6 +36,24 @@ def require_distribution(probs: np.ndarray, what: str = "distribution",
     return arr
 
 
+def require_distribution_rows(matrix: np.ndarray, what: str = "distribution",
+                              tol: float = SIMPLEX_TOL) -> np.ndarray:
+    """Return ``matrix`` as a float array, raising ValueError unless every row is a distribution.
+
+    The rule is ``validate``'s, checked on the whole matrix at once: every
+    entry finite and >= 0, every row sum within ``tol`` of 1 (a NaN or
+    infinite entry fails one of the two).  The error names the first bad row.
+    """
+    arr = np.asarray(matrix, dtype=float)
+    if (arr.ndim == 2 and arr.size and arr.min() >= 0.0
+            and np.abs(arr.sum(axis=1) - 1.0).max() <= tol):
+        return arr
+    for i, row in enumerate(arr):
+        if not validate(row, tol):
+            raise ValueError(f"{what} row {i} is not a probability distribution: {row!r}")
+    return arr
+
+
 def weighted_average(advices: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Convex combination of advice distributions, renormalized.
 

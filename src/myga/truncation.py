@@ -67,12 +67,15 @@ def truncated_mass_table(minority_desc: np.ndarray, thresholds: np.ndarray) -> n
 
     ``minority_desc`` holds the minority masses in non-increasing order,
     ``thresholds`` is ascending.  Entry j is the total minority mass <=
-    thresholds[j], computed with one prefix-sum pass and one binary search
-    per threshold instead of a quadratic rescan.
+    thresholds[j].  Each arm is removed by every threshold from the first
+    one at or above its mass onward, so the table is one binary search per
+    arm and one slice-add per arm, smallest arm first (the order of a
+    prefix sum over the ascending masses).
     """
     minority_desc = np.asarray(minority_desc, dtype=float)
     thresholds = np.asarray(thresholds, dtype=float)
-    ascending = minority_desc[::-1]
-    prefix = np.concatenate(([0.0], np.cumsum(ascending)))
-    counts = np.searchsorted(ascending, thresholds, side="right")
-    return prefix[counts]
+    table = np.zeros(thresholds.size)
+    first_removing = np.searchsorted(thresholds, minority_desc, side="left")
+    for mass, start in zip(minority_desc[::-1].tolist(), first_removing[::-1].tolist()):
+        table[start:] += mass
+    return table

@@ -1,9 +1,11 @@
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import myga.cli as cli_mod
 import myga.policy as policy_mod
 from myga.cli import (ROUND_HEADER, SUMMARY_HEADER, ExperimentConfig,
                       build_config, emit_csv, execute, main, parse_config_file,
@@ -149,6 +151,31 @@ class TestExecute:
         assert result.exit_code == 0
         assert result.seed_results[0].report.rounds == 6
 
+    @pytest.mark.parametrize("new_loss,bump_mtime", [(0.0, True), (0.25, False)])
+    def test_replay_rewritten_between_runs_is_reparsed(self, tmp_path, new_loss,
+                                                       bump_mtime):
+        path = str(tmp_path / "replay.txt")
+        advices = np.array([[1.0, 0.0], [0.0, 1.0]])
+
+        def write(loss):
+            save_replay(path, [RoundData(advices=advices.copy(), losses=np.full(2, loss))
+                               for _ in range(6)])
+
+        config = self.base_config(env="replay", replay_path=path, horizon=6,
+                                  seeds=(0,))
+        write(1.0)
+        first = execute(config)
+        stamp = os.stat(path).st_mtime_ns
+        write(new_loss)
+        if bump_mtime:
+            # Same size, and two writes can share a coarse file-system
+            # timestamp: move the mtime on as a later rewrite would.
+            os.utime(path, ns=(stamp + 10 ** 9, stamp + 10 ** 9))
+        second = execute(config)
+        assert first.seed_results[0].report.total_play_loss == pytest.approx(6.0, abs=1e-9)
+        assert second.seed_results[0].report.total_play_loss == pytest.approx(
+            6 * new_loss, abs=1e-9)
+
     def test_corrupted_run_exits_two(self):
         def corrupt(q, pivot):
             return np.array([0.55, 0.45])
@@ -195,6 +222,24 @@ class TestRunAndMain:
         capsys.readouterr()
         assert code == 0
         assert open(prefix + "_rounds.csv").readline().strip() == ROUND_HEADER
+
+    def test_main_unwritable_out_fails_before_round_one(self, tmp_path, monkeypatch,
+                                                         capsys):
+        rounds_generated = []
+        real_generate = cli_mod.generate
+
+        def counting_generate(spec, t):
+            rounds_generated.append(t)
+            return real_generate(spec, t)
+
+        monkeypatch.setattr(cli_mod, "generate", counting_generate)
+        code = main(["--env", "zero_loss_expert", "--horizon", "5",
+                     "--eta", "0.3", "--gamma", "0.05", "--grid-denominator", "20",
+                     "--out", str(tmp_path / "missing_dir" / "run")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error" in err
+        assert rounds_generated == []
 
     def test_main_missing_config_file(self, capsys):
         code = main(["--config", "/nonexistent/run.cfg"])

@@ -3,6 +3,7 @@ import pytest
 
 from myga.fixed_point import (MixtureWeights, mixture_residual,
                               solve_fixed_point, two_arm_fixed_point)
+from myga.truncation import truncate
 
 
 def random_instance(rng, max_arms=16, max_thresholds=64):
@@ -50,6 +51,90 @@ def reference_solver(zeta, pivot, weights, grid):
     if minority:
         q[:pivot] = zeta[:pivot] * ((1.0 - sum(q_min)) / float(zeta[:pivot].sum()))
     return q, steps
+
+
+def lattice_instance(rng):
+    """Dyadic instance whose masses, shares and thresholds sit on exact lattices.
+
+    Every product and weight sum the solvers form is exact.  The base share
+    is 1/4 and the lowest threshold holds half the weight, so an arm that
+    crosses only that threshold grows to exactly twice its base mass.  Arms
+    therefore land exactly on thresholds, at the start and after growth:
+    the tie case of the contract.
+    """
+    denom = 2 ** int(rng.integers(4, 8))
+    num_arms = int(rng.integers(2, 9))
+    steps = rng.multinomial(denom - num_arms, np.full(num_arms, 1.0 / num_arms)) + 1
+    zeta = np.sort(steps)[::-1] / denom
+    pivot = int(np.searchsorted(np.cumsum(zeta), 0.5, side="left")) + 1
+    size = min(int(rng.integers(2, 20)), denom // 2)
+    grid = np.sort(rng.choice(np.arange(1, denom // 2 + 1), size=size, replace=False)) / denom
+    units = 2 ** 10
+    counts = np.empty(size, dtype=np.int64)
+    counts[0] = units // 2
+    counts[1:] = rng.multinomial(units // 4 - (size - 1), np.full(size - 1, 1.0 / (size - 1))) + 1
+    return zeta, pivot, MixtureWeights(base=0.25, per_threshold=counts / units), grid
+
+
+def sweep_solver(zeta, pivot, weights, grid, sweep_log=None):
+    """Per-threshold boundary sweep, an independent form of the same growth.
+
+    Keeps one zero boundary per threshold, starting at full truncation,
+    and in each sweep advances every boundary past the minority arms that
+    strictly exceed its threshold, then recomputes every mass from the
+    weight of the boundaries that passed it.  Counts unit advances and logs
+    (minority masses, boundaries) per sweep like the package solver.
+    """
+    num_arms = zeta.size
+    k = pivot
+    minority = num_arms - k
+    if grid.size == 0 or minority == 0:
+        return zeta.copy(), 0
+    base = float(weights.base)
+    w_thresh = np.asarray(weights.per_threshold, dtype=float)
+    zeta_min = zeta[k:]
+    boundary = np.full(grid.size, k, dtype=np.int64)
+    blocked = np.zeros(minority)
+    q_min = base * zeta_min
+    iterations = 0
+    if sweep_log is not None:
+        sweep_log.append((q_min.copy(), boundary.copy()))
+    for _ in range(minority * grid.size + 2):
+        ascending = q_min[::-1]
+        count_at_or_below = np.searchsorted(ascending, grid, side="right")
+        target = np.minimum(k + (minority - count_at_or_below), num_arms)
+        new_boundary = np.maximum(boundary, target)
+        moved = new_boundary > boundary
+        if not np.any(moved):
+            assert np.array_equal(boundary, target)
+            break
+        iterations += int((new_boundary - boundary).sum())
+        delta = np.zeros(minority + 1)
+        np.add.at(delta, boundary[moved] - k, w_thresh[moved])
+        np.add.at(delta, new_boundary[moved] - k, -w_thresh[moved])
+        blocked += np.cumsum(delta[:minority])
+        q_min = base * zeta_min / (1.0 - blocked)
+        boundary = new_boundary
+        if sweep_log is not None:
+            sweep_log.append((q_min.copy(), boundary.copy()))
+    else:
+        raise AssertionError("boundary sweep failed to terminate")
+    q = np.empty(num_arms)
+    q[k:] = q_min
+    q[:k] = zeta[:k] * ((1.0 - float(q_min.sum())) / float(zeta[:k].sum()))
+    return q, iterations
+
+
+# Both forms of the boundary growth must satisfy the growth invariants.
+GROWTH_SOLVERS = (solve_fixed_point, sweep_solver)
+
+
+def literal_residual(q, zeta, pivot, weights, grid):
+    """The residual straight from the definition: one truncate call per threshold."""
+    target = weights.base * zeta
+    for w, s in zip(weights.per_threshold, grid):
+        target = target + w * truncate(q, pivot, float(s))
+    return float(np.max(np.abs(q - target)))
 
 
 class TestMixtureWeights:
@@ -190,28 +275,31 @@ class TestBoundaryGrowthInvariants:
         rng = np.random.default_rng(307)
         for _ in range(300):
             zeta, pivot, weights, grid = random_instance(rng)
-            _, iterations = solve_fixed_point(zeta, pivot, weights, grid)
-            assert iterations <= zeta.size * grid.size
+            for solve in GROWTH_SOLVERS:
+                _, iterations = solve(zeta, pivot, weights, grid)
+                assert iterations <= zeta.size * grid.size
 
     def test_minority_masses_sorted_every_sweep(self):
         rng = np.random.default_rng(311)
         for _ in range(200):
             zeta, pivot, weights, grid = random_instance(rng, max_arms=12,
                                                          max_thresholds=24)
-            log = []
-            solve_fixed_point(zeta, pivot, weights, grid, sweep_log=log)
-            for q_min, _ in log:
-                assert np.all(np.diff(q_min) <= 1e-12)
+            for solve in GROWTH_SOLVERS:
+                log = []
+                solve(zeta, pivot, weights, grid, sweep_log=log)
+                for q_min, _ in log:
+                    assert np.all(np.diff(q_min) <= 1e-12)
 
     def test_each_mass_never_shrinks_across_sweeps(self):
         rng = np.random.default_rng(313)
         for _ in range(200):
             zeta, pivot, weights, grid = random_instance(rng, max_arms=12,
                                                          max_thresholds=24)
-            log = []
-            solve_fixed_point(zeta, pivot, weights, grid, sweep_log=log)
-            for (before, _), (after, _) in zip(log, log[1:]):
-                assert np.all(after >= before)
+            for solve in GROWTH_SOLVERS:
+                log = []
+                solve(zeta, pivot, weights, grid, sweep_log=log)
+                for (before, _), (after, _) in zip(log, log[1:]):
+                    assert np.all(after >= before)
 
     def test_termination_biconditional(self):
         # At exit, an arm strictly exceeds a threshold exactly when that
@@ -220,12 +308,56 @@ class TestBoundaryGrowthInvariants:
         for _ in range(200):
             zeta, pivot, weights, grid = random_instance(rng, max_arms=12,
                                                          max_thresholds=24)
-            log = []
-            q, _ = solve_fixed_point(zeta, pivot, weights, grid, sweep_log=log)
-            _, boundary = log[-1]
-            for j, s in enumerate(grid):
-                for i in range(pivot, zeta.size):
-                    assert (q[i] > s) == (boundary[j] > i)
+            for solve in GROWTH_SOLVERS:
+                log = []
+                q, _ = solve(zeta, pivot, weights, grid, sweep_log=log)
+                _, boundary = log[-1]
+                for j, s in enumerate(grid):
+                    for i in range(pivot, zeta.size):
+                        assert (q[i] > s) == (boundary[j] > i)
+
+
+class TestSweepAgreement:
+    @staticmethod
+    def assert_same_growth(zeta, pivot, weights, grid):
+        q, iterations = solve_fixed_point(zeta, pivot, weights, grid)
+        q_ref, iterations_ref = sweep_solver(zeta, pivot, weights, grid)
+        assert iterations == iterations_ref
+        np.testing.assert_array_equal(q[pivot:, None] > grid, q_ref[pivot:, None] > grid)
+        assert np.max(np.abs(q - q_ref)) <= 1e-12
+        return q, iterations
+
+    def test_matches_sweep_on_random_instances(self):
+        rng = np.random.default_rng(331)
+        for _ in range(500):
+            self.assert_same_growth(*random_instance(rng))
+
+    def test_matches_sweep_on_lattice_ties(self):
+        rng = np.random.default_rng(337)
+        ties = grown_ties = 0
+        for _ in range(1000):
+            zeta, pivot, weights, grid = lattice_instance(rng)
+            q, _ = self.assert_same_growth(zeta, pivot, weights, grid)
+            on_threshold = np.isin(q[pivot:], grid)
+            ties += int(on_threshold.sum())
+            grown_ties += int((on_threshold & (q[pivot:] > weights.base * zeta[pivot:])).sum())
+        assert ties >= 100 and grown_ties >= 10
+
+    def test_arm_landing_on_threshold_is_removed(self):
+        # Arm 1 starts at 0.25 * 0.375 = 0.09375, crosses 0.0625 and grows
+        # to 0.09375 / 0.75 = 0.125, exactly the next threshold, which keeps
+        # truncating it.  0.1875 also solves the arm's equation; the least
+        # fixed point is the one returned.  Arm 2 stays below every threshold.
+        zeta = np.array([0.5, 0.375, 0.125])
+        weights = MixtureWeights(0.25, np.array([0.25, 0.25, 0.25]))
+        grid = np.array([0.0625, 0.125, 0.25])
+        q, iterations = self.assert_same_growth(zeta, 1, weights, grid)
+        assert q[1] == 0.125
+        assert q[2] == 0.03125
+        assert iterations == 1
+        assert truncate(q, 1, 0.125)[1] == 0.0
+        assert two_arm_fixed_point(0.375, weights, grid) == 0.125
+        assert mixture_residual(q, zeta, 1, weights, grid) <= 1e-15
 
 
 class TestResidual:
@@ -248,26 +380,23 @@ class TestResidual:
                                 np.array([])) == 0.0
 
     def test_literal_path_matches_fast_path(self):
-        # Evaluate non-monotone minority blocks (literal route) against a
-        # sorted copy of the same values (fast route): per-arm targets match
-        # after aligning the arms.
+        # The per-arm residual must agree with the literal one-truncation-
+        # per-threshold evaluation, also on non-monotone minority blocks.
         rng = np.random.default_rng(409)
         for _ in range(100):
             zeta, pivot, weights, grid = random_instance(rng, max_arms=10,
                                                          max_thresholds=8)
             q, _ = solve_fixed_point(zeta, pivot, weights, grid)
             minority = zeta.size - pivot
-            if minority < 2:
-                continue
             shuffle = rng.permutation(minority)
             q_shuffled = q.copy()
             q_shuffled[pivot:] = q[pivot:][shuffle]
             zeta_shuffled = zeta.copy()
             zeta_shuffled[pivot:] = zeta[pivot:][shuffle]
-            if not np.any(np.diff(q_shuffled[pivot:]) > 0.0):
-                continue
-            resid = mixture_residual(q_shuffled, zeta_shuffled, pivot, weights, grid)
-            assert resid <= 1e-9
+            for qq, zz in ((q, zeta), (q_shuffled, zeta_shuffled)):
+                resid = mixture_residual(qq, zz, pivot, weights, grid)
+                assert resid <= 1e-9
+                assert abs(resid - literal_residual(qq, zz, pivot, weights, grid)) <= 1e-12
 
 
 class TestTwoArmOracle:

@@ -243,6 +243,8 @@ class TestMygaPolicyAdvise:
             policy.advise(np.ones((3, 2)) / 2)
         with pytest.raises(ValueError, match="expert advice"):
             policy.advise(np.array([[0.9, 0.2], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match="expert advice row 1 "):
+            policy.advise(np.array([[0.5, 0.5], [0.9, 0.2]]))
 
 
 class TestMygaPolicyUpdate:

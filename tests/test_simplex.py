@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from myga.simplex import (ArmPermutation, pivot_index, require_distribution,
-                          sample_index, sort_descending, validate,
-                          weighted_average)
+                          require_distribution_rows, sample_index,
+                          sort_descending, validate, weighted_average)
 
 
 class TestValidate:
@@ -27,6 +27,32 @@ class TestValidate:
     def test_require_raises_with_context(self):
         with pytest.raises(ValueError, match="expert advice"):
             require_distribution([0.7, 0.7], what="expert advice")
+
+
+class TestRequireDistributionRows:
+    def test_matches_per_row_rule_and_names_first_bad_row(self):
+        # The whole-matrix check must accept exactly what validate accepts
+        # row by row, and report the first row validate rejects.
+        rng = np.random.default_rng(31)
+        spoilers = (np.nan, np.inf, -np.inf, -1e-12, 2e-9, -2e-9, 5e-10)
+        for _ in range(400):
+            rows, arms = int(rng.integers(1, 6)), int(rng.integers(2, 7))
+            matrix = rng.dirichlet(np.ones(arms), size=rows)
+            for _ in range(int(rng.integers(0, 3))):
+                r, a = int(rng.integers(rows)), int(rng.integers(arms))
+                with np.errstate(invalid="ignore"):  # inf + -inf is a fine NaN here
+                    matrix[r, a] += spoilers[int(rng.integers(len(spoilers)))]
+            bad = [i for i, row in enumerate(matrix) if not validate(row)]
+            if bad:
+                with pytest.raises(ValueError, match=f"expert advice row {bad[0]} "):
+                    require_distribution_rows(matrix, what="expert advice")
+            else:
+                out = require_distribution_rows(matrix, what="expert advice")
+                np.testing.assert_array_equal(out, matrix)
+
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ValueError, match="row 0"):
+            require_distribution_rows(np.array([0.5, 0.5]))
 
 
 class TestWeightedAverage:
