@@ -4,9 +4,10 @@
 additionally zeroes every arm whose mixture mass is at or below gamma
 and renormalizes over the survivors, falling back to the plain mixture
 when that would remove everything.  Both charge experts through the
-same importance-weighted estimator as the main policy; neither carries
-auxiliary experts, so the thresholded variant's estimates are biased on
-the arms it refuses to play.
+same importance-weighted estimator as the main policy, through the
+same advise/update state machine; neither carries auxiliary experts, so
+the thresholded variant's estimates are biased on the arms it refuses
+to play.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex
+from .policy import ExpertPolicy
 
 VARIANTS = ("plain", "thresholded")
 
@@ -59,53 +61,22 @@ class BaselineTrace:
     realized_loss: float | None = None
 
 
-class Exp4Policy:
-    """Advise/update state machine matching the main policy's surface."""
+class Exp4Policy(ExpertPolicy):
+    """Exponential weights over the real experts alone."""
 
     def __init__(self, config: Exp4Config, sample_rng=None):
-        self.cfg = config
+        super().__init__(config, sample_rng)
         self.cum_loss = np.zeros(config.num_experts)
-        self.rng = sample_rng if isinstance(sample_rng, np.random.Generator) \
-            else np.random.default_rng(sample_rng)
-        self.t = 1
-        self._awaiting_update = False
 
     def _weights(self) -> np.ndarray:
         w = np.exp(-self.cfg.eta * (self.cum_loss - self.cum_loss.min()))
         return np.maximum(w, 1e-300)
 
-    def advise(self, advices: np.ndarray) -> tuple[np.ndarray, BaselineTrace]:
-        if self._awaiting_update:
-            raise RuntimeError("advise called again before update")
-        advices = np.asarray(advices, dtype=float)
-        if advices.shape != (self.cfg.num_experts, self.cfg.num_arms):
-            raise ValueError(
-                f"advice matrix {advices.shape} does not match "
-                f"({self.cfg.num_experts}, {self.cfg.num_arms})")
+    def _play(self, advices: np.ndarray) -> tuple[np.ndarray, BaselineTrace]:
         p = simplex.weighted_average(advices, self._weights())
         if self.cfg.variant == "thresholded":
             p = threshold_mixture(p, self.cfg.gamma)
-        trace = BaselineTrace(t=self.t, advices=advices, p_original=p)
-        self._awaiting_update = True
-        return p, trace
+        return p, BaselineTrace(t=self.t, advices=advices, p_original=p)
 
-    def sample(self, p_original: np.ndarray) -> int:
-        return simplex.sample_index(p_original, float(self.rng.random()))
-
-    def update(self, trace: BaselineTrace, arm_original: int, observed_loss: float) -> None:
-        if not self._awaiting_update:
-            raise RuntimeError("update called without a pending advise")
-        if trace.t != self.t:
-            raise ValueError(f"trace from round {trace.t} given to round {self.t}")
-        if not 0.0 <= observed_loss <= 1.0:
-            raise ValueError(f"observed loss {observed_loss} outside [0, 1]")
-        prob = float(trace.p_original[arm_original])
-        if prob <= 0.0:
-            raise RuntimeError("played an arm the policy assigned zero probability")
-        est = observed_loss / prob
+    def _charge(self, trace: BaselineTrace, arm_original: int, est: float) -> None:
         self.cum_loss += trace.advices[:, arm_original] * est
-        trace.arm_original = arm_original
-        trace.est_value = est
-        trace.realized_loss = float(observed_loss)
-        self.t += 1
-        self._awaiting_update = False

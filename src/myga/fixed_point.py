@@ -65,8 +65,20 @@ class MixtureWeights:
             raise ValueError(f"mixture weight shares sum to {total!r}, expected 1")
 
 
-def _require_sorted_inputs(zeta_sorted: np.ndarray, pivot: int,
-                           thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def require_grid(thresholds: np.ndarray) -> np.ndarray:
+    """The threshold grid as a float array: 1-d, strictly increasing, inside (0, 1/2]."""
+    grid = np.asarray(thresholds, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError("thresholds must be a 1-d array")
+    if grid.size:
+        if (grid[1:] <= grid[:-1]).any():
+            raise ValueError("thresholds must be strictly increasing")
+        if grid[0] <= 0.0 or grid[-1] > 0.5:
+            raise ValueError("thresholds must lie in (0, 1/2]")
+    return grid
+
+
+def _require_sorted_inputs(zeta_sorted: np.ndarray, pivot: int) -> np.ndarray:
     zeta = simplex.require_distribution(zeta_sorted, what="sorted mixture")
     if np.any(zeta[1:] > zeta[:-1]):
         raise ValueError("sorted mixture must be non-increasing")
@@ -76,21 +88,14 @@ def _require_sorted_inputs(zeta_sorted: np.ndarray, pivot: int,
         raise ValueError("majority prefix of the sorted mixture is lighter than 1/2")
     if pivot > 1 and float(zeta[:pivot - 1].sum()) >= 0.5:
         raise ValueError("pivot is not minimal for the sorted mixture")
-    grid = np.asarray(thresholds, dtype=float)
-    if grid.ndim != 1:
-        raise ValueError("thresholds must be a 1-d array")
-    if grid.size:
-        if (grid[1:] <= grid[:-1]).any():
-            raise ValueError("thresholds must be strictly increasing")
-        if grid[0] <= 0.0 or grid[-1] > 0.5:
-            raise ValueError("thresholds must lie in (0, 1/2]")
-    return zeta, grid
+    return zeta
 
 
 def _solve(zeta_sorted: np.ndarray, pivot: int, weights: MixtureWeights,
-           thresholds: np.ndarray, sweep_log: list | None = None
+           grid: np.ndarray, sweep_log: list | None = None
            ) -> tuple[np.ndarray, int, float]:
-    zeta, grid = _require_sorted_inputs(zeta_sorted, pivot, thresholds)
+    """``solve_fixed_point`` on a grid that already passed ``require_grid``."""
+    zeta = _require_sorted_inputs(zeta_sorted, pivot)
     weights.require(grid.size)
     num_arms = zeta.size
     k = pivot
@@ -161,7 +166,8 @@ def solve_fixed_point(zeta_sorted: np.ndarray, pivot: int, weights: MixtureWeigh
     snapshot per growth pass for diagnostic tests.  Raises RuntimeError rather
     than returning a distribution whose residual exceeds 1e-9.
     """
-    q, iterations, _ = _solve(zeta_sorted, pivot, weights, thresholds, sweep_log)
+    q, iterations, _ = _solve(zeta_sorted, pivot, weights, require_grid(thresholds),
+                              sweep_log)
     return q, iterations
 
 

@@ -23,13 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex
-from .fixed_point import MixtureWeights, _solve
+from .fixed_point import MixtureWeights, _solve, require_grid
 from .simplex import ArmPermutation
 from .truncation import truncate, truncated_mass_table
-
-# Test hook: callable(q, pivot) -> q, applied to the solved distribution.
-# Installed only by tests that need to feed the auditor a broken round.
-_TEST_Q_CORRUPTION = None
 
 # Shifted weights are floored here so threshold shares stay strictly
 # positive even when an expert's cumulative loss is hopeless.  The floor
@@ -76,18 +72,22 @@ def build_threshold_grid(gamma: float, grid_denominator: int) -> np.ndarray:
     return np.arange(j_gamma + 1, j_half + 1, dtype=float) / denom
 
 
-def loss_estimator(p_sorted: np.ndarray, arm_sorted: int, observed_loss: float) -> np.ndarray:
-    """Importance-weighted loss estimate: observed_loss / p at the played arm, zero elsewhere."""
-    p_sorted = np.asarray(p_sorted, dtype=float)
-    if not 0 <= arm_sorted < p_sorted.size:
-        raise ValueError(f"arm {arm_sorted} outside [0, {p_sorted.size})")
+def loss_estimate(probs: np.ndarray, arm: int, observed_loss: float) -> float:
+    """Importance-weighted loss estimate at the played arm: observed_loss / probs[arm]."""
+    if not 0 <= arm < len(probs):
+        raise ValueError(f"arm {arm} outside [0, {len(probs)})")
     if not 0.0 <= observed_loss <= 1.0:
         raise ValueError(f"observed loss {observed_loss} outside [0, 1]")
-    prob = float(p_sorted[arm_sorted])
+    prob = float(probs[arm])
     if prob <= 0.0:
         raise RuntimeError("played an arm the policy assigned zero probability")
-    est = np.zeros_like(p_sorted)
-    est[arm_sorted] = observed_loss / prob
+    return observed_loss / prob
+
+
+def loss_estimator(p_sorted: np.ndarray, arm_sorted: int, observed_loss: float) -> np.ndarray:
+    """The estimate as a vector: ``loss_estimate`` at the played arm, zero elsewhere."""
+    est = np.zeros(len(p_sorted))
+    est[arm_sorted] = loss_estimate(p_sorted, arm_sorted, observed_loss)
     return est
 
 
@@ -170,19 +170,22 @@ class RoundTrace:
     aux_advice_at_played: np.ndarray | None = None
 
 
-class MygaPolicy:
-    """Single-threaded advise/update state machine over one run."""
+class ExpertPolicy:
+    """Single-threaded advise/update state machine over one run, shared by all policies.
 
-    def __init__(self, config: MygaConfig, sample_rng=None):
+    A subclass supplies ``_play`` (advice -> play distribution and a trace
+    carrying ``t``, ``advices`` and ``p_original``) and ``_charge`` (the
+    experts' share of the round's loss estimate).
+    """
+
+    def __init__(self, config, sample_rng=None):
         self.cfg = config
-        self.thresholds = build_threshold_grid(config.gamma, config.grid_denominator)
-        self.state = WeightState(config.num_experts, self.thresholds.size, config.eta)
         self.rng = sample_rng if isinstance(sample_rng, np.random.Generator) \
             else np.random.default_rng(sample_rng)
         self.t = 1
         self._awaiting_update = False
 
-    def advise(self, advices: np.ndarray) -> tuple[np.ndarray, RoundTrace]:
+    def advise(self, advices: np.ndarray):
         """Compute the play distribution for the current round's advice matrix."""
         if self._awaiting_update:
             raise RuntimeError("advise called again before update")
@@ -191,6 +194,39 @@ class MygaPolicy:
             raise ValueError(
                 f"advice matrix {advices.shape} does not match "
                 f"({self.cfg.num_experts}, {self.cfg.num_arms})")
+        p_original, trace = self._play(advices)
+        self._awaiting_update = True
+        return p_original, trace
+
+    def sample(self, p_original: np.ndarray) -> int:
+        """Draw an arm by inverse CDF in original coordinates, one uniform."""
+        return simplex.sample_index(p_original, float(self.rng.random()))
+
+    def update(self, trace, arm_original: int, observed_loss: float) -> None:
+        """Charge every expert its advice-weighted share of the loss estimate."""
+        if not self._awaiting_update:
+            raise RuntimeError("update called without a pending advise")
+        if trace.t != self.t:
+            raise ValueError(f"trace from round {trace.t} given to round {self.t}")
+        est = loss_estimate(trace.p_original, arm_original, observed_loss)
+        self._charge(trace, arm_original, est)
+        trace.arm_original = arm_original
+        trace.est_value = est
+        trace.realized_loss = float(observed_loss)
+        self.t += 1
+        self._awaiting_update = False
+
+
+class MygaPolicy(ExpertPolicy):
+    """Exponential weights over the real experts plus one auxiliary expert per threshold."""
+
+    def __init__(self, config: MygaConfig, sample_rng=None):
+        super().__init__(config, sample_rng)
+        self.thresholds = require_grid(
+            build_threshold_grid(config.gamma, config.grid_denominator))
+        self.state = WeightState(config.num_experts, self.thresholds.size, config.eta)
+
+    def _play(self, advices: np.ndarray) -> tuple[np.ndarray, RoundTrace]:
         simplex.require_distribution_rows(advices, what="expert advice")
 
         w_real, w_aux = self.state.weights()
@@ -201,8 +237,6 @@ class MygaPolicy:
         shares = MixtureWeights(base=float(w_real.sum()) / total,
                                 per_threshold=w_aux / total)
         q, iterations, residual = _solve(zeta_sorted, pivot, shares, self.thresholds)
-        if _TEST_Q_CORRUPTION is not None:
-            q = _TEST_Q_CORRUPTION(q, pivot)
         p_sorted = truncate(q, pivot, self.cfg.gamma)
         p_original = perm.to_original(p_sorted)
         trace = RoundTrace(
@@ -221,30 +255,10 @@ class MygaPolicy:
             residual=residual,
             iterations=iterations,
         )
-        self._awaiting_update = True
         return p_original, trace
 
-    def sample(self, p_original: np.ndarray) -> int:
-        """Draw an arm by inverse CDF in original coordinates, one uniform."""
-        return simplex.sample_index(p_original, float(self.rng.random()))
-
-    def update(self, trace: RoundTrace, arm_original: int, observed_loss: float) -> None:
-        """Charge every expert its advice-weighted share of the loss estimate."""
-        if not self._awaiting_update:
-            raise RuntimeError("update called without a pending advise")
-        if trace.t != self.t:
-            raise ValueError(f"trace from round {trace.t} given to round {self.t}")
-        if not 0 <= arm_original < self.cfg.num_arms:
-            raise ValueError(f"arm {arm_original} outside [0, {self.cfg.num_arms})")
-        if not 0.0 <= observed_loss <= 1.0:
-            raise ValueError(f"observed loss {observed_loss} outside [0, 1]")
-
+    def _charge(self, trace: RoundTrace, arm_original: int, est: float) -> None:
         arm_sorted = int(trace.perm.inverse[arm_original])
-        prob = float(trace.p_sorted[arm_sorted])
-        if prob <= 0.0:
-            raise RuntimeError("played an arm the policy assigned zero probability")
-        est = observed_loss / prob
-
         advice_column = trace.advices[:, arm_original].copy()
         q_at = float(trace.q_sorted[arm_sorted])
         if arm_sorted >= trace.pivot:
@@ -253,12 +267,6 @@ class MygaPolicy:
             aux_at = (q_at / trace.majority_mass) * (trace.majority_mass + trace.dropped_table)
         self.state.real_loss += advice_column * est
         self.state.aux_loss += aux_at * est
-
-        trace.arm_original = arm_original
         trace.arm_sorted = arm_sorted
-        trace.est_value = est
-        trace.realized_loss = float(observed_loss)
         trace.real_advice_at_played = advice_column
         trace.aux_advice_at_played = aux_at
-        self.t += 1
-        self._awaiting_update = False

@@ -1,0 +1,54 @@
+"""Round-protocol tests that every ``ExpertPolicy`` subclass must pass.
+
+A test class inherits ``RoundProtocolContract`` and supplies two static
+methods: ``make()``, a fresh policy with two arms and two experts, and
+``starved_round()``, a fresh policy with an advice matrix on which it
+plays arm 1 with probability zero.
+"""
+
+import numpy as np
+import pytest
+
+ADVICES = np.array([[1.0, 0.0], [0.4, 0.6]])
+
+
+class RoundProtocolContract:
+    def test_state_machine_guards(self):
+        policy = self.make()
+        _, round_one = self.make().advise(ADVICES)
+        with pytest.raises(RuntimeError, match="without a pending"):
+            policy.update(round_one, 0, 0.5)
+        p, trace = policy.advise(ADVICES)
+        with pytest.raises(RuntimeError, match="before update"):
+            policy.advise(ADVICES)
+        policy.update(trace, 0, 0.5)
+        with pytest.raises(RuntimeError, match="without a pending"):
+            policy.update(trace, 0, 0.5)
+        p2, trace2 = policy.advise(ADVICES)
+        with pytest.raises(ValueError, match="round"):
+            policy.update(trace, 0, 0.5)
+        policy.update(trace2, 0, 0.5)
+        assert policy.t == 3
+
+    def test_zero_probability_play_is_an_error(self):
+        policy, advices = self.starved_round()
+        p, trace = policy.advise(advices)
+        assert p[1] == 0.0
+        with pytest.raises(RuntimeError, match="zero probability"):
+            policy.update(trace, 1, 0.5)
+
+    def test_rejects_out_of_range_loss_and_arm(self):
+        policy, reference = self.make(), self.make()
+        p, trace = policy.advise(ADVICES)
+        for arm in (-1, 2, 5):
+            with pytest.raises(ValueError, match="arm"):
+                policy.update(trace, arm, 0.5)
+        with pytest.raises(ValueError, match="loss"):
+            policy.update(trace, 0, 1.5)
+        # The rejected updates changed nothing: the round still completes
+        # and the next round matches a policy that never saw them.
+        assert trace.arm_original is None
+        policy.update(trace, 0, 0.5)
+        _, ref_trace = reference.advise(ADVICES)
+        reference.update(ref_trace, 0, 0.5)
+        np.testing.assert_array_equal(policy.advise(ADVICES)[0], reference.advise(ADVICES)[0])

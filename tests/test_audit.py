@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import myga.policy as policy_mod
 from myga.audit import (Auditor, RegretReport, Violation, accumulate,
                         check_majority_bound, check_round, check_round_losses,
                         evaluate_theorem_bound, theorem_bound_value)
@@ -247,25 +246,18 @@ class TestAuditorStreaming:
         assert auditor.report.regret == pytest.approx(
             play_loss - expert_loss.min(), abs=1e-9)
 
-    def test_corrupted_rounds_are_caught(self):
-        def corrupt(q, pivot):
-            return np.array([0.55, 0.45])
-
-        policy_mod._TEST_Q_CORRUPTION = corrupt
-        try:
-            cfg = MygaConfig(num_arms=2, num_experts=2, horizon=20, eta=0.5,
-                             gamma=0.01, grid_denominator=200)
-            policy = MygaPolicy(cfg, sample_rng=np.random.default_rng(3))
-            auditor = Auditor(num_arms=2, num_experts=2, gamma=cfg.gamma)
-            advices = np.array([[1.0, 0.0], [0.4, 0.6]])
-            p, trace = policy.advise(advices)
-            count = auditor.observe_round(trace, np.array([0.2, 0.7]))
-            assert count > 0
-            rules = {v.rule for v in auditor.violations}
-            assert "minority_cap" in rules
-            assert "majority_floor" in rules
-        finally:
-            policy_mod._TEST_Q_CORRUPTION = None
+    def test_corrupted_rounds_are_caught(self, corrupted_solve):
+        cfg = MygaConfig(num_arms=2, num_experts=2, horizon=20, eta=0.5,
+                         gamma=0.01, grid_denominator=200)
+        policy = MygaPolicy(cfg, sample_rng=np.random.default_rng(3))
+        auditor = Auditor(num_arms=2, num_experts=2, gamma=cfg.gamma)
+        advices = np.array([[1.0, 0.0], [0.4, 0.6]])
+        p, trace = policy.advise(advices)
+        count = auditor.observe_round(trace, np.array([0.2, 0.7]))
+        assert count > 0
+        rules = {v.rule for v in auditor.violations}
+        assert "minority_cap" in rules
+        assert "majority_floor" in rules
 
     def test_disabled_auditor_still_accounts(self):
         trace = make_trace(zeta_sorted=[0.9, 0.08, 0.02], pivot=2,

@@ -4,6 +4,7 @@ import pytest
 from myga.baselines import (Exp4Config, Exp4Policy, BaselineTrace,
                             threshold_mixture)
 from myga.simplex import validate
+from round_protocol import RoundProtocolContract
 
 
 class TestThresholdMixture:
@@ -41,7 +42,19 @@ class TestExp4Config:
         assert cfg.gamma == 0.0
 
 
-class TestExp4Policy:
+class TestExp4Policy(RoundProtocolContract):
+    @staticmethod
+    def make():
+        return Exp4Policy(Exp4Config(num_arms=2, num_experts=2, eta=0.5),
+                          sample_rng=np.random.default_rng(0))
+
+    @staticmethod
+    def starved_round():
+        cfg = Exp4Config(num_arms=2, num_experts=1, eta=0.5,
+                         variant="thresholded", gamma=0.3)
+        return (Exp4Policy(cfg, sample_rng=np.random.default_rng(0)),
+                np.array([[0.8, 0.2]]))
+
     def test_plain_first_round_is_average(self):
         policy = Exp4Policy(Exp4Config(num_arms=3, num_experts=2, eta=0.5),
                             sample_rng=np.random.default_rng(0))
@@ -67,31 +80,6 @@ class TestExp4Policy:
         est = 0.7 / p[0]
         np.testing.assert_allclose(policy.cum_loss, [est, 0.4 * est], atol=1e-12)
         assert trace.est_value == pytest.approx(est)
-
-    def test_state_machine_guards(self):
-        policy = Exp4Policy(Exp4Config(num_arms=2, num_experts=1, eta=0.5),
-                            sample_rng=np.random.default_rng(0))
-        advices = np.array([[0.5, 0.5]])
-        with pytest.raises(RuntimeError, match="without a pending"):
-            policy.update(BaselineTrace(t=1, advices=advices,
-                                        p_original=np.array([0.5, 0.5])), 0, 0.1)
-        p, trace = policy.advise(advices)
-        with pytest.raises(RuntimeError, match="before update"):
-            policy.advise(advices)
-        policy.update(trace, 0, 0.1)
-        p2, trace2 = policy.advise(advices)
-        with pytest.raises(ValueError, match="round"):
-            policy.update(trace, 0, 0.1)
-        policy.update(trace2, 0, 0.1)
-
-    def test_zero_probability_play_is_an_error(self):
-        cfg = Exp4Config(num_arms=2, num_experts=1, eta=0.5,
-                         variant="thresholded", gamma=0.3)
-        policy = Exp4Policy(cfg, sample_rng=np.random.default_rng(0))
-        p, trace = policy.advise(np.array([[0.8, 0.2]]))
-        assert p[1] == 0.0
-        with pytest.raises(RuntimeError, match="zero probability"):
-            policy.update(trace, 1, 0.5)
 
     def test_weights_track_cumulative_loss(self):
         policy = Exp4Policy(Exp4Config(num_arms=2, num_experts=2, eta=1.0),

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import myga.cli as cli_mod
-import myga.policy as policy_mod
 from myga.cli import (ROUND_HEADER, SUMMARY_HEADER, ExperimentConfig,
                       build_config, emit_csv, execute, main, parse_config_file,
                       run)
@@ -176,29 +175,15 @@ class TestExecute:
         assert second.seed_results[0].report.total_play_loss == pytest.approx(
             6 * new_loss, abs=1e-9)
 
-    def test_corrupted_run_exits_two(self):
-        def corrupt(q, pivot):
-            return np.array([0.55, 0.45])
+    def test_corrupted_run_exits_two(self, corrupted_solve):
+        result = execute(self.base_config(seeds=(0,)))
+        assert result.any_violation
+        assert result.exit_code == 2
 
-        policy_mod._TEST_Q_CORRUPTION = corrupt
-        try:
-            result = execute(self.base_config(seeds=(0,)))
-            assert result.any_violation
-            assert result.exit_code == 2
-        finally:
-            policy_mod._TEST_Q_CORRUPTION = None
-
-    def test_audit_disabled_ignores_corruption(self):
-        def corrupt(q, pivot):
-            return np.array([0.55, 0.45])
-
-        policy_mod._TEST_Q_CORRUPTION = corrupt
-        try:
-            result = execute(self.base_config(seeds=(0,), audit=False))
-            assert not result.any_violation
-            assert result.exit_code == 0
-        finally:
-            policy_mod._TEST_Q_CORRUPTION = None
+    def test_audit_disabled_ignores_corruption(self, corrupted_solve):
+        result = execute(self.base_config(seeds=(0,), audit=False))
+        assert not result.any_violation
+        assert result.exit_code == 0
 
 
 class TestRunAndMain:
@@ -268,19 +253,12 @@ class TestRunAndMain:
         assert code == 1
         assert "lattice" in err
 
-    def test_main_corruption_exits_two(self, capsys):
-        def corrupt(q, pivot):
-            return np.array([0.55, 0.45])
-
-        policy_mod._TEST_Q_CORRUPTION = corrupt
-        try:
-            code = main(["--env", "zero_loss_expert", "--horizon", "5",
-                         "--eta", "0.3", "--gamma", "0.05",
-                         "--grid-denominator", "20"])
-            capsys.readouterr()
-            assert code == 2
-        finally:
-            policy_mod._TEST_Q_CORRUPTION = None
+    def test_main_corruption_exits_two(self, capsys, corrupted_solve):
+        code = main(["--env", "zero_loss_expert", "--horizon", "5",
+                     "--eta", "0.3", "--gamma", "0.05",
+                     "--grid-denominator", "20"])
+        capsys.readouterr()
+        assert code == 2
 
 
 class TestSubprocess:

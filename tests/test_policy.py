@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-import myga.policy as policy_mod
 from myga.fixed_point import MixtureWeights, mixture_residual, two_arm_fixed_point
 from myga.policy import (MygaConfig, MygaPolicy, WeightState,
                          build_threshold_grid, loss_estimator,
                          schedule_parameters)
 from myga.simplex import validate
 from myga.truncation import truncate
+from round_protocol import RoundProtocolContract
 
 
 class TestScheduleParameters:
@@ -247,7 +247,16 @@ class TestMygaPolicyAdvise:
             policy.advise(np.array([[0.5, 0.5], [0.9, 0.2]]))
 
 
-class TestMygaPolicyUpdate:
+class TestMygaPolicyUpdate(RoundProtocolContract):
+    @staticmethod
+    def make():
+        return make_policy()
+
+    @staticmethod
+    def starved_round():
+        return (make_policy(gamma=0.5, grid_denominator=4),
+                np.array([[1.0, 0.0], [1.0, 0.0]]))
+
     def test_auxiliary_charge_matches_literal_truncation(self):
         # The closed-form advice value at the played arm must equal the
         # full truncation evaluated there, on both sides of the pivot.
@@ -295,51 +304,3 @@ class TestMygaPolicyUpdate:
             policy.update(trace, arm, 1.0 if arm == 0 else 0.0)
         w_real, _ = policy.state.weights()
         assert w_real[1] > w_real[0]
-
-    def test_state_machine_guards(self):
-        policy = make_policy()
-        advices = np.array([[1.0, 0.0], [0.4, 0.6]])
-        with pytest.raises(RuntimeError, match="without a pending"):
-            policy.update(None, 0, 0.5)
-        p, trace = policy.advise(advices)
-        with pytest.raises(RuntimeError, match="before update"):
-            policy.advise(advices)
-        policy.update(trace, 0, 0.5)
-        p2, trace2 = policy.advise(advices)
-        with pytest.raises(ValueError, match="round"):
-            policy.update(trace, 0, 0.5)
-        policy.update(trace2, 0, 0.5)
-
-    def test_zero_probability_play_is_an_error(self):
-        policy = make_policy(gamma=0.5, grid_denominator=4)
-        advices = np.array([[1.0, 0.0], [1.0, 0.0]])
-        p, trace = policy.advise(advices)
-        assert p[1] == 0.0
-        with pytest.raises(RuntimeError, match="zero probability"):
-            policy.update(trace, 1, 0.5)
-
-    def test_rejects_out_of_range_loss_and_arm(self):
-        policy = make_policy()
-        p, trace = policy.advise(np.array([[1.0, 0.0], [0.4, 0.6]]))
-        with pytest.raises(ValueError, match="arm"):
-            policy.update(trace, 5, 0.5)
-        with pytest.raises(ValueError, match="loss"):
-            policy.update(trace, 0, 1.5)
-
-
-class TestCorruptionHook:
-    def test_hook_replaces_solved_distribution(self):
-        def corrupt(q, pivot):
-            return np.array([0.6, 0.4])
-
-        policy_mod._TEST_Q_CORRUPTION = corrupt
-        try:
-            policy = make_policy()
-            p, trace = policy.advise(np.array([[0.5, 0.5], [0.5, 0.5]]))
-            np.testing.assert_array_equal(trace.q_sorted, [0.6, 0.4])
-            np.testing.assert_array_equal(trace.p_sorted, [0.6, 0.4])
-        finally:
-            policy_mod._TEST_Q_CORRUPTION = None
-
-    def test_hook_disabled_by_default(self):
-        assert policy_mod._TEST_Q_CORRUPTION is None
