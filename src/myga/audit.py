@@ -4,6 +4,10 @@ The auditor consumes one trace per round together with the true loss
 vector (simulator knowledge) and checks the structural guarantees the
 policy's play distribution must satisfy:
 
+  * finite trace: every mixture, solved and played mass, both block
+    masses and the removed-mass table are finite; otherwise the round
+    records ``non_finite_trace`` with margin nan and no other rule of
+    ``check_round`` is evaluated on it;
   * threshold advice proportionality: on majority arms every auxiliary
     advice is the real mixture rescaled by a common per-threshold factor;
   * minority cap / majority floor: the solved distribution never raises
@@ -15,8 +19,14 @@ policy's play distribution must satisfy:
   * majority loss domination: per round and cumulatively, the loss mass
     sitting on majority arms is at most 2K times the expected play loss.
 
-Checks compare at tolerance 1e-9.  Violations are recorded, never
-repaired.
+Each round's checks are O(K) float operations on the round's K-entry
+vectors plus one min and one max over the removed-mass table.  The
+proportionality gap between the two sides of the rule is affine in the
+removed mass, so its largest size over the whole table is reached at the
+table's smallest or largest entry; no threshold-by-arm matrix is built.
+
+Checks compare at tolerance 1e-9; the per-round loss check also counts
+a NaN margin as a violation.  Violations are recorded, never repaired.
 """
 
 from __future__ import annotations
@@ -66,48 +76,64 @@ class RegretReport:
 def check_round(trace: RoundTrace, gamma: float, num_arms: int,
                 tol: float = AUDIT_TOL) -> list[Violation]:
     """Structural checks on one round's solved and played distributions."""
-    violations: list[Violation] = []
     k = trace.pivot
-    zeta = trace.zeta_sorted
-    q = trace.q_sorted
-    p = trace.p_sorted
+    zeta = trace.zeta_sorted.tolist()
+    q = trace.q_sorted.tolist()
+    p = trace.p_sorted.tolist()
+    majority_mass = trace.majority_mass
+    minority_mass = trace.minority_mass
+    # The proportionality gap is affine in the removed mass, so its largest
+    # size over the table sits at the table's smallest or largest entry.
+    extremes = ((float(trace.dropped_table.min()), float(trace.dropped_table.max()))
+                if trace.thresholds.size else ())
 
-    zeta_majority = float(zeta[:k].sum())
-    if trace.thresholds.size:
-        aux_majority = np.outer(trace.majority_mass + trace.dropped_table, q[:k]) \
-            / trace.majority_mass
-        lhs = aux_majority * zeta_majority
-        rhs = np.outer(1.0 - (trace.minority_mass - trace.dropped_table), zeta[:k])
-        margin = float(np.max(np.abs(lhs - rhs)))
-        if margin > tol:
-            violations.append(Violation(
-                trace.t, "threshold_advice_proportionality", margin,
-                "auxiliary majority advice is not a common rescale of the mixture"))
+    if not all(map(math.isfinite, (*zeta, *q, *p, majority_mass, minority_mass,
+                                      *extremes))):
+        return [Violation(trace.t, "non_finite_trace", math.nan,
+                          "the round's mixture, solved or played masses are not all finite")]
 
-    over = float(np.max(q[k:] - zeta[k:], initial=0.0))
+    # One pass over the arms gathers every rule's margin.
+    zeta_majority = sum(zeta[:k])
+    growth = 1.0 - 2.0 * num_arms * gamma
+    gap = over = drop = 0.0
+    under = shrink = -math.inf
+    zeta_low = math.inf
+    for i, (zi, qi, pi) in enumerate(zip(zeta, q, p)):
+        if i < k:
+            under = max(under, zi - qi)
+            zeta_low = min(zeta_low, zi)
+            for d in extremes:
+                gap = max(gap, abs((majority_mass + d) * qi / majority_mass * zeta_majority
+                                   - (1.0 - (minority_mass - d)) * zi))
+        else:
+            over = max(over, qi - zi)
+        shrink = max(shrink, growth * pi - qi)
+        if pi > 0.0:
+            drop = max(drop, qi - pi)
+    floor = 1.0 / (2.0 * num_arms)
+    short = floor - zeta_low
+
+    violations: list[Violation] = []
+    if gap > tol:
+        violations.append(Violation(
+            trace.t, "threshold_advice_proportionality", gap,
+            "auxiliary majority advice is not a common rescale of the mixture"))
     if over > tol:
         violations.append(Violation(
             trace.t, "minority_cap", over,
             "solved mass exceeds the mixture on a minority arm"))
-    under = float(np.max(zeta[:k] - q[:k]))
     if under > tol:
         violations.append(Violation(
             trace.t, "majority_floor", under,
             "solved mass fell below the mixture on a majority arm"))
-    floor = 1.0 / (2.0 * num_arms)
-    short = float(np.max(floor - zeta[:k]))
     if short > tol:
         violations.append(Violation(
             trace.t, "pivot_mass_floor", short,
             f"majority mixture mass fell below 1/(2K) = {floor}"))
-
-    shrink = float(np.max((1.0 - 2.0 * num_arms * gamma) * p - q))
     if shrink > tol:
         violations.append(Violation(
             trace.t, "play_mass_upper", shrink,
             "played mass exceeds the truncation growth factor"))
-    support = p > 0.0
-    drop = float(np.max(q[support] - p[support], initial=0.0))
     if drop > tol:
         violations.append(Violation(
             trace.t, "play_mass_support", drop,
@@ -115,32 +141,57 @@ def check_round(trace: RoundTrace, gamma: float, num_arms: int,
     return violations
 
 
-def check_round_losses(trace: RoundTrace, losses: np.ndarray, num_arms: int,
-                       tol: float = AUDIT_TOL) -> list[Violation]:
-    """Per-round majority loss domination against the expected play loss."""
-    losses_sorted = trace.perm.to_sorted(np.asarray(losses, dtype=float))
-    observable = losses_sorted * (trace.p_sorted > 0.0)
-    majority_part = float(observable[:trace.pivot].sum())
-    expected = float(trace.p_sorted @ losses_sorted)
+def _played_losses(trace: RoundTrace, losses: np.ndarray) -> tuple[float, float, float]:
+    """The round's loss on played majority arms, on played minority arms, and its expected loss.
+
+    Arms are taken in sorted order and added one at a time, the order in
+    which NumPy sums arrays of fewer than eight entries.
+    """
+    losses_sorted = trace.perm.to_sorted(np.asarray(losses, dtype=float)).tolist()
+    k = trace.pivot
+    majority = minority = expected = 0.0
+    for i, (mass, loss) in enumerate(zip(trace.p_sorted.tolist(), losses_sorted)):
+        expected += mass * loss
+        if mass > 0.0:
+            if i < k:
+                majority += loss
+            else:
+                minority += loss
+    return majority, minority, expected
+
+
+def _majority_loss_round(t: int, played: tuple[float, float, float], num_arms: int,
+                         tol: float) -> list[Violation]:
+    majority_part, _, expected = played
     margin = majority_part - 2.0 * num_arms * expected
-    if margin > tol:
-        return [Violation(trace.t, "majority_loss_round", margin,
+    if not margin <= tol:
+        return [Violation(t, "majority_loss_round", margin,
                           "majority loss mass exceeded 2K times the expected loss")]
     return []
 
 
-def accumulate(report: RegretReport, trace, losses: np.ndarray) -> RegretReport:
-    """Fold one round into the report: play loss, expert losses, loss split."""
+def check_round_losses(trace: RoundTrace, losses: np.ndarray, num_arms: int,
+                       tol: float = AUDIT_TOL) -> list[Violation]:
+    """Per-round majority loss domination against the expected play loss."""
+    return _majority_loss_round(trace.t, _played_losses(trace, losses), num_arms, tol)
+
+
+def _fold(report: RegretReport, trace, losses: np.ndarray,
+          played: tuple[float, float, float] | None) -> RegretReport:
     losses = np.asarray(losses, dtype=float)
     report.total_play_loss += float(trace.p_original @ losses)
     report.per_expert_loss += trace.advices @ losses
     report.rounds += 1
-    if isinstance(trace, RoundTrace):
-        losses_sorted = trace.perm.to_sorted(losses)
-        observable = losses_sorted * (trace.p_sorted > 0.0)
-        report.majority_loss += float(observable[:trace.pivot].sum())
-        report.minority_loss += float(observable[trace.pivot:].sum())
+    if played is not None:
+        report.majority_loss += played[0]
+        report.minority_loss += played[1]
     return report
+
+
+def accumulate(report: RegretReport, trace, losses: np.ndarray) -> RegretReport:
+    """Fold one round into the report: play loss, expert losses, loss split."""
+    played = _played_losses(trace, losses) if isinstance(trace, RoundTrace) else None
+    return _fold(report, trace, losses, played)
 
 
 def check_majority_bound(report: RegretReport, num_arms: int,
@@ -179,10 +230,13 @@ class Auditor:
     def observe_round(self, trace, losses: np.ndarray) -> int:
         """Check and accumulate one round; returns this round's violation count."""
         fresh: list[Violation] = []
-        if self.enabled and isinstance(trace, RoundTrace):
-            fresh.extend(check_round(trace, self.gamma, self.num_arms, self.tol))
-            fresh.extend(check_round_losses(trace, losses, self.num_arms, self.tol))
-        accumulate(self.report, trace, losses)
+        played = None
+        if isinstance(trace, RoundTrace):
+            played = _played_losses(trace, losses)
+            if self.enabled:
+                fresh = check_round(trace, self.gamma, self.num_arms, self.tol)
+                fresh += _majority_loss_round(trace.t, played, self.num_arms, self.tol)
+        _fold(self.report, trace, losses, played)
         self.violations.extend(fresh)
         return len(fresh)
 

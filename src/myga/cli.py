@@ -4,10 +4,11 @@ Configuration is flat ``key=value`` text plus flag overrides; flags win.
 One process runs one policy on one environment kind over a list of
 seeds, in ascending seed order, and emits two CSV files: a per-round
 log and a per-seed summary.  Identical configuration produces identical
-bytes.  Exit code 0 means success, 1 means a configuration or I/O
-error or an internal invariant failure (such as a fixed-point residual
-over tolerance), 2 means the run finished but the auditor recorded
-violations.
+bytes.  Exit code 0 means success, 1 a configuration or I/O error, 2
+that the run finished but the auditor recorded violations, and 3 an
+internal invariant failure that stopped the run (a ``RuntimeError``, such
+as a fixed-point residual over tolerance or NaN, truncation drift, or a
+played arm of zero probability).
 """
 
 from __future__ import annotations
@@ -310,9 +311,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return run(config)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"myga: error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        print(f"myga: internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -144,7 +144,7 @@ def _solve(zeta_sorted: np.ndarray, pivot: int, weights: MixtureWeights,
     majority_zeta = float(zeta[:k].sum())
     q[:k] = zeta[:k] * ((1.0 - float(q_min.sum())) / majority_zeta)
     resid = mixture_residual(q, zeta, k, weights, grid)
-    if resid > RESIDUAL_TOL:
+    if not resid <= RESIDUAL_TOL:
         raise RuntimeError(f"fixed-point residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e}")
     return q, iterations, resid
 
@@ -164,7 +164,7 @@ def solve_fixed_point(zeta_sorted: np.ndarray, pivot: int, weights: MixtureWeigh
     advances, which never exceeds (arms - pivot) * len(thresholds).
     ``sweep_log``, if given, receives one (minority masses, boundaries)
     snapshot per growth pass for diagnostic tests.  Raises RuntimeError rather
-    than returning a distribution whose residual exceeds 1e-9.
+    than returning a distribution whose residual exceeds 1e-9 or is NaN.
     """
     q, iterations, _ = _solve(zeta_sorted, pivot, weights, require_grid(thresholds),
                               sweep_log)

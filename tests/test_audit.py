@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from myga.audit import (Auditor, RegretReport, Violation, accumulate,
                         evaluate_theorem_bound, theorem_bound_value)
 from myga.baselines import BaselineTrace
 from myga.environments import EnvSpec, generate
-from myga.policy import MygaConfig, MygaPolicy, RoundTrace
+from myga.policy import MygaConfig, MygaPolicy, RoundTrace, schedule_parameters
 from myga.simplex import ArmPermutation
 from myga.truncation import truncated_mass_table
 
@@ -42,6 +45,75 @@ def make_trace(zeta_sorted, pivot, q_sorted, p_sorted, thresholds=(),
         minority_mass=float(q_sorted[pivot:].sum()),
         residual=0.0, iterations=0)
 
+
+
+def reference_check_round(trace, gamma, num_arms, tol=1e-9):
+    """The per-round structural rules as whole-array NumPy expressions.
+
+    The proportionality rule is evaluated on the full threshold-by-arm
+    matrix.  ``check_round`` must name the same rules in the same order
+    with margins within 1e-12 on every finite trace.
+    """
+    violations = []
+    k = trace.pivot
+    zeta = trace.zeta_sorted
+    q = trace.q_sorted
+    p = trace.p_sorted
+
+    zeta_majority = float(zeta[:k].sum())
+    if trace.thresholds.size:
+        aux_majority = np.outer(trace.majority_mass + trace.dropped_table, q[:k]) \
+            / trace.majority_mass
+        lhs = aux_majority * zeta_majority
+        rhs = np.outer(1.0 - (trace.minority_mass - trace.dropped_table), zeta[:k])
+        margin = float(np.max(np.abs(lhs - rhs)))
+        if margin > tol:
+            violations.append(Violation(
+                trace.t, "threshold_advice_proportionality", margin,
+                "auxiliary majority advice is not a common rescale of the mixture"))
+
+    over = float(np.max(q[k:] - zeta[k:], initial=0.0))
+    if over > tol:
+        violations.append(Violation(
+            trace.t, "minority_cap", over,
+            "solved mass exceeds the mixture on a minority arm"))
+    under = float(np.max(zeta[:k] - q[:k]))
+    if under > tol:
+        violations.append(Violation(
+            trace.t, "majority_floor", under,
+            "solved mass fell below the mixture on a majority arm"))
+    floor = 1.0 / (2.0 * num_arms)
+    short = float(np.max(floor - zeta[:k]))
+    if short > tol:
+        violations.append(Violation(
+            trace.t, "pivot_mass_floor", short,
+            f"majority mixture mass fell below 1/(2K) = {floor}"))
+
+    shrink = float(np.max((1.0 - 2.0 * num_arms * gamma) * p - q))
+    if shrink > tol:
+        violations.append(Violation(
+            trace.t, "play_mass_upper", shrink,
+            "played mass exceeds the truncation growth factor"))
+    support = p > 0.0
+    drop = float(np.max(q[support] - p[support], initial=0.0))
+    if drop > tol:
+        violations.append(Violation(
+            trace.t, "play_mass_support", drop,
+            "a played arm lost mass relative to the solved distribution"))
+    return violations
+
+
+def reference_check_round_losses(trace, losses, num_arms, tol=1e-9):
+    """Per-round majority loss domination as whole-array NumPy expressions."""
+    losses_sorted = trace.perm.to_sorted(np.asarray(losses, dtype=float))
+    observable = losses_sorted * (trace.p_sorted > 0.0)
+    majority_part = float(observable[:trace.pivot].sum())
+    expected = float(trace.p_sorted @ losses_sorted)
+    margin = majority_part - 2.0 * num_arms * expected
+    if margin > tol:
+        return [Violation(trace.t, "majority_loss_round", margin,
+                          "majority loss mass exceeded 2K times the expected loss")]
+    return []
 
 class TestRegretReport:
     def test_empty(self):
@@ -94,12 +166,17 @@ class TestAccumulate:
         assert report.minority_loss == 0.0
 
 
+def clean_trace():
+    """A three-arm round that passes every rule."""
+    return make_trace(zeta_sorted=[0.55, 0.25, 0.2], pivot=1,
+                      q_sorted=[0.62, 0.22, 0.16],
+                      p_sorted=[0.62, 0.22, 0.16],
+                      thresholds=[0.25, 0.5])
+
+
 class TestCheckRoundRules:
     def base_trace(self):
-        return make_trace(zeta_sorted=[0.55, 0.25, 0.2], pivot=1,
-                          q_sorted=[0.62, 0.22, 0.16],
-                          p_sorted=[0.62, 0.22, 0.16],
-                          thresholds=[0.25, 0.5])
+        return clean_trace()
 
     def test_consistent_trace_is_clean(self):
         violations = check_round(self.base_trace(), gamma=0.05, num_arms=3)
@@ -276,3 +353,168 @@ class TestAuditorStreaming:
         violations = auditor.finalize()
         assert [v.rule for v in violations] == ["majority_loss_cumulative"]
         assert violations[0].t == 7
+
+
+class TestNonFiniteTrace:
+    @pytest.mark.parametrize("field,arm", [("q_sorted", 0), ("q_sorted", 2),
+                                           ("p_sorted", 0), ("p_sorted", 2),
+                                           ("zeta_sorted", 1)])
+    def test_nan_mass_is_flagged(self, field, arm):
+        trace = clean_trace()
+        getattr(trace, field)[arm] = np.nan
+        violations = check_round(trace, gamma=0.05, num_arms=3)
+        assert [v.rule for v in violations] == ["non_finite_trace"]
+        assert math.isnan(violations[0].margin)
+
+    def test_infinite_block_mass_is_flagged(self):
+        trace = clean_trace()
+        trace.minority_mass = np.inf
+        assert [v.rule for v in check_round(trace, gamma=0.05, num_arms=3)] == [
+            "non_finite_trace"]
+
+    def test_nan_play_mass_fails_loss_domination(self):
+        trace = clean_trace()
+        trace.p_sorted[0] = np.nan
+        violations = check_round_losses(trace, np.array([1.0, 0.0, 0.0]), num_arms=3)
+        assert [v.rule for v in violations] == ["majority_loss_round"]
+        assert math.isnan(violations[0].margin)
+
+    def test_auditor_records_nan_round(self):
+        trace = clean_trace()
+        trace.q_sorted[1] = np.nan
+        auditor = Auditor(num_arms=3, num_experts=2, gamma=0.05)
+        assert auditor.observe_round(trace, np.array([0.1, 0.2, 0.3])) == 1
+        assert [v.rule for v in auditor.violations] == ["non_finite_trace"]
+
+
+ROUND_RULES = ("threshold_advice_proportionality", "minority_cap", "majority_floor",
+               "pivot_mass_floor", "play_mass_upper", "play_mass_support",
+               "majority_loss_round")
+
+
+def captured_rounds(cfg, spec, rounds):
+    """(trace, losses, gamma) for the first ``rounds`` rounds of one policy run."""
+    policy = MygaPolicy(cfg, sample_rng=np.random.default_rng(spec.seed))
+    captured = []
+    for t in range(1, rounds + 1):
+        data = generate(spec, t)
+        p, trace = policy.advise(data.advices)
+        arm = policy.sample(p)
+        policy.update(trace, arm, float(data.losses[arm]))
+        captured.append((trace, data.losses, cfg.gamma))
+    return captured
+
+
+def moved(value, rng):
+    """``value`` scaled by a factor in [0, 1.5) or shifted by up to about 0.3 either way."""
+    if rng.random() < 0.5:
+        return value * rng.uniform(0.0, 1.5)
+    return value + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, -0.5)
+
+
+def spoiled(trace, rng):
+    """A copy of ``trace`` with one to three of its masses moved.
+
+    Each move takes one mixture, solved or played mass, on either side of
+    the pivot, or one of the two block masses.  A moved block mass breaks
+    majority + minority = 1, which is what puts the largest
+    proportionality gap at the smallest removed mass rather than the
+    largest.
+    """
+    copy = dataclasses.replace(trace, zeta_sorted=trace.zeta_sorted.copy(),
+                               q_sorted=trace.q_sorted.copy(),
+                               p_sorted=trace.p_sorted.copy())
+    num_arms = copy.zeta_sorted.size
+    for _ in range(int(rng.integers(1, 4))):
+        target = int(rng.integers(4))
+        if target == 3:
+            name = ("majority_mass", "minority_mass")[rng.integers(2)]
+            setattr(copy, name, moved(getattr(copy, name), rng))
+            continue
+        values = getattr(copy, ("zeta_sorted", "q_sorted", "p_sorted")[target])
+        if copy.pivot == num_arms or rng.random() < 0.5:
+            arm = int(rng.integers(0, copy.pivot))
+        else:
+            arm = int(rng.integers(copy.pivot, num_arms))
+        values[arm] = moved(float(values[arm]), rng)
+    return copy
+
+
+@pytest.fixture(scope="module")
+def round_families():
+    """Traces from five sources, each audited clean as captured.
+
+    A short gap_wide_grid-shaped run (K=2, E=4, scheduled for T=10^4, so
+    the grid has 7698 thresholds), a short minority_lattice-shaped run
+    (K=5, E=8, advice on the 1/4000 lattice, grid 400), a run whose grid
+    is empty (gamma = 1/2), and hand-built traces whose pivot is K.  In
+    those four every removed-mass table is constant, so a fifth run, with
+    Dirichlet advice from 20 experts and a 9-threshold grid, supplies
+    minority arms kept by some thresholds and removed by others.
+    """
+    eta, gamma = schedule_parameters(2, 4, 10_000, 1600.0)
+    gap = captured_rounds(
+        MygaConfig(num_arms=2, num_experts=4, horizon=10_000, eta=eta, gamma=gamma),
+        EnvSpec(kind="stochastic_gap", num_arms=2, num_experts=4, horizon=10_000,
+                seed=3, mu_star=0.16, delta=0.2), 60)
+    lattice = captured_rounds(
+        MygaConfig(num_arms=5, num_experts=8, horizon=2000, eta=0.2, gamma=0.4,
+                   grid_denominator=4000),
+        EnvSpec(kind="adversarial_minority", num_arms=5, num_experts=8,
+                horizon=2000, seed=3), 60)
+    empty_grid = captured_rounds(
+        MygaConfig(num_arms=3, num_experts=2, horizon=30, eta=0.3, gamma=0.5,
+                   grid_denominator=60),
+        EnvSpec(kind="stochastic_gap", num_arms=3, num_experts=2, horizon=30, seed=1),
+        30)
+    varying_table = captured_rounds(
+        MygaConfig(num_arms=3, num_experts=20, horizon=40, eta=0.3, gamma=0.05,
+                   grid_denominator=20),
+        EnvSpec(kind="zero_loss_expert", num_arms=3, num_experts=20, horizon=40,
+                seed=2), 40)
+    full_pivot = [
+        (make_trace(zeta_sorted=zeta, pivot=len(zeta), q_sorted=zeta, p_sorted=zeta,
+                    thresholds=[0.1, 0.2, 0.3]), np.array(losses), 0.05)
+        for zeta, losses in (([0.6, 0.4], [1.0, 0.0]),
+                             ([0.4, 0.35, 0.25], [0.3, 0.9, 0.1]),
+                             ([0.3, 0.3, 0.2, 0.2], [0.0, 1.0, 0.5, 0.2]))]
+    assert gap[0][0].thresholds.size == 7698
+    assert lattice[0][0].thresholds.size == 400
+    assert empty_grid[0][0].thresholds.size == 0
+    assert sum(trace.dropped_table.min() < trace.dropped_table.max()
+               for trace, _, _ in varying_table) >= 30
+    return {"gap_wide_grid": gap, "minority_lattice": lattice,
+            "empty_grid": empty_grid, "pivot_is_k": full_pivot,
+            "varying_table": varying_table}
+
+
+class TestReferenceAgreement:
+    def audit_both(self, trace, losses, gamma):
+        num_arms = trace.zeta_sorted.size
+        got = (check_round(trace, gamma, num_arms)
+               + check_round_losses(trace, losses, num_arms))
+        want = (reference_check_round(trace, gamma, num_arms)
+                + reference_check_round_losses(trace, losses, num_arms))
+        assert [(v.t, v.rule, v.detail) for v in got] == \
+            [(v.t, v.rule, v.detail) for v in want]
+        for mine, ref in zip(got, want):
+            assert abs(mine.margin - ref.margin) <= 1e-12
+        return got
+
+    def test_captured_rounds_are_clean_under_both(self, round_families):
+        for rounds in round_families.values():
+            for trace, losses, gamma in rounds:
+                assert self.audit_both(trace, losses, gamma) == []
+
+    def test_spoiled_rounds_match_reference(self, round_families):
+        rng = np.random.default_rng(20180309)
+        fired = {name: set() for name in round_families}
+        for name, rounds in round_families.items():
+            for _ in range(100):
+                trace, losses, gamma = rounds[int(rng.integers(len(rounds)))]
+                violations = self.audit_both(spoiled(trace, rng), losses, gamma)
+                fired[name].update(v.rule for v in violations)
+        assert set().union(*fired.values()) == set(ROUND_RULES)
+        assert "threshold_advice_proportionality" in fired["pivot_is_k"]
+        assert "threshold_advice_proportionality" in fired["varying_table"]
+        assert "threshold_advice_proportionality" not in fired["empty_grid"]

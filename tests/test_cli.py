@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import myga.cli as cli_mod
+import myga.policy as policy_mod
 from myga.cli import (ROUND_HEADER, SUMMARY_HEADER, ExperimentConfig,
                       build_config, emit_csv, execute, main, parse_config_file,
                       run)
@@ -259,6 +260,18 @@ class TestRunAndMain:
                      "--grid-denominator", "20"])
         capsys.readouterr()
         assert code == 2
+
+    def test_main_internal_invariant_failure_exits_three(self, capsys, monkeypatch):
+        def failing_solve(*args, **kwargs):
+            raise RuntimeError("fixed-point residual 1.000e-03 exceeds 1.0e-09")
+
+        monkeypatch.setattr(policy_mod, "_solve", failing_solve)
+        code = main(["--env", "zero_loss_expert", "--horizon", "5",
+                     "--eta", "0.3", "--gamma", "0.05",
+                     "--grid-denominator", "20"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "internal error" in err and "residual" in err
 
 
 class TestSubprocess:

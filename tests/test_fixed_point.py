@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import myga.fixed_point as fixed_point_mod
 from myga.fixed_point import (MixtureWeights, mixture_residual,
                               solve_fixed_point, two_arm_fixed_point)
 from myga.truncation import truncate
@@ -378,6 +379,16 @@ class TestResidual:
         zeta = np.array([0.6, 0.4])
         assert mixture_residual(zeta, zeta, 1, MixtureWeights(1.0, np.array([])),
                                 np.array([])) == 0.0
+
+    def test_nan_residual_is_rejected(self, monkeypatch):
+        # A NaN residual compares false against the tolerance either way
+        # round, so the solver must reject anything not within it.
+        monkeypatch.setattr(fixed_point_mod, "mixture_residual",
+                            lambda *args, **kwargs: float("nan"))
+        with pytest.raises(RuntimeError, match="residual nan exceeds"):
+            solve_fixed_point(np.array([0.7, 0.3]), 1,
+                              MixtureWeights(0.5, np.array([0.25, 0.25])),
+                              np.array([0.1, 0.2]))
 
     def test_literal_path_matches_fast_path(self):
         # The per-arm residual must agree with the literal one-truncation-
