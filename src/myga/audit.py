@@ -10,6 +10,8 @@ policy's play distribution must satisfy:
     ``check_round`` is evaluated on it;
   * threshold advice proportionality: on majority arms every auxiliary
     advice is the real mixture rescaled by a common per-threshold factor;
+  * removed-mass table: the table's first and last entries equal the
+    solved minority mass at or below the lowest and the highest threshold;
   * minority cap / majority floor: the solved distribution never raises
     a minority arm above the real mixture nor lowers a majority arm
     below it, and every majority mixture mass is at least 1/(2K);
@@ -24,6 +26,7 @@ vectors plus one min and one max over the removed-mass table.  The
 proportionality gap between the two sides of the rule is affine in the
 removed mass, so its largest size over the whole table is reached at the
 table's smallest or largest entry; no threshold-by-arm matrix is built.
+Floats are added with ``simplex.left_sum``, never with builtin ``sum``.
 
 Checks compare at tolerance 1e-9; the per-round loss check also counts
 a NaN margin as a violation.  Violations are recorded, never repaired.
@@ -37,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .policy import RoundTrace
+from .simplex import left_sum
 
 AUDIT_TOL = 1e-9
 
@@ -92,8 +96,18 @@ def check_round(trace: RoundTrace, gamma: float, num_arms: int,
         return [Violation(trace.t, "non_finite_trace", math.nan,
                           "the round's mixture, solved or played masses are not all finite")]
 
+    # The table is checked at its two ends.  Its entries add the minority
+    # masses smallest first, and so does this check.
+    table_gap = 0.0
+    if trace.thresholds.size:
+        minority = q[k:][::-1]
+        for j in (0, -1):
+            threshold = trace.thresholds.item(j)
+            removed = left_sum([x for x in minority if x <= threshold])
+            table_gap = max(table_gap, abs(trace.dropped_table.item(j) - removed))
+
     # One pass over the arms gathers every rule's margin.
-    zeta_majority = sum(zeta[:k])
+    zeta_majority = left_sum(zeta[:k])
     growth = 1.0 - 2.0 * num_arms * gamma
     gap = over = drop = 0.0
     under = shrink = -math.inf
@@ -118,6 +132,10 @@ def check_round(trace: RoundTrace, gamma: float, num_arms: int,
         violations.append(Violation(
             trace.t, "threshold_advice_proportionality", gap,
             "auxiliary majority advice is not a common rescale of the mixture"))
+    if table_gap > tol:
+        violations.append(Violation(
+            trace.t, "removed_mass_table", table_gap,
+            "the removed-mass table disagrees with the solved minority masses"))
     if over > tol:
         violations.append(Violation(
             trace.t, "minority_cap", over,

@@ -3,7 +3,9 @@
 Every generated round is a pure function of (seed, t): the round gets
 its own generator stream, so rounds can be produced in any order and
 always reproduce byte-for-byte.  Losses live in [0, 1]; advice rows are
-distributions over arms.
+distributions over arms.  A generated round makes a fixed, small number
+of NumPy calls whatever the expert count: each draw is one call for the
+whole advice matrix or loss vector.
 
 Replay files are plain text with LF line endings: a header line
 ``K num_experts T``, then per round one loss line followed by one
@@ -87,13 +89,14 @@ def _adversarial_minority_round(spec: EnvSpec, t: int) -> RoundData:
     rng = _round_rng(spec, t)
     lattice = 2 * spec.horizon
     band = max(1, lattice // (4 * max(spec.num_arms - 1, 1)))
-    advices = np.empty((spec.num_experts, spec.num_arms))
-    for e in range(spec.num_experts):
-        steps = rng.integers(0, band + 1, size=spec.num_arms)
-        favored = e % spec.num_arms
-        steps[favored] = 0
-        steps[favored] = lattice - int(steps.sum())
-        advices[e] = steps / lattice
+    # Expert e favours arm e mod K, which takes whatever the other arms'
+    # draws leave of the lattice.  The draws come row by row from one
+    # call, the order in which one call per expert would take them.
+    steps = rng.integers(0, band + 1, size=(spec.num_experts, spec.num_arms))
+    experts = np.arange(spec.num_experts)
+    favored = experts % spec.num_arms
+    steps[experts, favored] = lattice - (steps.sum(axis=1) - steps[experts, favored])
+    advices = steps / lattice
     block = max(1, int(round(spec.horizon ** 0.5)))
     good_arm = ((t - 1) // block) % spec.num_arms
     losses = (rng.uniform(size=spec.num_arms) < 0.6).astype(float)

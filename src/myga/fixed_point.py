@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex
+from .simplex import left_sum
 
 RESIDUAL_TOL = 1e-9
 
@@ -78,28 +79,34 @@ def require_grid(thresholds: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _require_sorted_inputs(zeta_sorted: np.ndarray, pivot: int) -> np.ndarray:
+def _require_sorted_inputs(zeta_sorted: np.ndarray, pivot: int
+                           ) -> tuple[np.ndarray, list[float]]:
+    """The sorted mixture as an array and as a list of floats, once its contract holds."""
     zeta = simplex.require_distribution(zeta_sorted, what="sorted mixture")
-    if np.any(zeta[1:] > zeta[:-1]):
+    values = zeta.tolist()
+    if any(b > a for a, b in zip(values, values[1:])):
         raise ValueError("sorted mixture must be non-increasing")
-    if not 1 <= pivot <= zeta.size:
-        raise ValueError(f"pivot {pivot} outside [1, {zeta.size}]")
-    if float(zeta[:pivot].sum()) < 0.5:
+    if not 1 <= pivot <= len(values):
+        raise ValueError(f"pivot {pivot} outside [1, {len(values)}]")
+    if left_sum(values[:pivot]) < 0.5:
         raise ValueError("majority prefix of the sorted mixture is lighter than 1/2")
-    if pivot > 1 and float(zeta[:pivot - 1].sum()) >= 0.5:
+    if pivot > 1 and left_sum(values[:pivot - 1]) >= 0.5:
         raise ValueError("pivot is not minimal for the sorted mixture")
-    return zeta
+    return zeta, values
 
 
 def _solve(zeta_sorted: np.ndarray, pivot: int, weights: MixtureWeights,
            grid: np.ndarray, sweep_log: list | None = None
            ) -> tuple[np.ndarray, int, float]:
-    """``solve_fixed_point`` on a grid that already passed ``require_grid``."""
-    zeta = _require_sorted_inputs(zeta_sorted, pivot)
+    """``solve_fixed_point`` on a grid that already passed ``require_grid``.
+
+    The per-arm bookkeeping is on Python floats; the grid stays an array,
+    searched and sliced once per arm and pass.
+    """
+    zeta, values = _require_sorted_inputs(zeta_sorted, pivot)
     weights.require(grid.size)
-    num_arms = zeta.size
     k = pivot
-    minority = num_arms - k
+    minority = len(values) - k
 
     if grid.size == 0 or minority == 0:
         q = zeta.copy()
@@ -107,14 +114,14 @@ def _solve(zeta_sorted: np.ndarray, pivot: int, weights: MixtureWeights,
 
     base = float(weights.base)
     w_thresh = np.asarray(weights.per_threshold, dtype=float)
-    base_min = base * zeta[k:]
+    base_min = [base * z for z in values[k:]]
 
     # below[i]: thresholds strictly below minority arm i, all of which keep it.
     below = [0] * minority
-    kept = np.zeros(minority)
+    kept = [0.0] * minority
     q_min = base_min
     if sweep_log is not None:
-        sweep_log.append((q_min.copy(), _boundaries(below, k, grid.size)))
+        sweep_log.append((np.array(q_min), _boundaries(below, k, grid.size)))
 
     # Every arm still moving crosses a threshold per pass, so an arm moves
     # in at most |grid| passes and one more pass finds nothing to cross.
@@ -124,14 +131,14 @@ def _solve(zeta_sorted: np.ndarray, pivot: int, weights: MixtureWeights,
             break
         for i, (old, new) in enumerate(zip(below, reached)):
             if new > old:
-                kept[i] += w_thresh[old:new].sum()
+                kept[i] += float(w_thresh[old:new].sum())
         below = reached
-        denom = 1.0 - kept
-        if np.any(denom <= 0.0):
+        denom = [1.0 - w for w in kept]
+        if any(d <= 0.0 for d in denom):
             raise RuntimeError("threshold weight mass exhausted the mixture")
-        q_min = base_min / denom
+        q_min = [b / d for b, d in zip(base_min, denom)]
         if sweep_log is not None:
-            sweep_log.append((q_min.copy(), _boundaries(below, k, grid.size)))
+            sweep_log.append((np.array(q_min), _boundaries(below, k, grid.size)))
     else:
         raise RuntimeError("boundary growth failed to terminate")
 
@@ -139,10 +146,8 @@ def _solve(zeta_sorted: np.ndarray, pivot: int, weights: MixtureWeights,
     if iterations > minority * grid.size:
         raise RuntimeError("unit advances exceeded the guaranteed bound")
 
-    q = np.empty(num_arms)
-    q[k:] = q_min
-    majority_zeta = float(zeta[:k].sum())
-    q[:k] = zeta[:k] * ((1.0 - float(q_min.sum())) / majority_zeta)
+    scale = (1.0 - left_sum(q_min)) / left_sum(values[:k])
+    q = np.array([z * scale for z in values[:k]] + q_min)
     resid = mixture_residual(q, zeta, k, weights, grid)
     if not resid <= RESIDUAL_TOL:
         raise RuntimeError(f"fixed-point residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e}")
@@ -173,34 +178,46 @@ def solve_fixed_point(zeta_sorted: np.ndarray, pivot: int, weights: MixtureWeigh
 
 def mixture_residual(q: np.ndarray, zeta_sorted: np.ndarray, pivot: int,
                      weights: MixtureWeights, thresholds: np.ndarray) -> float:
-    """Max-norm distance between q and the truncation mixture evaluated at q."""
-    q = np.asarray(q, dtype=float)
-    zeta = np.asarray(zeta_sorted, dtype=float)
+    """Max-norm distance between q and the truncation mixture evaluated at q.
+
+    A NaN anywhere in the comparison makes the distance NaN.
+    """
+    q_vals = np.asarray(q, dtype=float).tolist()
+    zeta = np.asarray(zeta_sorted, dtype=float).tolist()
     grid = np.asarray(thresholds, dtype=float)
     base = float(weights.base)
     w_thresh = np.asarray(weights.per_threshold, dtype=float)
     k = pivot
-    q_min = q[k:]
-    majority_mass = float(q[:k].sum())
+    q_min = q_vals[k:]
+    majority_mass = left_sum(q_vals[:k])
     if majority_mass <= 0.0:
         raise ValueError("majority arms carry no mass, truncation undefined")
 
     if grid.size == 0:
-        target = base * zeta
-        return float(np.max(np.abs(q - target))) if q.size else 0.0
+        return _max_gap(q_vals, [base * z for z in zeta])
 
     # Arm i is kept by the thresholds strictly below it and dropped by the
     # rest, so the majority's intake sum_j w_j * (minority mass <= grid[j])
     # regroups per arm; no arm order is assumed.
     below = np.searchsorted(grid, q_min, side="left").tolist()
-    kept_weight = np.array([w_thresh[:b].sum() for b in below])
-    dropped_weight = sum(x * float(w_thresh[b:].sum()) for x, b in zip(q_min.tolist(), below))
-
-    target = np.empty_like(q)
-    target[k:] = base * zeta[k:] + q_min * kept_weight
+    minority_target = [base * z + x * float(w_thresh[:b].sum())
+                       for z, x, b in zip(zeta[k:], q_min, below)]
+    dropped_weight = left_sum([x * float(w_thresh[b:].sum()) for x, b in zip(q_min, below)])
     scale = (1.0 - base) + dropped_weight / majority_mass
-    target[:k] = base * zeta[:k] + q[:k] * scale
-    return float(np.max(np.abs(q - target)))
+    majority_target = [base * z + x * scale for z, x in zip(zeta[:k], q_vals[:k])]
+    return _max_gap(q_vals, majority_target + minority_target)
+
+
+def _max_gap(values: list[float], targets: list[float]) -> float:
+    """Largest |value - target| over the pairs, 0.0 for none; a NaN gap is returned as NaN."""
+    worst = 0.0
+    for value, target in zip(values, targets):
+        gap = abs(value - target)
+        if gap != gap:
+            return gap
+        if gap > worst:
+            worst = gap
+    return worst
 
 
 def two_arm_fixed_point(base_mass: float, weights: MixtureWeights,

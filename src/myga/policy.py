@@ -24,7 +24,7 @@ import numpy as np
 
 from . import simplex
 from .fixed_point import MixtureWeights, _solve, require_grid
-from .simplex import ArmPermutation
+from .simplex import ArmPermutation, left_sum
 from .truncation import truncate, truncated_mass_table
 
 # Shifted weights are floored here so threshold shares stay strictly
@@ -233,12 +233,13 @@ class MygaPolicy(ExpertPolicy):
         zeta_original = simplex.weighted_average(advices, w_real)
         zeta_sorted, perm = simplex.sort_descending(zeta_original)
         pivot = simplex.pivot_index(zeta_sorted)
-        total = float(w_real.sum()) + float(w_aux.sum())
-        shares = MixtureWeights(base=float(w_real.sum()) / total,
-                                per_threshold=w_aux / total)
+        real_total = float(w_real.sum())
+        total = real_total + float(w_aux.sum())
+        shares = MixtureWeights(base=real_total / total, per_threshold=w_aux / total)
         q, iterations, residual = _solve(zeta_sorted, pivot, shares, self.thresholds)
         p_sorted = truncate(q, pivot, self.cfg.gamma)
         p_original = perm.to_original(p_sorted)
+        q_values = q.tolist()
         trace = RoundTrace(
             t=self.t,
             advices=advices,
@@ -250,17 +251,17 @@ class MygaPolicy(ExpertPolicy):
             p_original=p_original,
             thresholds=self.thresholds,
             dropped_table=truncated_mass_table(q[pivot:], self.thresholds),
-            majority_mass=float(q[:pivot].sum()),
-            minority_mass=float(q[pivot:].sum()),
+            majority_mass=left_sum(q_values[:pivot]),
+            minority_mass=left_sum(q_values[pivot:]),
             residual=residual,
             iterations=iterations,
         )
         return p_original, trace
 
     def _charge(self, trace: RoundTrace, arm_original: int, est: float) -> None:
-        arm_sorted = int(trace.perm.inverse[arm_original])
+        arm_sorted = trace.perm.inverse.item(arm_original)
         advice_column = trace.advices[:, arm_original].copy()
-        q_at = float(trace.q_sorted[arm_sorted])
+        q_at = trace.q_sorted.item(arm_sorted)
         if arm_sorted >= trace.pivot:
             aux_at = np.where(self.thresholds < q_at, q_at, 0.0)
         else:

@@ -4,15 +4,48 @@ Distributions over arms are plain float64 arrays.  Validation is a
 predicate, not a wrapper type; renormalization happens only where a
 distribution is constructed (``weighted_average``), never as a silent
 fix-up downstream.
+
+A distribution has one entry per arm, a handful, so the functions here
+take their arrays apart with ``tolist`` and work on Python floats: a
+NumPy call on a few entries costs more in call overhead than the whole
+loop.  Totals are added one entry at a time from the left (``left_sum``)
+and prefix sums with ``itertools.accumulate``, the order in which NumPy
+reduces fewer than eight entries and in which ``cumsum`` always runs, so
+results match the whole-array NumPy expressions bit for bit below eight
+arms and up to rounding above.  Binary searches use ``bisect``, the
+search ``np.searchsorted`` makes.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 SIMPLEX_TOL = 1e-9
+
+
+def left_sum(values) -> float:
+    """Sum of floats added one at a time from the left, starting at 0.0.
+
+    This is NumPy's order for fewer than eight entries.  Builtin ``sum``
+    compensates its rounding from Python 3.12 on, so it is not used on floats.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _is_distribution(values: list[float], tol: float) -> bool:
+    """``validate``'s rule on a list of floats."""
+    for value in values:
+        if not 0.0 <= value < math.inf:   # negative, infinite or NaN
+            return False
+    return abs(left_sum(values) - 1.0) <= tol
 
 
 def validate(probs: np.ndarray, tol: float = SIMPLEX_TOL) -> bool:
@@ -20,11 +53,7 @@ def validate(probs: np.ndarray, tol: float = SIMPLEX_TOL) -> bool:
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or probs.size == 0:
         return False
-    if not np.all(np.isfinite(probs)):
-        return False
-    if np.any(probs < 0.0):
-        return False
-    return abs(float(probs.sum()) - 1.0) <= tol
+    return _is_distribution(probs.tolist(), tol)
 
 
 def require_distribution(probs: np.ndarray, what: str = "distribution",
@@ -40,15 +69,17 @@ def require_distribution_rows(matrix: np.ndarray, what: str = "distribution",
                               tol: float = SIMPLEX_TOL) -> np.ndarray:
     """Return ``matrix`` as a float array, raising ValueError unless every row is a distribution.
 
-    The rule is ``validate``'s, checked on the whole matrix at once: every
-    entry finite and >= 0, every row sum within ``tol`` of 1 (a NaN or
-    infinite entry fails one of the two).  The error names the first bad row.
+    The rule is ``validate``'s, row by row.  The error names the first bad
+    row.
     """
     arr = np.asarray(matrix, dtype=float)
-    if (arr.ndim == 2 and arr.size and arr.min() >= 0.0
-            and np.abs(arr.sum(axis=1) - 1.0).max() <= tol):
+    if arr.ndim == 2:
+        for i, row in enumerate(arr.tolist()):
+            if not _is_distribution(row, tol):
+                raise ValueError(
+                    f"{what} row {i} is not a probability distribution: {arr[i]!r}")
         return arr
-    for i, row in enumerate(arr):
+    for i, row in enumerate(arr):   # no row of a non-matrix is a distribution
         if not validate(row, tol):
             raise ValueError(f"{what} row {i} is not a probability distribution: {row!r}")
     return arr
@@ -68,13 +99,13 @@ def weighted_average(advices: np.ndarray, weights: np.ndarray) -> np.ndarray:
     if weights.ndim != 1 or weights.shape[0] != advices.shape[0]:
         raise ValueError(
             f"weight count {weights.shape} does not match advice rows {advices.shape}")
-    if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
+    if not all(0.0 < w < math.inf for w in weights.tolist()):
         raise ValueError("weights must be strictly positive and finite")
-    mix = weights @ advices
-    total = float(mix.sum())
+    mix = (weights @ advices).tolist()
+    total = left_sum(mix)
     if total <= 0.0:
         raise ValueError("advice mixture has no mass")
-    return mix / total
+    return np.array([m / total for m in mix])
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,13 +130,22 @@ def sort_descending(zeta: np.ndarray) -> tuple[np.ndarray, ArmPermutation]:
     """Sort a distribution into non-increasing order.
 
     Ties keep the original arm order (stable sort), so the permutation is
-    deterministic.  Returns the sorted values and the permutation.
+    deterministic; NaN entries go last, in arm order, as in NumPy's sort.
+    Returns the sorted values and the permutation.
     """
     zeta = np.asarray(zeta, dtype=float)
-    forward = np.argsort(-zeta, kind="stable")
-    inverse = np.empty_like(forward)
-    inverse[forward] = np.arange(forward.size)
-    return zeta[forward], ArmPermutation(forward=forward, inverse=inverse)
+    values = zeta.tolist()
+    arms = range(len(values))
+    if any(map(math.isnan, values)):
+        order = sorted(arms, key=lambda i: (values[i] == values[i], values[i]), reverse=True)
+    else:
+        order = sorted(arms, key=values.__getitem__, reverse=True)
+    inverse = [0] * len(values)
+    for position, arm in enumerate(order):
+        inverse[arm] = position
+    forward = np.array(order, dtype=np.intp)
+    return zeta[forward], ArmPermutation(forward=forward,
+                                         inverse=np.array(inverse, dtype=np.intp))
 
 
 def pivot_index(zeta_sorted: np.ndarray) -> int:
@@ -115,14 +155,13 @@ def pivot_index(zeta_sorted: np.ndarray) -> int:
     reaches one half or it does not.  Arms inside the prefix are the
     majority arms, the rest the minority.
     """
-    zeta_sorted = np.asarray(zeta_sorted, dtype=float)
-    if zeta_sorted.size == 0:
+    values = np.asarray(zeta_sorted, dtype=float).tolist()
+    if not values:
         raise ValueError("empty distribution has no pivot")
-    if np.any(np.diff(zeta_sorted) > 0.0):
+    if any(b - a > 0.0 for a, b in zip(values, values[1:])):
         raise ValueError("pivot_index expects a non-increasing distribution")
-    prefix = np.cumsum(zeta_sorted)
-    k = int(np.searchsorted(prefix, 0.5, side="left")) + 1
-    return min(k, zeta_sorted.size)
+    k = bisect_left(list(accumulate(values)), 0.5) + 1
+    return min(k, len(values))
 
 
 def sample_index(probs: np.ndarray, u: float) -> int:
@@ -131,11 +170,13 @@ def sample_index(probs: np.ndarray, u: float) -> int:
     Zero-mass arms are never selected; a uniform landing past the final
     cumulative value (floating drift) falls back to the last positive arm.
     """
-    probs = np.asarray(probs, dtype=float)
-    cdf = np.cumsum(probs)
-    a = int(np.searchsorted(cdf, u, side="right"))
-    if a >= probs.size:
-        a = probs.size - 1
-    while a > 0 and probs[a] == 0.0:
+    values = np.asarray(probs, dtype=float).tolist()
+    cdf = list(accumulate(values))
+    if cdf and math.isnan(cdf[-1]):   # NumPy's search orders NaN above every number
+        cdf = [math.inf if math.isnan(c) else c for c in cdf]
+    a = bisect_right(cdf, u)
+    if a >= len(values):
+        a = len(values) - 1
+    while a > 0 and values[a] == 0.0:
         a -= 1
     return a

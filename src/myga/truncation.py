@@ -9,6 +9,11 @@ the threshold is removed.
 
 The convention s = 0 is accepted and acts as the identity, since no
 positive mass can be <= 0.
+
+``truncate`` works on the distribution's entries as Python floats, added
+one at a time from the left (``simplex.left_sum``), so its result equals
+the whole-array NumPy form bit for bit below eight arms.  The removed-mass
+table is one entry per threshold and stays an array.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import simplex
+from .simplex import left_sum
 
 DRIFT_TOL = 1e-9
 
@@ -35,23 +41,21 @@ def truncate(q: np.ndarray, pivot: int, threshold: float) -> np.ndarray:
     Raises RuntimeError if redistribution fails to conserve mass to within
     ``DRIFT_TOL`` (an arithmetic inconsistency, not a user error).
     """
-    q = simplex.require_distribution(q, what="truncation input")
-    _check_params(q.size, pivot, threshold)
-    majority_mass = float(q[:pivot].sum())
+    values = simplex.require_distribution(q, what="truncation input").tolist()
+    _check_params(len(values), pivot, threshold)
+    majority_mass = left_sum(values[:pivot])
     if majority_mass <= 0.0:
         raise ValueError("majority arms carry no mass, cannot redistribute")
 
-    out = q.copy()
-    minority = q[pivot:]
-    removed = minority <= threshold
-    dropped = float(minority[removed].sum())
-    out[pivot:][removed] = 0.0
-    out[:pivot] = q[:pivot] * (1.0 + dropped / majority_mass)
+    minority = values[pivot:]
+    factor = 1.0 + left_sum(x for x in minority if x <= threshold) / majority_mass
+    out = [x * factor for x in values[:pivot]] + [0.0 if x <= threshold else x
+                                                  for x in minority]
 
-    drift = abs(float(out.sum()) - float(q.sum()))
+    drift = abs(left_sum(out) - left_sum(values))
     if drift > DRIFT_TOL:
         raise RuntimeError(f"truncation failed to conserve mass, drift {drift:.3e}")
-    return out
+    return np.array(out)
 
 
 def truncated_mass(q: np.ndarray, pivot: int, threshold: float) -> float:

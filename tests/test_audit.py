@@ -51,8 +51,9 @@ def reference_check_round(trace, gamma, num_arms, tol=1e-9):
     """The per-round structural rules as whole-array NumPy expressions.
 
     The proportionality rule is evaluated on the full threshold-by-arm
-    matrix.  ``check_round`` must name the same rules in the same order
-    with margins within 1e-12 on every finite trace.
+    matrix, and the removed-mass table's two ends against the minority
+    masses summed in arm order.  ``check_round`` must name the same rules
+    in the same order with margins within 1e-12 on every finite trace.
     """
     violations = []
     k = trace.pivot
@@ -71,6 +72,14 @@ def reference_check_round(trace, gamma, num_arms, tol=1e-9):
             violations.append(Violation(
                 trace.t, "threshold_advice_proportionality", margin,
                 "auxiliary majority advice is not a common rescale of the mixture"))
+        minority = q[k:]
+        ends = trace.thresholds[[0, -1]]
+        removed = np.array([minority[minority <= s].sum() for s in ends])
+        margin = float(np.max(np.abs(trace.dropped_table[[0, -1]] - removed)))
+        if margin > tol:
+            violations.append(Violation(
+                trace.t, "removed_mass_table", margin,
+                "the removed-mass table disagrees with the solved minority masses"))
 
     over = float(np.max(q[k:] - zeta[k:], initial=0.0))
     if over > tol:
@@ -387,7 +396,8 @@ class TestNonFiniteTrace:
         assert [v.rule for v in auditor.violations] == ["non_finite_trace"]
 
 
-ROUND_RULES = ("threshold_advice_proportionality", "minority_cap", "majority_floor",
+ROUND_RULES = ("threshold_advice_proportionality", "removed_mass_table", "minority_cap",
+               "majority_floor",
                "pivot_mass_floor", "play_mass_upper", "play_mass_support",
                "majority_loss_round")
 
@@ -518,3 +528,38 @@ class TestReferenceAgreement:
         assert "threshold_advice_proportionality" in fired["pivot_is_k"]
         assert "threshold_advice_proportionality" in fired["varying_table"]
         assert "threshold_advice_proportionality" not in fired["empty_grid"]
+
+
+class TestRemovedMassTable:
+    def test_wrong_tables_are_flagged(self, round_families):
+        # The rounds whose grid is not empty, each with its table replaced
+        # by three wrong copies: every copy that differs from the table is
+        # flagged by this rule, with the same margin as the reference.
+        rounds = [entry for name in ("gap_wide_grid", "minority_lattice", "varying_table")
+                  for entry in round_families[name]]
+        assert len(rounds) * 3 == 480
+        flagged = 0
+        for trace, losses, gamma in rounds:
+            table = trace.dropped_table
+            for wrong in (0.0 * table, 2.0 * table, 7.0 * table + 0.3):
+                copy = dataclasses.replace(trace, dropped_table=wrong)
+                violations = TestReferenceAgreement().audit_both(copy, losses, gamma)
+                if np.array_equal(wrong, table):
+                    assert "removed_mass_table" not in {v.rule for v in violations}
+                else:
+                    assert "removed_mass_table" in {v.rule for v in violations}
+                    flagged += 1
+        assert flagged >= 400
+
+    def test_pivot_at_k_table_must_be_zero(self, round_families):
+        for trace, losses, gamma in round_families["pivot_is_k"]:
+            copy = dataclasses.replace(trace, dropped_table=trace.dropped_table + 0.3)
+            rules = [v.rule for v in check_round(copy, gamma, copy.zeta_sorted.size)]
+            assert "removed_mass_table" in rules
+
+    def test_margin_is_the_larger_end_gap(self):
+        trace = clean_trace()    # minority masses 0.22 and 0.16, thresholds 0.25 and 0.5
+        trace.dropped_table = np.array([0.38, 0.38 + 1e-3])
+        violations = check_round(trace, gamma=0.05, num_arms=3)
+        table = [v for v in violations if v.rule == "removed_mass_table"]
+        assert table and table[0].margin == pytest.approx(1e-3, abs=1e-15)

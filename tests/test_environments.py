@@ -116,7 +116,40 @@ class TestStochasticGap:
             assert losses[2] == 1.0
 
 
+def adversarial_minority_loop(spec, t):
+    """The adversarial_minority round drawn one expert at a time, as a reference."""
+    rng = np.random.default_rng([spec.seed, t])
+    lattice = 2 * spec.horizon
+    band = max(1, lattice // (4 * max(spec.num_arms - 1, 1)))
+    advices = np.empty((spec.num_experts, spec.num_arms))
+    for e in range(spec.num_experts):
+        steps = rng.integers(0, band + 1, size=spec.num_arms)
+        favored = e % spec.num_arms
+        steps[favored] = 0
+        steps[favored] = lattice - int(steps.sum())
+        advices[e] = steps / lattice
+    block = max(1, int(round(spec.horizon ** 0.5)))
+    good_arm = ((t - 1) // block) % spec.num_arms
+    losses = (rng.uniform(size=spec.num_arms) < 0.6).astype(float)
+    losses[good_arm] = 0.0
+    return advices, losses
+
+
 class TestAdversarialMinority:
+    @pytest.mark.parametrize("num_arms,num_experts", [(5, 8), (2, 4), (3, 3), (4, 4),
+                                                      (7, 2), (5, 1)])
+    def test_matches_per_expert_reference(self, num_arms, num_experts):
+        # More, as many, and fewer experts than arms: every byte of the
+        # round equals the per-expert loop's.
+        for seed in range(3):
+            spec = spec_for("adversarial_minority", num_arms=num_arms,
+                            num_experts=num_experts, horizon=154, seed=seed)
+            for t in range(1, 155):
+                data = generate(spec, t)
+                advices, losses = adversarial_minority_loop(spec, t)
+                np.testing.assert_array_equal(data.advices, advices, strict=True)
+                np.testing.assert_array_equal(data.losses, losses, strict=True)
+
     def test_advice_masses_sit_on_replay_lattice(self):
         # Every mass is bitwise the canonical double for some integer
         # multiple of 1/(2T), the same lattice the threshold grid uses.

@@ -1,9 +1,32 @@
 import numpy as np
 import pytest
 
-from myga.simplex import (ArmPermutation, pivot_index, require_distribution,
+from myga.simplex import (ArmPermutation, left_sum, pivot_index, require_distribution,
                           require_distribution_rows, sample_index,
                           sort_descending, validate, weighted_average)
+
+
+class TestLeftSum:
+    @pytest.mark.parametrize("values", [
+        [1e16, 1.0, -1e16],     # builtin sum on Python >= 3.12 returns 1.0 here
+        [1.0, 1e16, -1e16],
+        [0.1, 0.2, 0.3],
+        [-0.0],
+        [0.5],
+        [1e-300, 1e300, -1e300, 1e-300, 3.0, 7.0, 0.1],
+    ])
+    def test_matches_numpy_on_cancelling_sums(self, values):
+        assert left_sum(values) == float(np.sum(np.array(values)))
+
+    def test_matches_numpy_below_eight_entries(self):
+        rng = np.random.default_rng(41)
+        for size in range(1, 8):
+            for _ in range(300):
+                x = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size=size)
+                assert left_sum(x.tolist()) == float(np.sum(x))
+
+    def test_empty_is_zero(self):
+        assert left_sum([]) == 0.0
 
 
 class TestValidate:
