@@ -14,7 +14,7 @@ from .fixed_point import MixtureWeights, mixture_residual, solve_fixed_point, tw
 from .policy import (MygaConfig, MygaPolicy, RoundTrace, build_threshold_grid,
                      loss_estimator, schedule_parameters)
 from .simplex import ArmPermutation, pivot_index, sample_index, sort_descending, weighted_average
-from .truncation import truncate, truncated_mass
+from .truncation import truncate
 
 __all__ = [
     "ArmPermutation", "Auditor", "EnvSpec", "Exp4Config", "Exp4Policy",
@@ -23,6 +23,6 @@ __all__ = [
     "build_threshold_grid", "execute", "generate", "load_replay",
     "loss_estimator", "mixture_residual", "pivot_index", "run",
     "sample_index", "save_replay", "schedule_parameters", "solve_fixed_point",
-    "sort_descending", "truncate", "truncated_mass", "two_arm_fixed_point",
+    "sort_descending", "truncate", "two_arm_fixed_point",
     "weighted_average",
 ]

@@ -10,7 +10,7 @@ policy's play distribution must satisfy:
     ``check_round`` is evaluated on it;
   * threshold advice proportionality: on majority arms every auxiliary
     advice is the real mixture rescaled by a common per-threshold factor;
-  * removed-mass table: the table's first and last entries equal the
+  * removed-mass table: the table's first and last pieces equal the
     solved minority mass at or below the lowest and the highest threshold;
   * minority cap / majority floor: the solved distribution never raises
     a minority arm above the real mixture nor lowers a majority arm
@@ -22,10 +22,11 @@ policy's play distribution must satisfy:
     sitting on majority arms is at most 2K times the expected play loss.
 
 Each round's checks are O(K) float operations on the round's K-entry
-vectors plus one min and one max over the removed-mass table.  The
-proportionality gap between the two sides of the rule is affine in the
-removed mass, so its largest size over the whole table is reached at the
-table's smallest or largest entry; no threshold-by-arm matrix is built.
+vectors plus one min and one max over the removed-mass table's pieces,
+of which there are at most K.  The proportionality gap between the two
+sides of the rule is affine in the removed mass, so its largest size over
+the whole table is reached at the table's smallest or largest value; no
+threshold-by-arm matrix is built.
 Floats are added with ``simplex.left_sum``, never with builtin ``sum``.
 
 Checks compare at tolerance 1e-9; the per-round loss check also counts
@@ -86,25 +87,25 @@ def check_round(trace: RoundTrace, gamma: float, num_arms: int,
     p = trace.p_sorted.tolist()
     majority_mass = trace.majority_mass
     minority_mass = trace.minority_mass
-    # The proportionality gap is affine in the removed mass, so its largest
-    # size over the table sits at the table's smallest or largest entry.
-    extremes = ((float(trace.dropped_table.min()), float(trace.dropped_table.max()))
-                if trace.thresholds.size else ())
+    table = trace.dropped_table.values
 
-    if not all(map(math.isfinite, (*zeta, *q, *p, majority_mass, minority_mass,
-                                      *extremes))):
+    if not all(map(math.isfinite, (*zeta, *q, *p, majority_mass, minority_mass, *table))):
         return [Violation(trace.t, "non_finite_trace", math.nan,
                           "the round's mixture, solved or played masses are not all finite")]
 
-    # The table is checked at its two ends.  Its entries add the minority
-    # masses smallest first, and so does this check.
+    # The proportionality gap is affine in the removed mass, so its largest
+    # size over the table sits at the table's smallest or largest value.
+    extremes = (min(table), max(table)) if trace.thresholds.size else ()
+
+    # The table is checked at its two ends, its first and last pieces.  Its
+    # values add the minority masses smallest first, and so does this check.
     table_gap = 0.0
     if trace.thresholds.size:
         minority = q[k:][::-1]
         for j in (0, -1):
             threshold = trace.thresholds.item(j)
             removed = left_sum([x for x in minority if x <= threshold])
-            table_gap = max(table_gap, abs(trace.dropped_table.item(j) - removed))
+            table_gap = max(table_gap, abs(table[j] - removed))
 
     # One pass over the arms gathers every rule's margin.
     zeta_majority = left_sum(zeta[:k])

@@ -21,8 +21,8 @@ mass becomes base*zeta(i) / (1 - kept weight).  Masses only grow, no
 pass overshoots (an arm on a threshold stays truncated by it), and
 growth stops at the least fixed point once no arm crosses another
 threshold.  The work is a binary search per minority arm and pass plus
-one slice sum per newly crossed run of thresholds, so it scales with
-the few minority arms, not with the grid.
+one prefix-sum read of threshold weight per arm that moved, so it scales
+with the few minority arms, not with the grid.
 
 The reported iteration count is the number of (minority arm, threshold)
 pairs with the arm strictly above the threshold: the unit advances of
@@ -33,6 +33,7 @@ at k plus the number of minority arms above it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,10 @@ class MixtureWeights:
     ``base`` is the aggregate share of all real experts; ``per_threshold``
     is aligned with the ascending threshold grid.  All shares are strictly
     positive and sum to 1.
+
+    The solver and the residual read threshold weight only through
+    ``split``, the prefix-sum interface; ``MygaPolicy`` passes them a view
+    of its block weights with the same ``base``, ``require`` and ``split``.
     """
 
     base: float
@@ -64,6 +69,15 @@ class MixtureWeights:
         total = self.base + float(per.sum())
         if abs(total - 1.0) > tol:
             raise ValueError(f"mixture weight shares sum to {total!r}, expected 1")
+
+    @cached_property
+    def _prefix(self) -> list[float]:
+        return [0.0] + np.cumsum(np.asarray(self.per_threshold, dtype=float)).tolist()
+
+    def split(self, n: int) -> tuple[float, float]:
+        """Shares of the first ``n`` thresholds (kept) and of the rest (dropped)."""
+        prefix = self._prefix
+        return prefix[n], prefix[-1] - prefix[n]
 
 
 def require_grid(thresholds: np.ndarray) -> np.ndarray:
@@ -101,7 +115,7 @@ def _solve(zeta_sorted: np.ndarray, pivot: int, weights: MixtureWeights,
     """``solve_fixed_point`` on a grid that already passed ``require_grid``.
 
     The per-arm bookkeeping is on Python floats; the grid stays an array,
-    searched and sliced once per arm and pass.
+    searched once per pass, and an arm's kept weight is one prefix read.
     """
     zeta, values = _require_sorted_inputs(zeta_sorted, pivot)
     weights.require(grid.size)
@@ -113,7 +127,6 @@ def _solve(zeta_sorted: np.ndarray, pivot: int, weights: MixtureWeights,
         return q, 0, mixture_residual(q, zeta, k, weights, grid)
 
     base = float(weights.base)
-    w_thresh = np.asarray(weights.per_threshold, dtype=float)
     base_min = [base * z for z in values[k:]]
 
     # below[i]: thresholds strictly below minority arm i, all of which keep it.
@@ -131,7 +144,7 @@ def _solve(zeta_sorted: np.ndarray, pivot: int, weights: MixtureWeights,
             break
         for i, (old, new) in enumerate(zip(below, reached)):
             if new > old:
-                kept[i] += float(w_thresh[old:new].sum())
+                kept[i] = weights.split(new)[0]
         below = reached
         denom = [1.0 - w for w in kept]
         if any(d <= 0.0 for d in denom):
@@ -186,7 +199,6 @@ def mixture_residual(q: np.ndarray, zeta_sorted: np.ndarray, pivot: int,
     zeta = np.asarray(zeta_sorted, dtype=float).tolist()
     grid = np.asarray(thresholds, dtype=float)
     base = float(weights.base)
-    w_thresh = np.asarray(weights.per_threshold, dtype=float)
     k = pivot
     q_min = q_vals[k:]
     majority_mass = left_sum(q_vals[:k])
@@ -199,10 +211,9 @@ def mixture_residual(q: np.ndarray, zeta_sorted: np.ndarray, pivot: int,
     # Arm i is kept by the thresholds strictly below it and dropped by the
     # rest, so the majority's intake sum_j w_j * (minority mass <= grid[j])
     # regroups per arm; no arm order is assumed.
-    below = np.searchsorted(grid, q_min, side="left").tolist()
-    minority_target = [base * z + x * float(w_thresh[:b].sum())
-                       for z, x, b in zip(zeta[k:], q_min, below)]
-    dropped_weight = left_sum([x * float(w_thresh[b:].sum()) for x, b in zip(q_min, below)])
+    split = [weights.split(b) for b in np.searchsorted(grid, q_min, side="left").tolist()]
+    minority_target = [base * z + x * kept for z, x, (kept, _) in zip(zeta[k:], q_min, split)]
+    dropped_weight = left_sum([x * dropped for x, (_, dropped) in zip(q_min, split)])
     scale = (1.0 - base) + dropped_weight / majority_mass
     majority_target = [base * z + x * scale for z, x in zip(zeta[:k], q_vals[:k])]
     return _max_gap(q_vals, majority_target + minority_target)
@@ -234,11 +245,9 @@ def two_arm_fixed_point(base_mass: float, weights: MixtureWeights,
         raise ValueError(f"base mass {base_mass} outside [0, 1/2]")
     grid = np.asarray(thresholds, dtype=float)
     weights.require(grid.size)
-    w_thresh = np.asarray(weights.per_threshold, dtype=float)
-    cum = np.concatenate(([0.0], np.cumsum(w_thresh)))
     best = None
     for j in range(grid.size + 1):
-        x = weights.base * base_mass / (1.0 - cum[j])
+        x = weights.base * base_mass / (1.0 - weights.split(j)[0])
         if j > 0 and not x > grid[j - 1]:
             continue
         if j < grid.size and not x <= grid[j]:

@@ -11,8 +11,11 @@ Auxiliary experts advise truncations of the solved distribution, so
 their advice lives in the round's sorted coordinates.  Their charge
 needs only the advice value at the played arm, which has a closed form
 (zero or the arm's own mass on the minority side, a common rescale on
-the majority side), so the per-round bookkeeping cost stays linear in
-the threshold count.
+the majority side) and is a step function over the threshold grid with
+at most one piece more than the minority arms.  Their weights live in
+``BlockWeights``, about sqrt(G) blocks of about sqrt(G) thresholds, so a
+round never touches all G thresholds: it reads a few prefix sums and
+charges a few ranges.
 """
 
 from __future__ import annotations
@@ -23,14 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex
-from .fixed_point import MixtureWeights, _solve, require_grid
+from .fixed_point import _solve, require_grid
 from .simplex import ArmPermutation, left_sum
-from .truncation import truncate, truncated_mass_table
+from .truncation import StepFunction, truncate, truncated_mass_table
 
-# Shifted weights are floored here so threshold shares stay strictly
-# positive even when an expert's cumulative loss is hopeless.  The floor
-# sits far below float64 mixture resolution, so played distributions are
-# unaffected.
+# Shifted real-expert weights are floored here so the real mixture stays
+# defined (``weighted_average`` takes strictly positive weights) even when
+# an expert's cumulative loss is hopeless.  The floor sits far below
+# float64 mixture resolution, so played distributions are unaffected.
+# Auxiliary weights need no floor: they enter a round only through prefix
+# sums divided by a total of at least 1 (the best expert's weight), where a
+# weight below the floor and a weight of 0 differ by less than 1e-300.
 _WEIGHT_FLOOR = 1e-300
 
 
@@ -119,29 +125,146 @@ class MygaConfig:
                 f"gamma {self.gamma} off the 1/{self.grid_denominator} lattice")
 
 
+class BlockWeights:
+    """The auxiliary experts' weights, in blocks of ``width`` = ceil(sqrt(G)) thresholds.
+
+    Threshold j's cumulative loss is its block's offset plus its own part,
+    ``block_loss[j // width] + loss[j]``.  Inside a block the weights are
+    kept relative to the block's lowest own part (``block_base``), as the
+    running sum ``inner_cum``; ``rebase`` puts the blocks on one scale,
+    exp(-eta * (offset + base - shift)) for a common shift, and sums them.
+
+    A charge adds its cost to the offset of every block a piece covers
+    whole and to the own parts of the few blocks it covers in part, which
+    are then recomputed from their losses: every weight is exp of a
+    cumulative loss, never a running product of factors.  A prefix sum is
+    one block prefix plus one in-block entry, and the total is the last
+    block prefix.
+    """
+
+    def __init__(self, size: int, eta: float):
+        self.size = size
+        self.eta = eta
+        self.width = math.isqrt(size - 1) + 1 if size else 1
+        count = -(-size // self.width)
+        self.loss = np.zeros(size)
+        self.inner_cum = np.empty(size)
+        self.block_loss = np.zeros(count)
+        self.block_base = np.zeros(count)
+        self.block_inner = np.empty(count)
+        for block in range(count):
+            self._refresh(block)
+        self._scale: list[float] = []
+        self._prefix = [0.0]
+        self.total = 0.0
+
+    def _refresh(self, block: int) -> None:
+        lo = block * self.width
+        hi = min(lo + self.width, self.size)
+        own = self.loss[lo:hi]
+        base = float(own.min())
+        np.cumsum(np.exp((base - own) * self.eta), out=self.inner_cum[lo:hi])
+        self.block_base[block] = base
+        self.block_inner[block] = self.inner_cum[hi - 1]
+
+    def rebase(self, lowest: float) -> float:
+        """Scale every block against the lowest cumulative loss and sum the blocks.
+
+        ``lowest`` is the lowest cumulative loss outside the grid.  The
+        shift is the lower of it and the grid's own lowest, so the best
+        expert sits at weight 1 and no weight overflows; returns the shift.
+        """
+        lead = self.block_loss + self.block_base
+        if lead.size:
+            lowest = min(lowest, float(lead.min()))
+        lead -= lowest
+        lead *= -self.eta
+        np.exp(lead, out=lead)
+        self._scale = lead.tolist()
+        lead *= self.block_inner
+        self._prefix = [0.0, *np.cumsum(lead).tolist()]
+        self.total = self._prefix[-1]
+        return lowest
+
+    def prefix(self, n: int) -> float:
+        """Total weight of the first ``n`` thresholds, on the scale of the last ``rebase``."""
+        block, rest = divmod(n, self.width)
+        if not rest:
+            return self._prefix[block]
+        return self._prefix[block] + self.inner_cum.item(n - 1) * self._scale[block]
+
+    def charge(self, costs: StepFunction) -> None:
+        """Add ``costs.values[i]`` to the cumulative loss of every threshold in piece i."""
+        width, count = self.width, self.block_loss.size
+        touched = set()
+        for lo, hi, cost in zip(costs.breaks, [*costs.breaks[1:], self.size], costs.values):
+            if cost == 0.0:
+                continue
+            first = -(-lo // width)                 # blocks [first, last) lie inside the piece
+            last = count if hi == self.size else hi // width
+            if first > last:                        # the piece sits inside one block
+                self.loss[lo:hi] += cost
+                touched.add(last)
+                continue
+            if first < last:
+                self.block_loss[first:last] += cost
+            if lo < first * width:
+                self.loss[lo:first * width] += cost
+                touched.add(first - 1)
+            if last * width < hi:
+                self.loss[last * width:hi] += cost
+                touched.add(last)
+        for block in touched:
+            self._refresh(block)
+
+
+class BlockShares:
+    """One round's mixture shares, read from the block weights.
+
+    The solver's reading interface of ``fixed_point.MixtureWeights``: the
+    real experts' ``base`` share and ``split``, the kept and dropped
+    threshold shares of a prefix of the grid.
+    """
+
+    __slots__ = ("base", "_aux", "_total")
+
+    def __init__(self, real_total: float, aux: BlockWeights):
+        self._aux = aux
+        self._total = real_total + aux.total
+        self.base = real_total / self._total
+
+    def require(self, num_thresholds: int) -> None:
+        if num_thresholds != self._aux.size:
+            raise ValueError(f"threshold weight count {self._aux.size} does not match "
+                             f"grid size {num_thresholds}")
+        if self.base <= 0.0:
+            raise ValueError("mixture weight shares must be strictly positive")
+
+    def split(self, n: int) -> tuple[float, float]:
+        kept = self._aux.prefix(n)
+        return kept / self._total, (self._aux.total - kept) / self._total
+
+
 class WeightState:
     """Cumulative estimated losses for the real and auxiliary experts.
 
     Weights are exponential in cumulative loss.  They are materialized
-    with the running minimum subtracted (the normalized shares are exactly
-    invariant to any common shift), so no overflow is possible and the
-    best expert always sits at weight 1.
+    with the lowest cumulative loss subtracted (the normalized shares are
+    exactly invariant to any common shift), so no overflow is possible and
+    the best expert always sits at weight 1.
     """
 
     def __init__(self, num_experts: int, num_thresholds: int, eta: float):
         self.eta = eta
         self.real_loss = np.zeros(num_experts)
-        self.aux_loss = np.zeros(num_thresholds)
+        self.aux = BlockWeights(num_thresholds, eta)
 
-    def weights(self) -> tuple[np.ndarray, np.ndarray]:
-        shift = float(self.real_loss.min())
-        if self.aux_loss.size:
-            shift = min(shift, float(self.aux_loss.min()))
+    def weights(self) -> tuple[np.ndarray, BlockWeights]:
+        """The real experts' weights and the rebased auxiliary block weights."""
+        shift = self.aux.rebase(float(self.real_loss.min()))
         w_real = np.exp(-self.eta * (self.real_loss - shift))
-        w_aux = np.exp(-self.eta * (self.aux_loss - shift))
         np.maximum(w_real, _WEIGHT_FLOOR, out=w_real)
-        np.maximum(w_aux, _WEIGHT_FLOOR, out=w_aux)
-        return w_real, w_aux
+        return w_real, self.aux
 
 
 @dataclass
@@ -157,7 +280,7 @@ class RoundTrace:
     p_sorted: np.ndarray
     p_original: np.ndarray
     thresholds: np.ndarray
-    dropped_table: np.ndarray
+    dropped_table: StepFunction
     majority_mass: float
     minority_mass: float
     residual: float
@@ -167,7 +290,7 @@ class RoundTrace:
     est_value: float | None = None
     realized_loss: float | None = None
     real_advice_at_played: np.ndarray | None = None
-    aux_advice_at_played: np.ndarray | None = None
+    aux_advice_at_played: StepFunction | None = None
 
 
 class ExpertPolicy:
@@ -186,7 +309,7 @@ class ExpertPolicy:
         self._awaiting_update = False
 
     def advise(self, advices: np.ndarray):
-        """Compute the play distribution for the current round's advice matrix."""
+        """Check the round's advice matrix, every row a distribution, and compute the play distribution."""
         if self._awaiting_update:
             raise RuntimeError("advise called again before update")
         advices = np.asarray(advices, dtype=float)
@@ -194,6 +317,7 @@ class ExpertPolicy:
             raise ValueError(
                 f"advice matrix {advices.shape} does not match "
                 f"({self.cfg.num_experts}, {self.cfg.num_arms})")
+        simplex.require_distribution_rows(advices, what="expert advice")
         p_original, trace = self._play(advices)
         self._awaiting_update = True
         return p_original, trace
@@ -227,15 +351,11 @@ class MygaPolicy(ExpertPolicy):
         self.state = WeightState(config.num_experts, self.thresholds.size, config.eta)
 
     def _play(self, advices: np.ndarray) -> tuple[np.ndarray, RoundTrace]:
-        simplex.require_distribution_rows(advices, what="expert advice")
-
-        w_real, w_aux = self.state.weights()
+        w_real, aux = self.state.weights()
         zeta_original = simplex.weighted_average(advices, w_real)
         zeta_sorted, perm = simplex.sort_descending(zeta_original)
         pivot = simplex.pivot_index(zeta_sorted)
-        real_total = float(w_real.sum())
-        total = real_total + float(w_aux.sum())
-        shares = MixtureWeights(base=real_total / total, per_threshold=w_aux / total)
+        shares = BlockShares(float(w_real.sum()), aux)
         q, iterations, residual = _solve(zeta_sorted, pivot, shares, self.thresholds)
         p_sorted = truncate(q, pivot, self.cfg.gamma)
         p_original = perm.to_original(p_sorted)
@@ -263,11 +383,20 @@ class MygaPolicy(ExpertPolicy):
         advice_column = trace.advices[:, arm_original].copy()
         q_at = trace.q_sorted.item(arm_sorted)
         if arm_sorted >= trace.pivot:
-            aux_at = np.where(self.thresholds < q_at, q_at, 0.0)
+            # The thresholds strictly below the arm's mass keep it, the rest remove it.
+            kept = int(np.searchsorted(self.thresholds, q_at, side="left"))
+            if 0 < kept < self.thresholds.size:
+                aux_at = StepFunction([0, kept], [q_at, 0.0])
+            elif self.thresholds.size:
+                aux_at = StepFunction([0], [q_at if kept else 0.0])
+            else:
+                aux_at = StepFunction([], [])
         else:
-            aux_at = (q_at / trace.majority_mass) * (trace.majority_mass + trace.dropped_table)
+            majority = trace.majority_mass
+            breaks, dropped = trace.dropped_table
+            aux_at = StepFunction(breaks, [(q_at / majority) * (majority + d) for d in dropped])
         self.state.real_loss += advice_column * est
-        self.state.aux_loss += aux_at * est
+        self.state.aux.charge(StepFunction(aux_at.breaks, [a * est for a in aux_at.values]))
         trace.arm_sorted = arm_sorted
         trace.real_advice_at_played = advice_column
         trace.aux_advice_at_played = aux_at

@@ -41,11 +41,13 @@ def left_sum(values) -> float:
 
 
 def _is_distribution(values: list[float], tol: float) -> bool:
-    """``validate``'s rule on a list of floats."""
+    """``validate``'s rule on a list of floats, summed as ``left_sum`` does."""
+    total = 0.0
     for value in values:
         if not 0.0 <= value < math.inf:   # negative, infinite or NaN
             return False
-    return abs(left_sum(values) - 1.0) <= tol
+        total += value
+    return abs(total - 1.0) <= tol
 
 
 def validate(probs: np.ndarray, tol: float = SIMPLEX_TOL) -> bool:

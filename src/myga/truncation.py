@@ -13,10 +13,13 @@ positive mass can be <= 0.
 ``truncate`` works on the distribution's entries as Python floats, added
 one at a time from the left (``simplex.left_sum``), so its result equals
 the whole-array NumPy form bit for bit below eight arms.  The removed-mass
-table is one entry per threshold and stays an array.
+table over the threshold grid is a step function with one piece more than
+the minority arms it removes, never an array over the grid.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,28 +61,45 @@ def truncate(q: np.ndarray, pivot: int, threshold: float) -> np.ndarray:
     return np.array(out)
 
 
-def truncated_mass(q: np.ndarray, pivot: int, threshold: float) -> float:
-    """Total minority mass at or below the threshold (the mass truncate removes)."""
-    q = np.asarray(q, dtype=float)
-    _check_params(q.size, pivot, threshold)
-    minority = q[pivot:]
-    return float(minority[minority <= threshold].sum())
+class StepFunction(NamedTuple):
+    """A step function over the threshold grid's indices.
+
+    Piece i holds ``values[i]`` on the indices from ``breaks[i]`` up to the
+    next break (the last piece up to the grid's end).  ``breaks`` starts at
+    0 and strictly increases, so every piece is non-empty and the first and
+    last values are the function at the grid's two ends.  On an empty grid
+    both lists are empty.
+    """
+
+    breaks: list[int]
+    values: list[float]
 
 
-def truncated_mass_table(minority_desc: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Removed mass per threshold for a non-increasing minority block.
+def truncated_mass_table(minority_desc: np.ndarray, thresholds: np.ndarray) -> StepFunction:
+    """Removed mass per threshold for a non-increasing minority block, as a step function.
 
     ``minority_desc`` holds the minority masses in non-increasing order,
-    ``thresholds`` is ascending.  Entry j is the total minority mass <=
-    thresholds[j].  Each arm is removed by every threshold from the first
-    one at or above its mass onward, so the table is one binary search per
-    arm and one slice-add per arm, smallest arm first (the order of a
-    prefix sum over the ascending masses).
+    ``thresholds`` is ascending.  At index j the function is the total
+    minority mass <= thresholds[j].  Each arm is removed by every threshold
+    from the first one at or above its mass onward, so the function steps
+    up at one binary-searched index per arm.  Arms are added smallest
+    first, the order of a prefix sum over the ascending masses.
     """
-    minority_desc = np.asarray(minority_desc, dtype=float)
     thresholds = np.asarray(thresholds, dtype=float)
-    table = np.zeros(thresholds.size)
-    first_removing = np.searchsorted(thresholds, minority_desc, side="left")
-    for mass, start in zip(minority_desc[::-1].tolist(), first_removing[::-1].tolist()):
-        table[start:] += mass
-    return table
+    if thresholds.size == 0:
+        return StepFunction([], [])
+    minority = np.asarray(minority_desc, dtype=float)
+    starts = np.searchsorted(thresholds, minority, side="left").tolist()
+    breaks, values = [0], [0.0]
+    for mass, start in zip(reversed(minority.tolist()), reversed(starts)):
+        if start == thresholds.size:   # above every threshold, as are the larger arms
+            break
+        if start < breaks[-1]:
+            raise ValueError("minority masses must be non-increasing")
+        removed = values[-1] + mass
+        if start == breaks[-1]:
+            values[-1] = removed
+        else:
+            breaks.append(start)
+            values.append(removed)
+    return StepFunction(breaks, values)

@@ -1,0 +1,116 @@
+"""Dense per-threshold forms of the auxiliary-expert bookkeeping, as references.
+
+The package keeps the auxiliary experts' weights in blocks and the
+removed-mass table and the charge as step functions over the threshold
+grid.  These are the same quantities as one array entry per threshold:
+cumulative losses accumulated in place, weights as ``exp`` of them, and
+tables filled by slice-adds.  They differ from the package by rounding
+only.
+"""
+
+import numpy as np
+
+from myga.fixed_point import MixtureWeights, _solve
+from myga.policy import _WEIGHT_FLOOR, MygaPolicy, RoundTrace
+from myga.simplex import left_sum, pivot_index, sort_descending, weighted_average
+from myga.truncation import StepFunction, truncate
+
+
+def densify(step, size):
+    """A step function as one entry per grid index."""
+    step = StepFunction(*step)
+    if size == 0:
+        assert step.breaks == [] and step.values == []
+        return np.zeros(0)
+    assert step.breaks[0] == 0 and all(a < b for a, b in zip(step.breaks, step.breaks[1:]))
+    assert step.breaks[-1] < size and len(step.values) == len(step.breaks)
+    return np.repeat(np.asarray(step.values, dtype=float),
+                     np.diff(step.breaks + [size]))
+
+
+def truncated_mass(q, pivot, threshold):
+    """Total minority mass at or below the threshold (the mass truncate removes)."""
+    q = np.asarray(q, dtype=float)
+    if not 1 <= pivot <= q.size:
+        raise ValueError(f"pivot {pivot} outside [1, {q.size}]")
+    if not 0.0 <= threshold <= 0.5:
+        raise ValueError(f"threshold {threshold} outside [0, 1/2]")
+    minority = q[pivot:]
+    return float(minority[minority <= threshold].sum())
+
+
+def dense_mass_table(minority_desc, thresholds):
+    """Removed mass per threshold, one slice-add per arm, smallest arm first."""
+    minority_desc = np.asarray(minority_desc, dtype=float)
+    thresholds = np.asarray(thresholds, dtype=float)
+    table = np.zeros(thresholds.size)
+    first_removing = np.searchsorted(thresholds, minority_desc, side="left")
+    for mass, start in zip(minority_desc[::-1].tolist(), first_removing[::-1].tolist()):
+        table[start:] += mass
+    return table
+
+
+class DenseWeightState:
+    """Cumulative losses as one array per kind, weights as ``exp`` over the whole grid."""
+
+    def __init__(self, num_experts, num_thresholds, eta):
+        self.eta = eta
+        self.real_loss = np.zeros(num_experts)
+        self.aux_loss = np.zeros(num_thresholds)
+
+    def weights(self):
+        shift = float(self.real_loss.min())
+        if self.aux_loss.size:
+            shift = min(shift, float(self.aux_loss.min()))
+        w_real = np.exp(-self.eta * (self.real_loss - shift))
+        w_aux = np.exp(-self.eta * (self.aux_loss - shift))
+        np.maximum(w_real, _WEIGHT_FLOOR, out=w_real)
+        np.maximum(w_aux, _WEIGHT_FLOOR, out=w_aux)
+        return w_real, w_aux
+
+
+class DensePolicy(MygaPolicy):
+    """The policy with dense auxiliary weights, a dense table and a dense charge.
+
+    ``shares`` holds the last round's ``MixtureWeights`` for comparisons.
+    """
+
+    def __init__(self, config, sample_rng=None):
+        super().__init__(config, sample_rng)
+        self.state = DenseWeightState(config.num_experts, self.thresholds.size, config.eta)
+        self.shares = None
+
+    def _play(self, advices):
+        w_real, w_aux = self.state.weights()
+        zeta_original = weighted_average(advices, w_real)
+        zeta_sorted, perm = sort_descending(zeta_original)
+        pivot = pivot_index(zeta_sorted)
+        real_total = float(w_real.sum())
+        total = real_total + float(w_aux.sum())
+        self.shares = MixtureWeights(base=real_total / total, per_threshold=w_aux / total)
+        q, iterations, residual = _solve(zeta_sorted, pivot, self.shares, self.thresholds)
+        p_sorted = truncate(q, pivot, self.cfg.gamma)
+        q_values = q.tolist()
+        trace = RoundTrace(
+            t=self.t, advices=advices, zeta_sorted=zeta_sorted, perm=perm, pivot=pivot,
+            q_sorted=q, p_sorted=p_sorted, p_original=perm.to_original(p_sorted),
+            thresholds=self.thresholds,
+            dropped_table=dense_mass_table(q[pivot:], self.thresholds),
+            majority_mass=left_sum(q_values[:pivot]),
+            minority_mass=left_sum(q_values[pivot:]),
+            residual=residual, iterations=iterations)
+        return trace.p_original, trace
+
+    def _charge(self, trace, arm_original, est):
+        arm_sorted = trace.perm.inverse.item(arm_original)
+        advice_column = trace.advices[:, arm_original].copy()
+        q_at = trace.q_sorted.item(arm_sorted)
+        if arm_sorted >= trace.pivot:
+            aux_at = np.where(self.thresholds < q_at, q_at, 0.0)
+        else:
+            aux_at = (q_at / trace.majority_mass) * (trace.majority_mass + trace.dropped_table)
+        self.state.real_loss += advice_column * est
+        self.state.aux_loss += aux_at * est
+        trace.arm_sorted = arm_sorted
+        trace.real_advice_at_played = advice_column
+        trace.aux_advice_at_played = aux_at

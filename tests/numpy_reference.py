@@ -140,11 +140,13 @@ def mixture_residual(q, zeta_sorted, pivot, weights, thresholds):
     if grid.size == 0:
         target = base * zeta
         return float(np.max(np.abs(q - target))) if q.size else 0.0
-    below = np.searchsorted(grid, q_min, side="left").tolist()
-    kept_weight = np.array([w_thresh[:b].sum() for b in below])
+    # Threshold weight is read as prefix sums of the shares, as the solver does.
+    prefix = np.concatenate(([0.0], np.cumsum(w_thresh)))
+    below = np.searchsorted(grid, q_min, side="left")
+    kept_weight = prefix[below]
     dropped_weight = 0.0   # added left to right; builtin sum compensates from Python 3.12
-    for x, b in zip(q_min.tolist(), below):
-        dropped_weight += x * float(w_thresh[b:].sum())
+    for x, b in zip(q_min.tolist(), below.tolist()):
+        dropped_weight += x * float(prefix[-1] - prefix[b])
     target = np.empty_like(q)
     target[k:] = base * zeta[k:] + q_min * kept_weight
     scale = (1.0 - base) + dropped_weight / majority_mass
@@ -161,7 +163,7 @@ def solve(zeta_sorted, pivot, weights, grid):
     if grid.size == 0 or minority == 0:
         q = zeta.copy()
         return q, 0, mixture_residual(q, zeta, k, weights, grid)
-    w_thresh = np.asarray(weights.per_threshold, dtype=float)
+    prefix = np.concatenate(([0.0], np.cumsum(np.asarray(weights.per_threshold, dtype=float))))
     base_min = float(weights.base) * zeta[k:]
     below = [0] * minority
     kept = np.zeros(minority)
@@ -172,7 +174,7 @@ def solve(zeta_sorted, pivot, weights, grid):
             break
         for i, (old, new) in enumerate(zip(below, reached)):
             if new > old:
-                kept[i] += w_thresh[old:new].sum()
+                kept[i] = prefix[new]
         below = reached
         denom = 1.0 - kept
         if np.any(denom <= 0.0):

@@ -52,3 +52,11 @@ class RoundProtocolContract:
         _, ref_trace = reference.advise(ADVICES)
         reference.update(ref_trace, 0, 0.5)
         np.testing.assert_array_equal(policy.advise(ADVICES)[0], reference.advise(ADVICES)[0])
+
+    def test_rejects_advice_rows_that_are_not_distributions(self):
+        policy, reference = self.make(), self.make()
+        for row in ([np.nan, np.nan], [0.9, 0.9]):
+            with pytest.raises(ValueError, match="expert advice row 1 "):
+                policy.advise(np.array([ADVICES[0], row]))
+        # A rejected matrix opens no round: the next advise matches a fresh policy.
+        np.testing.assert_array_equal(policy.advise(ADVICES)[0], reference.advise(ADVICES)[0])

@@ -11,7 +11,8 @@ from myga.baselines import BaselineTrace
 from myga.environments import EnvSpec, generate
 from myga.policy import MygaConfig, MygaPolicy, RoundTrace, schedule_parameters
 from myga.simplex import ArmPermutation
-from myga.truncation import truncated_mass_table
+from myga.truncation import StepFunction, truncated_mass_table
+from grid_reference import densify
 
 
 def run_policy(policy, spec, auditor=None, horizon=None):
@@ -51,8 +52,8 @@ def reference_check_round(trace, gamma, num_arms, tol=1e-9):
     """The per-round structural rules as whole-array NumPy expressions.
 
     The proportionality rule is evaluated on the full threshold-by-arm
-    matrix, and the removed-mass table's two ends against the minority
-    masses summed in arm order.  ``check_round`` must name the same rules
+    matrix of the densified removed-mass table, and the table's two ends
+    against the minority masses summed in arm order.  ``check_round`` must name the same rules
     in the same order with margins within 1e-12 on every finite trace.
     """
     violations = []
@@ -63,10 +64,10 @@ def reference_check_round(trace, gamma, num_arms, tol=1e-9):
 
     zeta_majority = float(zeta[:k].sum())
     if trace.thresholds.size:
-        aux_majority = np.outer(trace.majority_mass + trace.dropped_table, q[:k]) \
-            / trace.majority_mass
+        table = densify(trace.dropped_table, trace.thresholds.size)
+        aux_majority = np.outer(trace.majority_mass + table, q[:k]) / trace.majority_mass
         lhs = aux_majority * zeta_majority
-        rhs = np.outer(1.0 - (trace.minority_mass - trace.dropped_table), zeta[:k])
+        rhs = np.outer(1.0 - (trace.minority_mass - table), zeta[:k])
         margin = float(np.max(np.abs(lhs - rhs)))
         if margin > tol:
             violations.append(Violation(
@@ -75,7 +76,7 @@ def reference_check_round(trace, gamma, num_arms, tol=1e-9):
         minority = q[k:]
         ends = trace.thresholds[[0, -1]]
         removed = np.array([minority[minority <= s].sum() for s in ends])
-        margin = float(np.max(np.abs(trace.dropped_table[[0, -1]] - removed)))
+        margin = float(np.max(np.abs(table[[0, -1]] - removed)))
         if margin > tol:
             violations.append(Violation(
                 trace.t, "removed_mass_table", margin,
@@ -491,8 +492,7 @@ def round_families():
     assert gap[0][0].thresholds.size == 7698
     assert lattice[0][0].thresholds.size == 400
     assert empty_grid[0][0].thresholds.size == 0
-    assert sum(trace.dropped_table.min() < trace.dropped_table.max()
-               for trace, _, _ in varying_table) >= 30
+    assert sum(len(trace.dropped_table.values) > 1 for trace, _, _ in varying_table) >= 30
     return {"gap_wide_grid": gap, "minority_lattice": lattice,
             "empty_grid": empty_grid, "pivot_is_k": full_pivot,
             "varying_table": varying_table}
@@ -540,11 +540,12 @@ class TestRemovedMassTable:
         assert len(rounds) * 3 == 480
         flagged = 0
         for trace, losses, gamma in rounds:
-            table = trace.dropped_table
-            for wrong in (0.0 * table, 2.0 * table, 7.0 * table + 0.3):
-                copy = dataclasses.replace(trace, dropped_table=wrong)
+            breaks, table = trace.dropped_table
+            for wrong in ([0.0 * v for v in table], [2.0 * v for v in table],
+                          [7.0 * v + 0.3 for v in table]):
+                copy = dataclasses.replace(trace, dropped_table=StepFunction(breaks, wrong))
                 violations = TestReferenceAgreement().audit_both(copy, losses, gamma)
-                if np.array_equal(wrong, table):
+                if wrong == table:
                     assert "removed_mass_table" not in {v.rule for v in violations}
                 else:
                     assert "removed_mass_table" in {v.rule for v in violations}
@@ -553,13 +554,15 @@ class TestRemovedMassTable:
 
     def test_pivot_at_k_table_must_be_zero(self, round_families):
         for trace, losses, gamma in round_families["pivot_is_k"]:
-            copy = dataclasses.replace(trace, dropped_table=trace.dropped_table + 0.3)
+            breaks, table = trace.dropped_table
+            copy = dataclasses.replace(
+                trace, dropped_table=StepFunction(breaks, [v + 0.3 for v in table]))
             rules = [v.rule for v in check_round(copy, gamma, copy.zeta_sorted.size)]
             assert "removed_mass_table" in rules
 
     def test_margin_is_the_larger_end_gap(self):
         trace = clean_trace()    # minority masses 0.22 and 0.16, thresholds 0.25 and 0.5
-        trace.dropped_table = np.array([0.38, 0.38 + 1e-3])
+        trace.dropped_table = StepFunction([0, 1], [0.38, 0.38 + 1e-3])
         violations = check_round(trace, gamma=0.05, num_arms=3)
         table = [v for v in violations if v.rule == "removed_mass_table"]
         assert table and table[0].margin == pytest.approx(1e-3, abs=1e-15)

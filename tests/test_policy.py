@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from grid_reference import DensePolicy, densify
 from myga.fixed_point import MixtureWeights, mixture_residual, two_arm_fixed_point
-from myga.policy import (MygaConfig, MygaPolicy, WeightState,
+from myga.policy import (BlockShares, MygaConfig, MygaPolicy, WeightState,
                          build_threshold_grid, loss_estimator,
                          schedule_parameters)
 from myga.simplex import validate
-from myga.truncation import truncate
+from myga.truncation import StepFunction, truncate
 from round_protocol import RoundProtocolContract
 
 
@@ -133,42 +134,69 @@ class TestLossEstimator:
             loss_estimator(np.array([0.5, 0.5]), 0, 1.5)
 
 
+def shares_of(state):
+    """The base share and every prefix's kept share of a ``WeightState``."""
+    w_real, aux = state.weights()
+    shares = BlockShares(float(w_real.sum()), aux)
+    return shares.base, np.array([shares.split(n)[0] for n in range(aux.size + 1)])
+
+
 class TestWeightState:
     def test_initial_weights_are_one(self):
         state = WeightState(3, 2, 0.5)
-        w_real, w_aux = state.weights()
+        w_real, aux = state.weights()
         np.testing.assert_array_equal(w_real, [1.0, 1.0, 1.0])
-        np.testing.assert_array_equal(w_aux, [1.0, 1.0])
+        assert [aux.prefix(n) for n in range(3)] == [0.0, 1.0, 2.0]
+        assert aux.total == 2.0
 
     def test_best_expert_pins_weight_one(self):
         state = WeightState(3, 0, 0.7)
         state.real_loss += np.array([2.0, 5.0, 3.5])
-        w_real, _ = state.weights()
+        w_real, aux = state.weights()
         assert w_real[0] == 1.0
         assert np.all(w_real <= 1.0)
+        assert aux.total == 0.0
+
+    def test_best_auxiliary_expert_pins_weight_one(self):
+        state = WeightState(2, 5, 0.7)
+        state.real_loss += np.array([2.0, 5.0])
+        state.aux.charge(StepFunction([0, 2, 3], [4.0, 1.0, 3.0]))
+        w_real, aux = state.weights()
+        assert aux.prefix(3) - aux.prefix(2) == pytest.approx(1.0, rel=1e-15)
+        np.testing.assert_allclose(w_real, np.exp(-0.7 * np.array([1.0, 4.0])), rtol=1e-15)
 
     def test_common_shift_leaves_shares_unchanged(self):
         state = WeightState(4, 3, 0.3)
         rng = np.random.default_rng(41)
         state.real_loss += rng.uniform(0.0, 20.0, size=4)
-        state.aux_loss += rng.uniform(0.0, 20.0, size=3)
-        w_real, w_aux = state.weights()
-        total = w_real.sum() + w_aux.sum()
+        state.aux.charge(StepFunction([0, 1, 2], rng.uniform(0.0, 20.0, size=3).tolist()))
+        base, kept = shares_of(state)
         state.real_loss += 1000.0
-        state.aux_loss += 1000.0
-        w_real2, w_aux2 = state.weights()
-        total2 = w_real2.sum() + w_aux2.sum()
-        np.testing.assert_allclose(w_real / total, w_real2 / total2, rtol=1e-12)
-        np.testing.assert_allclose(w_aux / total, w_aux2 / total2, rtol=1e-12)
+        state.aux.charge(StepFunction([0], [1000.0]))
+        base2, kept2 = shares_of(state)
+        assert base2 == pytest.approx(base, rel=1e-12)
+        np.testing.assert_allclose(kept2, kept, rtol=1e-12)
 
     def test_hopeless_expert_keeps_positive_weight(self):
-        state = WeightState(2, 1, 1.0)
-        state.real_loss += np.array([0.0, 1e6])
-        state.aux_loss += np.array([2e6])
-        w_real, w_aux = state.weights()
-        assert w_real[1] > 0.0
-        assert w_aux[0] > 0.0
-        assert np.isfinite(w_real).all() and np.isfinite(w_aux).all()
+        # The hopeless real expert keeps its floored weight.  The hopeless
+        # auxiliary expert's weight underflows to 0 unfloored, and the
+        # round is the dense reference's, whose floored share is 1e-300.
+        config = MygaConfig(num_arms=2, num_experts=2, horizon=1, eta=1.0, gamma=0.25,
+                            grid_denominator=8)
+        policy, dense = MygaPolicy(config), DensePolicy(config)
+        for state in (policy.state, dense.state):
+            state.real_loss += np.array([0.0, 1e6])
+        policy.state.aux.charge(StepFunction([0], [2e6]))
+        dense.state.aux_loss += 2e6
+        w_real, aux = policy.state.weights()
+        assert w_real[1] > 0.0 and np.isfinite(w_real).all()
+        assert aux.total == 0.0 and dense.state.weights()[1][0] == 1e-300
+        advices = np.array([[0.7, 0.3], [0.2, 0.8]])
+        _, trace = policy.advise(advices)
+        _, reference = dense.advise(advices)
+        for field in ("q_sorted", "p_sorted"):
+            np.testing.assert_array_equal(getattr(trace, field), getattr(reference, field))
+        assert trace.residual <= 1e-9
 
 
 class TestMygaConfig:
@@ -273,7 +301,8 @@ class TestMygaPolicyUpdate(RoundProtocolContract):
             arm_sorted = trace.arm_sorted
             literal = np.array([truncate(trace.q_sorted, trace.pivot, float(s))[arm_sorted]
                                 for s in trace.thresholds])
-            np.testing.assert_allclose(trace.aux_advice_at_played, literal, atol=1e-12)
+            np.testing.assert_allclose(densify(trace.aux_advice_at_played, literal.size),
+                                       literal, atol=1e-12)
             if arm_sorted >= trace.pivot:
                 seen_minority += 1
             else:

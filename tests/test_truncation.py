@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from myga.truncation import truncate, truncated_mass, truncated_mass_table
+from grid_reference import dense_mass_table, densify, truncated_mass
+from myga.truncation import StepFunction, truncate, truncated_mass_table
 
 # A worked eleven-arm distribution used across several cases. Pivot 3 means
 # the first three arms form the majority block (mass 0.5); the remaining
@@ -140,16 +141,38 @@ class TestTruncatedMassTable:
             q = np.sort(rng.dirichlet(np.ones(size)))[::-1]
             pivot = int(np.searchsorted(np.cumsum(q), 0.5, side="left")) + 1
             thresholds = np.sort(rng.uniform(1e-4, 0.5, size=int(rng.integers(1, 9))))
-            table = truncated_mass_table(q[pivot:], thresholds)
+            table = densify(truncated_mass_table(q[pivot:], thresholds), thresholds.size)
             singles = [truncated_mass(q, pivot, float(s)) for s in thresholds]
             # The table accumulates from the small end, the scalar sums the
             # removed block directly, so agreement is only up to rounding.
             np.testing.assert_allclose(table, np.array(singles), atol=1e-15)
 
+    def test_equals_the_dense_table(self):
+        # Minority masses on and between the points of a lattice grid, so
+        # arms tie with thresholds, with each other, and sit above the grid.
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            grid = np.arange(int(rng.integers(1, 40)), 51) / 100.0
+            masses = np.sort(np.concatenate((
+                rng.integers(1, 60, size=int(rng.integers(0, 6))) / 100.0,
+                rng.uniform(0.0, 0.6, size=int(rng.integers(0, 4))))))[::-1]
+            step = truncated_mass_table(masses, grid)
+            assert len(step.breaks) <= masses.size + 1
+            np.testing.assert_array_equal(densify(step, grid.size),
+                                          dense_mass_table(masses, grid))
+
     def test_empty_minority(self):
         table = truncated_mass_table(np.array([]), np.array([0.1, 0.2]))
-        np.testing.assert_array_equal(table, [0.0, 0.0])
+        assert table == StepFunction([0], [0.0])
+
+    def test_empty_grid(self):
+        assert truncated_mass_table(np.array([0.2, 0.1]), np.array([])) == StepFunction([], [])
 
     def test_worked_values(self):
         table = truncated_mass_table(Q11[PIVOT11:], np.array([0.04, 0.05, 0.1]))
-        np.testing.assert_allclose(table, [0.1, 0.2, 0.5], atol=1e-12)
+        assert table.breaks == [0, 1, 2]
+        np.testing.assert_allclose(table.values, [0.1, 0.2, 0.5], atol=1e-12)
+
+    def test_rejects_increasing_minority(self):
+        with pytest.raises(ValueError, match="non-increasing"):
+            truncated_mass_table(np.array([0.1, 0.3]), np.array([0.2, 0.4]))
