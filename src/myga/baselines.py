@@ -42,13 +42,18 @@ class Exp4Config:
 
 
 def threshold_mixture(p: np.ndarray, gamma: float) -> np.ndarray:
-    """Zero arms with mass <= gamma and renormalize; identity if nothing survives."""
+    """Zero arms with mass <= gamma and renormalize; identity if nothing survives.
+
+    Works on the K entries as Python floats, added from the left, so the
+    result equals the whole-array form bit for bit below eight arms.
+    """
     p = np.asarray(p, dtype=float)
-    kept = p > gamma
-    if not np.any(kept):
+    values = p.tolist()
+    if not any(v > gamma for v in values):
         return p.copy()
-    out = np.where(kept, p, 0.0)
-    return out / out.sum()
+    kept = [v if v > gamma else 0.0 for v in values]
+    total = simplex.left_sum(kept)
+    return np.array([v / total for v in kept])
 
 
 @dataclass

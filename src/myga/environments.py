@@ -1,8 +1,12 @@
 """Seeded environments and the replay file format.
 
 Every generated round is a pure function of (seed, t): the round gets
-its own generator stream, so rounds can be produced in any order and
-always reproduce byte-for-byte.  Losses live in [0, 1]; advice rows are
+its own generator, with the stream of ``np.random.default_rng([seed, t])``,
+so rounds can be produced in any order and always reproduce
+byte-for-byte.  The generator is a PCG64 seeded from a precomputed hash:
+NumPy's ``SeedSequence`` algorithm run once, vectorised, over a chunk of
+rounds per seed, with the chunks kept in a small bounded cache (see
+``_stream_words``).  Losses live in [0, 1]; advice rows are
 distributions over arms.  A generated round makes a fixed, small number
 of NumPy calls whatever the expert count: each draw is one call for the
 whole advice matrix or loss vector.
@@ -16,10 +20,13 @@ numbers.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import simplex
 
@@ -38,6 +45,13 @@ class EnvSpec:
     replay_path: str | None = None
 
     def __post_init__(self) -> None:
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise ValueError(f"seed {self.seed!r} is not an integer") from None
+        if seed < 0:
+            raise ValueError(f"seed {seed} is negative; seeds are non-negative integers")
+        object.__setattr__(self, "seed", seed)
         if self.kind not in KINDS:
             raise ValueError(f"kind {self.kind!r} not one of {KINDS}")
         if self.num_arms < 2:
@@ -59,8 +73,117 @@ class RoundData:
     losses: np.ndarray
 
 
+# NumPy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four
+# 32-bit words, hashed in with ``hashmix`` and ``mix``.
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+# Rounds hashed per (seed, chunk) and chunks kept.  A power of two divides
+# 2**32, so every round of a chunk has the same number of 32-bit words.
+_STREAM_CHUNK = 1024
+_STREAM_CACHE: dict[tuple[int, int], np.ndarray] = {}
+_STREAM_CACHE_SIZE = 16
+
+
+def _uint32_words(n: int) -> list[int]:
+    """``n`` as little-endian 32-bit words, at least one, as NumPy splits it."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _seed_sequence_words(seed: int, first: int, count: int) -> np.ndarray:
+    """``SeedSequence([seed, t]).generate_state(4, np.uint64)`` for the
+    rounds ``t = first .. first + count - 1``, one row per round.
+
+    Each pool word is a column of ``count`` uint32 values; the hash
+    constants do not depend on the data, so they advance once for all rows.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ (result >> np.uint32(16))
+
+    rounds = np.arange(first, first + count, dtype=np.uint64)
+    entropy = [np.full(count, word, dtype=np.uint32) for word in _uint32_words(seed)]
+    for i in range(len(_uint32_words(first + count - 1))):
+        entropy.append(((rounds >> np.uint64(32 * i)) & np.uint64(_MASK32)).astype(np.uint32))
+    zero = np.zeros(count, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    # Word pairs (low, high) make each uint64, as NumPy's little-endian view.
+    low = np.stack(state[0::2], axis=1)
+    high = np.stack(state[1::2], axis=1)
+    words = low | (high << np.uint64(32))
+    words.flags.writeable = False
+    return words
+
+
+def _stream_words(seed: int, t: int) -> np.ndarray:
+    """The four PCG64 seed words of round t, a read-only row of the
+    (seed, chunk) cache."""
+    chunk, row = divmod(t, _STREAM_CHUNK)
+    key = (seed, chunk)
+    table = _STREAM_CACHE.get(key)
+    if table is None:
+        if len(_STREAM_CACHE) >= _STREAM_CACHE_SIZE:
+            del _STREAM_CACHE[next(iter(_STREAM_CACHE))]
+        table = _STREAM_CACHE[key] = _seed_sequence_words(
+            seed, chunk * _STREAM_CHUNK, _STREAM_CHUNK)
+    return table[row]
+
+
+class _RoundSeed(ISeedSequence):
+    """The seed sequence of ``[seed, t]``, with PCG64's four words precomputed."""
+
+    __slots__ = ("seed", "t", "words")
+
+    def __init__(self, seed: int, t: int):
+        self.seed = seed
+        self.t = t
+        self.words = _stream_words(seed, t)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 asks for exactly this; any other request is hashed afresh.
+        if n_words == 4 and dtype is np.uint64:
+            return self.words
+        return np.random.SeedSequence([self.seed, self.t]).generate_state(n_words, dtype)
+
+
 def _round_rng(spec: EnvSpec, t: int) -> np.random.Generator:
-    return np.random.default_rng([spec.seed, t])
+    """A new generator with the stream of ``np.random.default_rng([spec.seed, t])``."""
+    return np.random.Generator(np.random.PCG64(_RoundSeed(spec.seed, t)))
 
 
 def _zero_loss_expert_round(spec: EnvSpec, t: int) -> RoundData:
@@ -69,37 +192,49 @@ def _zero_loss_expert_round(spec: EnvSpec, t: int) -> RoundData:
     advices = rng.dirichlet(np.ones(spec.num_arms), size=spec.num_experts)
     advices[0] = 0.0
     advices[0, clean_arm] = 1.0
-    losses = rng.uniform(0.0, 1.0, size=spec.num_arms)
+    losses = rng.random(spec.num_arms)
     losses[clean_arm] = 0.0
     return RoundData(advices=advices, losses=losses)
 
 
+@lru_cache(maxsize=8)
+def _gap_layout(num_arms: int, num_experts: int, mu_star: float,
+                delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Arm loss means and the cyclic one-hot advice, read-only."""
+    means = np.minimum(mu_star + delta * np.arange(num_arms), 1.0)
+    advices = np.zeros((num_experts, num_arms))
+    advices[np.arange(num_experts), np.arange(num_experts) % num_arms] = 1.0
+    means.flags.writeable = False
+    advices.flags.writeable = False
+    return means, advices
+
+
 def _stochastic_gap_round(spec: EnvSpec, t: int) -> RoundData:
     rng = _round_rng(spec, t)
-    means = np.minimum(spec.mu_star + spec.delta * np.arange(spec.num_arms), 1.0)
-    losses = (rng.uniform(size=spec.num_arms) < means).astype(float)
-    advices = np.zeros((spec.num_experts, spec.num_arms))
-    advices[np.arange(spec.num_experts), np.arange(spec.num_experts) % spec.num_arms] = 1.0
-    return RoundData(advices=advices, losses=losses)
+    means, advices = _gap_layout(spec.num_arms, spec.num_experts, spec.mu_star, spec.delta)
+    losses = (rng.random(spec.num_arms) < means).astype(float)
+    return RoundData(advices=advices.copy(), losses=losses)
 
 
 def _adversarial_minority_round(spec: EnvSpec, t: int) -> RoundData:
     """Advice masses land exactly on the 1/(2T) lattice near the truncation
     thresholds, so sorted minority arms keep grazing the zero boundary."""
     rng = _round_rng(spec, t)
+    num_arms = spec.num_arms
     lattice = 2 * spec.horizon
-    band = max(1, lattice // (4 * max(spec.num_arms - 1, 1)))
+    band = max(1, lattice // (4 * max(num_arms - 1, 1)))
     # Expert e favours arm e mod K, which takes whatever the other arms'
     # draws leave of the lattice.  The draws come row by row from one
     # call, the order in which one call per expert would take them.
-    steps = rng.integers(0, band + 1, size=(spec.num_experts, spec.num_arms))
-    experts = np.arange(spec.num_experts)
-    favored = experts % spec.num_arms
-    steps[experts, favored] = lattice - (steps.sum(axis=1) - steps[experts, favored])
-    advices = steps / lattice
+    steps = rng.integers(0, band + 1, size=(spec.num_experts, num_arms)).tolist()
+    for expert, row in enumerate(steps):
+        favored = expert % num_arms
+        row[favored] = 0
+        row[favored] = lattice - sum(row)
+    advices = np.array(steps, dtype=float) / lattice
     block = max(1, int(round(spec.horizon ** 0.5)))
-    good_arm = ((t - 1) // block) % spec.num_arms
-    losses = (rng.uniform(size=spec.num_arms) < 0.6).astype(float)
+    good_arm = ((t - 1) // block) % num_arms
+    losses = (rng.random(num_arms) < 0.6).astype(float)
     losses[good_arm] = 0.0
     return RoundData(advices=advices, losses=losses)
 

@@ -192,3 +192,12 @@ def solve(zeta_sorted, pivot, weights, grid):
     if not resid <= RESIDUAL_TOL:
         raise RuntimeError(f"fixed-point residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e}")
     return q, iterations, resid
+
+
+def threshold_mixture(p, gamma):
+    p = np.asarray(p, dtype=float)
+    kept = p > gamma
+    if not np.any(kept):
+        return p.copy()
+    out = np.where(kept, p, 0.0)
+    return out / out.sum()

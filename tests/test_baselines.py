@@ -4,6 +4,7 @@ import pytest
 from myga.baselines import (Exp4Config, Exp4Policy, BaselineTrace,
                             threshold_mixture)
 from myga.simplex import validate
+import numpy_reference as ref
 from round_protocol import RoundProtocolContract
 
 
@@ -19,6 +20,28 @@ class TestThresholdMixture:
     def test_identity_when_everything_would_vanish(self):
         p = np.array([0.4, 0.3, 0.3])
         np.testing.assert_array_equal(threshold_mixture(p, 0.5), p)
+
+    def test_nothing_surviving_returns_a_new_array(self):
+        p = np.array([0.25, 0.25, 0.25, 0.25])
+        out = threshold_mixture(p, 0.25)
+        assert out is not p
+        np.testing.assert_array_equal(out, p)
+
+    @pytest.mark.parametrize("num_arms", range(2, 13))
+    def test_matches_numpy_form(self, num_arms):
+        # Equal bit for bit below eight arms, where NumPy adds from the
+        # left too; within rounding above.  Some masses sit exactly at gamma.
+        rng = np.random.default_rng(300 + num_arms)
+        for _ in range(500):
+            p = rng.dirichlet(np.ones(num_arms))
+            gamma = float(rng.uniform(0.0, 0.5))
+            if rng.random() < 0.3:
+                gamma = float(p[rng.integers(num_arms)])
+            out, expected = threshold_mixture(p, gamma), ref.threshold_mixture(p, gamma)
+            if num_arms < 8:
+                np.testing.assert_array_equal(out, expected, strict=True)
+            else:
+                np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-15)
 
     def test_output_is_distribution(self):
         rng = np.random.default_rng(71)

@@ -254,6 +254,15 @@ class TestRunAndMain:
         assert code == 1
         assert "lattice" in err
 
+    @pytest.mark.parametrize("policy", ["myga", "exp4_threshold"])
+    def test_main_negative_seed_exits_one(self, capsys, policy):
+        code = main(["--policy", policy, "--env", "zero_loss_expert", "--horizon", "5",
+                     "--eta", "0.3", "--gamma", "0.05", "--grid-denominator", "20",
+                     "--seed=2,-3"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "myga: error: seed -3 is negative" in err
+
     def test_main_corruption_exits_two(self, capsys, corrupted_solve):
         code = main(["--env", "zero_loss_expert", "--horizon", "5",
                      "--eta", "0.3", "--gamma", "0.05",

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import myga.environments as env_mod
 from myga.environments import (EnvSpec, RoundData, generate, load_replay,
                                save_replay)
 from myga.simplex import validate
+from environment_reference import ROUNDS, adversarial_minority_round
 
 
 def spec_for(kind, **kwargs):
@@ -20,6 +22,20 @@ class TestEnvSpec:
     def test_replay_needs_path(self):
         with pytest.raises(ValueError, match="replay_path"):
             spec_for("replay")
+
+    @pytest.mark.parametrize("seed", [-1, -(2 ** 40)])
+    def test_rejects_negative_seed(self, seed):
+        with pytest.raises(ValueError, match=f"seed {seed} is negative"):
+            spec_for("stochastic_gap", seed=seed)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(ValueError, match=f"seed {seed!r} is not an integer"):
+            spec_for("stochastic_gap", seed=seed)
+
+    def test_integer_like_seed_becomes_int(self):
+        spec = spec_for("stochastic_gap", seed=np.int64(5))
+        assert type(spec.seed) is int and spec.seed == 5
 
     def test_stochastic_gap_parameter_ranges(self):
         with pytest.raises(ValueError, match="mu_star"):
@@ -116,25 +132,6 @@ class TestStochasticGap:
             assert losses[2] == 1.0
 
 
-def adversarial_minority_loop(spec, t):
-    """The adversarial_minority round drawn one expert at a time, as a reference."""
-    rng = np.random.default_rng([spec.seed, t])
-    lattice = 2 * spec.horizon
-    band = max(1, lattice // (4 * max(spec.num_arms - 1, 1)))
-    advices = np.empty((spec.num_experts, spec.num_arms))
-    for e in range(spec.num_experts):
-        steps = rng.integers(0, band + 1, size=spec.num_arms)
-        favored = e % spec.num_arms
-        steps[favored] = 0
-        steps[favored] = lattice - int(steps.sum())
-        advices[e] = steps / lattice
-    block = max(1, int(round(spec.horizon ** 0.5)))
-    good_arm = ((t - 1) // block) % spec.num_arms
-    losses = (rng.uniform(size=spec.num_arms) < 0.6).astype(float)
-    losses[good_arm] = 0.0
-    return advices, losses
-
-
 class TestAdversarialMinority:
     @pytest.mark.parametrize("num_arms,num_experts", [(5, 8), (2, 4), (3, 3), (4, 4),
                                                       (7, 2), (5, 1)])
@@ -146,7 +143,7 @@ class TestAdversarialMinority:
                             num_experts=num_experts, horizon=154, seed=seed)
             for t in range(1, 155):
                 data = generate(spec, t)
-                advices, losses = adversarial_minority_loop(spec, t)
+                advices, losses = adversarial_minority_round(spec, t)
                 np.testing.assert_array_equal(data.advices, advices, strict=True)
                 np.testing.assert_array_equal(data.losses, losses, strict=True)
 
@@ -178,6 +175,92 @@ class TestAdversarialMinority:
         for t in range(1, 51):
             losses = generate(spec, t).losses
             assert set(np.unique(losses)) <= {0.0, 1.0}
+
+
+SEEDS = [0, 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 100 + 7]
+CHUNK = env_mod._STREAM_CHUNK
+
+
+class TestRoundStreams:
+    """Each round's generator is ``default_rng([seed, t])``'s, without its hash."""
+
+    horizon = 3 * CHUNK + 5
+
+    def rounds(self, seed):
+        picks = np.random.default_rng(seed % 1000).integers(1, self.horizon + 1, size=4)
+        return [1, CHUNK - 1, CHUNK, CHUNK + 1, self.horizon] + picks.tolist()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_generator_state_matches_default_rng(self, seed):
+        # 2**100 + 7 is four 32-bit words, so [seed, t] holds more words
+        # than the pool and takes the extra mixing loop.
+        spec = spec_for("stochastic_gap", horizon=self.horizon, seed=seed)
+        for t in self.rounds(seed):
+            state = env_mod._round_rng(spec, t).bit_generator.state
+            assert state == np.random.default_rng([seed, t]).bit_generator.state
+
+    @pytest.mark.parametrize("seed,first", [(0, 0), (2 ** 32 - 1, CHUNK),
+                                            (2 ** 100 + 7, 5 * CHUNK), (9, 2 ** 32)])
+    def test_chunk_rows_match_seed_sequence(self, seed, first):
+        # The last case hashes rounds of two 32-bit words.
+        table = env_mod._seed_sequence_words(seed, first, CHUNK)
+        assert table.shape == (CHUNK, 4) and table.dtype == np.uint64
+        for row in (0, 1, CHUNK // 2, CHUNK - 1):
+            expected = np.random.SeedSequence([seed, first + row]).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(table[row], expected, strict=True)
+
+    def test_other_state_requests_use_seed_sequence(self):
+        seed_seq = env_mod._RoundSeed(11, 3)
+        for n_words, dtype in ((4, np.uint32), (8, np.uint64), (1, np.uint32)):
+            np.testing.assert_array_equal(
+                seed_seq.generate_state(n_words, dtype),
+                np.random.SeedSequence([11, 3]).generate_state(n_words, dtype), strict=True)
+
+    @pytest.mark.parametrize("kind", sorted(ROUNDS))
+    @pytest.mark.parametrize("num_arms,num_experts", [(2, 4), (5, 8), (3, 3), (7, 2)])
+    def test_rounds_equal_reference_bodies(self, kind, num_arms, num_experts):
+        for seed in (0, 2 ** 64 + 3):
+            spec = spec_for(kind, num_arms=num_arms, num_experts=num_experts,
+                            horizon=self.horizon, seed=seed, mu_star=0.16)
+            for t in self.rounds(seed):
+                data = generate(spec, t)
+                advices, losses = ROUNDS[kind](spec, t)
+                np.testing.assert_array_equal(data.advices, advices, strict=True)
+                np.testing.assert_array_equal(data.losses, losses, strict=True)
+
+    def test_random_order_over_more_keys_than_cache(self):
+        seeds = range(6)
+        specs = {seed: spec_for("adversarial_minority", num_arms=5, num_experts=8,
+                                horizon=self.horizon, seed=seed) for seed in seeds}
+        rng = np.random.default_rng(5)
+        pairs = [(seed, int(t)) for seed in seeds
+                 for t in rng.integers(1, self.horizon + 1, size=12)]
+        assert len({(seed, t // CHUNK) for seed, t in pairs}) > env_mod._STREAM_CACHE_SIZE
+        for _ in range(2):
+            for i in rng.permutation(len(pairs)):
+                seed, t = pairs[i]
+                data = generate(specs[seed], t)
+                advices, losses = adversarial_minority_round(specs[seed], t)
+                np.testing.assert_array_equal(data.advices, advices, strict=True)
+                np.testing.assert_array_equal(data.losses, losses, strict=True)
+        assert len(env_mod._STREAM_CACHE) <= env_mod._STREAM_CACHE_SIZE
+
+    def test_rounds_never_share_a_generator(self):
+        spec = spec_for("stochastic_gap")
+        first, second = env_mod._round_rng(spec, 4), env_mod._round_rng(spec, 4)
+        assert first is not second and first.bit_generator is not second.bit_generator
+        first.random(100)
+        assert second.bit_generator.state == np.random.default_rng([7, 4]).bit_generator.state
+
+    def test_rounds_never_share_arrays(self):
+        spec = spec_for("stochastic_gap")
+        data = generate(spec, 1)
+        data.advices[:] = -1.0
+        data.losses[:] = -1.0
+        advices, losses = ROUNDS["stochastic_gap"](spec, 1)
+        again = generate(spec, 1)
+        np.testing.assert_array_equal(again.advices, advices)
+        np.testing.assert_array_equal(again.losses, losses)
 
 
 class TestReplayRoundTrip:
