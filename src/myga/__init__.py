@@ -9,7 +9,7 @@ invariant auditor, and a CSV-emitting experiment harness.
 from .audit import Auditor, RegretReport, Violation
 from .baselines import Exp4Config, Exp4Policy
 from .cli import ExperimentConfig, execute, run
-from .environments import EnvSpec, RoundData, generate, load_replay, save_replay
+from .environments import EnvSpec, Replay, RoundData, generate, load_replay, save_replay
 from .fixed_point import MixtureWeights, mixture_residual, solve_fixed_point, two_arm_fixed_point
 from .policy import (MygaConfig, MygaPolicy, RoundTrace, build_threshold_grid,
                      loss_estimator, schedule_parameters)
@@ -19,7 +19,7 @@ from .truncation import truncate
 __all__ = [
     "ArmPermutation", "Auditor", "EnvSpec", "Exp4Config", "Exp4Policy",
     "ExperimentConfig", "MixtureWeights", "MygaConfig", "MygaPolicy",
-    "RegretReport", "RoundData", "RoundTrace", "Violation",
+    "RegretReport", "Replay", "RoundData", "RoundTrace", "Violation",
     "build_threshold_grid", "execute", "generate", "load_replay",
     "loss_estimator", "mixture_residual", "pivot_index", "run",
     "sample_index", "save_replay", "schedule_parameters", "solve_fixed_point",

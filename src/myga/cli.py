@@ -2,9 +2,9 @@
 
 Configuration is flat ``key=value`` text plus flag overrides; flags win.
 One process runs one policy on one environment kind over a list of
-seeds, in ascending seed order, and emits two CSV files: a per-round
-log and a per-seed summary.  Identical configuration produces identical
-bytes.  Exit code 0 means success, 1 a configuration or I/O error, 2
+seeds, in ascending seed order, and writes two CSV files as it goes: a
+per-round log and a per-seed summary.  Identical configuration produces
+identical bytes.  Exit code 0 means success, 1 a configuration or I/O error, 2
 that the run finished but the auditor recorded violations, and 3 an
 internal invariant failure that stopped the run (a ``RuntimeError``, such
 as a fixed-point residual over tolerance or NaN, truncation drift, or a
@@ -14,6 +14,7 @@ played arm of zero probability).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import dataclass, field
 
@@ -32,6 +33,10 @@ SAMPLE_STREAM_SALT = 2 ** 40
 ROUND_HEADER = ("seed,t,k_t,a,realized_loss,expected_loss,cum_LT,cum_Lstar,"
                 "cum_regret,cum_M,cum_m,residual,violations")
 SUMMARY_HEADER = "seed,R_T,L_star,M,m,bound_value,bound_pass"
+
+# Most round rows held between writes: a seed's rows go out in chunks of
+# this many and once more at the seed's end.
+ROUND_CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -76,7 +81,6 @@ class SeedResult:
 class ExperimentResult:
     config: ExperimentConfig
     seed_results: list[SeedResult] = field(default_factory=list)
-    round_rows: list[tuple] = field(default_factory=list)
     summary_rows: list[tuple] = field(default_factory=list)
 
     @property
@@ -98,19 +102,16 @@ def _csv_paths(out_prefix: str) -> tuple[str, str]:
     return f"{out_prefix}_rounds.csv", f"{out_prefix}_summary.csv"
 
 
-def emit_csv(round_rows: list[tuple], summary_rows: list[tuple],
-             out_prefix: str) -> tuple[str, str]:
-    """Write the per-round and summary CSV files; header-only when empty."""
-    rounds_path, summary_path = _csv_paths(out_prefix)
-    with open(rounds_path, "w", newline="\n") as fh:
-        fh.write(ROUND_HEADER + "\n")
-        for row in round_rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    with open(summary_path, "w", newline="\n") as fh:
-        fh.write(SUMMARY_HEADER + "\n")
-        for row in summary_rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    return rounds_path, summary_path
+def _open_csv(path: str, header: str):
+    fh = open(path, "w", newline="\n")
+    fh.write(header + "\n")
+    return fh
+
+
+def emit_csv(fh, rows: list[tuple]) -> None:
+    """Append rows to an open CSV file and flush it; floats as ``repr``."""
+    fh.write("".join([",".join([_fmt(v) for v in row]) + "\n" for row in rows]))
+    fh.flush()
 
 
 def _build_policy(config: ExperimentConfig, seed: int) -> tuple[object, float, float]:
@@ -135,57 +136,71 @@ def _build_policy(config: ExperimentConfig, seed: int) -> tuple[object, float, f
 
 
 def execute(config: ExperimentConfig) -> ExperimentResult:
-    """Run every seed and return reports, violations, and CSV rows."""
+    """Run every seed and return reports and violations.
+
+    With ``out`` set, both CSV files are created with their headers before
+    round 1, so an unwritable prefix fails before any round is computed.
+    Round rows go out through ``emit_csv`` every ``ROUND_CHUNK_ROWS`` rows
+    and at the end of each seed, followed by the seed's summary row: a run
+    holds at most one chunk of rows, and a run that stops keeps every
+    chunk already written.
+    """
     result = ExperimentResult(config=config)
     collect_rounds = config.out is not None
-    if collect_rounds:
-        # Create or truncate both files now, so an unwritable prefix fails
-        # before round 1 rather than after the whole run.
-        for path in _csv_paths(config.out):
-            open(path, "w").close()
     l_star_for_bound = config.l_star if config.l_star is not None else float(config.horizon)
 
-    for seed in sorted(config.seeds):
-        spec = EnvSpec(kind=config.env, num_arms=config.num_arms,
-                       num_experts=config.num_experts, horizon=config.horizon,
-                       seed=seed, mu_star=config.mu_star, delta=config.delta,
-                       replay_path=config.replay_path)
-        pol, eta, gamma = _build_policy(config, seed)
-        auditor = Auditor(config.num_arms, config.num_experts, gamma=gamma,
-                          enabled=config.audit)
-        for t in range(1, config.horizon + 1):
-            data = generate(spec, t)
-            p, trace = pol.advise(data.advices)
-            arm = pol.sample(p)
-            realized = float(data.losses[arm])
-            pol.update(trace, arm, realized)
-            fresh = auditor.observe_round(trace, data.losses)
+    with contextlib.ExitStack() as files:
+        if collect_rounds:
+            rounds_path, summary_path = _csv_paths(config.out)
+            rounds_fh = files.enter_context(_open_csv(rounds_path, ROUND_HEADER))
+            summary_fh = files.enter_context(_open_csv(summary_path, SUMMARY_HEADER))
+        for seed in sorted(config.seeds):
+            spec = EnvSpec(kind=config.env, num_arms=config.num_arms,
+                           num_experts=config.num_experts, horizon=config.horizon,
+                           seed=seed, mu_star=config.mu_star, delta=config.delta,
+                           replay_path=config.replay_path)
+            pol, eta, gamma = _build_policy(config, seed)
+            auditor = Auditor(config.num_arms, config.num_experts, gamma=gamma,
+                              enabled=config.audit)
+            rows: list[tuple] = []
+            for t in range(1, config.horizon + 1):
+                data = generate(spec, t)
+                p, trace = pol.advise(data.advices)
+                arm = pol.sample(p)
+                realized = float(data.losses[arm])
+                pol.update(trace, arm, realized)
+                fresh = auditor.observe_round(trace, data.losses)
+                if collect_rounds:
+                    report = auditor.report
+                    rows.append((
+                        seed, t,
+                        getattr(trace, "pivot", 0), arm,
+                        realized, float(p @ data.losses),
+                        report.total_play_loss, report.best_expert_loss,
+                        report.regret, report.majority_loss, report.minority_loss,
+                        float(getattr(trace, "residual", 0.0)), fresh,
+                    ))
+                    if len(rows) == ROUND_CHUNK_ROWS:
+                        emit_csv(rounds_fh, rows)
+                        rows = []
+            violations = auditor.finalize()
+            report = auditor.report
+            bound_pass = evaluate_theorem_bound(
+                report, config.num_arms, config.num_experts, config.horizon,
+                l_star_for_bound, config.bound_factor)
+            result.seed_results.append(SeedResult(
+                seed=seed, eta=eta, gamma=gamma, report=report,
+                violations=violations, bound_pass=bound_pass))
+            summary_row = (
+                seed, report.regret, report.best_expert_loss,
+                report.majority_loss, report.minority_loss,
+                float(report.bound_value), int(bound_pass),
+            )
+            result.summary_rows.append(summary_row)
             if collect_rounds:
-                report = auditor.report
-                result.round_rows.append((
-                    seed, t,
-                    getattr(trace, "pivot", 0), arm,
-                    realized, float(p @ data.losses),
-                    report.total_play_loss, report.best_expert_loss,
-                    report.regret, report.majority_loss, report.minority_loss,
-                    float(getattr(trace, "residual", 0.0)), fresh,
-                ))
-        violations = auditor.finalize()
-        report = auditor.report
-        bound_pass = evaluate_theorem_bound(
-            report, config.num_arms, config.num_experts, config.horizon,
-            l_star_for_bound, config.bound_factor)
-        result.seed_results.append(SeedResult(
-            seed=seed, eta=eta, gamma=gamma, report=report,
-            violations=violations, bound_pass=bound_pass))
-        result.summary_rows.append((
-            seed, report.regret, report.best_expert_loss,
-            report.majority_loss, report.minority_loss,
-            float(report.bound_value), int(bound_pass),
-        ))
-
-    if config.out is not None:
-        emit_csv(result.round_rows, result.summary_rows, config.out)
+                if rows:
+                    emit_csv(rounds_fh, rows)
+                emit_csv(summary_fh, [summary_row])
     return result
 
 

@@ -14,14 +14,17 @@ whole advice matrix or loss vector.
 Replay files are plain text with LF line endings: a header line
 ``K num_experts T``, then per round one loss line followed by one
 advice line per expert, all space-separated ``repr`` floats (lossless
-round-trip).  Loaders report malformed content with 1-based line
-numbers.
+round-trip).  A parsed replay is two read-only arrays, parsed in one
+vectorised call; a file that call cannot vouch for goes through the line
+parser, which reports malformed content with 1-based line numbers.
 """
 
 from __future__ import annotations
 
+import io
 import operator
 import os
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -71,6 +74,26 @@ class EnvSpec:
 class RoundData:
     advices: np.ndarray
     losses: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class Replay:
+    """A parsed replay: losses (T, K) and advices (T, E, K), both read-only.
+
+    ``replay[i]`` is round i + 1 as a ``RoundData`` of read-only views.
+    """
+    losses: np.ndarray
+    advices: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.losses.flags.writeable = False
+        self.advices.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.losses)
+
+    def __getitem__(self, index: int) -> RoundData:
+        return RoundData(advices=self.advices[index], losses=self.losses[index])
 
 
 # NumPy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four
@@ -239,13 +262,13 @@ def _adversarial_minority_round(spec: EnvSpec, t: int) -> RoundData:
     return RoundData(advices=advices, losses=losses)
 
 
-# path -> ((st_mtime_ns, st_size) at parse time, parsed rounds), oldest first.
-_REPLAY_CACHE: dict[str, tuple[tuple[int, int], tuple[RoundData, ...]]] = {}
+# path -> ((st_mtime_ns, st_size) at parse time, parsed replay), oldest first.
+_REPLAY_CACHE: dict[str, tuple[tuple[int, int], Replay]] = {}
 _REPLAY_CACHE_SIZE = 8
 
 
-def _load_replay_cached(path: str, restat: bool) -> tuple[RoundData, ...]:
-    """Parsed rounds of a replay file, reparsed when its mtime or size changed.
+def _load_replay_cached(path: str, restat: bool) -> Replay:
+    """The parsed replay of a file, reparsed when its mtime or size changed.
 
     The file is stat'ed only when ``restat`` is set, which ``generate`` does
     at round 1 of every run: a stat costs a noticeable share of a replay
@@ -261,7 +284,7 @@ def _load_replay_cached(path: str, restat: bool) -> tuple[RoundData, ...]:
             _REPLAY_CACHE.pop(path, None)
             if len(_REPLAY_CACHE) >= _REPLAY_CACHE_SIZE:
                 del _REPLAY_CACHE[next(iter(_REPLAY_CACHE))]
-            entry = _REPLAY_CACHE[path] = (stamp, tuple(load_replay(path)))
+            entry = _REPLAY_CACHE[path] = (stamp, load_replay(path))
     return entry[1]
 
 
@@ -275,53 +298,39 @@ def generate(spec: EnvSpec, t: int) -> RoundData:
         return _stochastic_gap_round(spec, t)
     if spec.kind == "adversarial_minority":
         return _adversarial_minority_round(spec, t)
-    rounds = _load_replay_cached(spec.replay_path, restat=t == 1)
-    if len(rounds) < spec.horizon:
+    replay = _load_replay_cached(spec.replay_path, restat=t == 1)
+    losses = replay.losses
+    if len(losses) < spec.horizon:
         raise ValueError(
-            f"replay {spec.replay_path} holds {len(rounds)} rounds, horizon is {spec.horizon}")
-    data = rounds[t - 1]
-    return RoundData(advices=data.advices.copy(), losses=data.losses.copy())
+            f"replay {spec.replay_path} holds {len(losses)} rounds, horizon is {spec.horizon}")
+    return RoundData(advices=replay.advices[t - 1].copy(), losses=losses[t - 1].copy())
 
 
-def _format_row(values: np.ndarray) -> str:
-    return " ".join(repr(float(v)) for v in values)
+def _format_row(values: list) -> str:
+    return " ".join([repr(float(v)) for v in values]) + "\n"
 
 
 def save_replay(path: str, rounds: list[RoundData]) -> None:
-    """Write rounds to the replay text format (LF endings, repr floats)."""
+    """Write rounds to the replay text format (LF endings, repr floats).
+
+    The shapes are checked before the file is opened, and the file is
+    written a round at a time.
+    """
     if not rounds:
         raise ValueError("cannot save an empty replay")
     num_experts, num_arms = rounds[0].advices.shape
-    lines = [f"{num_arms} {num_experts} {len(rounds)}"]
     for data in rounds:
         if data.advices.shape != (num_experts, num_arms) or data.losses.shape != (num_arms,):
             raise ValueError("inconsistent round shapes in replay")
-        lines.append(_format_row(data.losses))
-        for row in data.advices:
-            lines.append(_format_row(row))
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{num_arms} {num_experts} {len(rounds)}\n")
+        for data in rounds:
+            fh.write(_format_row(data.losses.tolist()))
+            fh.writelines([_format_row(row) for row in data.advices.tolist()])
 
 
-def _parse_row(text: str, expected: int, line_no: int, what: str) -> np.ndarray:
-    parts = text.split()
-    if len(parts) != expected:
-        raise ValueError(f"line {line_no}: {what} has {len(parts)} values, expected {expected}")
-    try:
-        return np.array([float(p) for p in parts])
-    except ValueError as exc:
-        raise ValueError(f"line {line_no}: {what} holds a non-numeric value") from exc
-
-
-def load_replay(path: str) -> list[RoundData]:
-    """Parse a replay file, validating structure and reporting line numbers."""
-    with open(path, "r", newline="") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise ValueError("line 1: empty replay file")
-    header = lines[0].split()
+def _parse_header(line: str) -> tuple[int, int, int]:
+    header = line.split()
     if len(header) != 3:
         raise ValueError("line 1: header must be 'num_arms num_experts num_rounds'")
     try:
@@ -330,6 +339,76 @@ def load_replay(path: str) -> list[RoundData]:
         raise ValueError("line 1: header holds a non-integer value") from exc
     if num_arms < 2 or num_experts < 1 or num_rounds < 1:
         raise ValueError("line 1: header values out of range")
+    return num_arms, num_experts, num_rounds
+
+
+def _parse_columns(data: bytes) -> Replay | None:
+    """The replay in one ``np.loadtxt`` call over the body, or None wherever
+    that parse could differ from ``_parse_lines``.
+
+    loadtxt reads the numbers ``float`` reads, to the same bits, but it
+    skips blank lines, treats a lone carriage return as a line break (and
+    rejects it inside a line today) and decodes outside ASCII in its own
+    way.  So the file must be ASCII with no lone ``\r``, and have exactly
+    one body line per row loadtxt yields; then it must satisfy every rule.
+    Otherwise the line parser decides.
+    """
+    end = data.find(b"\n")
+    if end < 0 or not data.isascii():
+        return None
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    try:
+        num_arms, num_experts, num_rounds = _parse_header(data[:end].decode())
+    except ValueError:
+        return None
+    per_round = 1 + num_experts
+    body_lines = data.count(b"\n", end + 1) + (not data.endswith(b"\n"))
+    if body_lines != num_rounds * per_round:
+        return None
+    body = io.BytesIO(data)
+    body.seek(end + 1)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # a body of blank lines warns
+            rows = np.loadtxt(body, comments=None, ndmin=2)
+    except (ValueError, UserWarning):
+        return None
+    if rows.shape != (num_rounds * per_round, num_arms):
+        return None
+    # Views of one buffer; a round's losses and advices are each contiguous.
+    table = rows.reshape(num_rounds, per_round, num_arms)
+    losses, advices = table[:, 0], table[:, 1:]
+    # ``_parse_lines``'s rules on whole arrays.  NaN fails every comparison;
+    # each advice row's sum is added column by column from the left.
+    total = np.zeros(advices.shape[:2])
+    for column in np.moveaxis(advices, 2, 0):
+        total += column
+    if not (np.all((losses >= 0.0) & (losses <= 1.0))
+            and np.all((advices >= 0.0) & (advices < np.inf))
+            and np.all(np.abs(total - 1.0) <= simplex.SIMPLEX_TOL)):
+        return None
+    return Replay(losses=losses, advices=advices)
+
+
+def _parse_row(text: str, expected: int, line_no: int, what: str) -> list[float]:
+    parts = text.split()
+    if len(parts) != expected:
+        raise ValueError(f"line {line_no}: {what} has {len(parts)} values, expected {expected}")
+    try:
+        return [float(p) for p in parts]
+    except ValueError as exc:
+        raise ValueError(f"line {line_no}: {what} holds a non-numeric value") from exc
+
+
+def _parse_lines(text: str) -> Replay:
+    """The replay a line at a time, naming the first malformed line."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ValueError("line 1: empty replay file")
+    num_arms, num_experts, num_rounds = _parse_header(lines[0])
 
     per_round = 1 + num_experts
     expected_lines = 1 + num_rounds * per_round
@@ -340,21 +419,37 @@ def load_replay(path: str) -> list[RoundData]:
     if len(lines) > expected_lines:
         raise ValueError(f"line {expected_lines + 1}: trailing content after final round")
 
-    rounds: list[RoundData] = []
+    losses = np.empty((num_rounds, num_arms))
+    advices = np.empty((num_rounds, num_experts, num_arms))
     cursor = 1
     for r in range(num_rounds):
         line_no = cursor + 1
-        losses = _parse_row(lines[cursor], num_arms, line_no, f"round {r + 1} losses")
-        if np.any(losses < 0.0) or np.any(losses > 1.0):
+        row = _parse_row(lines[cursor], num_arms, line_no, f"round {r + 1} losses")
+        if not all(0.0 <= v <= 1.0 for v in row):   # NaN is out of range too
             raise ValueError(f"line {line_no}: losses outside [0, 1]")
+        losses[r] = row
         cursor += 1
-        advices = np.empty((num_experts, num_arms))
         for e in range(num_experts):
             line_no = cursor + 1
             row = _parse_row(lines[cursor], num_arms, line_no, f"round {r + 1} advice {e + 1}")
             if not simplex.validate(row):
                 raise ValueError(f"line {line_no}: advice row is not a distribution")
-            advices[e] = row
+            advices[r, e] = row
             cursor += 1
-        rounds.append(RoundData(advices=advices, losses=losses))
-    return rounds
+    return Replay(losses=losses, advices=advices)
+
+
+def load_replay(path: str) -> Replay:
+    """Parse a replay file, validating structure and reporting line numbers.
+
+    The body is parsed in one vectorised call; when that call fails or
+    a rule is broken, the line parser reads the file again and names the
+    first malformed line, so either path accepts the same files and
+    returns the same arrays.
+    """
+    with open(path, "rb") as fh:
+        replay = _parse_columns(fh.read())
+    if replay is None:
+        with open(path, "r", newline="") as fh:
+            replay = _parse_lines(fh.read())
+    return replay

@@ -1,9 +1,12 @@
-"""The generated rounds drawn from ``np.random.default_rng([seed, t])``, as references.
+"""The generated rounds drawn from ``np.random.default_rng([seed, t])``, and
+the joined replay writer, as references.
 
 The package seeds each round's generator from a precomputed hash table
 and builds fixed parts of a round once; these are the same rounds
 written the direct way, one ``SeedSequence`` per round and every array
 built in the round.  Generated rounds must equal them byte for byte.
+The package writes a replay file a round at a time; ``save_replay``
+here builds the whole text first, and the bytes must be the same.
 """
 
 import numpy as np
@@ -53,3 +56,19 @@ ROUNDS = {
     "stochastic_gap": stochastic_gap_round,
     "adversarial_minority": adversarial_minority_round,
 }
+
+
+def save_replay(path, rounds):
+    """The replay writer that builds every line first and writes one joined string."""
+    if not rounds:
+        raise ValueError("cannot save an empty replay")
+    num_experts, num_arms = rounds[0].advices.shape
+    lines = [f"{num_arms} {num_experts} {len(rounds)}"]
+    for data in rounds:
+        if data.advices.shape != (num_experts, num_arms) or data.losses.shape != (num_arms,):
+            raise ValueError("inconsistent round shapes in replay")
+        lines.append(" ".join(repr(float(v)) for v in data.losses))
+        for row in data.advices:
+            lines.append(" ".join(repr(float(v)) for v in row))
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -71,18 +71,40 @@ class TestBuildConfig:
         assert config.l_star == 10.0
 
 
+def rounds_csv_rows(prefix):
+    """The data rows of ``<prefix>_rounds.csv`` as lists of fields, after its header."""
+    lines = open(prefix + "_rounds.csv").read().splitlines()
+    assert lines[0] == ROUND_HEADER
+    return [line.split(",") for line in lines[1:]]
+
+
+def failing_generate(monkeypatch, seed, t):
+    """Make ``cli.generate`` raise at round t of the given seed."""
+    real_generate = cli_mod.generate
+
+    def generate(spec, round_t):
+        if (spec.seed, round_t) == (seed, t):
+            raise RuntimeError("generator failed")
+        return real_generate(spec, round_t)
+
+    monkeypatch.setattr(cli_mod, "generate", generate)
+
+
 class TestEmitCsv:
-    def test_header_only_when_empty(self, tmp_path):
+    def test_header_only_when_empty(self, tmp_path, monkeypatch):
         prefix = str(tmp_path / "empty")
-        rounds_path, summary_path = emit_csv([], [], prefix)
-        assert open(rounds_path, "rb").read() == (ROUND_HEADER + "\n").encode()
-        assert open(summary_path, "rb").read() == (SUMMARY_HEADER + "\n").encode()
+        failing_generate(monkeypatch, seed=0, t=1)
+        with pytest.raises(RuntimeError, match="generator failed"):
+            execute(ExperimentConfig(env="zero_loss_expert", horizon=5, out=prefix))
+        assert open(prefix + "_rounds.csv", "rb").read() == (ROUND_HEADER + "\n").encode()
+        assert open(prefix + "_summary.csv", "rb").read() == (SUMMARY_HEADER + "\n").encode()
 
     def test_floats_round_trip_losslessly(self, tmp_path):
-        prefix = str(tmp_path / "vals")
+        path = tmp_path / "vals.csv"
         value = 0.1 + 0.2
-        _, summary_path = emit_csv([], [(0, value, 0.0, 0.0, 0.0, 1.5, 1)], prefix)
-        line = open(summary_path).read().splitlines()[1]
+        with open(path, "w", newline="\n") as fh:
+            emit_csv(fh, [(0, value, 0.0, 0.0, 0.0, 1.5, 1)])
+        line = open(path).read().splitlines()[0]
         assert float(line.split(",")[1]) == value
         assert "np.float64" not in line
 
@@ -95,31 +117,83 @@ class TestExecute:
         defaults.update(kwargs)
         return ExperimentConfig(**defaults)
 
-    def test_summary_per_seed_in_ascending_order(self):
+    def spy_emit_csv(self, monkeypatch):
+        """Row counts of every ``cli.emit_csv`` call, in call order."""
+        sizes = []
+        real_emit_csv = cli_mod.emit_csv
+
+        def spy(fh, rows):
+            sizes.append(len(rows))
+            real_emit_csv(fh, rows)
+
+        monkeypatch.setattr(cli_mod, "emit_csv", spy)
+        return sizes
+
+    def test_summary_per_seed_in_ascending_order(self, monkeypatch):
+        emitted = self.spy_emit_csv(monkeypatch)
         result = execute(self.base_config(seeds=(4, 1)))
         assert [r.seed for r in result.seed_results] == [1, 4]
         assert [row[0] for row in result.summary_rows] == [1, 4]
-        assert result.round_rows == []
+        assert emitted == []
         assert result.exit_code == 0
 
-    def test_round_rows_collected_only_with_out(self, tmp_path):
+    def test_round_rows_collected_only_with_out(self, tmp_path, monkeypatch):
+        emitted = self.spy_emit_csv(monkeypatch)
+        execute(self.base_config())
+        assert emitted == []
         prefix = str(tmp_path / "demo")
-        result = execute(self.base_config(out=prefix))
-        assert len(result.round_rows) == 2 * 5
-        for row in result.round_rows:
+        execute(self.base_config(out=prefix))
+        rows = rounds_csv_rows(prefix)
+        assert len(rows) == 2 * 5
+        for row in rows:
             assert len(row) == len(ROUND_HEADER.split(","))
-            assert row[2] >= 1
-        rounds_lines = open(prefix + "_rounds.csv").read().splitlines()
-        assert rounds_lines[0] == ROUND_HEADER
-        assert len(rounds_lines) == 1 + 10
+            assert int(row[2]) >= 1
 
     def test_baseline_rows_use_placeholder_pivot_and_residual(self, tmp_path):
         prefix = str(tmp_path / "exp4")
         config = self.base_config(policy="exp4", out=prefix)
-        result = execute(config)
-        for row in result.round_rows:
-            assert row[2] == 0
-            assert row[11] == 0.0
+        execute(config)
+        rows = rounds_csv_rows(prefix)
+        assert len(rows) == 2 * 5
+        for row in rows:
+            assert row[2] == "0"
+            assert float(row[11]) == 0.0
+
+    def test_emit_csv_never_sees_more_than_one_chunk(self, tmp_path, monkeypatch):
+        chunk = cli_mod.ROUND_CHUNK_ROWS
+        config = self.base_config(policy="exp4", horizon=chunk + 5, out=str(tmp_path / "big"))
+        emitted = self.spy_emit_csv(monkeypatch)
+        execute(config)
+        # Per seed: one full chunk, the seed's last rows, its summary row.
+        assert emitted == [chunk, 5, 1, chunk, 5, 1]
+        assert len(rounds_csv_rows(config.out)) == 2 * (chunk + 5)
+
+    def test_chunk_size_leaves_bytes_unchanged(self, tmp_path, monkeypatch):
+        whole = self.base_config(horizon=10, out=str(tmp_path / "whole"))
+        execute(whole)
+        monkeypatch.setattr(cli_mod, "ROUND_CHUNK_ROWS", 3)
+        emitted = self.spy_emit_csv(monkeypatch)
+        chunked = self.base_config(horizon=10, out=str(tmp_path / "chunked"))
+        execute(chunked)
+        assert max(emitted) == 3
+        for suffix in ("_rounds.csv", "_summary.csv"):
+            assert (open(whole.out + suffix, "rb").read()
+                    == open(chunked.out + suffix, "rb").read())
+
+    def test_failed_run_keeps_written_chunks(self, tmp_path, monkeypatch):
+        complete = self.base_config(horizon=10, out=str(tmp_path / "complete"))
+        execute(complete)
+        monkeypatch.setattr(cli_mod, "ROUND_CHUNK_ROWS", 4)
+        failing_generate(monkeypatch, seed=1, t=4 + 3)
+        failed = self.base_config(horizon=10, out=str(tmp_path / "failed"))
+        with pytest.raises(RuntimeError, match="generator failed"):
+            execute(failed)
+        # The header, all of seed 0, and seed 1's first chunk; seed 1 has
+        # no summary row.
+        rounds = open(failed.out + "_rounds.csv").read().splitlines()
+        assert rounds == open(complete.out + "_rounds.csv").read().splitlines()[:1 + 10 + 4]
+        summary = open(failed.out + "_summary.csv").read().splitlines()
+        assert summary == open(complete.out + "_summary.csv").read().splitlines()[:2]
 
     def test_identical_configs_give_identical_bytes(self, tmp_path):
         config_a = self.base_config(horizon=20, out=str(tmp_path / "a"))
@@ -226,6 +300,16 @@ class TestRunAndMain:
         assert code == 1
         assert "error" in err
         assert rounds_generated == []
+
+    def test_main_nan_replay_loss_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "nan.txt"
+        # Arm 1 is never played: expert 1 puts all its mass on arm 0.
+        path.write_text("2 1 2\n0.5 0.5\n1.0 0.0\n0.5 nan\n1.0 0.0\n")
+        code = main(["--policy", "exp4", "--env", "replay", "--replay", str(path),
+                     "--arms", "2", "--experts", "1", "--horizon", "2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "myga: error: line 4: losses outside [0, 1]" in err
 
     def test_main_missing_config_file(self, capsys):
         code = main(["--config", "/nonexistent/run.cfg"])

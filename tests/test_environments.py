@@ -1,11 +1,16 @@
+import locale
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 import myga.environments as env_mod
-from myga.environments import (EnvSpec, RoundData, generate, load_replay,
+from myga.environments import (EnvSpec, Replay, RoundData, generate, load_replay,
                                save_replay)
 from myga.simplex import validate
 from environment_reference import ROUNDS, adversarial_minority_round
+from environment_reference import save_replay as joined_save_replay
 
 
 def spec_for(kind, **kwargs):
@@ -315,6 +320,39 @@ class TestReplayRoundTrip:
         with pytest.raises(ValueError, match="empty"):
             save_replay(str(tmp_path / "x.txt"), [])
 
+    def test_inconsistent_shapes_write_nothing(self, tmp_path):
+        rng = np.random.default_rng(98)
+        rounds = self._make_rounds(rng, num_rounds=3)
+        rounds[2] = RoundData(advices=rounds[2].advices[:, :3], losses=rounds[2].losses[:3])
+        path = tmp_path / "x.txt"
+        with pytest.raises(ValueError, match="inconsistent round shapes"):
+            save_replay(str(path), rounds)
+        assert not path.exists()
+
+    def test_bytes_equal_joined_writer(self, tmp_path):
+        rng = np.random.default_rng(99)
+        rounds = awkward_rounds(rng, num_rounds=30, num_experts=3, num_arms=4)
+        save_replay(str(tmp_path / "lines.txt"), rounds)
+        joined_save_replay(str(tmp_path / "joined.txt"), rounds)
+        assert (tmp_path / "lines.txt").read_bytes() == (tmp_path / "joined.txt").read_bytes()
+
+    def test_loaded_replay_is_read_only_arrays(self, tmp_path):
+        rng = np.random.default_rng(100)
+        rounds = self._make_rounds(rng, num_rounds=3)
+        path = str(tmp_path / "replay.txt")
+        save_replay(path, rounds)
+        loaded = load_replay(path)
+        assert isinstance(loaded, Replay) and len(loaded) == 3
+        assert loaded.losses.shape == (3, 4) and loaded.advices.shape == (3, 3, 4)
+        assert not loaded.losses.flags.writeable and not loaded.advices.flags.writeable
+        np.testing.assert_array_equal(loaded[1].advices, rounds[1].advices)
+        spec = EnvSpec(kind="replay", num_arms=4, num_experts=3, horizon=3,
+                       seed=0, replay_path=path)
+        data = generate(spec, 2)
+        assert data.advices.flags.writeable and data.losses.flags.writeable
+        data.advices[:] = -1.0
+        np.testing.assert_array_equal(generate(spec, 2).advices, rounds[1].advices)
+
 
 class TestReplayMalformed:
     def _write(self, tmp_path, text):
@@ -368,3 +406,145 @@ class TestReplayMalformed:
         path = self._write(tmp_path, "")
         with pytest.raises(ValueError, match="line 1.*empty"):
             load_replay(path)
+
+    def test_nan_loss(self, tmp_path):
+        path = self._write(tmp_path, "2 1 2\n0.5 0.5\n1.0 0.0\n0.5 nan\n1.0 0.0\n")
+        with pytest.raises(ValueError, match=r"line 4: losses outside \[0, 1\]"):
+            load_replay(path)
+
+
+def awkward_rounds(rng, num_rounds, num_experts, num_arms):
+    """Random rounds with -0.0, subnormals, 1.0 and 17-digit values among the entries."""
+    specials = np.array([-0.0, 5e-324, 2.5e-310, 0.0, 1.0, 0.1 + 0.2])
+    point_mass = np.zeros(num_arms)
+    point_mass[:3] = [1.0, 5e-324, -0.0][:num_arms]
+    rounds = []
+    for _ in range(num_rounds):
+        losses = rng.uniform(size=num_arms)
+        losses[rng.integers(num_arms)] = rng.choice(specials)
+        advices = rng.dirichlet(np.ones(num_arms), size=num_experts)
+        advices[rng.integers(num_experts)] = rng.permutation(point_mass)
+        rounds.append(RoundData(advices=advices, losses=losses))
+    return rounds
+
+
+def assert_bits_equal(actual, expected):
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def lines_parse(raw: bytes) -> Replay:
+    return env_mod._parse_lines(raw.decode(locale.getpreferredencoding(False)))
+
+
+# (file text, the line parser's message), one malformed file each.
+MALFORMED = [
+    # The cases of TestReplayMalformed.
+    ("2 1\n", "line 1: header must be 'num_arms num_experts num_rounds'"),
+    ("2 one 1\n0.5 0.5\n1.0 0.0\n", "line 1: header holds a non-integer value"),
+    ("2 2 2\n0.5 0.5\n1.0 0.0\n0.0 1.0\n0.1 0.2\n", "line 6: file truncated inside round 2"),
+    ("2 1 1\n0.5 0.5\n1.0 0.0\n0.3 0.7\n", "line 4: trailing content after final round"),
+    ("2 1 1\n0.5 0.5 0.5\n1.0 0.0\n", "line 2: round 1 losses has 3 values, expected 2"),
+    ("2 1 1\n0.5 oops\n1.0 0.0\n", "line 2: round 1 losses holds a non-numeric value"),
+    ("2 1 1\n0.5 1.5\n1.0 0.0\n", "line 2: losses outside [0, 1]"),
+    ("2 1 1\n0.5 0.5\n0.9 0.3\n", "line 3: advice row is not a distribution"),
+    ("", "line 1: empty replay file"),
+    # Lines np.loadtxt skips or reads in its own way.
+    ("2 1 2\n0.5 0.5\n1.0 0.0\n\n0.0 1.0\n", "line 4: round 2 losses has 0 values, expected 2"),
+    ("2 1 2\n0.5 0.5\n1.0 0.0\n \t \n0.0 1.0\n",
+     "line 4: round 2 losses has 0 values, expected 2"),
+    ("2 1 2\n0.5 0.5\n1.0 0.0\n#0.5 0.5\n0.0 1.0\n",
+     "line 4: round 2 losses holds a non-numeric value"),
+    ("2 1 1\n0.5 0.5\n\n1.0 0.0\n", "line 4: trailing content after final round"),
+    ("2 1 1\n0.5 0.5\n1.0 0.0\n\n", "line 4: trailing content after final round"),
+    ("2 1 1\n\n\n", "line 2: round 1 losses has 0 values, expected 2"),
+    # A lone \r, which loadtxt rejects today; were it to break the line in
+    # two, the blank line below would hide the extra row.
+    ("2 1 2\n0.5 0.5\n1.0 0.0\r0.5 0.5\n\n0.0 1.0\n",
+     "line 3: round 1 advice 1 has 4 values, expected 2"),
+    # Values outside the rules.
+    ("2 1 2\n0.5 0.5\n1.0 0.0\n0.5 nan\n1.0 0.0\n", "line 4: losses outside [0, 1]"),
+    ("2 2 1\n0.5 0.5\n1.0 0.0\ninf 0.0\n", "line 4: advice row is not a distribution"),
+    ("2 1 1\n0.5 0.5\n0.5 0.500000002\n", "line 3: advice row is not a distribution"),
+    # Two bad lines: the first is named.
+    ("2 1 2\n0.5 0.5\n0.9 0.3\n0.5 1.5\n1.0 0.0\n", "line 3: advice row is not a distribution"),
+]
+
+# (file text, losses, advices) of well-formed files in other spellings.
+SPELLINGS = [
+    ("2 1 2\r\n0.5 0.5\r\n1.0 0.0\r\n0.25 0.75\r\n0.0 1.0\r\n",
+     [[0.5, 0.5], [0.25, 0.75]], [[[1.0, 0.0]], [[0.0, 1.0]]]),
+    ("2 1 2\n0.5\t0.5\n\t1.0 0.0\n0.25\t0.75\n0.0\t1.0",
+     [[0.5, 0.5], [0.25, 0.75]], [[[1.0, 0.0]], [[0.0, 1.0]]]),
+    ("2 1 1\n0.5\r0.5\n1.0 0.0\n", [[0.5, 0.5]], [[[1.0, 0.0]]]),
+    ("2 1 1\n0_0.5 0.5\n1_0e-1 0.0\n", [[0.5, 0.5]], [[[1.0, 0.0]]]),
+    ("2 1 1\n\u0660.\u0665 0.5\n\u0661 \uff10\n", [[0.5, 0.5]], [[[1.0, 0.0]]]),
+]
+
+
+class TestReplayParsers:
+    """The vectorised parse against the line parser."""
+
+    def _write(self, tmp_path, text):
+        try:
+            raw = text.encode(locale.getpreferredencoding(False))
+        except UnicodeEncodeError:
+            pytest.skip("the locale's encoding cannot write this file")
+        path = tmp_path / "replay.txt"
+        path.write_bytes(raw)
+        return str(path), raw
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_files_parse_to_equal_bits(self, tmp_path, seed):
+        rng = np.random.default_rng([51, seed])
+        num_arms, num_experts = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        rounds = awkward_rounds(rng, int(rng.integers(1, 60)), num_experts, num_arms)
+        path = str(tmp_path / "replay.txt")
+        save_replay(path, rounds)
+        raw = open(path, "rb").read()
+        columns = env_mod._parse_columns(raw)
+        assert columns is not None
+        lines = lines_parse(raw)
+        for replay in (columns, lines, load_replay(path)):
+            assert_bits_equal(replay.losses, np.array([r.losses for r in rounds]))
+            assert_bits_equal(replay.advices, np.array([r.advices for r in rounds]))
+
+    @pytest.mark.parametrize("text,message", MALFORMED)
+    def test_malformed_files_name_the_same_line(self, tmp_path, text, message):
+        path, raw = self._write(tmp_path, text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert env_mod._parse_columns(raw) is None
+        assert caught == []
+        with pytest.raises(ValueError) as lines_error:
+            lines_parse(raw)
+        with pytest.raises(ValueError) as load_error:
+            load_replay(path)
+        assert str(lines_error.value) == str(load_error.value) == message
+
+    @pytest.mark.parametrize("text,losses,advices", SPELLINGS)
+    def test_other_spellings_load_the_same_values(self, tmp_path, text, losses, advices):
+        path, raw = self._write(tmp_path, text)
+        expected = Replay(losses=np.array(losses), advices=np.array(advices))
+        columns = env_mod._parse_columns(raw)
+        for replay in (lines_parse(raw), load_replay(path)) + ((columns,) if columns else ()):
+            assert_bits_equal(replay.losses, expected.losses)
+            assert_bits_equal(replay.advices, expected.advices)
+
+    def test_bytes_outside_ascii_take_the_line_parser(self, tmp_path):
+        # loadtxt reads a byte stream as Latin-1, where 0xA0 separates values.
+        raw = b"2 1 1\n0.5\xa00.5\n1.0 0.0\n"
+        assert env_mod._parse_columns(raw) is None
+        path = tmp_path / "replay.txt"
+        path.write_bytes(raw)
+        try:
+            expected = lines_parse(raw)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                load_replay(str(path))
+        else:
+            assert_bits_equal(load_replay(str(path)).losses, expected.losses)
+
+    def test_crlf_and_tabs_take_the_vectorised_parse(self):
+        for text, _, _ in SPELLINGS[:2]:
+            assert env_mod._parse_columns(text.encode()) is not None
