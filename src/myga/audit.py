@@ -78,8 +78,7 @@ class RegretReport:
         return self.total_play_loss - self.best_expert_loss
 
 
-def check_round(trace: RoundTrace, gamma: float, num_arms: int,
-                tol: float = AUDIT_TOL) -> list[Violation]:
+def check_round(trace: RoundTrace, gamma: float, num_arms: int) -> list[Violation]:
     """Structural checks on one round's solved and played distributions."""
     k = trace.pivot
     zeta = trace.zeta_sorted.tolist()
@@ -129,31 +128,31 @@ def check_round(trace: RoundTrace, gamma: float, num_arms: int,
     short = floor - zeta_low
 
     violations: list[Violation] = []
-    if gap > tol:
+    if gap > AUDIT_TOL:
         violations.append(Violation(
             trace.t, "threshold_advice_proportionality", gap,
             "auxiliary majority advice is not a common rescale of the mixture"))
-    if table_gap > tol:
+    if table_gap > AUDIT_TOL:
         violations.append(Violation(
             trace.t, "removed_mass_table", table_gap,
             "the removed-mass table disagrees with the solved minority masses"))
-    if over > tol:
+    if over > AUDIT_TOL:
         violations.append(Violation(
             trace.t, "minority_cap", over,
             "solved mass exceeds the mixture on a minority arm"))
-    if under > tol:
+    if under > AUDIT_TOL:
         violations.append(Violation(
             trace.t, "majority_floor", under,
             "solved mass fell below the mixture on a majority arm"))
-    if short > tol:
+    if short > AUDIT_TOL:
         violations.append(Violation(
             trace.t, "pivot_mass_floor", short,
             f"majority mixture mass fell below 1/(2K) = {floor}"))
-    if shrink > tol:
+    if shrink > AUDIT_TOL:
         violations.append(Violation(
             trace.t, "play_mass_upper", shrink,
             "played mass exceeds the truncation growth factor"))
-    if drop > tol:
+    if drop > AUDIT_TOL:
         violations.append(Violation(
             trace.t, "play_mass_support", drop,
             "a played arm lost mass relative to the solved distribution"))
@@ -179,20 +178,19 @@ def _played_losses(trace: RoundTrace, losses: np.ndarray) -> tuple[float, float,
     return majority, minority, expected
 
 
-def _majority_loss_round(t: int, played: tuple[float, float, float], num_arms: int,
-                         tol: float) -> list[Violation]:
+def _majority_loss_round(t: int, played: tuple[float, float, float],
+                         num_arms: int) -> list[Violation]:
     majority_part, _, expected = played
     margin = majority_part - 2.0 * num_arms * expected
-    if not margin <= tol:
+    if not margin <= AUDIT_TOL:
         return [Violation(t, "majority_loss_round", margin,
                           "majority loss mass exceeded 2K times the expected loss")]
     return []
 
 
-def check_round_losses(trace: RoundTrace, losses: np.ndarray, num_arms: int,
-                       tol: float = AUDIT_TOL) -> list[Violation]:
+def check_round_losses(trace: RoundTrace, losses: np.ndarray, num_arms: int) -> list[Violation]:
     """Per-round majority loss domination against the expected play loss."""
-    return _majority_loss_round(trace.t, _played_losses(trace, losses), num_arms, tol)
+    return _majority_loss_round(trace.t, _played_losses(trace, losses), num_arms)
 
 
 def _fold(report: RegretReport, trace, losses: np.ndarray,
@@ -213,11 +211,10 @@ def accumulate(report: RegretReport, trace, losses: np.ndarray) -> RegretReport:
     return _fold(report, trace, losses, played)
 
 
-def check_majority_bound(report: RegretReport, num_arms: int,
-                         tol: float = AUDIT_TOL) -> tuple[bool, float]:
+def check_majority_bound(report: RegretReport, num_arms: int) -> tuple[bool, float]:
     """Cumulative majority loss domination: M <= 2K * total play loss."""
     margin = report.majority_loss - 2.0 * num_arms * report.total_play_loss
-    return margin <= tol, float(margin)
+    return margin <= AUDIT_TOL, float(margin)
 
 
 def theorem_bound_value(num_arms: int, num_experts: int, horizon: int,
@@ -238,10 +235,9 @@ class Auditor:
     """Streaming per-round checker and accumulator for one seeded run."""
 
     def __init__(self, num_arms: int, num_experts: int, gamma: float = 0.0,
-                 tol: float = AUDIT_TOL, enabled: bool = True):
+                 enabled: bool = True):
         self.num_arms = num_arms
         self.gamma = gamma
-        self.tol = tol
         self.enabled = enabled
         self.report = RegretReport.empty(num_experts)
         self.violations: list[Violation] = []
@@ -253,8 +249,8 @@ class Auditor:
         if isinstance(trace, RoundTrace):
             played = _played_losses(trace, losses)
             if self.enabled:
-                fresh = check_round(trace, self.gamma, self.num_arms, self.tol)
-                fresh += _majority_loss_round(trace.t, played, self.num_arms, self.tol)
+                fresh = check_round(trace, self.gamma, self.num_arms)
+                fresh += _majority_loss_round(trace.t, played, self.num_arms)
         _fold(self.report, trace, losses, played)
         self.violations.extend(fresh)
         return len(fresh)
@@ -262,7 +258,7 @@ class Auditor:
     def finalize(self) -> list[Violation]:
         """Run cumulative checks; returns all violations recorded for the run."""
         if self.enabled:
-            ok, margin = check_majority_bound(self.report, self.num_arms, self.tol)
+            ok, margin = check_majority_bound(self.report, self.num_arms)
             if not ok:
                 self.violations.append(Violation(
                     self.report.rounds, "majority_loss_cumulative", margin,

@@ -5,7 +5,7 @@ additionally zeroes every arm whose mixture mass is at or below gamma
 and renormalizes over the survivors, falling back to the plain mixture
 when that would remove everything.  Both charge experts through the
 same importance-weighted estimator as the main policy, through the
-same advise/update state machine; neither carries auxiliary experts, so
+same advise/update state machine and real-expert weights; neither carries auxiliary experts, so
 the thresholded variant's estimates are biased on the arms it refuses
 to play.
 """
@@ -58,30 +58,19 @@ def threshold_mixture(p: np.ndarray, gamma: float) -> np.ndarray:
 
 @dataclass
 class BaselineTrace:
+    """What one round's ``advise`` produced; nothing writes to it afterwards."""
+
     t: int
     advices: np.ndarray
     p_original: np.ndarray
-    arm_original: int | None = None
-    est_value: float | None = None
-    realized_loss: float | None = None
 
 
 class Exp4Policy(ExpertPolicy):
     """Exponential weights over the real experts alone."""
 
-    def __init__(self, config: Exp4Config, sample_rng=None):
-        super().__init__(config, sample_rng)
-        self.cum_loss = np.zeros(config.num_experts)
-
-    def _weights(self) -> np.ndarray:
-        w = np.exp(-self.cfg.eta * (self.cum_loss - self.cum_loss.min()))
-        return np.maximum(w, 1e-300)
-
     def _play(self, advices: np.ndarray) -> tuple[np.ndarray, BaselineTrace]:
-        p = simplex.weighted_average(advices, self._weights())
+        w = self._real_weights(float(self.real_loss.min()))
+        p = simplex.weighted_average(advices, w)
         if self.cfg.variant == "thresholded":
             p = threshold_mixture(p, self.cfg.gamma)
         return p, BaselineTrace(t=self.t, advices=advices, p_original=p)
-
-    def _charge(self, trace: BaselineTrace, arm_original: int, est: float) -> None:
-        self.cum_loss += trace.advices[:, arm_original] * est

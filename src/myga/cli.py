@@ -81,7 +81,6 @@ class SeedResult:
 class ExperimentResult:
     config: ExperimentConfig
     seed_results: list[SeedResult] = field(default_factory=list)
-    summary_rows: list[tuple] = field(default_factory=list)
 
     @property
     def any_violation(self) -> bool:
@@ -191,25 +190,23 @@ def execute(config: ExperimentConfig) -> ExperimentResult:
             result.seed_results.append(SeedResult(
                 seed=seed, eta=eta, gamma=gamma, report=report,
                 violations=violations, bound_pass=bound_pass))
-            summary_row = (
-                seed, report.regret, report.best_expert_loss,
-                report.majority_loss, report.minority_loss,
-                float(report.bound_value), int(bound_pass),
-            )
-            result.summary_rows.append(summary_row)
             if collect_rounds:
                 if rows:
                     emit_csv(rounds_fh, rows)
-                emit_csv(summary_fh, [summary_row])
+                emit_csv(summary_fh, [(
+                    seed, report.regret, report.best_expert_loss,
+                    report.majority_loss, report.minority_loss,
+                    float(report.bound_value), int(bound_pass),
+                )])
     return result
 
 
 def run(config: ExperimentConfig) -> int:
     """Execute a configuration and map the outcome to an exit code."""
     result = execute(config)
-    for row, seed_result in zip(result.summary_rows, result.seed_results):
+    for r in result.seed_results:
         print("seed={} R_T={} L_star={} violations={}".format(
-            row[0], _fmt(row[1]), _fmt(row[2]), len(seed_result.violations)))
+            r.seed, _fmt(r.report.regret), _fmt(r.report.best_expert_loss), len(r.violations)))
     return result.exit_code
 
 
@@ -273,45 +270,26 @@ class _Parser(argparse.ArgumentParser):
 def build_config(argv: list[str]) -> ExperimentConfig:
     parser = _Parser(prog="myga", description="Run a bandit policy on a seeded environment")
     parser.add_argument("--config", help="key=value configuration file")
-    parser.add_argument("--policy", choices=POLICIES)
-    parser.add_argument("--env", choices=KINDS)
-    parser.add_argument("--arms", type=int)
-    parser.add_argument("--experts", type=int)
-    parser.add_argument("--horizon", type=int)
-    parser.add_argument("--seed", help="comma-separated seed list")
-    parser.add_argument("--eta", type=float)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--grid-denominator", type=int, dest="grid_denominator")
-    parser.add_argument("--lstar", type=float)
-    parser.add_argument("--mu-star", type=float, dest="mu_star")
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--replay")
-    parser.add_argument("--audit", help="true/false")
-    parser.add_argument("--bound-factor", type=float, dest="bound_factor")
-    parser.add_argument("--out", help="prefix for <prefix>_rounds.csv and <prefix>_summary.csv")
-    args = parser.parse_args(argv)
+    for key in _FIELD_PARSERS:
+        if key != "seeds":   # the plural is a file-only spelling of seed
+            parser.add_argument("--" + key.replace("_", "-"), dest=key)
+    args = vars(parser.parse_args(argv))
 
     raw: dict[str, str] = {}
-    if args.config:
-        raw.update(parse_config_file(args.config))
-    flag_values = {
-        "policy": args.policy, "env": args.env, "arms": args.arms,
-        "experts": args.experts, "horizon": args.horizon, "seed": args.seed,
-        "eta": args.eta, "gamma": args.gamma,
-        "grid_denominator": args.grid_denominator, "lstar": args.lstar,
-        "mu_star": args.mu_star, "delta": args.delta, "replay": args.replay,
-        "audit": args.audit, "bound_factor": args.bound_factor, "out": args.out,
-    }
-    for key, value in flag_values.items():
-        if value is not None:
-            raw[key] = value
+    config_path = args.pop("config")
+    if config_path:
+        raw.update(parse_config_file(config_path))
+    raw.update({key: value for key, value in args.items() if value is not None})
 
     kwargs = {}
     for key, value in raw.items():
         if key not in _FIELD_PARSERS:
             raise ValueError(f"unknown configuration key {key!r}")
         name, parse = _FIELD_PARSERS[key]
-        kwargs[name] = parse(value) if isinstance(value, str) else value
+        try:
+            kwargs[name] = parse(value)
+        except ValueError as exc:   # the parser's message does not name the key
+            raise ValueError(f"{key}: {exc}") from exc
     return ExperimentConfig(**kwargs)
 
 

@@ -59,7 +59,7 @@ class MixtureWeights:
     base: float
     per_threshold: np.ndarray
 
-    def require(self, num_thresholds: int, tol: float = 1e-9) -> None:
+    def require(self, num_thresholds: int) -> None:
         per = np.asarray(self.per_threshold, dtype=float)
         if per.shape != (num_thresholds,):
             raise ValueError(
@@ -67,7 +67,7 @@ class MixtureWeights:
         if self.base <= 0.0 or (per.size and per.min() <= 0.0):
             raise ValueError("mixture weight shares must be strictly positive")
         total = self.base + float(per.sum())
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mixture weight shares sum to {total!r}, expected 1")
 
     @cached_property

@@ -246,30 +246,29 @@ class BlockShares:
 
 
 class WeightState:
-    """Cumulative estimated losses for the real and auxiliary experts.
+    """The threshold experts' weights, one ``BlockWeights`` over the grid.
 
-    Weights are exponential in cumulative loss.  They are materialized
-    with the lowest cumulative loss subtracted (the normalized shares are
-    exactly invariant to any common shift), so no overflow is possible and
-    the best expert always sits at weight 1.
+    The real experts' cumulative losses and weights live in
+    ``ExpertPolicy``.  A round puts both kinds on one scale by subtracting
+    the lowest cumulative loss of any expert (the normalized shares are
+    exactly invariant to a common shift), so no weight overflows and the
+    best expert sits at weight 1.
     """
 
-    def __init__(self, num_experts: int, num_thresholds: int, eta: float):
-        self.eta = eta
-        self.real_loss = np.zeros(num_experts)
+    def __init__(self, num_thresholds: int, eta: float):
         self.aux = BlockWeights(num_thresholds, eta)
 
-    def weights(self) -> tuple[np.ndarray, BlockWeights]:
-        """The real experts' weights and the rebased auxiliary block weights."""
-        shift = self.aux.rebase(float(self.real_loss.min()))
-        w_real = np.exp(-self.eta * (self.real_loss - shift))
-        np.maximum(w_real, _WEIGHT_FLOOR, out=w_real)
-        return w_real, self.aux
+    def weights(self, real_lowest: float) -> tuple[float, BlockWeights]:
+        """Rebase the blocks against the real experts' lowest loss; the shift and the blocks."""
+        return self.aux.rebase(real_lowest), self.aux
 
 
 @dataclass
 class RoundTrace:
-    """Everything one round produced, for the update step and the auditor."""
+    """Everything one round's ``advise`` produced, for the update step and the auditor.
+
+    Output only: nothing writes to a trace after ``advise`` returns.
+    """
 
     t: int
     advices: np.ndarray
@@ -285,20 +284,37 @@ class RoundTrace:
     minority_mass: float
     residual: float
     iterations: int
-    arm_original: int | None = None
-    arm_sorted: int | None = None
-    est_value: float | None = None
-    realized_loss: float | None = None
-    real_advice_at_played: np.ndarray | None = None
-    aux_advice_at_played: StepFunction | None = None
+
+
+def threshold_advice_at(trace: RoundTrace, arm_sorted: int) -> StepFunction:
+    """Every threshold expert's advice at the sorted arm, a step function over the grid.
+
+    On the minority side the thresholds strictly below the arm's mass keep
+    it and the rest remove it; on the majority side every threshold
+    rescales it by (majority + removed) / majority.
+    """
+    thresholds = trace.thresholds
+    q_at = trace.q_sorted.item(arm_sorted)
+    if arm_sorted < trace.pivot:
+        majority = trace.majority_mass
+        breaks, dropped = trace.dropped_table
+        return StepFunction(breaks, [(q_at / majority) * (majority + d) for d in dropped])
+    kept = int(np.searchsorted(thresholds, q_at, side="left"))
+    if 0 < kept < thresholds.size:
+        return StepFunction([0, kept], [q_at, 0.0])
+    if thresholds.size:
+        return StepFunction([0], [q_at if kept else 0.0])
+    return StepFunction([], [])
 
 
 class ExpertPolicy:
     """Single-threaded advise/update state machine over one run, shared by all policies.
 
-    A subclass supplies ``_play`` (advice -> play distribution and a trace
-    carrying ``t``, ``advices`` and ``p_original``) and ``_charge`` (the
-    experts' share of the round's loss estimate).
+    It holds the real experts: their cumulative estimated losses, their
+    charge and their weights.  A subclass supplies ``_play`` (advice ->
+    play distribution and a trace carrying ``t``, ``advices`` and
+    ``p_original``) and, if it has experts beyond the real ones, a
+    ``_charge`` for their share of the round's loss estimate.
     """
 
     def __init__(self, config, sample_rng=None):
@@ -307,6 +323,16 @@ class ExpertPolicy:
             else np.random.default_rng(sample_rng)
         self.t = 1
         self._awaiting_update = False
+        self.real_loss = np.zeros(config.num_experts)
+
+    def _real_weights(self, shift: float) -> np.ndarray:
+        """exp(-eta * (real_loss - shift)), floored at ``_WEIGHT_FLOOR``."""
+        w_real = np.exp(-self.cfg.eta * (self.real_loss - shift))
+        np.maximum(w_real, _WEIGHT_FLOOR, out=w_real)
+        return w_real
+
+    def _charge(self, trace, arm_original: int, est: float) -> None:
+        """Charge the experts beyond the real ones; a policy of real experts alone has none."""
 
     def advise(self, advices: np.ndarray):
         """Check the round's advice matrix, every row a distribution, and compute the play distribution."""
@@ -333,10 +359,8 @@ class ExpertPolicy:
         if trace.t != self.t:
             raise ValueError(f"trace from round {trace.t} given to round {self.t}")
         est = loss_estimate(trace.p_original, arm_original, observed_loss)
+        self.real_loss += trace.advices[:, arm_original] * est
         self._charge(trace, arm_original, est)
-        trace.arm_original = arm_original
-        trace.est_value = est
-        trace.realized_loss = float(observed_loss)
         self.t += 1
         self._awaiting_update = False
 
@@ -348,10 +372,11 @@ class MygaPolicy(ExpertPolicy):
         super().__init__(config, sample_rng)
         self.thresholds = require_grid(
             build_threshold_grid(config.gamma, config.grid_denominator))
-        self.state = WeightState(config.num_experts, self.thresholds.size, config.eta)
+        self.state = WeightState(self.thresholds.size, config.eta)
 
     def _play(self, advices: np.ndarray) -> tuple[np.ndarray, RoundTrace]:
-        w_real, aux = self.state.weights()
+        shift, aux = self.state.weights(float(self.real_loss.min()))
+        w_real = self._real_weights(shift)
         zeta_original = simplex.weighted_average(advices, w_real)
         zeta_sorted, perm = simplex.sort_descending(zeta_original)
         pivot = simplex.pivot_index(zeta_sorted)
@@ -379,24 +404,5 @@ class MygaPolicy(ExpertPolicy):
         return p_original, trace
 
     def _charge(self, trace: RoundTrace, arm_original: int, est: float) -> None:
-        arm_sorted = trace.perm.inverse.item(arm_original)
-        advice_column = trace.advices[:, arm_original].copy()
-        q_at = trace.q_sorted.item(arm_sorted)
-        if arm_sorted >= trace.pivot:
-            # The thresholds strictly below the arm's mass keep it, the rest remove it.
-            kept = int(np.searchsorted(self.thresholds, q_at, side="left"))
-            if 0 < kept < self.thresholds.size:
-                aux_at = StepFunction([0, kept], [q_at, 0.0])
-            elif self.thresholds.size:
-                aux_at = StepFunction([0], [q_at if kept else 0.0])
-            else:
-                aux_at = StepFunction([], [])
-        else:
-            majority = trace.majority_mass
-            breaks, dropped = trace.dropped_table
-            aux_at = StepFunction(breaks, [(q_at / majority) * (majority + d) for d in dropped])
-        self.state.real_loss += advice_column * est
+        aux_at = threshold_advice_at(trace, trace.perm.inverse.item(arm_original))
         self.state.aux.charge(StepFunction(aux_at.breaks, [a * est for a in aux_at.values]))
-        trace.arm_sorted = arm_sorted
-        trace.real_advice_at_played = advice_column
-        trace.aux_advice_at_played = aux_at

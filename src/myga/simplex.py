@@ -58,17 +58,15 @@ def validate(probs: np.ndarray, tol: float = SIMPLEX_TOL) -> bool:
     return _is_distribution(probs.tolist(), tol)
 
 
-def require_distribution(probs: np.ndarray, what: str = "distribution",
-                         tol: float = SIMPLEX_TOL) -> np.ndarray:
+def require_distribution(probs: np.ndarray, what: str = "distribution") -> np.ndarray:
     """Return ``probs`` as a float array, raising ValueError if it is not a distribution."""
     arr = np.asarray(probs, dtype=float)
-    if not validate(arr, tol):
+    if not validate(arr):
         raise ValueError(f"{what} is not a probability distribution: {arr!r}")
     return arr
 
 
-def require_distribution_rows(matrix: np.ndarray, what: str = "distribution",
-                              tol: float = SIMPLEX_TOL) -> np.ndarray:
+def require_distribution_rows(matrix: np.ndarray, what: str = "distribution") -> np.ndarray:
     """Return ``matrix`` as a float array, raising ValueError unless every row is a distribution.
 
     The rule is ``validate``'s, row by row.  The error names the first bad
@@ -77,12 +75,12 @@ def require_distribution_rows(matrix: np.ndarray, what: str = "distribution",
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim == 2:
         for i, row in enumerate(arr.tolist()):
-            if not _is_distribution(row, tol):
+            if not _is_distribution(row, SIMPLEX_TOL):
                 raise ValueError(
                     f"{what} row {i} is not a probability distribution: {arr[i]!r}")
         return arr
     for i, row in enumerate(arr):   # no row of a non-matrix is a distribution
-        if not validate(row, tol):
+        if not validate(row):
             raise ValueError(f"{what} row {i} is not a probability distribution: {row!r}")
     return arr
 

@@ -50,23 +50,39 @@ def dense_mass_table(minority_desc, thresholds):
     return table
 
 
-class DenseWeightState:
-    """Cumulative losses as one array per kind, weights as ``exp`` over the whole grid."""
+def block_losses(aux):
+    """Every threshold's cumulative loss in a ``BlockWeights``: block offset plus own part."""
+    return aux.loss + np.repeat(aux.block_loss, aux.width)[:aux.size]
 
-    def __init__(self, num_experts, num_thresholds, eta):
+
+def round_weights(policy):
+    """The real weights and the rebased threshold weights a round of ``policy`` plays with."""
+    shift, aux = policy.state.weights(float(policy.real_loss.min()))
+    return policy._real_weights(shift), aux
+
+
+def dense_threshold_advice(trace, arm_sorted):
+    """Every threshold expert's advice at the sorted arm, one entry per threshold."""
+    q_at = trace.q_sorted.item(arm_sorted)
+    if arm_sorted >= trace.pivot:
+        return np.where(trace.thresholds < q_at, q_at, 0.0)
+    return (q_at / trace.majority_mass) * (trace.majority_mass + trace.dropped_table)
+
+
+class DenseWeightState:
+    """The threshold experts' cumulative losses as one array, weights as ``exp`` over the grid."""
+
+    def __init__(self, num_thresholds, eta):
         self.eta = eta
-        self.real_loss = np.zeros(num_experts)
         self.aux_loss = np.zeros(num_thresholds)
 
-    def weights(self):
-        shift = float(self.real_loss.min())
+    def weights(self, real_lowest):
+        shift = real_lowest
         if self.aux_loss.size:
             shift = min(shift, float(self.aux_loss.min()))
-        w_real = np.exp(-self.eta * (self.real_loss - shift))
         w_aux = np.exp(-self.eta * (self.aux_loss - shift))
-        np.maximum(w_real, _WEIGHT_FLOOR, out=w_real)
         np.maximum(w_aux, _WEIGHT_FLOOR, out=w_aux)
-        return w_real, w_aux
+        return shift, w_aux
 
 
 class DensePolicy(MygaPolicy):
@@ -77,11 +93,11 @@ class DensePolicy(MygaPolicy):
 
     def __init__(self, config, sample_rng=None):
         super().__init__(config, sample_rng)
-        self.state = DenseWeightState(config.num_experts, self.thresholds.size, config.eta)
+        self.state = DenseWeightState(self.thresholds.size, config.eta)
         self.shares = None
 
     def _play(self, advices):
-        w_real, w_aux = self.state.weights()
+        w_real, w_aux = round_weights(self)
         zeta_original = weighted_average(advices, w_real)
         zeta_sorted, perm = sort_descending(zeta_original)
         pivot = pivot_index(zeta_sorted)
@@ -103,14 +119,4 @@ class DensePolicy(MygaPolicy):
 
     def _charge(self, trace, arm_original, est):
         arm_sorted = trace.perm.inverse.item(arm_original)
-        advice_column = trace.advices[:, arm_original].copy()
-        q_at = trace.q_sorted.item(arm_sorted)
-        if arm_sorted >= trace.pivot:
-            aux_at = np.where(self.thresholds < q_at, q_at, 0.0)
-        else:
-            aux_at = (q_at / trace.majority_mass) * (trace.majority_mass + trace.dropped_table)
-        self.state.real_loss += advice_column * est
-        self.state.aux_loss += aux_at * est
-        trace.arm_sorted = arm_sorted
-        trace.real_advice_at_played = advice_column
-        trace.aux_advice_at_played = aux_at
+        self.state.aux_loss += dense_threshold_advice(trace, arm_sorted) * est

@@ -6,6 +6,9 @@ methods: ``make()``, a fresh policy with two arms and two experts, and
 plays arm 1 with probability zero.
 """
 
+import copy
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -45,13 +48,33 @@ class RoundProtocolContract:
                 policy.update(trace, arm, 0.5)
         with pytest.raises(ValueError, match="loss"):
             policy.update(trace, 0, 1.5)
-        # The rejected updates changed nothing: the round still completes
-        # and the next round matches a policy that never saw them.
-        assert trace.arm_original is None
+        # The rejected updates changed nothing: the policy's round and real
+        # losses are a fresh policy's, the round still completes, and the
+        # next round matches a policy that never saw them.
+        assert policy.t == reference.t
+        np.testing.assert_array_equal(policy.real_loss, reference.real_loss)
         policy.update(trace, 0, 0.5)
         _, ref_trace = reference.advise(ADVICES)
         reference.update(ref_trace, 0, 0.5)
         np.testing.assert_array_equal(policy.advise(ADVICES)[0], reference.advise(ADVICES)[0])
+
+    def test_update_leaves_the_trace_unchanged(self):
+        policy = self.make()
+        for loss in (0.5, 0.0, 1.0):
+            p, trace = policy.advise(ADVICES)
+            before = copy.deepcopy(trace)
+            policy.update(trace, int(np.flatnonzero(p > 0.0)[0]), loss)
+            assert vars(trace).keys() == vars(before).keys()
+            for field in fields(trace):
+                got, want = getattr(trace, field.name), getattr(before, field.name)
+                assert type(got) is type(want), field.name
+                if isinstance(want, np.ndarray):
+                    np.testing.assert_array_equal(got, want, err_msg=field.name)
+                elif field.name == "perm":
+                    np.testing.assert_array_equal(got.forward, want.forward)
+                    np.testing.assert_array_equal(got.inverse, want.inverse)
+                else:
+                    assert got == want, field.name
 
     def test_rejects_advice_rows_that_are_not_distributions(self):
         policy, reference = self.make(), self.make()

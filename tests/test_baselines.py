@@ -101,8 +101,7 @@ class TestExp4Policy(RoundProtocolContract):
         p, trace = policy.advise(advices)
         policy.update(trace, 0, 0.7)
         est = 0.7 / p[0]
-        np.testing.assert_allclose(policy.cum_loss, [est, 0.4 * est], atol=1e-12)
-        assert trace.est_value == pytest.approx(est)
+        np.testing.assert_allclose(policy.real_loss, [est, 0.4 * est], atol=1e-12)
 
     def test_weights_track_cumulative_loss(self):
         policy = Exp4Policy(Exp4Config(num_arms=2, num_experts=2, eta=1.0),
@@ -112,7 +111,7 @@ class TestExp4Policy(RoundProtocolContract):
             p, trace = policy.advise(advices)
             arm = policy.sample(p)
             policy.update(trace, arm, 1.0 if arm == 0 else 0.0)
-        assert policy.cum_loss[0] > policy.cum_loss[1]
+        assert policy.real_loss[0] > policy.real_loss[1]
         p, _ = policy.advise(advices)
         assert p[1] > 0.9
 

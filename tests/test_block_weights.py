@@ -8,9 +8,11 @@ rounds of the dense policy in ``grid_reference``, both up to rounding.
 import numpy as np
 import pytest
 
-from grid_reference import DensePolicy, densify
+from grid_reference import (DensePolicy, block_losses, dense_threshold_advice, densify,
+                            round_weights)
 from myga.environments import EnvSpec, generate
-from myga.policy import BlockShares, BlockWeights, MygaConfig, MygaPolicy, schedule_parameters
+from myga.policy import (BlockShares, BlockWeights, MygaConfig, MygaPolicy, schedule_parameters,
+                         threshold_advice_at)
 from myga.truncation import StepFunction
 
 # Grid sizes: empty, one block (1 and 2: the block width is ceil(sqrt(G))),
@@ -105,13 +107,12 @@ def drift(policy, dense, spec, rounds, same_state):
     worst = dict.fromkeys(("q", "p", "base", "kept", "table", "advice"), 0.0)
     for t in range(1, rounds + 1):
         if same_state:
-            aux = policy.state.aux
-            dense.state.real_loss = policy.state.real_loss.copy()
-            dense.state.aux_loss = aux.loss + np.repeat(aux.block_loss, aux.width)[:size]
+            dense.real_loss = policy.real_loss.copy()
+            dense.state.aux_loss = block_losses(policy.state.aux)
         data = generate(spec, t)
         p, trace = policy.advise(data.advices)
         p_dense, reference = dense.advise(data.advices)
-        w_real, aux = policy.state.weights()
+        w_real, aux = round_weights(policy)
         shares = BlockShares(float(w_real.sum()), aux)
         gaps = dict(
             q=np.abs(trace.q_sorted - reference.q_sorted).max(),
@@ -124,8 +125,9 @@ def drift(policy, dense, spec, rounds, same_state):
         arm = policy.sample(p)
         policy.update(trace, arm, float(data.losses[arm]))
         dense.update(reference, arm, float(data.losses[arm]))
-        gaps["advice"] = np.abs(densify(trace.aux_advice_at_played, size)
-                                - reference.aux_advice_at_played).max(initial=0.0)
+        advice = threshold_advice_at(trace, trace.perm.inverse.item(arm))
+        gaps["advice"] = np.abs(densify(advice, size) - dense_threshold_advice(
+            reference, reference.perm.inverse.item(arm))).max(initial=0.0)
         worst = {key: max(worst[key], float(gaps[key])) for key in worst}
     return worst
 

@@ -133,7 +133,6 @@ class TestExecute:
         emitted = self.spy_emit_csv(monkeypatch)
         result = execute(self.base_config(seeds=(4, 1)))
         assert [r.seed for r in result.seed_results] == [1, 4]
-        assert [row[0] for row in result.summary_rows] == [1, 4]
         assert emitted == []
         assert result.exit_code == 0
 
@@ -321,6 +320,15 @@ class TestRunAndMain:
         code = main(["--policy", "greedy"])
         capsys.readouterr()
         assert code == 1
+
+    @pytest.mark.parametrize("key,value", [("arms", "x"), ("audit", "maybe"), ("seed", "1,a")])
+    def test_main_bad_value_names_its_key(self, tmp_path, capsys, key, value):
+        # Flag and file values go through one parser, which names the key.
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key}={value}\n")
+        for argv in (["--" + key, value], ["--config", str(path)]):
+            assert main(argv) == 1
+            assert f"myga: error: {key}: " in capsys.readouterr().err
 
     def test_main_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"

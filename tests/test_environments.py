@@ -1,5 +1,4 @@
 import locale
-import re
 import warnings
 
 import numpy as np
@@ -533,14 +532,15 @@ class TestReplayParsers:
 
     def test_bytes_outside_ascii_take_the_line_parser(self, tmp_path):
         # loadtxt reads a byte stream as Latin-1, where 0xA0 separates values.
+        # In an encoding that cannot decode it, the byte's line is named.
         raw = b"2 1 1\n0.5\xa00.5\n1.0 0.0\n"
         assert env_mod._parse_columns(raw) is None
         path = tmp_path / "replay.txt"
         path.write_bytes(raw)
         try:
             expected = lines_parse(raw)
-        except ValueError as exc:
-            with pytest.raises(ValueError, match=re.escape(str(exc))):
+        except UnicodeDecodeError:
+            with pytest.raises(ValueError, match=r"^line 2: byte 0xa0 is not valid "):
                 load_replay(str(path))
         else:
             assert_bits_equal(load_replay(str(path)).losses, expected.losses)

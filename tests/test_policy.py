@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from grid_reference import DensePolicy, densify
+from grid_reference import DensePolicy, block_losses, densify, round_weights
 from myga.fixed_point import MixtureWeights, mixture_residual, two_arm_fixed_point
-from myga.policy import (BlockShares, MygaConfig, MygaPolicy, WeightState,
-                         build_threshold_grid, loss_estimator,
-                         schedule_parameters)
+from myga.policy import (BlockShares, MygaConfig, MygaPolicy, build_threshold_grid,
+                         loss_estimator, schedule_parameters, threshold_advice_at)
 from myga.simplex import validate
 from myga.truncation import StepFunction, truncate
 from round_protocol import RoundProtocolContract
@@ -134,46 +133,54 @@ class TestLossEstimator:
             loss_estimator(np.array([0.5, 0.5]), 0, 1.5)
 
 
-def shares_of(state):
-    """The base share and every prefix's kept share of a ``WeightState``."""
-    w_real, aux = state.weights()
+def shares_of(policy):
+    """The base share and every prefix's kept share of a policy's weights."""
+    w_real, aux = round_weights(policy)
     shares = BlockShares(float(w_real.sum()), aux)
     return shares.base, np.array([shares.split(n)[0] for n in range(aux.size + 1)])
 
 
+def policy_with(num_experts, num_thresholds, eta):
+    """A policy over ``num_thresholds`` thresholds: (1/4, 1/2] on the 1/(4G) lattice."""
+    if not num_thresholds:
+        return make_policy(num_experts=num_experts, eta=eta, gamma=0.5, grid_denominator=4)
+    return make_policy(num_experts=num_experts, eta=eta, gamma=0.25,
+                       grid_denominator=4 * num_thresholds)
+
+
 class TestWeightState:
     def test_initial_weights_are_one(self):
-        state = WeightState(3, 2, 0.5)
-        w_real, aux = state.weights()
+        policy = policy_with(3, 2, 0.5)
+        w_real, aux = round_weights(policy)
         np.testing.assert_array_equal(w_real, [1.0, 1.0, 1.0])
         assert [aux.prefix(n) for n in range(3)] == [0.0, 1.0, 2.0]
         assert aux.total == 2.0
 
     def test_best_expert_pins_weight_one(self):
-        state = WeightState(3, 0, 0.7)
-        state.real_loss += np.array([2.0, 5.0, 3.5])
-        w_real, aux = state.weights()
+        policy = policy_with(3, 0, 0.7)
+        policy.real_loss += np.array([2.0, 5.0, 3.5])
+        w_real, aux = round_weights(policy)
         assert w_real[0] == 1.0
         assert np.all(w_real <= 1.0)
         assert aux.total == 0.0
 
     def test_best_auxiliary_expert_pins_weight_one(self):
-        state = WeightState(2, 5, 0.7)
-        state.real_loss += np.array([2.0, 5.0])
-        state.aux.charge(StepFunction([0, 2, 3], [4.0, 1.0, 3.0]))
-        w_real, aux = state.weights()
+        policy = policy_with(2, 5, 0.7)
+        policy.real_loss += np.array([2.0, 5.0])
+        policy.state.aux.charge(StepFunction([0, 2, 3], [4.0, 1.0, 3.0]))
+        w_real, aux = round_weights(policy)
         assert aux.prefix(3) - aux.prefix(2) == pytest.approx(1.0, rel=1e-15)
         np.testing.assert_allclose(w_real, np.exp(-0.7 * np.array([1.0, 4.0])), rtol=1e-15)
 
     def test_common_shift_leaves_shares_unchanged(self):
-        state = WeightState(4, 3, 0.3)
+        policy = policy_with(4, 3, 0.3)
         rng = np.random.default_rng(41)
-        state.real_loss += rng.uniform(0.0, 20.0, size=4)
-        state.aux.charge(StepFunction([0, 1, 2], rng.uniform(0.0, 20.0, size=3).tolist()))
-        base, kept = shares_of(state)
-        state.real_loss += 1000.0
-        state.aux.charge(StepFunction([0], [1000.0]))
-        base2, kept2 = shares_of(state)
+        policy.real_loss += rng.uniform(0.0, 20.0, size=4)
+        policy.state.aux.charge(StepFunction([0, 1, 2], rng.uniform(0.0, 20.0, size=3).tolist()))
+        base, kept = shares_of(policy)
+        policy.real_loss += 1000.0
+        policy.state.aux.charge(StepFunction([0], [1000.0]))
+        base2, kept2 = shares_of(policy)
         assert base2 == pytest.approx(base, rel=1e-12)
         np.testing.assert_allclose(kept2, kept, rtol=1e-12)
 
@@ -184,13 +191,13 @@ class TestWeightState:
         config = MygaConfig(num_arms=2, num_experts=2, horizon=1, eta=1.0, gamma=0.25,
                             grid_denominator=8)
         policy, dense = MygaPolicy(config), DensePolicy(config)
-        for state in (policy.state, dense.state):
-            state.real_loss += np.array([0.0, 1e6])
+        for each in (policy, dense):
+            each.real_loss += np.array([0.0, 1e6])
         policy.state.aux.charge(StepFunction([0], [2e6]))
         dense.state.aux_loss += 2e6
-        w_real, aux = policy.state.weights()
+        w_real, aux = round_weights(policy)
         assert w_real[1] > 0.0 and np.isfinite(w_real).all()
-        assert aux.total == 0.0 and dense.state.weights()[1][0] == 1e-300
+        assert aux.total == 0.0 and round_weights(dense)[1][0] == 1e-300
         advices = np.array([[0.7, 0.3], [0.2, 0.8]])
         _, trace = policy.advise(advices)
         _, reference = dense.advise(advices)
@@ -287,22 +294,29 @@ class TestMygaPolicyUpdate(RoundProtocolContract):
 
     def test_auxiliary_charge_matches_literal_truncation(self):
         # The closed-form advice value at the played arm must equal the
-        # full truncation evaluated there, on both sides of the pivot.
+        # full truncation evaluated there, on both sides of the pivot, and
+        # ``update`` must charge each threshold expert that advice times
+        # the loss estimate.
         rng = np.random.default_rng(61)
         policy = make_policy(num_arms=6, num_experts=3, eta=0.3, gamma=0.125,
                              grid_denominator=8, horizon=50)
+        aux = policy.state.aux
         seen_minority = seen_majority = 0
         for _ in range(60):
             advices = rng.dirichlet(np.ones(6) * 0.7, size=3)
             p, trace = policy.advise(advices)
             support = np.flatnonzero(trace.p_original > 0.0)
             arm = int(rng.choice(support))
-            policy.update(trace, arm, float(rng.uniform()))
-            arm_sorted = trace.arm_sorted
+            loss = float(rng.uniform())
+            before = block_losses(aux)
+            policy.update(trace, arm, loss)
+            arm_sorted = trace.perm.inverse.item(arm)
+            advice = densify(threshold_advice_at(trace, arm_sorted), aux.size)
             literal = np.array([truncate(trace.q_sorted, trace.pivot, float(s))[arm_sorted]
                                 for s in trace.thresholds])
-            np.testing.assert_allclose(densify(trace.aux_advice_at_played, literal.size),
-                                       literal, atol=1e-12)
+            np.testing.assert_allclose(advice, literal, atol=1e-12)
+            np.testing.assert_allclose(block_losses(aux) - before, advice * (loss / p[arm]),
+                                       atol=1e-12)
             if arm_sorted >= trace.pivot:
                 seen_minority += 1
             else:
@@ -314,13 +328,10 @@ class TestMygaPolicyUpdate(RoundProtocolContract):
         advices = np.array([[1.0, 0.0], [0.4, 0.6]])
         p, trace = policy.advise(advices)
         arm = int(np.flatnonzero(p > 0.0)[0])
-        before = policy.state.real_loss.copy()
+        before = policy.real_loss.copy()
         policy.update(trace, arm, 0.5)
-        est = 0.5 / trace.p_sorted[trace.arm_sorted]
-        np.testing.assert_allclose(policy.state.real_loss - before,
-                                   advices[:, arm] * est, atol=1e-12)
-        assert trace.est_value == pytest.approx(est)
-        assert trace.realized_loss == 0.5
+        est = 0.5 / p[arm]
+        np.testing.assert_allclose(policy.real_loss - before, advices[:, arm] * est, atol=1e-12)
 
     def test_update_shifts_weight_toward_better_expert(self):
         # Arm 0 always loses, arm 1 is free; the expert recommending arm 1
@@ -331,5 +342,5 @@ class TestMygaPolicyUpdate(RoundProtocolContract):
             p, trace = policy.advise(advices)
             arm = policy.sample(p)
             policy.update(trace, arm, 1.0 if arm == 0 else 0.0)
-        w_real, _ = policy.state.weights()
+        w_real, _ = round_weights(policy)
         assert w_real[1] > w_real[0]
