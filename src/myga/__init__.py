@@ -8,7 +8,6 @@ invariant auditor, and a CSV-emitting experiment harness.
 
 from .audit import Auditor, RegretReport, Violation
 from .baselines import Exp4Config, Exp4Policy
-from .cli import ExperimentConfig, execute, run
 from .environments import EnvSpec, Replay, RoundData, generate, load_replay, save_replay
 from .fixed_point import MixtureWeights, mixture_residual, solve_fixed_point, two_arm_fixed_point
 from .policy import (MygaConfig, MygaPolicy, RoundTrace, build_threshold_grid,
@@ -18,11 +17,10 @@ from .truncation import truncate
 
 __all__ = [
     "ArmPermutation", "Auditor", "EnvSpec", "Exp4Config", "Exp4Policy",
-    "ExperimentConfig", "MixtureWeights", "MygaConfig", "MygaPolicy",
-    "RegretReport", "Replay", "RoundData", "RoundTrace", "Violation",
-    "build_threshold_grid", "execute", "generate", "load_replay",
-    "loss_estimator", "mixture_residual", "pivot_index", "run",
-    "sample_index", "save_replay", "schedule_parameters", "solve_fixed_point",
-    "sort_descending", "truncate", "two_arm_fixed_point",
-    "weighted_average",
+    "MixtureWeights", "MygaConfig", "MygaPolicy", "RegretReport", "Replay",
+    "RoundData", "RoundTrace", "Violation", "build_threshold_grid",
+    "generate", "load_replay", "loss_estimator", "mixture_residual",
+    "pivot_index", "sample_index", "save_replay", "schedule_parameters",
+    "solve_fixed_point", "sort_descending", "truncate",
+    "two_arm_fixed_point", "weighted_average",
 ]

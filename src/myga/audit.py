@@ -63,7 +63,6 @@ class RegretReport:
     majority_loss: float = 0.0
     minority_loss: float = 0.0
     rounds: int = 0
-    bound_value: float | None = None
 
     @classmethod
     def empty(cls, num_experts: int) -> "RegretReport":
@@ -165,7 +164,7 @@ def _played_losses(trace: RoundTrace, losses: np.ndarray) -> tuple[float, float,
     Arms are taken in sorted order and added one at a time, the order in
     which NumPy sums arrays of fewer than eight entries.
     """
-    losses_sorted = trace.perm.to_sorted(np.asarray(losses, dtype=float)).tolist()
+    losses_sorted = trace.perm.to_sorted(losses).tolist()
     k = trace.pivot
     majority = minority = expected = 0.0
     for i, (mass, loss) in enumerate(zip(trace.p_sorted.tolist(), losses_sorted)):
@@ -178,57 +177,11 @@ def _played_losses(trace: RoundTrace, losses: np.ndarray) -> tuple[float, float,
     return majority, minority, expected
 
 
-def _majority_loss_round(t: int, played: tuple[float, float, float],
-                         num_arms: int) -> list[Violation]:
-    majority_part, _, expected = played
-    margin = majority_part - 2.0 * num_arms * expected
-    if not margin <= AUDIT_TOL:
-        return [Violation(t, "majority_loss_round", margin,
-                          "majority loss mass exceeded 2K times the expected loss")]
-    return []
-
-
-def check_round_losses(trace: RoundTrace, losses: np.ndarray, num_arms: int) -> list[Violation]:
-    """Per-round majority loss domination against the expected play loss."""
-    return _majority_loss_round(trace.t, _played_losses(trace, losses), num_arms)
-
-
-def _fold(report: RegretReport, trace, losses: np.ndarray,
-          played: tuple[float, float, float] | None) -> RegretReport:
-    losses = np.asarray(losses, dtype=float)
-    report.total_play_loss += float(trace.p_original @ losses)
-    report.per_expert_loss += trace.advices @ losses
-    report.rounds += 1
-    if played is not None:
-        report.majority_loss += played[0]
-        report.minority_loss += played[1]
-    return report
-
-
-def accumulate(report: RegretReport, trace, losses: np.ndarray) -> RegretReport:
-    """Fold one round into the report: play loss, expert losses, loss split."""
-    played = _played_losses(trace, losses) if isinstance(trace, RoundTrace) else None
-    return _fold(report, trace, losses, played)
-
-
-def check_majority_bound(report: RegretReport, num_arms: int) -> tuple[bool, float]:
-    """Cumulative majority loss domination: M <= 2K * total play loss."""
-    margin = report.majority_loss - 2.0 * num_arms * report.total_play_loss
-    return margin <= AUDIT_TOL, float(margin)
-
-
 def theorem_bound_value(num_arms: int, num_experts: int, horizon: int,
                         l_star: float) -> float:
     """sqrt(K * log(E*T) * L) + K * log(E*T), the first-order regret scale."""
     width = num_arms * math.log(num_experts * horizon)
     return math.sqrt(width * max(l_star, 0.0)) + width
-
-
-def evaluate_theorem_bound(report: RegretReport, num_arms: int, num_experts: int,
-                           horizon: int, l_star: float, factor: float = 10.0) -> bool:
-    """Record the bound scale on the report and test regret against factor times it."""
-    report.bound_value = theorem_bound_value(num_arms, num_experts, horizon, l_star)
-    return report.regret <= factor * report.bound_value
 
 
 class Auditor:
@@ -243,23 +196,40 @@ class Auditor:
         self.violations: list[Violation] = []
 
     def observe_round(self, trace, losses: np.ndarray) -> int:
-        """Check and accumulate one round; returns this round's violation count."""
-        fresh: list[Violation] = []
-        played = None
-        if isinstance(trace, RoundTrace):
-            played = _played_losses(trace, losses)
-            if self.enabled:
-                fresh = check_round(trace, self.gamma, self.num_arms)
-                fresh += _majority_loss_round(trace.t, played, self.num_arms)
-        _fold(self.report, trace, losses, played)
+        """Check and accumulate one round; returns this round's violation count.
+
+        Every trace adds to the play and expert losses; only a ``RoundTrace``
+        has a pivot, so only it splits its loss into majority and minority
+        parts and is checked.
+        """
+        losses = np.asarray(losses, dtype=float)
+        report = self.report
+        report.total_play_loss += float(trace.p_original @ losses)
+        report.per_expert_loss += trace.advices @ losses
+        report.rounds += 1
+        if not isinstance(trace, RoundTrace):
+            return 0
+        majority, minority, expected = _played_losses(trace, losses)
+        report.majority_loss += majority
+        report.minority_loss += minority
+        if not self.enabled:
+            return 0
+        fresh = check_round(trace, self.gamma, self.num_arms)
+        margin = majority - 2.0 * self.num_arms * expected
+        if not margin <= AUDIT_TOL:
+            fresh.append(Violation(trace.t, "majority_loss_round", margin,
+                                   "majority loss mass exceeded 2K times the expected loss"))
         self.violations.extend(fresh)
         return len(fresh)
 
     def finalize(self) -> list[Violation]:
-        """Run cumulative checks; returns all violations recorded for the run."""
+        """Run cumulative checks; returns all violations recorded for the run.
+
+        Cumulative majority loss domination: M <= 2K * total play loss.
+        """
         if self.enabled:
-            ok, margin = check_majority_bound(self.report, self.num_arms)
-            if not ok:
+            margin = self.report.majority_loss - 2.0 * self.num_arms * self.report.total_play_loss
+            if not margin <= AUDIT_TOL:
                 self.violations.append(Violation(
                     self.report.rounds, "majority_loss_cumulative", margin,
                     "cumulative majority loss exceeded 2K times the play loss"))

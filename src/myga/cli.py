@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audit import Auditor, RegretReport, Violation, evaluate_theorem_bound
+from .audit import Auditor, RegretReport, Violation, theorem_bound_value
 from .baselines import Exp4Config, Exp4Policy
-from .environments import KINDS, EnvSpec, generate
+from .environments import KINDS, EnvSpec, generate, replay_for
 from .policy import MygaConfig, MygaPolicy, schedule_parameters
 
 POLICIES = ("myga", "exp4", "exp4_threshold")
@@ -113,29 +114,13 @@ def emit_csv(fh, rows: list[tuple]) -> None:
     fh.flush()
 
 
-def _build_policy(config: ExperimentConfig, seed: int) -> tuple[object, float, float]:
-    l_star = config.l_star if config.l_star is not None else float(config.horizon)
-    eta, gamma = schedule_parameters(config.num_arms, config.num_experts,
-                                     config.horizon, l_star, config.grid_denominator)
-    if config.eta is not None:
-        eta = config.eta
-    if config.gamma is not None:
-        gamma = config.gamma
-    rng = np.random.default_rng([seed, SAMPLE_STREAM_SALT])
-    if config.policy == "myga":
-        cfg = MygaConfig(num_arms=config.num_arms, num_experts=config.num_experts,
-                         horizon=config.horizon, eta=eta, gamma=gamma,
-                         grid_denominator=config.grid_denominator)
-        return MygaPolicy(cfg, sample_rng=rng), eta, gamma
-    variant = "thresholded" if config.policy == "exp4_threshold" else "plain"
-    cfg = Exp4Config(num_arms=config.num_arms, num_experts=config.num_experts,
-                     eta=eta, variant=variant,
-                     gamma=gamma if variant == "thresholded" else 0.0)
-    return Exp4Policy(cfg, sample_rng=rng), eta, gamma
-
-
 def execute(config: ExperimentConfig) -> ExperimentResult:
     """Run every seed and return reports and violations.
+
+    The run is resolved once, before either file is opened: the first
+    seed's environment, the schedule, the policy configuration, the replay
+    file and the bound.  A seed then makes only its environment, sample
+    stream, policy and auditor.
 
     With ``out`` set, both CSV files are created with their headers before
     round 1, so an unwritable prefix fails before any round is computed.
@@ -144,21 +129,45 @@ def execute(config: ExperimentConfig) -> ExperimentResult:
     holds at most one chunk of rows, and a run that stops keeps every
     chunk already written.
     """
+    seeds = sorted(config.seeds)
+    first_spec = EnvSpec(kind=config.env, num_arms=config.num_arms,
+                         num_experts=config.num_experts, horizon=config.horizon,
+                         seed=seeds[0], mu_star=config.mu_star, delta=config.delta,
+                         replay_path=config.replay_path)
+    l_star = config.l_star if config.l_star is not None else float(config.horizon)
+    eta, gamma = schedule_parameters(config.num_arms, config.num_experts,
+                                     config.horizon, l_star, config.grid_denominator)
+    if config.eta is not None:
+        eta = config.eta
+    if config.gamma is not None:
+        gamma = config.gamma
+    if config.policy == "myga":
+        make_policy = MygaPolicy
+        policy_config = MygaConfig(num_arms=config.num_arms, num_experts=config.num_experts,
+                                   horizon=config.horizon, eta=eta, gamma=gamma,
+                                   grid_denominator=config.grid_denominator)
+    else:
+        variant = "thresholded" if config.policy == "exp4_threshold" else "plain"
+        make_policy = Exp4Policy
+        policy_config = Exp4Config(num_arms=config.num_arms, num_experts=config.num_experts,
+                                   eta=eta, variant=variant,
+                                   gamma=gamma if variant == "thresholded" else 0.0)
+    if first_spec.kind == "replay":
+        replay_for(first_spec, restat=True)
+    bound_value = theorem_bound_value(config.num_arms, config.num_experts,
+                                      config.horizon, l_star)
+
     result = ExperimentResult(config=config)
     collect_rounds = config.out is not None
-    l_star_for_bound = config.l_star if config.l_star is not None else float(config.horizon)
-
     with contextlib.ExitStack() as files:
         if collect_rounds:
             rounds_path, summary_path = _csv_paths(config.out)
             rounds_fh = files.enter_context(_open_csv(rounds_path, ROUND_HEADER))
             summary_fh = files.enter_context(_open_csv(summary_path, SUMMARY_HEADER))
-        for seed in sorted(config.seeds):
-            spec = EnvSpec(kind=config.env, num_arms=config.num_arms,
-                           num_experts=config.num_experts, horizon=config.horizon,
-                           seed=seed, mu_star=config.mu_star, delta=config.delta,
-                           replay_path=config.replay_path)
-            pol, eta, gamma = _build_policy(config, seed)
+        for seed in seeds:
+            spec = dataclasses.replace(first_spec, seed=seed)
+            pol = make_policy(policy_config,
+                              sample_rng=np.random.default_rng([seed, SAMPLE_STREAM_SALT]))
             auditor = Auditor(config.num_arms, config.num_experts, gamma=gamma,
                               enabled=config.audit)
             rows: list[tuple] = []
@@ -184,9 +193,7 @@ def execute(config: ExperimentConfig) -> ExperimentResult:
                         rows = []
             violations = auditor.finalize()
             report = auditor.report
-            bound_pass = evaluate_theorem_bound(
-                report, config.num_arms, config.num_experts, config.horizon,
-                l_star_for_bound, config.bound_factor)
+            bound_pass = report.regret <= config.bound_factor * bound_value
             result.seed_results.append(SeedResult(
                 seed=seed, eta=eta, gamma=gamma, report=report,
                 violations=violations, bound_pass=bound_pass))
@@ -196,7 +203,7 @@ def execute(config: ExperimentConfig) -> ExperimentResult:
                 emit_csv(summary_fh, [(
                     seed, report.regret, report.best_expert_loss,
                     report.majority_loss, report.minority_loss,
-                    float(report.bound_value), int(bound_pass),
+                    bound_value, int(bound_pass),
                 )])
     return result
 

@@ -6,7 +6,7 @@ so rounds can be produced in any order and always reproduce
 byte-for-byte.  The generator is a PCG64 seeded from a precomputed hash:
 NumPy's ``SeedSequence`` algorithm run once, vectorised, over a chunk of
 rounds per seed, with the chunks kept in a small bounded cache (see
-``_stream_words``).  Losses live in [0, 1]; advice rows are
+``_stream_table``).  Losses live in [0, 1]; advice rows are
 distributions over arms.  A generated round makes a fixed, small number
 of NumPy calls whatever the expert count: each draw is one call for the
 whole advice matrix or loss vector.
@@ -107,11 +107,10 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
-# Rounds hashed per (seed, chunk) and chunks kept.  A power of two divides
-# 2**32, so every round of a chunk has the same number of 32-bit words.
+# Rounds hashed per (seed, chunk); ``_stream_table`` keeps 16 chunks.  A
+# power of two divides 2**32, so every round of a chunk has the same number
+# of 32-bit words.
 _STREAM_CHUNK = 1024
-_STREAM_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_STREAM_CACHE_SIZE = 16
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -173,18 +172,16 @@ def _seed_sequence_words(seed: int, first: int, count: int) -> np.ndarray:
     return words
 
 
+@lru_cache(maxsize=16)
+def _stream_table(seed: int, chunk: int) -> np.ndarray:
+    """The PCG64 seed words of the rounds of one (seed, chunk), read-only."""
+    return _seed_sequence_words(seed, chunk * _STREAM_CHUNK, _STREAM_CHUNK)
+
+
 def _stream_words(seed: int, t: int) -> np.ndarray:
-    """The four PCG64 seed words of round t, a read-only row of the
-    (seed, chunk) cache."""
+    """The four PCG64 seed words of round t, a read-only row of its chunk's table."""
     chunk, row = divmod(t, _STREAM_CHUNK)
-    key = (seed, chunk)
-    table = _STREAM_CACHE.get(key)
-    if table is None:
-        if len(_STREAM_CACHE) >= _STREAM_CACHE_SIZE:
-            del _STREAM_CACHE[next(iter(_STREAM_CACHE))]
-        table = _STREAM_CACHE[key] = _seed_sequence_words(
-            seed, chunk * _STREAM_CHUNK, _STREAM_CHUNK)
-    return table[row]
+    return _stream_table(seed, chunk)[row]
 
 
 class _RoundSeed(ISeedSequence):
@@ -267,15 +264,17 @@ _REPLAY_CACHE: dict[str, tuple[tuple[int, int], Replay]] = {}
 _REPLAY_CACHE_SIZE = 8
 
 
-def _load_replay_cached(path: str, restat: bool) -> Replay:
-    """The parsed replay of a file, reparsed when its mtime or size changed.
+def replay_for(spec: EnvSpec, restat: bool) -> Replay:
+    """The replay kind's parsed file, reparsed when its mtime or size changed,
+    and checked to hold the spec's horizon.
 
     The file is stat'ed only when ``restat`` is set, which ``generate`` does
-    at round 1 of every run: a stat costs a noticeable share of a replay
-    round, and a file rewritten in the middle of a run is not followed.  A
-    rewrite that keeps the size within the file system's timestamp
-    granularity is not seen either.
+    at round 1 of every run and ``cli.execute`` before it opens its output:
+    a stat costs a noticeable share of a replay round, and a file rewritten
+    in the middle of a run is not followed.  A rewrite that keeps the size
+    within the file system's timestamp granularity is not seen either.
     """
+    path = spec.replay_path
     entry = _REPLAY_CACHE.get(path)
     if entry is None or restat:
         info = os.stat(path)
@@ -285,6 +284,9 @@ def _load_replay_cached(path: str, restat: bool) -> Replay:
             if len(_REPLAY_CACHE) >= _REPLAY_CACHE_SIZE:
                 del _REPLAY_CACHE[next(iter(_REPLAY_CACHE))]
             entry = _REPLAY_CACHE[path] = (stamp, load_replay(path))
+    rounds = len(entry[1].losses)
+    if rounds < spec.horizon:
+        raise ValueError(f"replay {path} holds {rounds} rounds, horizon is {spec.horizon}")
     return entry[1]
 
 
@@ -298,12 +300,8 @@ def generate(spec: EnvSpec, t: int) -> RoundData:
         return _stochastic_gap_round(spec, t)
     if spec.kind == "adversarial_minority":
         return _adversarial_minority_round(spec, t)
-    replay = _load_replay_cached(spec.replay_path, restat=t == 1)
-    losses = replay.losses
-    if len(losses) < spec.horizon:
-        raise ValueError(
-            f"replay {spec.replay_path} holds {len(losses)} rounds, horizon is {spec.horizon}")
-    return RoundData(advices=replay.advices[t - 1].copy(), losses=losses[t - 1].copy())
+    replay = replay_for(spec, restat=t == 1)
+    return RoundData(advices=replay.advices[t - 1].copy(), losses=replay.losses[t - 1].copy())
 
 
 def _format_row(values: list) -> str:

@@ -4,9 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from myga.audit import (Auditor, RegretReport, Violation, accumulate,
-                        check_majority_bound, check_round, check_round_losses,
-                        evaluate_theorem_bound, theorem_bound_value)
+from myga.audit import Auditor, RegretReport, Violation, check_round, theorem_bound_value
 from myga.baselines import BaselineTrace
 from myga.environments import EnvSpec, generate
 from myga.policy import MygaConfig, MygaPolicy, RoundTrace, schedule_parameters
@@ -113,6 +111,19 @@ def reference_check_round(trace, gamma, num_arms, tol=1e-9):
     return violations
 
 
+def observed(trace, losses, num_arms, gamma=0.0):
+    """A fresh auditor after it has observed one round."""
+    auditor = Auditor(num_arms=num_arms, num_experts=trace.advices.shape[0], gamma=gamma)
+    auditor.observe_round(trace, losses)
+    return auditor
+
+
+def loss_violations(trace, losses, num_arms):
+    """The round's majority-loss violations, as a fresh auditor records them."""
+    return [v for v in observed(trace, losses, num_arms).violations
+            if v.rule == "majority_loss_round"]
+
+
 def reference_check_round_losses(trace, losses, num_arms, tol=1e-9):
     """Per-round majority loss domination as whole-array NumPy expressions."""
     losses_sorted = trace.perm.to_sorted(np.asarray(losses, dtype=float))
@@ -144,8 +155,7 @@ class TestAccumulate:
         trace = make_trace(zeta_sorted=[1.0, 0.0], pivot=1,
                            q_sorted=[1.0, 0.0], p_sorted=[1.0, 0.0],
                            advices=[[1.0, 0.0], [1.0, 0.0]])
-        report = RegretReport.empty(2)
-        accumulate(report, trace, np.array([0.3, 0.9]))
+        report = observed(trace, np.array([0.3, 0.9]), num_arms=2).report
         assert report.total_play_loss == pytest.approx(0.3, abs=1e-15)
         assert report.majority_loss == pytest.approx(0.3, abs=1e-15)
         assert report.minority_loss == 0.0
@@ -158,9 +168,8 @@ class TestAccumulate:
         trace = make_trace(zeta_sorted=[0.4, 0.3, 0.2, 0.1], pivot=2,
                            q_sorted=[0.45, 0.33, 0.15, 0.07],
                            p_sorted=[0.48, 0.36, 0.16, 0.0])
-        report = RegretReport.empty(2)
         losses = np.array([0.2, 0.4, 0.6, 0.8])
-        accumulate(report, trace, losses)
+        report = observed(trace, losses, num_arms=4).report
         assert report.majority_loss == pytest.approx(0.6, abs=1e-15)
         assert report.minority_loss == pytest.approx(0.6, abs=1e-15)
         assert report.total_play_loss == pytest.approx(
@@ -169,8 +178,10 @@ class TestAccumulate:
     def test_baseline_trace_skips_split(self):
         trace = BaselineTrace(t=1, advices=np.array([[0.5, 0.5]]),
                               p_original=np.array([0.5, 0.5]))
-        report = RegretReport.empty(1)
-        accumulate(report, trace, np.array([1.0, 0.0]))
+        auditor = Auditor(num_arms=2, num_experts=1)
+        assert auditor.observe_round(trace, np.array([1.0, 0.0])) == 0
+        report = auditor.report
+        assert auditor.violations == []
         assert report.total_play_loss == 0.5
         assert report.majority_loss == 0.0
         assert report.minority_loss == 0.0
@@ -249,34 +260,42 @@ class TestCheckRoundLosses:
     def test_majority_loss_within_factor_passes(self):
         trace = make_trace(zeta_sorted=[0.7, 0.3], pivot=1,
                            q_sorted=[0.7, 0.3], p_sorted=[0.7, 0.3])
-        assert check_round_losses(trace, np.array([1.0, 0.0]), num_arms=2) == []
+        assert loss_violations(trace, np.array([1.0, 0.0]), num_arms=2) == []
 
     def test_starved_majority_play_is_flagged(self):
         trace = make_trace(zeta_sorted=[0.7, 0.3], pivot=1,
                            q_sorted=[0.7, 0.3], p_sorted=[0.01, 0.99])
-        violations = check_round_losses(trace, np.array([1.0, 0.0]), num_arms=2)
+        violations = loss_violations(trace, np.array([1.0, 0.0]), num_arms=2)
         assert [v.rule for v in violations] == ["majority_loss_round"]
         assert violations[0].margin == pytest.approx(1.0 - 4.0 * 0.01, abs=1e-12)
 
     def test_unplayed_majority_arm_does_not_count(self):
         trace = make_trace(zeta_sorted=[0.4, 0.35, 0.25], pivot=2,
                            q_sorted=[0.5, 0.4, 0.1], p_sorted=[0.55, 0.0, 0.45])
-        violations = check_round_losses(trace, np.array([0.0, 1.0, 0.0]), num_arms=3)
+        violations = loss_violations(trace, np.array([0.0, 1.0, 0.0]), num_arms=3)
         assert violations == []
+
+
+def finalized(total_play_loss, majority_loss, num_arms):
+    """The violations ``finalize`` records on a report with these totals."""
+    auditor = Auditor(num_arms=num_arms, num_experts=1)
+    auditor.report = RegretReport(per_expert_loss=np.zeros(1),
+                                  total_play_loss=total_play_loss,
+                                  majority_loss=majority_loss)
+    return auditor.finalize()
 
 
 class TestMajorityBound:
     def test_pass_and_margin(self):
-        report = RegretReport(per_expert_loss=np.zeros(1), total_play_loss=10.0,
-                              majority_loss=35.0)
-        ok, margin = check_majority_bound(report, num_arms=2)
-        assert ok and margin == pytest.approx(-5.0)
+        # Margin 35 - 2 * 2 * 10 = -5: within the bound.
+        assert finalized(10.0, 35.0, num_arms=2) == []
+        flagged = finalized(10.0, 45.0, num_arms=2)
+        assert flagged[0].margin == pytest.approx(5.0)
 
     def test_fail(self):
-        report = RegretReport(per_expert_loss=np.zeros(1), total_play_loss=10.0,
-                              majority_loss=40.5)
-        ok, margin = check_majority_bound(report, num_arms=2)
-        assert not ok and margin == pytest.approx(0.5)
+        violations = finalized(10.0, 40.5, num_arms=2)
+        assert [v.rule for v in violations] == ["majority_loss_cumulative"]
+        assert violations[0].margin == pytest.approx(0.5)
 
 
 class TestTheoremBound:
@@ -291,12 +310,20 @@ class TestTheoremBound:
             205.33786250630132, rel=1e-14)
 
     def test_evaluate_records_and_compares(self):
-        report = RegretReport(per_expert_loss=np.array([0.0]),
-                              total_play_loss=50.0)
-        assert evaluate_theorem_bound(report, 2, 4, 10000, 0.0, factor=10.0)
-        assert report.bound_value == pytest.approx(21.193269466192145, rel=1e-14)
-        report.total_play_loss = 500.0
-        assert not evaluate_theorem_bound(report, 2, 4, 10000, 0.0, factor=10.0)
+        # The run's pass test: an auditor's regret against factor 10 times
+        # the bound, as ``cli.execute`` compares them.
+        bound = theorem_bound_value(2, 4, 10000, 0.0)
+        assert bound == pytest.approx(21.193269466192145, rel=1e-14)
+        trace = BaselineTrace(t=1, advices=np.array([[0.0, 1.0]]),
+                              p_original=np.array([1.0, 0.0]))
+        auditor = Auditor(num_arms=2, num_experts=1)
+        for _ in range(50):
+            auditor.observe_round(trace, np.array([1.0, 0.0]))
+        assert auditor.report.regret == 50.0
+        assert auditor.report.regret <= 10.0 * bound
+        for _ in range(450):
+            auditor.observe_round(trace, np.array([1.0, 0.0]))
+        assert not auditor.report.regret <= 10.0 * bound
 
 
 class TestAuditorStreaming:
@@ -385,9 +412,10 @@ class TestNonFiniteTrace:
     def test_nan_play_mass_fails_loss_domination(self):
         trace = clean_trace()
         trace.p_sorted[0] = np.nan
-        violations = check_round_losses(trace, np.array([1.0, 0.0, 0.0]), num_arms=3)
-        assert [v.rule for v in violations] == ["majority_loss_round"]
-        assert math.isnan(violations[0].margin)
+        auditor = observed(trace, np.array([1.0, 0.0, 0.0]), num_arms=3, gamma=0.05)
+        assert [v.rule for v in auditor.violations] == ["non_finite_trace",
+                                                        "majority_loss_round"]
+        assert math.isnan(auditor.violations[1].margin)
 
     def test_auditor_records_nan_round(self):
         trace = clean_trace()
@@ -501,8 +529,7 @@ def round_families():
 class TestReferenceAgreement:
     def audit_both(self, trace, losses, gamma):
         num_arms = trace.zeta_sorted.size
-        got = (check_round(trace, gamma, num_arms)
-               + check_round_losses(trace, losses, num_arms))
+        got = observed(trace, losses, num_arms, gamma).violations
         want = (reference_check_round(trace, gamma, num_arms)
                 + reference_check_round_losses(trace, losses, num_arms))
         assert [(v.t, v.rule, v.detail) for v in got] == \

@@ -346,6 +346,28 @@ class TestRunAndMain:
         assert code == 1
         assert "lattice" in err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--arms", "1"], "need at least 2 arms"),
+        (["--gamma", "0.013", "--horizon", "100"], "gamma 0.013 off the 1/200 lattice"),
+        (["--env", "replay", "--replay", "{dir}/absent.txt"],
+         "[Errno 2] No such file or directory: '{dir}/absent.txt'"),
+        (["--env", "replay", "--replay", "{dir}/short.txt", "--horizon", "2"],
+         "line 4: file truncated inside round 1"),
+    ], ids=["one_arm", "off_lattice_gamma", "missing_replay", "malformed_replay"])
+    def test_main_set_up_error_leaves_output_files(self, tmp_path, capsys, flags, message):
+        # The run is resolved before either CSV file is opened: an earlier
+        # run's rounds file keeps its bytes and no summary file appears.
+        (tmp_path / "short.txt").write_text("2 2 2\n0.5 0.5\n1.0 0.0\n")
+        prefix = str(tmp_path / "run")
+        earlier = ROUND_HEADER.encode() + b"\n0,1,1,0,0.5,0.5,0.5,0.0,0.5,0.5,0.0,0.0,0\n"
+        with open(prefix + "_rounds.csv", "wb") as fh:
+            fh.write(earlier)
+        argv = [flag.format(dir=tmp_path) for flag in flags] + ["--out", prefix]
+        assert main(argv) == 1
+        assert f"myga: error: {message.format(dir=tmp_path)}\n" in capsys.readouterr().err
+        assert open(prefix + "_rounds.csv", "rb").read() == earlier
+        assert not os.path.exists(prefix + "_summary.csv")
+
     @pytest.mark.parametrize("policy", ["myga", "exp4_threshold"])
     def test_main_negative_seed_exits_one(self, capsys, policy):
         code = main(["--policy", policy, "--env", "zero_loss_expert", "--horizon", "5",
@@ -385,6 +407,16 @@ class TestSubprocess:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.startswith("seed=0 R_T=")
+
+    def test_help_runs_without_runtime_warning(self):
+        # ``python -m myga.cli`` warns if importing the package already
+        # imported ``myga.cli``.
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-m", "myga.cli", "--help"],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_bad_usage_exits_one(self):
         proc = subprocess.run(

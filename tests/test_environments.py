@@ -239,7 +239,9 @@ class TestRoundStreams:
         rng = np.random.default_rng(5)
         pairs = [(seed, int(t)) for seed in seeds
                  for t in rng.integers(1, self.horizon + 1, size=12)]
-        assert len({(seed, t // CHUNK) for seed, t in pairs}) > env_mod._STREAM_CACHE_SIZE
+        held = env_mod._stream_table.cache_info().maxsize
+        assert held == 16
+        assert len({(seed, t // CHUNK) for seed, t in pairs}) > held
         for _ in range(2):
             for i in rng.permutation(len(pairs)):
                 seed, t = pairs[i]
@@ -247,7 +249,7 @@ class TestRoundStreams:
                 advices, losses = adversarial_minority_round(specs[seed], t)
                 np.testing.assert_array_equal(data.advices, advices, strict=True)
                 np.testing.assert_array_equal(data.losses, losses, strict=True)
-        assert len(env_mod._STREAM_CACHE) <= env_mod._STREAM_CACHE_SIZE
+        assert env_mod._stream_table.cache_info().currsize <= held
 
     def test_rounds_never_share_a_generator(self):
         spec = spec_for("stochastic_gap")
