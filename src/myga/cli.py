@@ -28,7 +28,8 @@ from .policy import MygaConfig, MygaPolicy, schedule_parameters
 
 POLICIES = ("myga", "exp4", "exp4_threshold")
 
-# Disjoint from the per-round environment streams, which use [seed, t].
+# Disjoint from the environments' chunk streams, [seed, 2**41, chunk]: see
+# ``environments._CHUNK_SALT``.
 SAMPLE_STREAM_SALT = 2 ** 40
 
 ROUND_HEADER = ("seed,t,k_t,a,realized_loss,expected_loss,cum_LT,cum_Lstar,"

@@ -1,15 +1,13 @@
 """Seeded environments and the replay file format.
 
-Every generated round is a pure function of (seed, t): the round gets
-its own generator, with the stream of ``np.random.default_rng([seed, t])``,
-so rounds can be produced in any order and always reproduce
-byte-for-byte.  The generator is a PCG64 seeded from a precomputed hash:
-NumPy's ``SeedSequence`` algorithm run once, vectorised, over a chunk of
-rounds per seed, with the chunks kept in a small bounded cache (see
-``_stream_table``).  Losses live in [0, 1]; advice rows are
-distributions over arms.  A generated round makes a fixed, small number
-of NumPy calls whatever the expert count: each draw is one call for the
-whole advice matrix or loss vector.
+Every generated round is a pure function of (seed, t), so rounds can be
+produced in any order and always reproduce byte-for-byte.  The rounds are
+drawn in chunks of 1024: rounds ``1024 c + 1 .. 1024 (c + 1)`` of a seed
+come from the one generator ``np.random.default_rng([seed, 2**41, c])``,
+which draws each random block of the chunk (every round's advice matrix,
+every round's loss vector) in one call.  A round is a fresh, writable copy
+of one row of its chunk.  Losses live in [0, 1]; advice rows are
+distributions over arms.
 
 Replay files are plain text with LF line endings: a header line
 ``K num_experts T``, then per round one loss line followed by one
@@ -29,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from . import simplex
 
@@ -96,167 +93,66 @@ class Replay:
         return RoundData(advices=self.advices[index], losses=self.losses[index])
 
 
-# NumPy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four
-# 32-bit words, hashed in with ``hashmix`` and ``mix``.
-_POOL_SIZE = 4
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_MASK32 = 0xFFFFFFFF
+_CHUNK = 1024   # rounds per chunk
 
-# Rounds hashed per (seed, chunk); ``_stream_table`` keeps 16 chunks.  A
-# power of two divides 2**32, so every round of a chunk has the same number
-# of 32-bit words.
-_STREAM_CHUNK = 1024
+# SeedSequence hashes a key as the 32-bit words of its integers, zero-padded
+# to four: the chunk key gives the seed's words, then 0 and 512, then the
+# chunk's, where the sample stream ``[seed, cli.SAMPLE_STREAM_SALT]`` gives
+# the seed's words, then 0 and 256.  While the chunk index fits one word
+# (rounds below 2**42), no chunk key has the words of a sample key, nor of
+# another chunk key.
+_CHUNK_SALT = 2 ** 41
 
 
-def _uint32_words(n: int) -> list[int]:
-    """``n`` as little-endian 32-bit words, at least one, as NumPy splits it."""
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
+@lru_cache(maxsize=1)
+def _chunk(spec: EnvSpec, chunk: int) -> tuple[np.ndarray, np.ndarray]:
+    """Advices (C, E, K) and losses (C, K) of the rounds
+    ``chunk * C + 1 .. (chunk + 1) * C``, read-only.
 
-
-def _seed_sequence_words(seed: int, first: int, count: int) -> np.ndarray:
-    """``SeedSequence([seed, t]).generate_state(4, np.uint64)`` for the
-    rounds ``t = first .. first + count - 1``, one row per round.
-
-    Each pool word is a column of ``count`` uint32 values; the hash
-    constants do not depend on the data, so they advance once for all rows.
+    They come from the generator of ``[seed, _CHUNK_SALT, chunk]``, one call
+    per random block.  Play visits the rounds of a seed in order, so one
+    chunk is kept.
     """
-    hash_const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-        return result ^ (result >> np.uint32(16))
-
-    rounds = np.arange(first, first + count, dtype=np.uint64)
-    entropy = [np.full(count, word, dtype=np.uint32) for word in _uint32_words(seed)]
-    for i in range(len(_uint32_words(first + count - 1))):
-        entropy.append(((rounds >> np.uint64(32 * i)) & np.uint64(_MASK32)).astype(np.uint32))
-    zero = np.zeros(count, dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    hash_const = _INIT_B
-    state = []
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
-    # Word pairs (low, high) make each uint64, as NumPy's little-endian view.
-    low = np.stack(state[0::2], axis=1)
-    high = np.stack(state[1::2], axis=1)
-    words = low | (high << np.uint64(32))
-    words.flags.writeable = False
-    return words
-
-
-@lru_cache(maxsize=16)
-def _stream_table(seed: int, chunk: int) -> np.ndarray:
-    """The PCG64 seed words of the rounds of one (seed, chunk), read-only."""
-    return _seed_sequence_words(seed, chunk * _STREAM_CHUNK, _STREAM_CHUNK)
-
-
-def _stream_words(seed: int, t: int) -> np.ndarray:
-    """The four PCG64 seed words of round t, a read-only row of its chunk's table."""
-    chunk, row = divmod(t, _STREAM_CHUNK)
-    return _stream_table(seed, chunk)[row]
-
-
-class _RoundSeed(ISeedSequence):
-    """The seed sequence of ``[seed, t]``, with PCG64's four words precomputed."""
-
-    __slots__ = ("seed", "t", "words")
-
-    def __init__(self, seed: int, t: int):
-        self.seed = seed
-        self.t = t
-        self.words = _stream_words(seed, t)
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        # PCG64 asks for exactly this; any other request is hashed afresh.
-        if n_words == 4 and dtype is np.uint64:
-            return self.words
-        return np.random.SeedSequence([self.seed, self.t]).generate_state(n_words, dtype)
-
-
-def _round_rng(spec: EnvSpec, t: int) -> np.random.Generator:
-    """A new generator with the stream of ``np.random.default_rng([spec.seed, t])``."""
-    return np.random.Generator(np.random.PCG64(_RoundSeed(spec.seed, t)))
-
-
-def _zero_loss_expert_round(spec: EnvSpec, t: int) -> RoundData:
-    rng = _round_rng(spec, t)
-    clean_arm = int(rng.integers(spec.num_arms))
-    advices = rng.dirichlet(np.ones(spec.num_arms), size=spec.num_experts)
-    advices[0] = 0.0
-    advices[0, clean_arm] = 1.0
-    losses = rng.random(spec.num_arms)
-    losses[clean_arm] = 0.0
-    return RoundData(advices=advices, losses=losses)
-
-
-@lru_cache(maxsize=8)
-def _gap_layout(num_arms: int, num_experts: int, mu_star: float,
-                delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Arm loss means and the cyclic one-hot advice, read-only."""
-    means = np.minimum(mu_star + delta * np.arange(num_arms), 1.0)
-    advices = np.zeros((num_experts, num_arms))
-    advices[np.arange(num_experts), np.arange(num_experts) % num_arms] = 1.0
-    means.flags.writeable = False
+    rng = np.random.default_rng([spec.seed, _CHUNK_SALT, chunk])
+    num_arms, num_experts = spec.num_arms, spec.num_experts
+    rows = np.arange(_CHUNK)
+    experts = np.arange(num_experts)
+    if spec.kind == "zero_loss_expert":
+        # Expert 0 points at the round's clean arm, which loses nothing.
+        clean_arm = rng.integers(num_arms, size=_CHUNK)
+        advices = rng.dirichlet(np.ones(num_arms), size=(_CHUNK, num_experts))
+        advices[:, 0] = 0.0
+        advices[rows, 0, clean_arm] = 1.0
+        losses = rng.random((_CHUNK, num_arms))
+        losses[rows, clean_arm] = 0.0
+    elif spec.kind == "stochastic_gap":
+        # Arm a loses with probability mu_star + a * delta (capped at 1);
+        # expert e always points at arm e mod K.
+        means = np.minimum(spec.mu_star + spec.delta * np.arange(num_arms), 1.0)
+        layout = np.zeros((num_experts, num_arms))
+        layout[experts, experts % num_arms] = 1.0
+        advices = np.broadcast_to(layout, (_CHUNK, num_experts, num_arms))
+        losses = (rng.random((_CHUNK, num_arms)) < means).astype(float)
+    else:
+        # Advice masses land exactly on the 1/(2T) lattice near the
+        # truncation thresholds, so sorted minority arms keep grazing the
+        # zero boundary.  Expert e favours arm e mod K, which takes, in
+        # exact integers, whatever the other arms' steps leave of the
+        # lattice; arm ((t - 1) // block) mod K loses nothing in round t.
+        lattice = 2 * spec.horizon
+        band = max(1, lattice // (4 * max(num_arms - 1, 1)))
+        steps = rng.integers(0, band + 1, size=(_CHUNK, num_experts, num_arms))
+        favored = experts % num_arms
+        steps[:, experts, favored] = 0
+        steps[:, experts, favored] = lattice - steps.sum(axis=2)
+        advices = steps / lattice
+        block = max(1, int(round(spec.horizon ** 0.5)))
+        good_arm = ((chunk * _CHUNK + rows) // block) % num_arms
+        losses = (rng.random((_CHUNK, num_arms)) < 0.6).astype(float)
+        losses[rows, good_arm] = 0.0
     advices.flags.writeable = False
-    return means, advices
-
-
-def _stochastic_gap_round(spec: EnvSpec, t: int) -> RoundData:
-    rng = _round_rng(spec, t)
-    means, advices = _gap_layout(spec.num_arms, spec.num_experts, spec.mu_star, spec.delta)
-    losses = (rng.random(spec.num_arms) < means).astype(float)
-    return RoundData(advices=advices.copy(), losses=losses)
-
-
-def _adversarial_minority_round(spec: EnvSpec, t: int) -> RoundData:
-    """Advice masses land exactly on the 1/(2T) lattice near the truncation
-    thresholds, so sorted minority arms keep grazing the zero boundary."""
-    rng = _round_rng(spec, t)
-    num_arms = spec.num_arms
-    lattice = 2 * spec.horizon
-    band = max(1, lattice // (4 * max(num_arms - 1, 1)))
-    # Expert e favours arm e mod K, which takes whatever the other arms'
-    # draws leave of the lattice.  The draws come row by row from one
-    # call, the order in which one call per expert would take them.
-    steps = rng.integers(0, band + 1, size=(spec.num_experts, num_arms)).tolist()
-    for expert, row in enumerate(steps):
-        favored = expert % num_arms
-        row[favored] = 0
-        row[favored] = lattice - sum(row)
-    advices = np.array(steps, dtype=float) / lattice
-    block = max(1, int(round(spec.horizon ** 0.5)))
-    good_arm = ((t - 1) // block) % num_arms
-    losses = (rng.random(num_arms) < 0.6).astype(float)
-    losses[good_arm] = 0.0
-    return RoundData(advices=advices, losses=losses)
+    losses.flags.writeable = False
+    return advices, losses
 
 
 # path -> ((st_mtime_ns, st_size) at parse time, parsed replay), oldest first.
@@ -266,7 +162,7 @@ _REPLAY_CACHE_SIZE = 8
 
 def replay_for(spec: EnvSpec, restat: bool) -> Replay:
     """The replay kind's parsed file, reparsed when its mtime or size changed,
-    and checked to hold the spec's horizon.
+    and checked to hold the spec's arms, experts and horizon.
 
     The file is stat'ed only when ``restat`` is set, which ``generate`` does
     at round 1 of every run and ``cli.execute`` before it opens its output:
@@ -284,24 +180,27 @@ def replay_for(spec: EnvSpec, restat: bool) -> Replay:
             if len(_REPLAY_CACHE) >= _REPLAY_CACHE_SIZE:
                 del _REPLAY_CACHE[next(iter(_REPLAY_CACHE))]
             entry = _REPLAY_CACHE[path] = (stamp, load_replay(path))
-    rounds = len(entry[1].losses)
+    rounds, num_experts, num_arms = entry[1].advices.shape
+    if (num_arms, num_experts) != (spec.num_arms, spec.num_experts):
+        raise ValueError(f"replay {path} has {num_arms} arms and {num_experts} experts, "
+                         f"the run has {spec.num_arms} and {spec.num_experts}")
     if rounds < spec.horizon:
         raise ValueError(f"replay {path} holds {rounds} rounds, horizon is {spec.horizon}")
     return entry[1]
 
 
 def generate(spec: EnvSpec, t: int) -> RoundData:
-    """Round t (1-based) of the environment, a pure function of (seed, t)."""
+    """Round t (1-based) of the environment, a pure function of (seed, t):
+    fresh, writable copies of one row of its chunk, or of the replay."""
     if not 1 <= t <= spec.horizon:
         raise ValueError(f"round {t} outside [1, {spec.horizon}]")
-    if spec.kind == "zero_loss_expert":
-        return _zero_loss_expert_round(spec, t)
-    if spec.kind == "stochastic_gap":
-        return _stochastic_gap_round(spec, t)
-    if spec.kind == "adversarial_minority":
-        return _adversarial_minority_round(spec, t)
-    replay = replay_for(spec, restat=t == 1)
-    return RoundData(advices=replay.advices[t - 1].copy(), losses=replay.losses[t - 1].copy())
+    if spec.kind == "replay":
+        replay = replay_for(spec, restat=t == 1)
+        return RoundData(advices=replay.advices[t - 1].copy(),
+                         losses=replay.losses[t - 1].copy())
+    chunk, row = divmod(t - 1, _CHUNK)
+    advices, losses = _chunk(spec, chunk)
+    return RoundData(advices=advices[row].copy(), losses=losses[row].copy())
 
 
 def _format_row(values: list) -> str:

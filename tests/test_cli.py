@@ -353,11 +353,17 @@ class TestRunAndMain:
          "[Errno 2] No such file or directory: '{dir}/absent.txt'"),
         (["--env", "replay", "--replay", "{dir}/short.txt", "--horizon", "2"],
          "line 4: file truncated inside round 1"),
-    ], ids=["one_arm", "off_lattice_gamma", "missing_replay", "malformed_replay"])
+        (["--env", "replay", "--replay", "{dir}/three_arms.txt", "--horizon", "2",
+          "--arms", "2", "--experts", "1"],
+         "replay {dir}/three_arms.txt has 3 arms and 1 experts, the run has 2 and 1"),
+    ], ids=["one_arm", "off_lattice_gamma", "missing_replay", "malformed_replay",
+            "replay_shape"])
     def test_main_set_up_error_leaves_output_files(self, tmp_path, capsys, flags, message):
         # The run is resolved before either CSV file is opened: an earlier
         # run's rounds file keeps its bytes and no summary file appears.
         (tmp_path / "short.txt").write_text("2 2 2\n0.5 0.5\n1.0 0.0\n")
+        (tmp_path / "three_arms.txt").write_text(
+            "3 1 2\n0.5 0.5 0.5\n1.0 0.0 0.0\n0.5 0.5 0.5\n0.0 1.0 0.0\n")
         prefix = str(tmp_path / "run")
         earlier = ROUND_HEADER.encode() + b"\n0,1,1,0,0.5,0.5,0.5,0.0,0.5,0.5,0.0,0.0,0\n"
         with open(prefix + "_rounds.csv", "wb") as fh:

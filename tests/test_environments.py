@@ -1,10 +1,14 @@
 import locale
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 import myga.environments as env_mod
+from myga.cli import SAMPLE_STREAM_SALT
 from myga.environments import (EnvSpec, Replay, RoundData, generate, load_replay,
                                save_replay)
 from myga.simplex import validate
@@ -141,7 +145,7 @@ class TestAdversarialMinority:
                                                       (7, 2), (5, 1)])
     def test_matches_per_expert_reference(self, num_arms, num_experts):
         # More, as many, and fewer experts than arms: every byte of the
-        # round equals the per-expert loop's.
+        # round equals the scalar reference's, built expert by expert.
         for seed in range(3):
             spec = spec_for("adversarial_minority", num_arms=num_arms,
                             num_experts=num_experts, horizon=154, seed=seed)
@@ -182,55 +186,98 @@ class TestAdversarialMinority:
 
 
 SEEDS = [0, 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 100 + 7]
-CHUNK = env_mod._STREAM_CHUNK
+CHUNK = env_mod._CHUNK
+GENERATED = sorted(ROUNDS)
+
+
+def key_words(key):
+    """The 32-bit words SeedSequence hashes for an integer key: each integer
+    little-endian, at least one word, and the whole zero-padded to its pool
+    of four."""
+    words = []
+    for n in key:
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+        while n:
+            words.append(n & 0xFFFFFFFF)
+            n >>= 32
+    return tuple(words + [0] * (4 - len(words)))
 
 
 class TestRoundStreams:
-    """Each round's generator is ``default_rng([seed, t])``'s, without its hash."""
+    """Each chunk of 1024 rounds is drawn from ``default_rng([seed, 2**41, chunk])``."""
 
     horizon = 3 * CHUNK + 5
 
     def rounds(self, seed):
         picks = np.random.default_rng(seed % 1000).integers(1, self.horizon + 1, size=4)
-        return [1, CHUNK - 1, CHUNK, CHUNK + 1, self.horizon] + picks.tolist()
+        return [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, self.horizon] + picks.tolist()
+
+    def assert_rounds_match(self, spec, rounds):
+        for t in rounds:
+            data = generate(spec, t)
+            advices, losses = ROUNDS[spec.kind](spec, t)
+            np.testing.assert_array_equal(data.advices, advices, strict=True)
+            np.testing.assert_array_equal(data.losses, losses, strict=True)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_generator_state_matches_default_rng(self, seed):
-        # 2**100 + 7 is four 32-bit words, so [seed, t] holds more words
-        # than the pool and takes the extra mixing loop.
-        spec = spec_for("stochastic_gap", horizon=self.horizon, seed=seed)
-        for t in self.rounds(seed):
-            state = env_mod._round_rng(spec, t).bit_generator.state
-            assert state == np.random.default_rng([seed, t]).bit_generator.state
+        # Over seeds of one to four 32-bit words, every kind's rounds equal
+        # the scalar reference's, which seeds default_rng([seed, 2**41, chunk]).
+        for kind in GENERATED:
+            spec = spec_for(kind, num_arms=5, num_experts=8, horizon=self.horizon, seed=seed)
+            self.assert_rounds_match(spec, self.rounds(seed))
 
     @pytest.mark.parametrize("seed,first", [(0, 0), (2 ** 32 - 1, CHUNK),
                                             (2 ** 100 + 7, 5 * CHUNK), (9, 2 ** 32)])
     def test_chunk_rows_match_seed_sequence(self, seed, first):
-        # The last case hashes rounds of two 32-bit words.
-        table = env_mod._seed_sequence_words(seed, first, CHUNK)
-        assert table.shape == (CHUNK, 4) and table.dtype == np.uint64
-        for row in (0, 1, CHUNK // 2, CHUNK - 1):
-            expected = np.random.SeedSequence([seed, first + row]).generate_state(4, np.uint64)
-            np.testing.assert_array_equal(table[row], expected, strict=True)
+        # The rows of the chunk that starts after round ``first``, the last
+        # chunk of the run; the last case is chunk 2**22.
+        for kind in GENERATED:
+            spec = spec_for(kind, horizon=first + CHUNK, seed=seed)
+            self.assert_rounds_match(spec, [first + row + 1
+                                            for row in (0, 1, CHUNK // 2, CHUNK - 1)])
 
-    def test_other_state_requests_use_seed_sequence(self):
-        seed_seq = env_mod._RoundSeed(11, 3)
-        for n_words, dtype in ((4, np.uint32), (8, np.uint64), (1, np.uint32)):
-            np.testing.assert_array_equal(
-                seed_seq.generate_state(n_words, dtype),
-                np.random.SeedSequence([11, 3]).generate_state(n_words, dtype), strict=True)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_chunk_keys_never_flatten_to_a_sample_key(self, seed):
+        # [seed, 2**40] and [seed, 0, 256] are one stream: keys are equal
+        # when their words are, so comparing draws would not be enough.
+        sample_keys = {key_words([other, SAMPLE_STREAM_SALT]) for other in SEEDS}
+        chunk_keys = {key_words([seed, env_mod._CHUNK_SALT, chunk]) for chunk in range(301)}
+        assert len(chunk_keys) == 301
+        assert not chunk_keys & sample_keys
+        assert key_words([seed, SAMPLE_STREAM_SALT]) in sample_keys
 
-    @pytest.mark.parametrize("kind", sorted(ROUNDS))
+    @pytest.mark.parametrize("key,alias", [([5, 2 ** 40], [5, 0, 256]), ([5], [5, 0, 0]),
+                                           ([2 ** 64 + 3, 2 ** 41, 7], [3, 0, 1, 0, 512, 7])])
+    def test_key_words_name_the_stream(self, key, alias):
+        # key_words is SeedSequence's view of a key: aliases share one
+        # stream, and a key past the pool's four words is not padded.
+        assert key_words(key) == key_words(alias)
+        assert (np.random.default_rng(key).bit_generator.state
+                == np.random.default_rng(alias).bit_generator.state)
+        longer = alias + [1]
+        assert key_words(longer) != key_words(key)
+        assert (np.random.default_rng(longer).bit_generator.state
+                != np.random.default_rng(key).bit_generator.state)
+
+    @pytest.mark.parametrize("kind", GENERATED)
     @pytest.mark.parametrize("num_arms,num_experts", [(2, 4), (5, 8), (3, 3), (7, 2)])
     def test_rounds_equal_reference_bodies(self, kind, num_arms, num_experts):
         for seed in (0, 2 ** 64 + 3):
             spec = spec_for(kind, num_arms=num_arms, num_experts=num_experts,
                             horizon=self.horizon, seed=seed, mu_star=0.16)
-            for t in self.rounds(seed):
-                data = generate(spec, t)
-                advices, losses = ROUNDS[kind](spec, t)
-                np.testing.assert_array_equal(data.advices, advices, strict=True)
-                np.testing.assert_array_equal(data.losses, losses, strict=True)
+            self.assert_rounds_match(spec, self.rounds(seed))
+
+    @pytest.mark.parametrize("kind", ["zero_loss_expert", "stochastic_gap"])
+    def test_rounds_do_not_depend_on_the_horizon(self, kind):
+        # A chunk is always drawn whole, so a shorter run plays the first
+        # rounds of a longer one.
+        short, long = (spec_for(kind, horizon=horizon) for horizon in (CHUNK + 3, 5 * CHUNK))
+        for t in (1, CHUNK, CHUNK + 1, CHUNK + 3):
+            short_data, long_data = generate(short, t), generate(long, t)
+            np.testing.assert_array_equal(short_data.advices, long_data.advices)
+            np.testing.assert_array_equal(short_data.losses, long_data.losses)
 
     def test_random_order_over_more_keys_than_cache(self):
         seeds = range(6)
@@ -239,34 +286,65 @@ class TestRoundStreams:
         rng = np.random.default_rng(5)
         pairs = [(seed, int(t)) for seed in seeds
                  for t in rng.integers(1, self.horizon + 1, size=12)]
-        held = env_mod._stream_table.cache_info().maxsize
-        assert held == 16
-        assert len({(seed, t // CHUNK) for seed, t in pairs}) > held
+        held = env_mod._chunk.cache_info().maxsize
+        assert len({(seed, (t - 1) // CHUNK) for seed, t in pairs}) > held
+        in_order = {pair: generate(specs[pair[0]], pair[1]) for pair in sorted(pairs)}
         for _ in range(2):
             for i in rng.permutation(len(pairs)):
                 seed, t = pairs[i]
                 data = generate(specs[seed], t)
+                np.testing.assert_array_equal(data.advices, in_order[seed, t].advices,
+                                              strict=True)
+                np.testing.assert_array_equal(data.losses, in_order[seed, t].losses,
+                                              strict=True)
                 advices, losses = adversarial_minority_round(specs[seed], t)
                 np.testing.assert_array_equal(data.advices, advices, strict=True)
                 np.testing.assert_array_equal(data.losses, losses, strict=True)
-        assert env_mod._stream_table.cache_info().currsize <= held
-
-    def test_rounds_never_share_a_generator(self):
-        spec = spec_for("stochastic_gap")
-        first, second = env_mod._round_rng(spec, 4), env_mod._round_rng(spec, 4)
-        assert first is not second and first.bit_generator is not second.bit_generator
-        first.random(100)
-        assert second.bit_generator.state == np.random.default_rng([7, 4]).bit_generator.state
+        assert env_mod._chunk.cache_info().currsize <= held
 
     def test_rounds_never_share_arrays(self):
-        spec = spec_for("stochastic_gap")
-        data = generate(spec, 1)
-        data.advices[:] = -1.0
-        data.losses[:] = -1.0
-        advices, losses = ROUNDS["stochastic_gap"](spec, 1)
-        again = generate(spec, 1)
-        np.testing.assert_array_equal(again.advices, advices)
-        np.testing.assert_array_equal(again.losses, losses)
+        # Two rounds of one chunk and one round twice: every array is its
+        # own writable buffer, and writing to it changes no other round.
+        for kind in GENERATED:
+            spec = spec_for(kind)
+            rounds = [generate(spec, 4), generate(spec, 5), generate(spec, 4)]
+            arrays = [array for data in rounds for array in (data.advices, data.losses)]
+            for i, array in enumerate(arrays):
+                assert array.flags.writeable and array.flags.owndata
+                assert not any(np.shares_memory(array, other) for other in arrays[i + 1:])
+            for data in rounds:
+                data.advices[:] = -1.0
+                data.losses[:] = -1.0
+            for t in (4, 5):
+                advices, losses = ROUNDS[kind](spec, t)
+                again = generate(spec, t)
+                np.testing.assert_array_equal(again.advices, advices)
+                np.testing.assert_array_equal(again.losses, losses)
+
+    def test_run_bytes_equal_across_fresh_processes(self):
+        # Two interpreters with different hash seeds, visiting rounds in
+        # different orders, write the same bytes for every round.
+        script = (
+            "import sys\n"
+            "from myga.environments import EnvSpec, generate\n"
+            "order = range(1, 1031) if sys.argv[1] == '0' else range(1030, 0, -1)\n"
+            "out = {}\n"
+            "for kind in ('zero_loss_expert', 'stochastic_gap', 'adversarial_minority'):\n"
+            "    spec = EnvSpec(kind=kind, num_arms=5, num_experts=8, horizon=1030,\n"
+            "                   seed=2 ** 64 + 3)\n"
+            "    for t in order:\n"
+            "        data = generate(spec, t)\n"
+            "        out[kind, t] = data.advices.tobytes() + data.losses.tobytes()\n"
+            "sys.stdout.buffer.write(b''.join(out[key] for key in sorted(out)))\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        payloads = []
+        for direction, hash_seed in (("0", "1"), ("1", "2")):
+            proc = subprocess.run([sys.executable, "-c", script, direction], capture_output=True,
+                                  env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed))
+            assert proc.returncode == 0, proc.stderr.decode()
+            payloads.append(proc.stdout)
+        assert len(payloads[0]) == 3 * 1030 * (5 * 8 + 5) * 8
+        assert payloads[0] == payloads[1]
 
 
 class TestReplayRoundTrip:
