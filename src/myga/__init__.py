@@ -11,7 +11,7 @@ from .baselines import Exp4Config, Exp4Policy
 from .environments import EnvSpec, Replay, RoundData, generate, load_replay, save_replay
 from .fixed_point import MixtureWeights, mixture_residual, solve_fixed_point, two_arm_fixed_point
 from .policy import (MygaConfig, MygaPolicy, RoundTrace, build_threshold_grid,
-                     loss_estimator, schedule_parameters)
+                     schedule_parameters)
 from .simplex import ArmPermutation, pivot_index, sample_index, sort_descending, weighted_average
 from .truncation import truncate
 
@@ -19,7 +19,7 @@ __all__ = [
     "ArmPermutation", "Auditor", "EnvSpec", "Exp4Config", "Exp4Policy",
     "MixtureWeights", "MygaConfig", "MygaPolicy", "RegretReport", "Replay",
     "RoundData", "RoundTrace", "Violation", "build_threshold_grid",
-    "generate", "load_replay", "loss_estimator", "mixture_residual",
+    "generate", "load_replay", "mixture_residual",
     "pivot_index", "sample_index", "save_replay", "schedule_parameters",
     "solve_fixed_point", "sort_descending", "truncate",
     "two_arm_fixed_point", "weighted_average",

@@ -12,6 +12,7 @@ to play.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ class Exp4Config:
     def __post_init__(self) -> None:
         if self.num_arms < 2 or self.num_experts < 1:
             raise ValueError("need at least 2 arms and 1 expert")
-        if self.eta <= 0.0:
+        if not 0.0 < self.eta < math.inf:
             raise ValueError("eta must be positive")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant {self.variant!r} not one of {VARIANTS}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -67,6 +68,8 @@ class ExperimentConfig:
             raise ValueError(f"env {self.env!r} not one of {KINDS}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if not math.isfinite(self.bound_factor):
+            raise ValueError(f"bound factor {self.bound_factor} is not finite")
 
 
 @dataclass

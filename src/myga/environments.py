@@ -20,6 +20,7 @@ parser, which reports malformed content with 1-based line numbers.
 from __future__ import annotations
 
 import io
+import math
 import operator
 import os
 import warnings
@@ -61,7 +62,7 @@ class EnvSpec:
         if self.horizon < 1:
             raise ValueError("need at least 1 round")
         if self.kind == "stochastic_gap":
-            if not 0.0 <= self.mu_star <= 1.0 or self.delta < 0.0:
+            if not (0.0 <= self.mu_star <= 1.0 and 0.0 <= self.delta < math.inf):
                 raise ValueError("stochastic_gap needs mu_star in [0,1], delta >= 0")
         if self.kind == "replay" and not self.replay_path:
             raise ValueError("replay kind needs replay_path")

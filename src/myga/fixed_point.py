@@ -52,8 +52,8 @@ class MixtureWeights:
     positive and sum to 1.
 
     The solver and the residual read threshold weight only through
-    ``split``, the prefix-sum interface; ``MygaPolicy`` passes them a view
-    of its block weights with the same ``base``, ``require`` and ``split``.
+    ``base`` and ``split``, the prefix-sum interface; ``MygaPolicy`` passes
+    them its ``policy.WeightState``, which has the same two.
     """
 
     base: float
@@ -93,9 +93,8 @@ def require_grid(thresholds: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _require_sorted_inputs(zeta_sorted: np.ndarray, pivot: int
-                           ) -> tuple[np.ndarray, list[float]]:
-    """The sorted mixture as an array and as a list of floats, once its contract holds."""
+def _require_sorted_inputs(zeta_sorted: np.ndarray, pivot: int) -> np.ndarray:
+    """The sorted mixture as a float array, once its contract holds with the pivot."""
     zeta = simplex.require_distribution(zeta_sorted, what="sorted mixture")
     values = zeta.tolist()
     if any(b > a for a, b in zip(values, values[1:])):
@@ -106,19 +105,21 @@ def _require_sorted_inputs(zeta_sorted: np.ndarray, pivot: int
         raise ValueError("majority prefix of the sorted mixture is lighter than 1/2")
     if pivot > 1 and left_sum(values[:pivot - 1]) >= 0.5:
         raise ValueError("pivot is not minimal for the sorted mixture")
-    return zeta, values
+    return zeta
 
 
-def _solve(zeta_sorted: np.ndarray, pivot: int, weights: MixtureWeights,
+def _solve(zeta: np.ndarray, pivot: int, weights: MixtureWeights,
            grid: np.ndarray, sweep_log: list | None = None
            ) -> tuple[np.ndarray, int, float]:
-    """``solve_fixed_point`` on a grid that already passed ``require_grid``.
+    """``solve_fixed_point`` without its input checks, also returning the residual.
 
-    The per-arm bookkeeping is on Python floats; the grid stays an array,
-    searched once per pass, and an arm's kept weight is one prefix read.
+    It trusts its inputs: ``solve_fixed_point`` checks a caller's, and
+    ``MygaPolicy`` passes a mixture, pivot, shares and grid it has just
+    built.  The per-arm bookkeeping is on Python floats; the grid stays an
+    array, searched once per pass, and an arm's kept weight is one prefix
+    read.
     """
-    zeta, values = _require_sorted_inputs(zeta_sorted, pivot)
-    weights.require(grid.size)
+    values = zeta.tolist()
     k = pivot
     minority = len(values) - k
 
@@ -181,11 +182,15 @@ def solve_fixed_point(zeta_sorted: np.ndarray, pivot: int, weights: MixtureWeigh
     Returns the solved distribution and the number of unit boundary
     advances, which never exceeds (arms - pivot) * len(thresholds).
     ``sweep_log``, if given, receives one (minority masses, boundaries)
-    snapshot per growth pass for diagnostic tests.  Raises RuntimeError rather
-    than returning a distribution whose residual exceeds 1e-9 or is NaN.
+    snapshot per growth pass for diagnostic tests.  Raises ValueError on a
+    grid, mixture, pivot or shares that break their contracts, checked in
+    that order before any is used, and RuntimeError rather than returning a
+    distribution whose residual exceeds 1e-9 or is NaN.
     """
-    q, iterations, _ = _solve(zeta_sorted, pivot, weights, require_grid(thresholds),
-                              sweep_log)
+    grid = require_grid(thresholds)
+    zeta = _require_sorted_inputs(zeta_sorted, pivot)
+    weights.require(grid.size)
+    q, iterations, _ = _solve(zeta, pivot, weights, grid, sweep_log)
     return q, iterations
 
 

@@ -13,9 +13,10 @@ needs only the advice value at the played arm, which has a closed form
 (zero or the arm's own mass on the minority side, a common rescale on
 the majority side) and is a step function over the threshold grid with
 at most one piece more than the minority arms.  Their weights live in
-``BlockWeights``, about sqrt(G) blocks of about sqrt(G) thresholds, so a
+``WeightState``, about sqrt(G) blocks of about sqrt(G) thresholds, so a
 round never touches all G thresholds: it reads a few prefix sums and
-charges a few ranges.
+charges a few ranges.  The same object hands the solver the round's
+mixture shares.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex
-from .fixed_point import _solve, require_grid
+from .fixed_point import _solve
 from .simplex import ArmPermutation, left_sum
 from .truncation import StepFunction, truncate, truncated_mass_table
 
@@ -50,7 +51,7 @@ def schedule_parameters(num_arms: int, num_experts: int, horizon: int,
     """
     if num_arms < 2 or num_experts < 1 or horizon < 1:
         raise ValueError("need at least 2 arms, 1 expert, 1 round")
-    if l_star < 0:
+    if not 0.0 <= l_star < math.inf:
         raise ValueError("cumulative-loss budget must be non-negative")
     if num_experts * horizon < 2:
         raise ValueError("schedule undefined for a single expert-round")
@@ -90,13 +91,6 @@ def loss_estimate(probs: np.ndarray, arm: int, observed_loss: float) -> float:
     return observed_loss / prob
 
 
-def loss_estimator(p_sorted: np.ndarray, arm_sorted: int, observed_loss: float) -> np.ndarray:
-    """The estimate as a vector: ``loss_estimate`` at the played arm, zero elsewhere."""
-    est = np.zeros(len(p_sorted))
-    est[arm_sorted] = loss_estimate(p_sorted, arm_sorted, observed_loss)
-    return est
-
-
 @dataclass
 class MygaConfig:
     num_arms: int
@@ -115,7 +109,7 @@ class MygaConfig:
             raise ValueError("need at least 1 round")
         if self.grid_denominator is None:
             self.grid_denominator = 2 * self.horizon
-        if self.eta <= 0.0:
+        if not 0.0 < self.eta < math.inf:
             raise ValueError("eta must be positive")
         if not 0.0 < self.gamma <= 0.5:
             raise ValueError("gamma must lie in (0, 1/2]")
@@ -125,13 +119,13 @@ class MygaConfig:
                 f"gamma {self.gamma} off the 1/{self.grid_denominator} lattice")
 
 
-class BlockWeights:
-    """The auxiliary experts' weights, in blocks of ``width`` = ceil(sqrt(G)) thresholds.
+class WeightState:
+    """The threshold experts' weights, in blocks of ``width`` = ceil(sqrt(G)) thresholds.
 
     Threshold j's cumulative loss is its block's offset plus its own part,
     ``block_loss[j // width] + loss[j]``.  Inside a block the weights are
     kept relative to the block's lowest own part (``block_base``), as the
-    running sum ``inner_cum``; ``rebase`` puts the blocks on one scale,
+    running sum ``inner_cum``; ``weights`` puts the blocks on one scale,
     exp(-eta * (offset + base - shift)) for a common shift, and sums them.
 
     A charge adds its cost to the offset of every block a piece covers
@@ -140,6 +134,12 @@ class BlockWeights:
     cumulative loss, never a running product of factors.  A prefix sum is
     one block prefix plus one in-block entry, and the total is the last
     block prefix.
+
+    The real experts' weights live in ``ExpertPolicy``.  Once
+    ``set_shares`` has added their total, the state is the round's
+    mixture shares for the solver: the real experts' ``base`` share and
+    ``split``, the kept and dropped threshold shares of a prefix of the
+    grid.  The shares are exactly invariant to the common shift.
     """
 
     def __init__(self, size: int, eta: float):
@@ -157,6 +157,8 @@ class BlockWeights:
         self._scale: list[float] = []
         self._prefix = [0.0]
         self.total = 0.0
+        self._norm = 1.0
+        self.base = 1.0
 
     def _refresh(self, block: int) -> None:
         lo = block * self.width
@@ -167,7 +169,7 @@ class BlockWeights:
         self.block_base[block] = base
         self.block_inner[block] = self.inner_cum[hi - 1]
 
-    def rebase(self, lowest: float) -> float:
+    def weights(self, lowest: float) -> float:
         """Scale every block against the lowest cumulative loss and sum the blocks.
 
         ``lowest`` is the lowest cumulative loss outside the grid.  The
@@ -187,11 +189,21 @@ class BlockWeights:
         return lowest
 
     def prefix(self, n: int) -> float:
-        """Total weight of the first ``n`` thresholds, on the scale of the last ``rebase``."""
+        """Total weight of the first ``n`` thresholds, on the scale of the last ``weights``."""
         block, rest = divmod(n, self.width)
         if not rest:
             return self._prefix[block]
         return self._prefix[block] + self.inner_cum.item(n - 1) * self._scale[block]
+
+    def set_shares(self, real_total: float) -> None:
+        """Normalize by the real experts' total weight, on the scale of the last ``weights``."""
+        self._norm = real_total + self.total
+        self.base = real_total / self._norm
+
+    def split(self, n: int) -> tuple[float, float]:
+        """Shares of the first ``n`` thresholds (kept) and of the rest (dropped)."""
+        kept = self.prefix(n)
+        return kept / self._norm, (self.total - kept) / self._norm
 
     def charge(self, costs: StepFunction) -> None:
         """Add ``costs.values[i]`` to the cumulative loss of every threshold in piece i."""
@@ -216,51 +228,6 @@ class BlockWeights:
                 touched.add(last)
         for block in touched:
             self._refresh(block)
-
-
-class BlockShares:
-    """One round's mixture shares, read from the block weights.
-
-    The solver's reading interface of ``fixed_point.MixtureWeights``: the
-    real experts' ``base`` share and ``split``, the kept and dropped
-    threshold shares of a prefix of the grid.
-    """
-
-    __slots__ = ("base", "_aux", "_total")
-
-    def __init__(self, real_total: float, aux: BlockWeights):
-        self._aux = aux
-        self._total = real_total + aux.total
-        self.base = real_total / self._total
-
-    def require(self, num_thresholds: int) -> None:
-        if num_thresholds != self._aux.size:
-            raise ValueError(f"threshold weight count {self._aux.size} does not match "
-                             f"grid size {num_thresholds}")
-        if self.base <= 0.0:
-            raise ValueError("mixture weight shares must be strictly positive")
-
-    def split(self, n: int) -> tuple[float, float]:
-        kept = self._aux.prefix(n)
-        return kept / self._total, (self._aux.total - kept) / self._total
-
-
-class WeightState:
-    """The threshold experts' weights, one ``BlockWeights`` over the grid.
-
-    The real experts' cumulative losses and weights live in
-    ``ExpertPolicy``.  A round puts both kinds on one scale by subtracting
-    the lowest cumulative loss of any expert (the normalized shares are
-    exactly invariant to a common shift), so no weight overflows and the
-    best expert sits at weight 1.
-    """
-
-    def __init__(self, num_thresholds: int, eta: float):
-        self.aux = BlockWeights(num_thresholds, eta)
-
-    def weights(self, real_lowest: float) -> tuple[float, BlockWeights]:
-        """Rebase the blocks against the real experts' lowest loss; the shift and the blocks."""
-        return self.aux.rebase(real_lowest), self.aux
 
 
 @dataclass
@@ -370,18 +337,16 @@ class MygaPolicy(ExpertPolicy):
 
     def __init__(self, config: MygaConfig, sample_rng=None):
         super().__init__(config, sample_rng)
-        self.thresholds = require_grid(
-            build_threshold_grid(config.gamma, config.grid_denominator))
+        self.thresholds = build_threshold_grid(config.gamma, config.grid_denominator)
         self.state = WeightState(self.thresholds.size, config.eta)
 
     def _play(self, advices: np.ndarray) -> tuple[np.ndarray, RoundTrace]:
-        shift, aux = self.state.weights(float(self.real_loss.min()))
-        w_real = self._real_weights(shift)
+        w_real = self._real_weights(self.state.weights(float(self.real_loss.min())))
         zeta_original = simplex.weighted_average(advices, w_real)
         zeta_sorted, perm = simplex.sort_descending(zeta_original)
         pivot = simplex.pivot_index(zeta_sorted)
-        shares = BlockShares(float(w_real.sum()), aux)
-        q, iterations, residual = _solve(zeta_sorted, pivot, shares, self.thresholds)
+        self.state.set_shares(float(w_real.sum()))
+        q, iterations, residual = _solve(zeta_sorted, pivot, self.state, self.thresholds)
         p_sorted = truncate(q, pivot, self.cfg.gamma)
         p_original = perm.to_original(p_sorted)
         q_values = q.tolist()
@@ -405,4 +370,4 @@ class MygaPolicy(ExpertPolicy):
 
     def _charge(self, trace: RoundTrace, arm_original: int, est: float) -> None:
         aux_at = threshold_advice_at(trace, trace.perm.inverse.item(arm_original))
-        self.state.aux.charge(StepFunction(aux_at.breaks, [a * est for a in aux_at.values]))
+        self.state.charge(StepFunction(aux_at.breaks, [a * est for a in aux_at.values]))

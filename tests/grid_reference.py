@@ -51,14 +51,14 @@ def dense_mass_table(minority_desc, thresholds):
 
 
 def block_losses(aux):
-    """Every threshold's cumulative loss in a ``BlockWeights``: block offset plus own part."""
+    """Every threshold's cumulative loss in a ``WeightState``: block offset plus own part."""
     return aux.loss + np.repeat(aux.block_loss, aux.width)[:aux.size]
 
 
 def round_weights(policy):
-    """The real weights and the rebased threshold weights a round of ``policy`` plays with."""
-    shift, aux = policy.state.weights(float(policy.real_loss.min()))
-    return policy._real_weights(shift), aux
+    """The real weights and the threshold weight state a round of ``policy`` plays with."""
+    shift = policy.state.weights(float(policy.real_loss.min()))
+    return policy._real_weights(shift), policy.state
 
 
 def dense_threshold_advice(trace, arm_sorted):
@@ -70,19 +70,23 @@ def dense_threshold_advice(trace, arm_sorted):
 
 
 class DenseWeightState:
-    """The threshold experts' cumulative losses as one array, weights as ``exp`` over the grid."""
+    """The threshold experts' cumulative losses as one array, weights as ``exp`` over the grid.
+
+    ``weights`` sets ``w_aux`` and returns the shift, as ``WeightState.weights`` does.
+    """
 
     def __init__(self, num_thresholds, eta):
         self.eta = eta
         self.aux_loss = np.zeros(num_thresholds)
+        self.w_aux = np.ones(num_thresholds)
 
-    def weights(self, real_lowest):
-        shift = real_lowest
+    def weights(self, lowest):
+        shift = lowest
         if self.aux_loss.size:
             shift = min(shift, float(self.aux_loss.min()))
-        w_aux = np.exp(-self.eta * (self.aux_loss - shift))
-        np.maximum(w_aux, _WEIGHT_FLOOR, out=w_aux)
-        return shift, w_aux
+        self.w_aux = np.exp(-self.eta * (self.aux_loss - shift))
+        np.maximum(self.w_aux, _WEIGHT_FLOOR, out=self.w_aux)
+        return shift
 
 
 class DensePolicy(MygaPolicy):
@@ -97,7 +101,8 @@ class DensePolicy(MygaPolicy):
         self.shares = None
 
     def _play(self, advices):
-        w_real, w_aux = round_weights(self)
+        w_real, state = round_weights(self)
+        w_aux = state.w_aux
         zeta_original = weighted_average(advices, w_real)
         zeta_sorted, perm = sort_descending(zeta_original)
         pivot = pivot_index(zeta_sorted)

@@ -15,7 +15,7 @@ import pytest
 from myga.cli import ExperimentConfig, execute
 from myga.fixed_point import (MixtureWeights, mixture_residual,
                               solve_fixed_point, two_arm_fixed_point)
-from myga.policy import loss_estimator
+from myga.policy import loss_estimate
 from myga.truncation import truncate
 
 GOLDEN_Q = np.array([0.2, 0.1, 0.2, 0.1, 0.1, 0.1, 0.05, 0.05, 0.04, 0.03, 0.03])
@@ -157,7 +157,7 @@ def test_criterion_5_estimator_unbiasedness():
         mean = np.zeros(num_arms)
         for arm in range(num_arms):
             if p[arm] > 0.0:
-                mean += p[arm] * loss_estimator(p, arm, float(losses[arm]))
+                mean[arm] += p[arm] * loss_estimate(p, arm, float(losses[arm]))
         truncated = np.where(p > 0.0, losses, 0.0)
         worst = max(worst, float(np.max(np.abs(mean - truncated))))
         pairs += 1

@@ -1,6 +1,6 @@
 """The block-structured auxiliary weights against their dense references.
 
-``BlockWeights`` must give every prefix sum and the total of ``exp`` over
+``WeightState`` must give every prefix sum and the total of ``exp`` over
 a dense cumulative-loss array, and the policy built on it must play the
 rounds of the dense policy in ``grid_reference``, both up to rounding.
 """
@@ -11,7 +11,7 @@ import pytest
 from grid_reference import (DensePolicy, block_losses, dense_threshold_advice, densify,
                             round_weights)
 from myga.environments import EnvSpec, generate
-from myga.policy import (BlockShares, BlockWeights, MygaConfig, MygaPolicy, schedule_parameters,
+from myga.policy import (MygaConfig, MygaPolicy, WeightState, schedule_parameters,
                          threshold_advice_at)
 from myga.truncation import StepFunction
 
@@ -40,7 +40,7 @@ def dense_prefix(loss, eta, lowest):
 
 class TestBlockWeights:
     def test_block_width(self):
-        assert [BlockWeights(size, 0.1).width for size in (0, 1, 2, 3, 4, 5, 9, 10, 7698)] \
+        assert [WeightState(size, 0.1).width for size in (0, 1, 2, 3, 4, 5, 9, 10, 7698)] \
             == [1, 1, 2, 2, 2, 3, 3, 4, 88]
 
     @pytest.mark.parametrize("size", SIZES)
@@ -50,7 +50,7 @@ class TestBlockWeights:
             eta = float(rng.uniform(0.01, 1.0))
             charges = int(rng.integers(1, 40))
             scale = 40.0 / (eta * charges)   # eta times any cumulative loss stays below 40
-            aux, loss = BlockWeights(size, eta), np.zeros(size)
+            aux, loss = WeightState(size, eta), np.zeros(size)
             for step in range(charges):
                 charge = random_charge(rng, size, scale)
                 aux.charge(charge)
@@ -59,26 +59,23 @@ class TestBlockWeights:
                     continue
                 lowest = float(rng.uniform(-5.0, 45.0)) / eta
                 want, shift = dense_prefix(loss, eta, lowest)
-                assert aux.rebase(lowest) == pytest.approx(shift, rel=1e-14, abs=1e-12)
+                assert aux.weights(lowest) == pytest.approx(shift, rel=1e-14, abs=1e-12)
                 got = np.array([aux.prefix(n) for n in range(size + 1)])
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
                 assert aux.total == pytest.approx(want[-1], rel=1e-12, abs=0.0)
 
     def test_charge_on_empty_grid(self):
-        aux = BlockWeights(0, 0.5)
+        aux = WeightState(0, 0.5)
         aux.charge(StepFunction([], []))
-        assert aux.rebase(3.0) == 3.0
+        assert aux.weights(3.0) == 3.0
         assert aux.prefix(0) == 0.0 and aux.total == 0.0
 
-    def test_shares_reject_wrong_grid(self):
-        aux = BlockWeights(4, 0.5)
-        aux.rebase(0.0)
-        shares = BlockShares(1.0, aux)
-        shares.require(4)
-        with pytest.raises(ValueError, match="does not match"):
-            shares.require(5)
-        assert shares.base == 0.2
-        assert shares.split(1) == (0.2, 0.6)
+    def test_shares_of_real_total(self):
+        aux = WeightState(4, 0.5)
+        aux.weights(0.0)
+        aux.set_shares(1.0)
+        assert aux.base == 0.2
+        assert aux.split(1) == (0.2, 0.6)
 
 
 def gap_run():
@@ -108,12 +105,12 @@ def drift(policy, dense, spec, rounds, same_state):
     for t in range(1, rounds + 1):
         if same_state:
             dense.real_loss = policy.real_loss.copy()
-            dense.state.aux_loss = block_losses(policy.state.aux)
+            dense.state.aux_loss = block_losses(policy.state)
         data = generate(spec, t)
         p, trace = policy.advise(data.advices)
         p_dense, reference = dense.advise(data.advices)
-        w_real, aux = round_weights(policy)
-        shares = BlockShares(float(w_real.sum()), aux)
+        w_real, shares = round_weights(policy)
+        shares.set_shares(float(w_real.sum()))
         gaps = dict(
             q=np.abs(trace.q_sorted - reference.q_sorted).max(),
             p=np.abs(p - p_dense).max(),

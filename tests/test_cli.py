@@ -356,8 +356,20 @@ class TestRunAndMain:
         (["--env", "replay", "--replay", "{dir}/three_arms.txt", "--horizon", "2",
           "--arms", "2", "--experts", "1"],
          "replay {dir}/three_arms.txt has 3 arms and 1 experts, the run has 2 and 1"),
+        (["--eta", "nan"], "eta must be positive"),
+        (["--eta", "inf"], "eta must be positive"),
+        (["--policy", "exp4", "--eta", "nan"], "eta must be positive"),
+        (["--policy", "exp4", "--eta", "inf"], "eta must be positive"),
+        (["--lstar", "nan"], "cumulative-loss budget must be non-negative"),
+        (["--lstar", "inf"], "cumulative-loss budget must be non-negative"),
+        (["--delta", "nan"], "stochastic_gap needs mu_star in [0,1], delta >= 0"),
+        (["--delta", "inf"], "stochastic_gap needs mu_star in [0,1], delta >= 0"),
+        (["--bound-factor", "nan"], "bound factor nan is not finite"),
+        (["--bound-factor=-inf"], "bound factor -inf is not finite"),
     ], ids=["one_arm", "off_lattice_gamma", "missing_replay", "malformed_replay",
-            "replay_shape"])
+            "replay_shape", "eta_nan", "eta_inf", "exp4_eta_nan", "exp4_eta_inf",
+            "lstar_nan", "lstar_inf", "delta_nan", "delta_inf", "bound_factor_nan",
+            "bound_factor_neg_inf"])
     def test_main_set_up_error_leaves_output_files(self, tmp_path, capsys, flags, message):
         # The run is resolved before either CSV file is opened: an earlier
         # run's rounds file keeps its bytes and no summary file appears.

@@ -246,6 +246,11 @@ class TestSolveValidation:
         with pytest.raises(ValueError, match="strictly increasing"):
             solve_fixed_point(zeta, 1, weights, np.array([0.2, 0.1]))
 
+    def test_rejects_shares_off_the_grid(self):
+        with pytest.raises(ValueError, match="grid size"):
+            solve_fixed_point(np.array([0.6, 0.4]), 1,
+                              MixtureWeights(0.5, np.array([0.5])), np.array([0.1, 0.2]))
+
 
 class TestReferenceAgreement:
     def test_matches_naive_rewrite(self):

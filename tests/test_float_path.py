@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import numpy_reference as ref
-from myga.fixed_point import MixtureWeights, _solve, mixture_residual
+from myga.fixed_point import MixtureWeights, _solve, mixture_residual, solve_fixed_point
 from myga.simplex import (pivot_index, require_distribution_rows, sample_index,
                           sort_descending, validate, weighted_average)
 from myga.truncation import truncate
@@ -229,7 +229,7 @@ class TestFixedPointAgreement:
     def test_spoiled_mixtures(self, zeta, pivot):
         weights = MixtureWeights(0.5, np.array([0.25, 0.25]))
         grid = np.array([0.1, 0.2])
-        assert_same(2, outcome(_solve, zeta, pivot, weights, grid),
+        assert_same(2, outcome(solve_fixed_point, zeta, pivot, weights, grid),
                     outcome(ref.solve, zeta, pivot, weights, grid))
 
     def test_nan_share_fails_the_residual_check(self):

@@ -5,8 +5,8 @@ import pytest
 
 from grid_reference import DensePolicy, block_losses, densify, round_weights
 from myga.fixed_point import MixtureWeights, mixture_residual, two_arm_fixed_point
-from myga.policy import (BlockShares, MygaConfig, MygaPolicy, build_threshold_grid,
-                         loss_estimator, schedule_parameters, threshold_advice_at)
+from myga.policy import (MygaConfig, MygaPolicy, build_threshold_grid, loss_estimate,
+                         schedule_parameters, threshold_advice_at)
 from myga.simplex import validate
 from myga.truncation import StepFunction, truncate
 from round_protocol import RoundProtocolContract
@@ -95,13 +95,20 @@ class TestBuildThresholdGrid:
             build_threshold_grid(0.6, 10)
 
 
+def estimate_vector(p, arm, observed_loss):
+    """The estimate as a vector: ``loss_estimate`` at the played arm, zero elsewhere."""
+    est = np.zeros(len(p))
+    est[arm] = loss_estimate(p, arm, observed_loss)
+    return est
+
+
 class TestLossEstimator:
     def test_point_mass_at_played_arm(self):
-        est = loss_estimator(np.array([0.5, 0.5]), 1, 0.8)
+        est = estimate_vector(np.array([0.5, 0.5]), 1, 0.8)
         np.testing.assert_allclose(est, [0.0, 1.6], atol=1e-15)
 
     def test_zero_loss_gives_zero_vector(self):
-        est = loss_estimator(np.array([0.25, 0.75]), 0, 0.0)
+        est = estimate_vector(np.array([0.25, 0.75]), 0, 0.0)
         np.testing.assert_array_equal(est, [0.0, 0.0])
 
     def test_unbiased_over_support(self):
@@ -119,25 +126,25 @@ class TestLossEstimator:
             mean = np.zeros(num_arms)
             for a in range(num_arms):
                 if p[a] > 0.0:
-                    mean += p[a] * loss_estimator(p, a, float(losses[a]))
+                    mean += p[a] * estimate_vector(p, a, float(losses[a]))
             np.testing.assert_allclose(mean, np.where(p > 0.0, losses, 0.0), atol=1e-12)
 
     def test_zero_probability_arm_is_an_error(self):
         with pytest.raises(RuntimeError, match="zero probability"):
-            loss_estimator(np.array([1.0, 0.0]), 1, 0.5)
+            loss_estimate(np.array([1.0, 0.0]), 1, 0.5)
 
     def test_range_checks(self):
         with pytest.raises(ValueError, match="arm"):
-            loss_estimator(np.array([0.5, 0.5]), 2, 0.5)
+            loss_estimate(np.array([0.5, 0.5]), 2, 0.5)
         with pytest.raises(ValueError, match="loss"):
-            loss_estimator(np.array([0.5, 0.5]), 0, 1.5)
+            loss_estimate(np.array([0.5, 0.5]), 0, 1.5)
 
 
 def shares_of(policy):
     """The base share and every prefix's kept share of a policy's weights."""
-    w_real, aux = round_weights(policy)
-    shares = BlockShares(float(w_real.sum()), aux)
-    return shares.base, np.array([shares.split(n)[0] for n in range(aux.size + 1)])
+    w_real, shares = round_weights(policy)
+    shares.set_shares(float(w_real.sum()))
+    return shares.base, np.array([shares.split(n)[0] for n in range(shares.size + 1)])
 
 
 def policy_with(num_experts, num_thresholds, eta):
@@ -167,7 +174,7 @@ class TestWeightState:
     def test_best_auxiliary_expert_pins_weight_one(self):
         policy = policy_with(2, 5, 0.7)
         policy.real_loss += np.array([2.0, 5.0])
-        policy.state.aux.charge(StepFunction([0, 2, 3], [4.0, 1.0, 3.0]))
+        policy.state.charge(StepFunction([0, 2, 3], [4.0, 1.0, 3.0]))
         w_real, aux = round_weights(policy)
         assert aux.prefix(3) - aux.prefix(2) == pytest.approx(1.0, rel=1e-15)
         np.testing.assert_allclose(w_real, np.exp(-0.7 * np.array([1.0, 4.0])), rtol=1e-15)
@@ -176,10 +183,10 @@ class TestWeightState:
         policy = policy_with(4, 3, 0.3)
         rng = np.random.default_rng(41)
         policy.real_loss += rng.uniform(0.0, 20.0, size=4)
-        policy.state.aux.charge(StepFunction([0, 1, 2], rng.uniform(0.0, 20.0, size=3).tolist()))
+        policy.state.charge(StepFunction([0, 1, 2], rng.uniform(0.0, 20.0, size=3).tolist()))
         base, kept = shares_of(policy)
         policy.real_loss += 1000.0
-        policy.state.aux.charge(StepFunction([0], [1000.0]))
+        policy.state.charge(StepFunction([0], [1000.0]))
         base2, kept2 = shares_of(policy)
         assert base2 == pytest.approx(base, rel=1e-12)
         np.testing.assert_allclose(kept2, kept, rtol=1e-12)
@@ -193,11 +200,11 @@ class TestWeightState:
         policy, dense = MygaPolicy(config), DensePolicy(config)
         for each in (policy, dense):
             each.real_loss += np.array([0.0, 1e6])
-        policy.state.aux.charge(StepFunction([0], [2e6]))
+        policy.state.charge(StepFunction([0], [2e6]))
         dense.state.aux_loss += 2e6
         w_real, aux = round_weights(policy)
         assert w_real[1] > 0.0 and np.isfinite(w_real).all()
-        assert aux.total == 0.0 and round_weights(dense)[1][0] == 1e-300
+        assert aux.total == 0.0 and round_weights(dense)[1].w_aux[0] == 1e-300
         advices = np.array([[0.7, 0.3], [0.2, 0.8]])
         _, trace = policy.advise(advices)
         _, reference = dense.advise(advices)
@@ -300,7 +307,7 @@ class TestMygaPolicyUpdate(RoundProtocolContract):
         rng = np.random.default_rng(61)
         policy = make_policy(num_arms=6, num_experts=3, eta=0.3, gamma=0.125,
                              grid_denominator=8, horizon=50)
-        aux = policy.state.aux
+        aux = policy.state
         seen_minority = seen_majority = 0
         for _ in range(60):
             advices = rng.dirichlet(np.ones(6) * 0.7, size=3)
