@@ -24,7 +24,7 @@ import numpy as np
 
 from .audit import Auditor, RegretReport, Violation, theorem_bound_value
 from .baselines import Exp4Config, Exp4Policy
-from .environments import KINDS, EnvSpec, generate, replay_for
+from .environments import KINDS, EnvSpec, generate, open_replay
 from .policy import MygaConfig, MygaPolicy, schedule_parameters
 
 POLICIES = ("myga", "exp4", "exp4_threshold")
@@ -68,8 +68,12 @@ class ExperimentConfig:
             raise ValueError(f"env {self.env!r} not one of {KINDS}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if self.env == "replay" and not self.replay_path:
+            raise ValueError("replay kind needs replay_path")
         if not math.isfinite(self.bound_factor):
             raise ValueError(f"bound factor {self.bound_factor} is not finite")
+        if self.bound_factor < 0.0:
+            raise ValueError(f"bound factor {self.bound_factor} is negative")
 
 
 @dataclass
@@ -121,10 +125,11 @@ def emit_csv(fh, rows: list[tuple]) -> None:
 def execute(config: ExperimentConfig) -> ExperimentResult:
     """Run every seed and return reports and violations.
 
-    The run is resolved once, before either file is opened: the first
-    seed's environment, the schedule, the policy configuration, the replay
-    file and the bound.  A seed then makes only its environment, sample
-    stream, policy and auditor.
+    The run is resolved once, before either file is opened: first the
+    replay file, read once with ``open_replay``, then the first seed's
+    environment, the schedule, the policy configuration and the bound.
+    Every seed plays the replay read here; a seed then makes only its
+    environment, sample stream, policy and auditor.
 
     With ``out`` set, both CSV files are created with their headers before
     round 1, so an unwritable prefix fails before any round is computed.
@@ -134,10 +139,11 @@ def execute(config: ExperimentConfig) -> ExperimentResult:
     chunk already written.
     """
     seeds = sorted(config.seeds)
+    replay = open_replay(config.replay_path) if config.env == "replay" else None
     first_spec = EnvSpec(kind=config.env, num_arms=config.num_arms,
                          num_experts=config.num_experts, horizon=config.horizon,
                          seed=seeds[0], mu_star=config.mu_star, delta=config.delta,
-                         replay_path=config.replay_path)
+                         replay=replay)
     l_star = config.l_star if config.l_star is not None else float(config.horizon)
     eta, gamma = schedule_parameters(config.num_arms, config.num_experts,
                                      config.horizon, l_star, config.grid_denominator)
@@ -156,8 +162,6 @@ def execute(config: ExperimentConfig) -> ExperimentResult:
         policy_config = Exp4Config(num_arms=config.num_arms, num_experts=config.num_experts,
                                    eta=eta, variant=variant,
                                    gamma=gamma if variant == "thresholded" else 0.0)
-    if first_spec.kind == "replay":
-        replay_for(first_spec, restat=True)
     bound_value = theorem_bound_value(config.num_arms, config.num_experts,
                                       config.horizon, l_star)
 

@@ -14,7 +14,9 @@ Replay files are plain text with LF line endings: a header line
 advice line per expert, all space-separated ``repr`` floats (lossless
 round-trip).  A parsed replay is two read-only arrays, parsed in one
 vectorised call; a file that call cannot vouch for goes through the line
-parser, which reports malformed content with 1-based line numbers.
+parser, which reports malformed content with 1-based line numbers.  A run
+opens its replay once, with ``open_replay``, and its ``EnvSpec`` carries
+the parsed ``Replay``: every seed plays the rounds read at set-up.
 """
 
 from __future__ import annotations
@@ -34,6 +36,17 @@ from . import simplex
 KINDS = ("zero_loss_expert", "stochastic_gap", "adversarial_minority", "replay")
 
 
+@dataclass(frozen=True, eq=False)
+class Replay:
+    """A parsed replay: losses (T, K) and advices (T, E, K), both read-only."""
+    losses: np.ndarray
+    advices: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.losses.flags.writeable = False
+        self.advices.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class EnvSpec:
     kind: str
@@ -43,7 +56,7 @@ class EnvSpec:
     seed: int
     mu_star: float = 0.1
     delta: float = 0.2
-    replay_path: str | None = None
+    replay: Replay | None = None
 
     def __post_init__(self) -> None:
         try:
@@ -64,34 +77,21 @@ class EnvSpec:
         if self.kind == "stochastic_gap":
             if not (0.0 <= self.mu_star <= 1.0 and 0.0 <= self.delta < math.inf):
                 raise ValueError("stochastic_gap needs mu_star in [0,1], delta >= 0")
-        if self.kind == "replay" and not self.replay_path:
-            raise ValueError("replay kind needs replay_path")
+        if self.kind == "replay":
+            if self.replay is None:
+                raise ValueError("replay kind needs a parsed replay")
+            rounds, num_experts, num_arms = self.replay.advices.shape
+            if (num_arms, num_experts) != (self.num_arms, self.num_experts):
+                raise ValueError(f"replay has {num_arms} arms and {num_experts} experts, "
+                                 f"the run has {self.num_arms} and {self.num_experts}")
+            if rounds < self.horizon:
+                raise ValueError(f"replay holds {rounds} rounds, horizon is {self.horizon}")
 
 
 @dataclass
 class RoundData:
     advices: np.ndarray
     losses: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class Replay:
-    """A parsed replay: losses (T, K) and advices (T, E, K), both read-only.
-
-    ``replay[i]`` is round i + 1 as a ``RoundData`` of read-only views.
-    """
-    losses: np.ndarray
-    advices: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.losses.flags.writeable = False
-        self.advices.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.losses)
-
-    def __getitem__(self, index: int) -> RoundData:
-        return RoundData(advices=self.advices[index], losses=self.losses[index])
 
 
 _CHUNK = 1024   # rounds per chunk
@@ -156,49 +156,15 @@ def _chunk(spec: EnvSpec, chunk: int) -> tuple[np.ndarray, np.ndarray]:
     return advices, losses
 
 
-# path -> ((st_mtime_ns, st_size) at parse time, parsed replay), oldest first.
-_REPLAY_CACHE: dict[str, tuple[tuple[int, int], Replay]] = {}
-_REPLAY_CACHE_SIZE = 8
-
-
-def replay_for(spec: EnvSpec, restat: bool) -> Replay:
-    """The replay kind's parsed file, reparsed when its mtime or size changed,
-    and checked to hold the spec's arms, experts and horizon.
-
-    The file is stat'ed only when ``restat`` is set, which ``generate`` does
-    at round 1 of every run and ``cli.execute`` before it opens its output:
-    a stat costs a noticeable share of a replay round, and a file rewritten
-    in the middle of a run is not followed.  A rewrite that keeps the size
-    within the file system's timestamp granularity is not seen either.
-    """
-    path = spec.replay_path
-    entry = _REPLAY_CACHE.get(path)
-    if entry is None or restat:
-        info = os.stat(path)
-        stamp = (info.st_mtime_ns, info.st_size)
-        if entry is None or entry[0] != stamp:
-            _REPLAY_CACHE.pop(path, None)
-            if len(_REPLAY_CACHE) >= _REPLAY_CACHE_SIZE:
-                del _REPLAY_CACHE[next(iter(_REPLAY_CACHE))]
-            entry = _REPLAY_CACHE[path] = (stamp, load_replay(path))
-    rounds, num_experts, num_arms = entry[1].advices.shape
-    if (num_arms, num_experts) != (spec.num_arms, spec.num_experts):
-        raise ValueError(f"replay {path} has {num_arms} arms and {num_experts} experts, "
-                         f"the run has {spec.num_arms} and {spec.num_experts}")
-    if rounds < spec.horizon:
-        raise ValueError(f"replay {path} holds {rounds} rounds, horizon is {spec.horizon}")
-    return entry[1]
-
-
 def generate(spec: EnvSpec, t: int) -> RoundData:
     """Round t (1-based) of the environment, a pure function of (seed, t):
-    fresh, writable copies of one row of its chunk, or of the replay."""
+    fresh, writable copies of one row of its chunk, or of row t - 1 of the
+    spec's replay."""
     if not 1 <= t <= spec.horizon:
         raise ValueError(f"round {t} outside [1, {spec.horizon}]")
     if spec.kind == "replay":
-        replay = replay_for(spec, restat=t == 1)
-        return RoundData(advices=replay.advices[t - 1].copy(),
-                         losses=replay.losses[t - 1].copy())
+        return RoundData(advices=spec.replay.advices[t - 1].copy(),
+                         losses=spec.replay.losses[t - 1].copy())
     chunk, row = divmod(t - 1, _CHUNK)
     advices, losses = _chunk(spec, chunk)
     return RoundData(advices=advices[row].copy(), losses=losses[row].copy())
@@ -360,3 +326,27 @@ def load_replay(path: str) -> Replay:
         raise ValueError(f"line {line_no}: byte {data[exc.start]:#04x} "
                          f"is not valid {encoding}") from exc
     return _parse_lines(text)
+
+
+# The last parse and the file's (path, st_dev, st_ino, st_size, st_mtime_ns,
+# st_ctime_ns) when it was read; one entry, so a process holds one replay.
+_opened: tuple[tuple, Replay] | None = None
+
+
+def open_replay(path: str) -> Replay:
+    """The replay file at ``path``, parsed by ``load_replay``.
+
+    The file is stat'ed once per call, and the last parse is returned while
+    the path, device, inode, size, mtime and ctime are unchanged.  A rewrite
+    that restores the mtime still moves the ctime, and a file renamed over
+    the path has a new inode.  The old parse is dropped before a new one is
+    read, so the process never holds two.
+    """
+    global _opened
+    info = os.stat(path)
+    stamp = (path, info.st_dev, info.st_ino, info.st_size,
+             info.st_mtime_ns, info.st_ctime_ns)
+    if _opened is None or _opened[0] != stamp:
+        _opened = None
+        _opened = (stamp, load_replay(path))
+    return _opened[1]

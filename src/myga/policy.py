@@ -58,8 +58,12 @@ def schedule_parameters(num_arms: int, num_experts: int, horizon: int,
     denom = 2 * horizon if grid_denominator is None else int(grid_denominator)
     if denom < 2:
         raise ValueError("grid denominator must be at least 2")
-    eta = min(1.0 / num_arms,
-              math.sqrt(math.log(num_experts * horizon) / (num_arms * max(l_star, 1.0))))
+    budget = num_arms * max(l_star, 1.0)
+    if budget < math.inf:
+        rate = math.log(num_experts * horizon) / budget
+    else:   # K * L overflowed; only then divide in turn, which can round differently
+        rate = math.log(num_experts * horizon) / num_arms / max(l_star, 1.0)
+    eta = min(1.0 / num_arms, math.sqrt(rate))
     step = max(1, math.ceil(2.0 * eta * denom))
     step = min(step, denom // 2)
     return eta, step / denom

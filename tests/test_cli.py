@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import myga.cli as cli_mod
+import myga.environments as env_mod
 import myga.policy as policy_mod
 from myga.cli import (ROUND_HEADER, SUMMARY_HEADER, ExperimentConfig,
                       build_config, emit_csv, execute, main, parse_config_file,
@@ -224,30 +226,79 @@ class TestExecute:
         assert result.exit_code == 0
         assert result.seed_results[0].report.rounds == 6
 
-    @pytest.mark.parametrize("new_loss,bump_mtime", [(0.0, True), (0.25, False)])
-    def test_replay_rewritten_between_runs_is_reparsed(self, tmp_path, new_loss,
-                                                       bump_mtime):
-        path = str(tmp_path / "replay.txt")
+    def write_replay(self, path, loss):
+        """Six rounds of two experts on two arms, every arm losing ``loss``."""
         advices = np.array([[1.0, 0.0], [0.0, 1.0]])
+        save_replay(path, [RoundData(advices=advices.copy(), losses=np.full(2, loss))
+                           for _ in range(6)])
 
-        def write(loss):
-            save_replay(path, [RoundData(advices=advices.copy(), losses=np.full(2, loss))
-                               for _ in range(6)])
-
+    # mtime: True moves it on past the first write, False leaves it as the
+    # rewrite set it, "restored" sets it back to the first write's.
+    @pytest.mark.parametrize("new_loss,mtime", [(0.0, True), (0.25, False),
+                                                (0.5, "restored")])
+    def test_replay_rewritten_between_runs_is_reparsed(self, tmp_path, new_loss, mtime):
+        path = str(tmp_path / "replay.txt")
         config = self.base_config(env="replay", replay_path=path, horizon=6,
                                   seeds=(0,))
-        write(1.0)
+        self.write_replay(path, 1.0)
         first = execute(config)
-        stamp = os.stat(path).st_mtime_ns
-        write(new_loss)
-        if bump_mtime:
+        stamp = os.stat(path)
+        self.write_replay(path, new_loss)
+        if mtime is True:
             # Same size, and two writes can share a coarse file-system
             # timestamp: move the mtime on as a later rewrite would.
-            os.utime(path, ns=(stamp + 10 ** 9, stamp + 10 ** 9))
+            os.utime(path, ns=(stamp.st_mtime_ns + 10 ** 9, stamp.st_mtime_ns + 10 ** 9))
+        elif mtime == "restored":
+            # Same size and mtime, as cp -p, rsync -t or tar x leave a file.
+            # The ctime moves, once a coarse file-system clock has ticked.
+            os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+            while os.stat(path).st_ctime_ns == stamp.st_ctime_ns:
+                time.sleep(0.01)
+                os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+            assert os.stat(path).st_mtime_ns == stamp.st_mtime_ns
         second = execute(config)
         assert first.seed_results[0].report.total_play_loss == pytest.approx(6.0, abs=1e-9)
         assert second.seed_results[0].report.total_play_loss == pytest.approx(
             6 * new_loss, abs=1e-9)
+
+    def test_replay_rewritten_between_seeds_is_not_followed(self, tmp_path, monkeypatch):
+        # Every seed plays the file read at set-up, even when it is rewritten,
+        # with a later mtime, before the next seed starts.
+        path = str(tmp_path / "replay.txt")
+        self.write_replay(path, 1.0)
+        real_generate = cli_mod.generate
+
+        def generate(spec, t):
+            if (spec.seed, t) == (1, 1):
+                stamp = os.stat(path).st_mtime_ns + 10 ** 9
+                self.write_replay(path, 0.0)
+                os.utime(path, ns=(stamp, stamp))
+            return real_generate(spec, t)
+
+        monkeypatch.setattr(cli_mod, "generate", generate)
+        result = execute(self.base_config(env="replay", replay_path=path, horizon=6,
+                                          seeds=(0, 1)))
+        assert [r.report.total_play_loss for r in result.seed_results] == [
+            pytest.approx(6.0, abs=1e-9)] * 2
+
+    def test_unchanged_replay_is_parsed_once(self, tmp_path, monkeypatch):
+        # Repeated runs on one file keep one parse: the benchmark's measuring
+        # process runs ``execute`` again and again on its replay.
+        path = str(tmp_path / "replay.txt")
+        self.write_replay(path, 1.0)
+        parsed = []
+        real_load_replay = env_mod.load_replay
+
+        def load_replay(load_path):
+            parsed.append(load_path)
+            return real_load_replay(load_path)
+
+        monkeypatch.setattr(env_mod, "load_replay", load_replay)
+        config = self.base_config(env="replay", replay_path=path, horizon=6)
+        first, second = execute(config), execute(config)
+        assert parsed == [path]
+        assert ([r.report.total_play_loss for r in first.seed_results]
+                == [r.report.total_play_loss for r in second.seed_results])
 
     def test_corrupted_run_exits_two(self, corrupted_solve):
         result = execute(self.base_config(seeds=(0,)))
@@ -355,7 +406,8 @@ class TestRunAndMain:
          "line 4: file truncated inside round 1"),
         (["--env", "replay", "--replay", "{dir}/three_arms.txt", "--horizon", "2",
           "--arms", "2", "--experts", "1"],
-         "replay {dir}/three_arms.txt has 3 arms and 1 experts, the run has 2 and 1"),
+         "replay has 3 arms and 1 experts, the run has 2 and 1"),
+        (["--env", "replay"], "replay kind needs replay_path"),
         (["--eta", "nan"], "eta must be positive"),
         (["--eta", "inf"], "eta must be positive"),
         (["--policy", "exp4", "--eta", "nan"], "eta must be positive"),
@@ -366,10 +418,11 @@ class TestRunAndMain:
         (["--delta", "inf"], "stochastic_gap needs mu_star in [0,1], delta >= 0"),
         (["--bound-factor", "nan"], "bound factor nan is not finite"),
         (["--bound-factor=-inf"], "bound factor -inf is not finite"),
+        (["--bound-factor=-1"], "bound factor -1.0 is negative"),
     ], ids=["one_arm", "off_lattice_gamma", "missing_replay", "malformed_replay",
-            "replay_shape", "eta_nan", "eta_inf", "exp4_eta_nan", "exp4_eta_inf",
-            "lstar_nan", "lstar_inf", "delta_nan", "delta_inf", "bound_factor_nan",
-            "bound_factor_neg_inf"])
+            "replay_shape", "replay_without_path", "eta_nan", "eta_inf", "exp4_eta_nan",
+            "exp4_eta_inf", "lstar_nan", "lstar_inf", "delta_nan", "delta_inf",
+            "bound_factor_nan", "bound_factor_neg_inf", "bound_factor_negative"])
     def test_main_set_up_error_leaves_output_files(self, tmp_path, capsys, flags, message):
         # The run is resolved before either CSV file is opened: an earlier
         # run's rounds file keeps its bytes and no summary file appears.
@@ -385,6 +438,15 @@ class TestRunAndMain:
         assert f"myga: error: {message.format(dir=tmp_path)}\n" in capsys.readouterr().err
         assert open(prefix + "_rounds.csv", "rb").read() == earlier
         assert not os.path.exists(prefix + "_summary.csv")
+
+    @pytest.mark.parametrize("flags", [["--lstar", "1e308"], ["--bound-factor", "0"]],
+                             ids=["lstar_1e308", "bound_factor_zero"])
+    def test_main_extreme_valid_values_exit_zero(self, capsys, flags):
+        # K * l_star overflows to inf at l_star 1e308; a zero bound factor is allowed.
+        code = main(["--env", "stochastic_gap", "--arms", "2", "--experts", "4",
+                     "--horizon", "5", "--grid-denominator", "10"] + flags)
+        assert capsys.readouterr().err == ""
+        assert code == 0
 
     @pytest.mark.parametrize("policy", ["myga", "exp4_threshold"])
     def test_main_negative_seed_exits_one(self, capsys, policy):

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import myga.environments as env_mod
-from myga.cli import SAMPLE_STREAM_SALT
+from myga.cli import SAMPLE_STREAM_SALT, ExperimentConfig
 from myga.environments import (EnvSpec, Replay, RoundData, generate, load_replay,
-                               save_replay)
+                               open_replay, save_replay)
 from myga.simplex import validate
 from environment_reference import ROUNDS, adversarial_minority_round
 from environment_reference import save_replay as joined_save_replay
@@ -28,8 +28,25 @@ class TestEnvSpec:
             spec_for("drifting")
 
     def test_replay_needs_path(self):
-        with pytest.raises(ValueError, match="replay_path"):
+        # The configuration names the file; the spec carries its parse.
+        with pytest.raises(ValueError, match="replay kind needs replay_path"):
+            ExperimentConfig(env="replay")
+        with pytest.raises(ValueError, match="replay kind needs a parsed replay"):
             spec_for("replay")
+
+    def test_replay_must_fit_the_run(self):
+        # Three arms, four experts and two rounds, against spec_for's
+        # three arms, four experts and 50 rounds.
+        replay = Replay(losses=np.zeros((2, 3)), advices=np.full((2, 4, 3), 1.0 / 3.0))
+        assert spec_for("replay", horizon=2, replay=replay).replay is replay
+        with pytest.raises(ValueError, match="replay has 3 arms and 4 experts, "
+                                             "the run has 2 and 4"):
+            spec_for("replay", horizon=2, num_arms=2, replay=replay)
+        with pytest.raises(ValueError, match="replay has 3 arms and 4 experts, "
+                                             "the run has 3 and 5"):
+            spec_for("replay", horizon=2, num_experts=5, replay=replay)
+        with pytest.raises(ValueError, match="replay holds 2 rounds, horizon is 3"):
+            spec_for("replay", horizon=3, replay=replay)
 
     @pytest.mark.parametrize("seed", [-1, -(2 ** 40)])
     def test_rejects_negative_seed(self, seed):
@@ -362,10 +379,8 @@ class TestReplayRoundTrip:
         path = str(tmp_path / "replay.txt")
         save_replay(path, rounds)
         loaded = load_replay(path)
-        assert len(loaded) == len(rounds)
-        for orig, back in zip(rounds, loaded):
-            np.testing.assert_array_equal(orig.advices, back.advices)
-            np.testing.assert_array_equal(orig.losses, back.losses)
+        np.testing.assert_array_equal(loaded.advices, [r.advices for r in rounds])
+        np.testing.assert_array_equal(loaded.losses, [r.losses for r in rounds])
 
     def test_generate_serves_replay_rounds(self, tmp_path):
         rng = np.random.default_rng(93)
@@ -373,7 +388,7 @@ class TestReplayRoundTrip:
         path = str(tmp_path / "replay.txt")
         save_replay(path, rounds)
         spec = EnvSpec(kind="replay", num_arms=4, num_experts=3, horizon=4,
-                       seed=0, replay_path=path)
+                       seed=0, replay=open_replay(path))
         for t in range(1, 5):
             data = generate(spec, t)
             np.testing.assert_array_equal(data.losses, rounds[t - 1].losses)
@@ -382,10 +397,9 @@ class TestReplayRoundTrip:
         rng = np.random.default_rng(95)
         path = str(tmp_path / "short.txt")
         save_replay(path, self._make_rounds(rng, num_rounds=2))
-        spec = EnvSpec(kind="replay", num_arms=4, num_experts=3, horizon=9,
-                       seed=0, replay_path=path)
-        with pytest.raises(ValueError, match="holds 2 rounds"):
-            generate(spec, 1)
+        with pytest.raises(ValueError, match="replay holds 2 rounds, horizon is 9"):
+            EnvSpec(kind="replay", num_arms=4, num_experts=3, horizon=9,
+                    seed=0, replay=open_replay(path))
 
     def test_uses_lf_line_endings(self, tmp_path):
         rng = np.random.default_rng(97)
@@ -421,12 +435,12 @@ class TestReplayRoundTrip:
         path = str(tmp_path / "replay.txt")
         save_replay(path, rounds)
         loaded = load_replay(path)
-        assert isinstance(loaded, Replay) and len(loaded) == 3
+        assert isinstance(loaded, Replay)
         assert loaded.losses.shape == (3, 4) and loaded.advices.shape == (3, 3, 4)
         assert not loaded.losses.flags.writeable and not loaded.advices.flags.writeable
-        np.testing.assert_array_equal(loaded[1].advices, rounds[1].advices)
+        np.testing.assert_array_equal(loaded.advices[1], rounds[1].advices)
         spec = EnvSpec(kind="replay", num_arms=4, num_experts=3, horizon=3,
-                       seed=0, replay_path=path)
+                       seed=0, replay=loaded)
         data = generate(spec, 2)
         assert data.advices.flags.writeable and data.losses.flags.writeable
         data.advices[:] = -1.0

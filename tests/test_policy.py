@@ -26,6 +26,12 @@ class TestScheduleParameters:
     def test_zero_loss_budget_acts_like_one(self):
         assert schedule_parameters(2, 4, 10000, 0.0) == schedule_parameters(2, 4, 10000, 1.0)
 
+    def test_overflowing_loss_budget_keeps_eta_positive(self):
+        # K * l_star overflows to inf, so the rate is divided in turn.
+        eta, gamma = schedule_parameters(2, 4, 5, 1e308, grid_denominator=10)
+        assert eta == math.sqrt(math.log(20) / 2 / 1e308) and eta > 0.0
+        assert gamma == 0.1
+
     def test_eta_capped_by_arm_count(self):
         eta, _ = schedule_parameters(8, 2, 10, 1)
         assert eta == 1.0 / 8.0
