@@ -103,9 +103,12 @@ def check_round(trace: RoundTrace, gamma: float, num_arms: int) -> list[Violatio
         for j in (0, -1):
             threshold = trace.thresholds.item(j)
             removed = left_sum([x for x in minority if x <= threshold])
-            table_gap = max(table_gap, abs(table[j] - removed))
+            size = abs(table[j] - removed)
+            if size > table_gap:
+                table_gap = size
 
-    # One pass over the arms gathers every rule's margin.
+    # One pass over the arms gathers every rule's margin.  Each is kept by
+    # comparison, ``if b > a: a = b``, which is what ``a = max(a, b)`` does.
     zeta_majority = left_sum(zeta[:k])
     growth = 1.0 - 2.0 * num_arms * gamma
     gap = over = drop = 0.0
@@ -113,16 +116,21 @@ def check_round(trace: RoundTrace, gamma: float, num_arms: int) -> list[Violatio
     zeta_low = math.inf
     for i, (zi, qi, pi) in enumerate(zip(zeta, q, p)):
         if i < k:
-            under = max(under, zi - qi)
-            zeta_low = min(zeta_low, zi)
+            if zi - qi > under:
+                under = zi - qi
+            if zi < zeta_low:
+                zeta_low = zi
             for d in extremes:
-                gap = max(gap, abs((majority_mass + d) * qi / majority_mass * zeta_majority
-                                   - (1.0 - (minority_mass - d)) * zi))
-        else:
-            over = max(over, qi - zi)
-        shrink = max(shrink, growth * pi - qi)
-        if pi > 0.0:
-            drop = max(drop, qi - pi)
+                size = abs((majority_mass + d) * qi / majority_mass * zeta_majority
+                           - (1.0 - (minority_mass - d)) * zi)
+                if size > gap:
+                    gap = size
+        elif qi - zi > over:
+            over = qi - zi
+        if growth * pi - qi > shrink:
+            shrink = growth * pi - qi
+        if pi > 0.0 and qi - pi > drop:
+            drop = qi - pi
     floor = 1.0 / (2.0 * num_arms)
     short = floor - zeta_low
 
@@ -181,7 +189,11 @@ def theorem_bound_value(num_arms: int, num_experts: int, horizon: int,
                         l_star: float) -> float:
     """sqrt(K * log(E*T) * L) + K * log(E*T), the first-order regret scale."""
     width = num_arms * math.log(num_experts * horizon)
-    return math.sqrt(width * max(l_star, 0.0)) + width
+    loss = max(l_star, 0.0)
+    if width * loss < math.inf:
+        return math.sqrt(width * loss) + width
+    # width * L overflowed; only then take the roots in turn, which can round differently
+    return math.sqrt(width) * math.sqrt(loss) + width
 
 
 class Auditor:
@@ -194,17 +206,20 @@ class Auditor:
         self.enabled = enabled
         self.report = RegretReport.empty(num_experts)
         self.violations: list[Violation] = []
+        self.round_play_loss = 0.0
 
     def observe_round(self, trace, losses: np.ndarray) -> int:
         """Check and accumulate one round; returns this round's violation count.
 
         Every trace adds to the play and expert losses; only a ``RoundTrace``
         has a pivot, so only it splits its loss into majority and minority
-        parts and is checked.
+        parts and is checked.  The round's expected play loss is kept as
+        ``round_play_loss``.
         """
         losses = np.asarray(losses, dtype=float)
         report = self.report
-        report.total_play_loss += float(trace.p_original @ losses)
+        self.round_play_loss = float(trace.p_original @ losses)
+        report.total_play_loss += self.round_play_loss
         report.per_expert_loss += trace.advices @ losses
         report.rounds += 1
         if not isinstance(trace, RoundTrace):

@@ -167,6 +167,7 @@ def execute(config: ExperimentConfig) -> ExperimentResult:
 
     result = ExperimentResult(config=config)
     collect_rounds = config.out is not None
+    solved = config.policy == "myga"   # only its traces carry a pivot and a residual
     with contextlib.ExitStack() as files:
         if collect_rounds:
             rounds_path, summary_path = _csv_paths(config.out)
@@ -188,13 +189,14 @@ def execute(config: ExperimentConfig) -> ExperimentResult:
                 fresh = auditor.observe_round(trace, data.losses)
                 if collect_rounds:
                     report = auditor.report
+                    best = report.best_expert_loss
                     rows.append((
                         seed, t,
-                        getattr(trace, "pivot", 0), arm,
-                        realized, float(p @ data.losses),
-                        report.total_play_loss, report.best_expert_loss,
-                        report.regret, report.majority_loss, report.minority_loss,
-                        float(getattr(trace, "residual", 0.0)), fresh,
+                        trace.pivot if solved else 0, arm,
+                        realized, auditor.round_play_loss,
+                        report.total_play_loss, best,
+                        report.total_play_loss - best, report.majority_loss,
+                        report.minority_loss, trace.residual if solved else 0.0, fresh,
                     ))
                     if len(rows) == ROUND_CHUNK_ROWS:
                         emit_csv(rounds_fh, rows)

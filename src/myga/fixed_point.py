@@ -20,9 +20,12 @@ weight grows by the weights of the thresholds it newly crossed and its
 mass becomes base*zeta(i) / (1 - kept weight).  Masses only grow, no
 pass overshoots (an arm on a threshold stays truncated by it), and
 growth stops at the least fixed point once no arm crosses another
-threshold.  The work is a binary search per minority arm and pass plus
-one prefix-sum read of threshold weight per arm that moved, so it scales
-with the few minority arms, not with the grid.
+threshold.  A pass first compares each mass with the two thresholds
+around it, grid[b-1] < mass <= grid[b], and searches the grid only when
+some arm has left that interval, so the pass that confirms the fixed
+point makes no search.  The work is a binary search per minority arm
+and moving pass plus one prefix-sum read of threshold weight per arm
+that moved, so it scales with the few minority arms, not with the grid.
 
 The reported iteration count is the number of (minority arm, threshold)
 pairs with the arm strictly above the threshold: the unit advances of
@@ -139,8 +142,12 @@ def _solve(zeta: np.ndarray, pivot: int, weights: MixtureWeights,
 
     # Every arm still moving crosses a threshold per pass, so an arm moves
     # in at most |grid| passes and one more pass finds nothing to cross.
+    # A pass searches only if some arm has left the interval its last
+    # search put it in.
     for _ in range(grid.size + 1):
-        reached = np.searchsorted(grid, q_min, side="left").tolist()
+        if _in_place(grid, below, q_min):
+            break
+        reached = grid.searchsorted(q_min, side="left").tolist()
         if reached == below:
             break
         for i, (old, new) in enumerate(zip(below, reached)):
@@ -166,6 +173,20 @@ def _solve(zeta: np.ndarray, pivot: int, weights: MixtureWeights,
     if not resid <= RESIDUAL_TOL:
         raise RuntimeError(f"fixed-point residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e}")
     return q, iterations, resid
+
+
+def _in_place(grid: np.ndarray, below: list[int], masses: list[float]) -> bool:
+    """Whether each mass lies in (grid[b-1], grid[b]] for its count b of thresholds below.
+
+    That is where ``searchsorted(grid, mass, side="left")`` puts it, so a
+    search would return ``below`` unchanged.  A mass on a threshold is in
+    the interval that threshold closes, and a NaN mass is in none.
+    """
+    last = grid.size
+    for b, x in zip(below, masses):
+        if (b and not grid.item(b - 1) < x) or (b < last and not x <= grid.item(b)):
+            return False
+    return True
 
 
 def _boundaries(below: list[int], pivot: int, num_thresholds: int) -> np.ndarray:
@@ -205,33 +226,41 @@ def mixture_residual(q: np.ndarray, zeta_sorted: np.ndarray, pivot: int,
     grid = np.asarray(thresholds, dtype=float)
     base = float(weights.base)
     k = pivot
-    q_min = q_vals[k:]
     majority_mass = left_sum(q_vals[:k])
     if majority_mass <= 0.0:
         raise ValueError("majority arms carry no mass, truncation undefined")
 
+    # Each gap is compared as it is made: a NaN gap is the answer at once,
+    # and otherwise the largest gap is.
+    worst = 0.0
     if grid.size == 0:
-        return _max_gap(q_vals, [base * z for z in zeta])
+        for x, z in zip(q_vals, zeta):
+            gap = abs(x - base * z)
+            if not gap <= worst:
+                if gap != gap:
+                    return gap
+                worst = gap
+        return worst
 
     # Arm i is kept by the thresholds strictly below it and dropped by the
     # rest, so the majority's intake sum_j w_j * (minority mass <= grid[j])
-    # regroups per arm; no arm order is assumed.
-    split = [weights.split(b) for b in np.searchsorted(grid, q_min, side="left").tolist()]
-    minority_target = [base * z + x * kept for z, x, (kept, _) in zip(zeta[k:], q_min, split)]
-    dropped_weight = left_sum([x * dropped for x, (_, dropped) in zip(q_min, split)])
+    # regroups per arm, added left to right; no arm order is assumed.
+    q_min = q_vals[k:]
+    dropped_weight = 0.0
+    for x, z, b in zip(q_min, zeta[k:], grid.searchsorted(q_min, side="left").tolist()):
+        kept, dropped = weights.split(b)
+        gap = abs(x - (base * z + x * kept))
+        if not gap <= worst:
+            if gap != gap:
+                return gap
+            worst = gap
+        dropped_weight += x * dropped
     scale = (1.0 - base) + dropped_weight / majority_mass
-    majority_target = [base * z + x * scale for z, x in zip(zeta[:k], q_vals[:k])]
-    return _max_gap(q_vals, majority_target + minority_target)
-
-
-def _max_gap(values: list[float], targets: list[float]) -> float:
-    """Largest |value - target| over the pairs, 0.0 for none; a NaN gap is returned as NaN."""
-    worst = 0.0
-    for value, target in zip(values, targets):
-        gap = abs(value - target)
-        if gap != gap:
-            return gap
-        if gap > worst:
+    for x, z in zip(q_vals[:k], zeta[:k]):
+        gap = abs(x - (base * z + x * scale))
+        if not gap <= worst:
+            if gap != gap:
+                return gap
             worst = gap
     return worst
 

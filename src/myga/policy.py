@@ -182,7 +182,7 @@ class WeightState:
         """
         lead = self.block_loss + self.block_base
         if lead.size:
-            lowest = min(lowest, float(lead.min()))
+            lowest = min(lowest, float(np.minimum.reduce(lead)))
         lead -= lowest
         lead *= -self.eta
         np.exp(lead, out=lead)
@@ -270,7 +270,7 @@ def threshold_advice_at(trace: RoundTrace, arm_sorted: int) -> StepFunction:
         majority = trace.majority_mass
         breaks, dropped = trace.dropped_table
         return StepFunction(breaks, [(q_at / majority) * (majority + d) for d in dropped])
-    kept = int(np.searchsorted(thresholds, q_at, side="left"))
+    kept = int(thresholds.searchsorted(q_at, side="left"))
     if 0 < kept < thresholds.size:
         return StepFunction([0, kept], [q_at, 0.0])
     if thresholds.size:
@@ -345,11 +345,11 @@ class MygaPolicy(ExpertPolicy):
         self.state = WeightState(self.thresholds.size, config.eta)
 
     def _play(self, advices: np.ndarray) -> tuple[np.ndarray, RoundTrace]:
-        w_real = self._real_weights(self.state.weights(float(self.real_loss.min())))
+        w_real = self._real_weights(self.state.weights(float(np.minimum.reduce(self.real_loss))))
         zeta_original = simplex.weighted_average(advices, w_real)
         zeta_sorted, perm = simplex.sort_descending(zeta_original)
         pivot = simplex.pivot_index(zeta_sorted)
-        self.state.set_shares(float(w_real.sum()))
+        self.state.set_shares(float(np.add.reduce(w_real)))
         q, iterations, residual = _solve(zeta_sorted, pivot, self.state, self.thresholds)
         p_sorted = truncate(q, pivot, self.cfg.gamma)
         p_original = perm.to_original(p_sorted)

@@ -40,14 +40,20 @@ def left_sum(values) -> float:
     return total
 
 
-def _is_distribution(values: list[float], tol: float) -> bool:
-    """``validate``'s rule on a list of floats, summed as ``left_sum`` does."""
-    total = 0.0
-    for value in values:
-        if not 0.0 <= value < math.inf:   # negative, infinite or NaN
-            return False
-        total += value
-    return abs(total - 1.0) <= tol
+def _first_bad_row(rows: list[list[float]], tol: float) -> int:
+    """Index of the first row that breaks ``validate``'s rule, or -1 if none does.
+
+    One loop over the rows' floats, each row summed as ``left_sum`` does.
+    """
+    for i, row in enumerate(rows):
+        total = 0.0
+        for value in row:
+            if not 0.0 <= value < math.inf:   # negative, infinite or NaN
+                return i
+            total += value
+        if not abs(total - 1.0) <= tol:
+            return i
+    return -1
 
 
 def validate(probs: np.ndarray, tol: float = SIMPLEX_TOL) -> bool:
@@ -55,7 +61,7 @@ def validate(probs: np.ndarray, tol: float = SIMPLEX_TOL) -> bool:
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or probs.size == 0:
         return False
-    return _is_distribution(probs.tolist(), tol)
+    return _first_bad_row([probs.tolist()], tol) < 0
 
 
 def require_distribution(probs: np.ndarray, what: str = "distribution") -> np.ndarray:
@@ -74,10 +80,9 @@ def require_distribution_rows(matrix: np.ndarray, what: str = "distribution") ->
     """
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim == 2:
-        for i, row in enumerate(arr.tolist()):
-            if not _is_distribution(row, SIMPLEX_TOL):
-                raise ValueError(
-                    f"{what} row {i} is not a probability distribution: {arr[i]!r}")
+        i = _first_bad_row(arr.tolist(), SIMPLEX_TOL)
+        if i >= 0:
+            raise ValueError(f"{what} row {i} is not a probability distribution: {arr[i]!r}")
         return arr
     for i, row in enumerate(arr):   # no row of a non-matrix is a distribution
         if not validate(row):

@@ -89,7 +89,7 @@ def truncated_mass_table(minority_desc: np.ndarray, thresholds: np.ndarray) -> S
     if thresholds.size == 0:
         return StepFunction([], [])
     minority = np.asarray(minority_desc, dtype=float)
-    starts = np.searchsorted(thresholds, minority, side="left").tolist()
+    starts = thresholds.searchsorted(minority, side="left").tolist()
     breaks, values = [0], [0.0]
     for mass, start in zip(reversed(minority.tolist()), reversed(starts)):
         if start == thresholds.size:   # above every threshold, as are the larger arms

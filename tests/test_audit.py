@@ -309,6 +309,17 @@ class TestTheoremBound:
         assert theorem_bound_value(2, 4, 10000, 1600.0) == pytest.approx(
             205.33786250630132, rel=1e-14)
 
+    def test_large_loss_scale_does_not_overflow(self):
+        # width * L is inf at L = 1e308, so the roots are taken in turn.
+        width = 2 * math.log(20)
+        bound = theorem_bound_value(2, 4, 5, 1e308)
+        assert bound == math.sqrt(width) * math.sqrt(1e308) + width
+        assert bound == pytest.approx(2.4477468306808166e154, rel=1e-14)
+        # A finite product keeps the one-root expression and its bits.
+        l_star = 1e307
+        assert width * l_star < math.inf
+        assert theorem_bound_value(2, 4, 5, l_star) == math.sqrt(width * l_star) + width
+
     def test_evaluate_records_and_compares(self):
         # The run's pass test: an auditor's regret against factor 10 times
         # the bound, as ``cli.execute`` compares them.

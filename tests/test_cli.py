@@ -9,6 +9,7 @@ import pytest
 import myga.cli as cli_mod
 import myga.environments as env_mod
 import myga.policy as policy_mod
+from myga.audit import theorem_bound_value
 from myga.cli import (ROUND_HEADER, SUMMARY_HEADER, ExperimentConfig,
                       build_config, emit_csv, execute, main, parse_config_file,
                       run)
@@ -447,6 +448,22 @@ class TestRunAndMain:
                      "--horizon", "5", "--grid-denominator", "10"] + flags)
         assert capsys.readouterr().err == ""
         assert code == 0
+
+    def test_large_lstar_writes_a_finite_bound(self, tmp_path, capsys):
+        # K * log(E*T) * l_star overflows at l_star 1e308; the bound's roots
+        # are then taken in turn, so the summary keeps a finite bound.
+        prefix = str(tmp_path / "large")
+        code = main(["--env", "stochastic_gap", "--arms", "2", "--experts", "4",
+                     "--horizon", "5", "--grid-denominator", "10", "--lstar", "1e308",
+                     "--out", prefix])
+        capsys.readouterr()
+        assert code == 0
+        lines = open(prefix + "_summary.csv").read().splitlines()
+        assert lines[0] == SUMMARY_HEADER
+        row = dict(zip(SUMMARY_HEADER.split(","), lines[1].split(",")))
+        assert row["bound_value"] == repr(theorem_bound_value(2, 4, 5, 1e308))
+        assert float(row["bound_value"]) == pytest.approx(2.4477468306808166e154, rel=1e-14)
+        assert row["bound_pass"] == "1"
 
     @pytest.mark.parametrize("policy", ["myga", "exp4_threshold"])
     def test_main_negative_seed_exits_one(self, capsys, policy):

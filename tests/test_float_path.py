@@ -5,6 +5,8 @@ on NumPy sums pairwise, so results may differ by rounding, at most 1e-15.
 On spoiled inputs both must raise the same exception with the same message.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -243,3 +245,67 @@ class TestFixedPointAgreement:
         args = (np.array([0.0, 1.0]), np.array([0.6, 0.4]), 1,
                 MixtureWeights(0.5, np.array([0.5])), np.array([0.2]))
         assert_same(2, outcome(mixture_residual, *args), outcome(ref.mixture_residual, *args))
+
+
+class SearchCountingGrid(np.ndarray):
+    """A threshold grid that counts the searches made on it."""
+
+    def searchsorted(self, *args, **kwargs):
+        self.searches += 1
+        return np.asarray(self).searchsorted(*args, **kwargs)
+
+
+def counting_grid(points):
+    grid = np.array(points, dtype=float).view(SearchCountingGrid)
+    grid.searches = 0
+    return grid
+
+
+class TestExactTie:
+    """A minority mass exactly on a threshold is truncated by it: (grid[b-1], grid[b]]."""
+
+    # Dyadic shares: base 1/2 and 1/4 per threshold, thresholds 1/8 and 1/4.
+    WEIGHTS = MixtureWeights(0.5, np.array([0.25, 0.25]))
+    POINTS = [0.125, 0.25]
+
+    def test_mass_grown_onto_a_threshold_stays_truncated(self):
+        # The arm starts at 1/2 * 3/8 = 3/16, crosses 1/8, and that
+        # threshold's share lifts it to (3/16) / (3/4) = 1/4, exactly onto
+        # the second threshold, which keeps removing it.
+        zeta = np.array([0.625, 0.375])
+        grid = counting_grid(self.POINTS)
+        got = _solve(zeta, 1, self.WEIGHTS, grid)
+        assert_same(2, ("ok", got), outcome(ref.solve, zeta, 1, self.WEIGHTS,
+                                            np.asarray(grid)))
+        q, iterations, residual = got
+        assert q.tolist() == [0.75, 0.25] and iterations == 1 and residual == 0.0
+        assert truncate(q, 1, 0.25).tolist() == [1.0, 0.0]
+        # One search moved the arm; the confirming pass found it in the
+        # interval closed by 1/4 and made no search.
+        assert grid.searches == 1
+
+    def test_base_mass_on_the_first_threshold_needs_no_search(self):
+        zeta = np.array([0.75, 0.25])
+        grid = counting_grid(self.POINTS)
+        got = _solve(zeta, 1, self.WEIGHTS, grid)
+        assert_same(2, ("ok", got), outcome(ref.solve, zeta, 1, self.WEIGHTS,
+                                            np.asarray(grid)))
+        assert got[0].tolist() == [0.875, 0.125] and got[1] == 0
+        assert grid.searches == 0
+
+
+class TestNanResidual:
+    ZETA = np.array([0.4, 0.3, 0.2, 0.1])   # pivot 2: arms 0, 1 majority, 2, 3 minority
+
+    @pytest.mark.parametrize("arm", [0, 1, 2, 3], ids=["majority0", "majority1",
+                                                       "minority2", "minority3"])
+    @pytest.mark.parametrize("points", [[], [0.05, 0.15, 0.25]], ids=["no_grid", "grid"])
+    def test_nan_entry_of_q(self, arm, points):
+        grid = np.array(points)
+        shares = np.full(grid.size + 1, 1.0 / (grid.size + 1))
+        weights = MixtureWeights(float(shares[0]), shares[1:])
+        q = self.ZETA.copy()
+        q[arm] = np.nan
+        got = mixture_residual(q, self.ZETA, 2, weights, grid)
+        want = ref.mixture_residual(q, self.ZETA, 2, weights, grid)
+        assert math.isnan(got) and math.isnan(want)
