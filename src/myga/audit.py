@@ -166,23 +166,22 @@ def check_round(trace: RoundTrace, gamma: float, num_arms: int) -> list[Violatio
     return violations
 
 
-def _played_losses(trace: RoundTrace, losses: np.ndarray) -> tuple[float, float, float]:
-    """The round's loss on played majority arms, on played minority arms, and its expected loss.
+def _played_losses(trace: RoundTrace, losses: np.ndarray) -> tuple[float, float]:
+    """The round's loss on played majority arms and on played minority arms.
 
     Arms are taken in sorted order and added one at a time, the order in
     which NumPy sums arrays of fewer than eight entries.
     """
     losses_sorted = trace.perm.to_sorted(losses).tolist()
     k = trace.pivot
-    majority = minority = expected = 0.0
+    majority = minority = 0.0
     for i, (mass, loss) in enumerate(zip(trace.p_sorted.tolist(), losses_sorted)):
-        expected += mass * loss
         if mass > 0.0:
             if i < k:
                 majority += loss
             else:
                 minority += loss
-    return majority, minority, expected
+    return majority, minority
 
 
 def theorem_bound_value(num_arms: int, num_experts: int, horizon: int,
@@ -214,7 +213,7 @@ class Auditor:
         Every trace adds to the play and expert losses; only a ``RoundTrace``
         has a pivot, so only it splits its loss into majority and minority
         parts and is checked.  The round's expected play loss is kept as
-        ``round_play_loss``.
+        ``round_play_loss``, and the per-round majority loss check reads it.
         """
         losses = np.asarray(losses, dtype=float)
         report = self.report
@@ -224,13 +223,13 @@ class Auditor:
         report.rounds += 1
         if not isinstance(trace, RoundTrace):
             return 0
-        majority, minority, expected = _played_losses(trace, losses)
+        majority, minority = _played_losses(trace, losses)
         report.majority_loss += majority
         report.minority_loss += minority
         if not self.enabled:
             return 0
         fresh = check_round(trace, self.gamma, self.num_arms)
-        margin = majority - 2.0 * self.num_arms * expected
+        margin = majority - 2.0 * self.num_arms * self.round_play_loss
         if not margin <= AUDIT_TOL:
             fresh.append(Violation(trace.t, "majority_loss_round", margin,
                                    "majority loss mass exceeded 2K times the expected loss"))

@@ -112,10 +112,13 @@ def _require_sorted_inputs(zeta_sorted: np.ndarray, pivot: int) -> np.ndarray:
 
 
 def _solve(zeta: np.ndarray, pivot: int, weights: MixtureWeights,
-           grid: np.ndarray, sweep_log: list | None = None
-           ) -> tuple[np.ndarray, int, float]:
-    """``solve_fixed_point`` without its input checks, also returning the residual.
+           grid: np.ndarray) -> tuple[np.ndarray, list[int], float]:
+    """``solve_fixed_point`` without its input checks, returning the placement and residual.
 
+    ``below[i]`` is the number of thresholds strictly below minority arm
+    i's solved mass, ``grid.searchsorted(mass, side="left")``: the last
+    pass's search or in-place check has just established it, and the
+    round's threshold advice and removed-mass table are read from it.
     It trusts its inputs: ``solve_fixed_point`` checks a caller's, and
     ``MygaPolicy`` passes a mixture, pivot, shares and grid it has just
     built.  The per-arm bookkeeping is on Python floats; the grid stays an
@@ -126,19 +129,16 @@ def _solve(zeta: np.ndarray, pivot: int, weights: MixtureWeights,
     k = pivot
     minority = len(values) - k
 
+    # below[i]: thresholds strictly below minority arm i, all of which keep it.
+    below = [0] * minority
     if grid.size == 0 or minority == 0:
         q = zeta.copy()
-        return q, 0, mixture_residual(q, zeta, k, weights, grid)
+        return q, below, mixture_residual(q, zeta, k, weights, grid)
 
     base = float(weights.base)
     base_min = [base * z for z in values[k:]]
-
-    # below[i]: thresholds strictly below minority arm i, all of which keep it.
-    below = [0] * minority
     kept = [0.0] * minority
     q_min = base_min
-    if sweep_log is not None:
-        sweep_log.append((np.array(q_min), _boundaries(below, k, grid.size)))
 
     # Every arm still moving crosses a threshold per pass, so an arm moves
     # in at most |grid| passes and one more pass finds nothing to cross.
@@ -158,21 +158,15 @@ def _solve(zeta: np.ndarray, pivot: int, weights: MixtureWeights,
         if any(d <= 0.0 for d in denom):
             raise RuntimeError("threshold weight mass exhausted the mixture")
         q_min = [b / d for b, d in zip(base_min, denom)]
-        if sweep_log is not None:
-            sweep_log.append((np.array(q_min), _boundaries(below, k, grid.size)))
     else:
         raise RuntimeError("boundary growth failed to terminate")
-
-    iterations = sum(below)
-    if iterations > minority * grid.size:
-        raise RuntimeError("unit advances exceeded the guaranteed bound")
 
     scale = (1.0 - left_sum(q_min)) / left_sum(values[:k])
     q = np.array([z * scale for z in values[:k]] + q_min)
     resid = mixture_residual(q, zeta, k, weights, grid)
     if not resid <= RESIDUAL_TOL:
         raise RuntimeError(f"fixed-point residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e}")
-    return q, iterations, resid
+    return q, below, resid
 
 
 def _in_place(grid: np.ndarray, below: list[int], masses: list[float]) -> bool:
@@ -181,6 +175,7 @@ def _in_place(grid: np.ndarray, below: list[int], masses: list[float]) -> bool:
     That is where ``searchsorted(grid, mass, side="left")`` puts it, so a
     search would return ``below`` unchanged.  A mass on a threshold is in
     the interval that threshold closes, and a NaN mass is in none.
+    ``_solve`` calls it once at the start of every growth pass.
     """
     last = grid.size
     for b, x in zip(below, masses):
@@ -189,30 +184,22 @@ def _in_place(grid: np.ndarray, below: list[int], masses: list[float]) -> bool:
     return True
 
 
-def _boundaries(below: list[int], pivot: int, num_thresholds: int) -> np.ndarray:
-    """Per-threshold zero boundary: pivot plus the minority arms above the threshold."""
-    above = np.asarray(below)[:, None] > np.arange(num_thresholds)
-    return pivot + above.sum(axis=0)
-
-
 def solve_fixed_point(zeta_sorted: np.ndarray, pivot: int, weights: MixtureWeights,
-                      thresholds: np.ndarray, sweep_log: list | None = None
-                      ) -> tuple[np.ndarray, int]:
+                      thresholds: np.ndarray) -> tuple[np.ndarray, int]:
     """Solve q = base*zeta + sum_s w_s * truncate(q, pivot, s) in sorted coordinates.
 
     Returns the solved distribution and the number of unit boundary
     advances, which never exceeds (arms - pivot) * len(thresholds).
-    ``sweep_log``, if given, receives one (minority masses, boundaries)
-    snapshot per growth pass for diagnostic tests.  Raises ValueError on a
-    grid, mixture, pivot or shares that break their contracts, checked in
-    that order before any is used, and RuntimeError rather than returning a
-    distribution whose residual exceeds 1e-9 or is NaN.
+    Raises ValueError on a grid, mixture, pivot or shares that break their
+    contracts, checked in that order before any is used, and RuntimeError
+    rather than returning a distribution whose residual exceeds 1e-9 or is
+    NaN.
     """
     grid = require_grid(thresholds)
     zeta = _require_sorted_inputs(zeta_sorted, pivot)
     weights.require(grid.size)
-    q, iterations, _ = _solve(zeta, pivot, weights, grid, sweep_log)
-    return q, iterations
+    q, below, _ = _solve(zeta, pivot, weights, grid)
+    return q, sum(below)
 
 
 def mixture_residual(q: np.ndarray, zeta_sorted: np.ndarray, pivot: int,

@@ -113,6 +113,8 @@ class MygaConfig:
             raise ValueError("need at least 1 round")
         if self.grid_denominator is None:
             self.grid_denominator = 2 * self.horizon
+        if self.grid_denominator < 2:
+            raise ValueError("grid denominator must be at least 2")
         if not 0.0 < self.eta < math.inf:
             raise ValueError("eta must be positive")
         if not 0.0 < self.gamma <= 0.5:
@@ -238,6 +240,8 @@ class WeightState:
 class RoundTrace:
     """Everything one round's ``advise`` produced, for the update step and the auditor.
 
+    ``below[i]`` is the number of thresholds strictly below the solved
+    mass of minority arm ``pivot + i``, and ``iterations`` is their sum.
     Output only: nothing writes to a trace after ``advise`` returns.
     """
 
@@ -254,6 +258,7 @@ class RoundTrace:
     majority_mass: float
     minority_mass: float
     residual: float
+    below: list[int]
     iterations: int
 
 
@@ -264,16 +269,16 @@ def threshold_advice_at(trace: RoundTrace, arm_sorted: int) -> StepFunction:
     it and the rest remove it; on the majority side every threshold
     rescales it by (majority + removed) / majority.
     """
-    thresholds = trace.thresholds
+    size = trace.thresholds.size
     q_at = trace.q_sorted.item(arm_sorted)
     if arm_sorted < trace.pivot:
         majority = trace.majority_mass
         breaks, dropped = trace.dropped_table
         return StepFunction(breaks, [(q_at / majority) * (majority + d) for d in dropped])
-    kept = int(thresholds.searchsorted(q_at, side="left"))
-    if 0 < kept < thresholds.size:
+    kept = trace.below[arm_sorted - trace.pivot]
+    if 0 < kept < size:
         return StepFunction([0, kept], [q_at, 0.0])
-    if thresholds.size:
+    if size:
         return StepFunction([0], [q_at if kept else 0.0])
     return StepFunction([], [])
 
@@ -350,7 +355,7 @@ class MygaPolicy(ExpertPolicy):
         zeta_sorted, perm = simplex.sort_descending(zeta_original)
         pivot = simplex.pivot_index(zeta_sorted)
         self.state.set_shares(float(np.add.reduce(w_real)))
-        q, iterations, residual = _solve(zeta_sorted, pivot, self.state, self.thresholds)
+        q, below, residual = _solve(zeta_sorted, pivot, self.state, self.thresholds)
         p_sorted = truncate(q, pivot, self.cfg.gamma)
         p_original = perm.to_original(p_sorted)
         q_values = q.tolist()
@@ -364,11 +369,12 @@ class MygaPolicy(ExpertPolicy):
             p_sorted=p_sorted,
             p_original=p_original,
             thresholds=self.thresholds,
-            dropped_table=truncated_mass_table(q[pivot:], self.thresholds),
+            dropped_table=truncated_mass_table(q_values[pivot:], below, self.thresholds.size),
             majority_mass=left_sum(q_values[:pivot]),
             minority_mass=left_sum(q_values[pivot:]),
             residual=residual,
-            iterations=iterations,
+            below=below,
+            iterations=sum(below),
         )
         return p_original, trace
 

@@ -14,7 +14,8 @@ positive mass can be <= 0.
 one at a time from the left (``simplex.left_sum``), so its result equals
 the whole-array NumPy form bit for bit below eight arms.  The removed-mass
 table over the threshold grid is a step function with one piece more than
-the minority arms it removes, never an array over the grid.
+the minority arms it removes, never an array over the grid, and is built
+from the solver's placement of each arm on the grid, with no search.
 """
 
 from __future__ import annotations
@@ -75,27 +76,24 @@ class StepFunction(NamedTuple):
     values: list[float]
 
 
-def truncated_mass_table(minority_desc: np.ndarray, thresholds: np.ndarray) -> StepFunction:
-    """Removed mass per threshold for a non-increasing minority block, as a step function.
+def truncated_mass_table(minority: list[float], below: list[int],
+                         num_thresholds: int) -> StepFunction:
+    """Removed mass per threshold for a solved minority block, as a step function.
 
-    ``minority_desc`` holds the minority masses in non-increasing order,
-    ``thresholds`` is ascending.  At index j the function is the total
-    minority mass <= thresholds[j].  Each arm is removed by every threshold
-    from the first one at or above its mass onward, so the function steps
-    up at one binary-searched index per arm.  Arms are added smallest
-    first, the order of a prefix sum over the ascending masses.
+    ``minority`` holds the minority masses in non-increasing order and
+    ``below[i]`` counts the thresholds strictly below ``minority[i]``,
+    the placement ``fixed_point._solve`` returns with them.  At index j
+    the function is the total minority mass <= thresholds[j].  Each arm is
+    removed by every threshold from index ``below[i]`` onward, so the
+    function steps up there.  Arms are added smallest first, the order of
+    a prefix sum over the ascending masses.
     """
-    thresholds = np.asarray(thresholds, dtype=float)
-    if thresholds.size == 0:
+    if num_thresholds == 0:
         return StepFunction([], [])
-    minority = np.asarray(minority_desc, dtype=float)
-    starts = thresholds.searchsorted(minority, side="left").tolist()
     breaks, values = [0], [0.0]
-    for mass, start in zip(reversed(minority.tolist()), reversed(starts)):
-        if start == thresholds.size:   # above every threshold, as are the larger arms
+    for mass, start in zip(reversed(minority), reversed(below)):
+        if start == num_thresholds:   # above every threshold, as are the larger arms
             break
-        if start < breaks[-1]:
-            raise ValueError("minority masses must be non-increasing")
         removed = values[-1] + mass
         if start == breaks[-1]:
             values[-1] = removed

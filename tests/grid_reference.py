@@ -50,6 +50,12 @@ def dense_mass_table(minority_desc, thresholds):
     return table
 
 
+def zero_boundaries(below, pivot, num_thresholds):
+    """Per-threshold zero boundary: pivot plus the minority arms above the threshold."""
+    above = np.asarray(below)[:, None] > np.arange(num_thresholds)
+    return pivot + above.sum(axis=0)
+
+
 def block_losses(aux):
     """Every threshold's cumulative loss in a ``WeightState``: block offset plus own part."""
     return aux.loss + np.repeat(aux.block_loss, aux.width)[:aux.size]
@@ -109,7 +115,7 @@ class DensePolicy(MygaPolicy):
         real_total = float(w_real.sum())
         total = real_total + float(w_aux.sum())
         self.shares = MixtureWeights(base=real_total / total, per_threshold=w_aux / total)
-        q, iterations, residual = _solve(zeta_sorted, pivot, self.shares, self.thresholds)
+        q, below, residual = _solve(zeta_sorted, pivot, self.shares, self.thresholds)
         p_sorted = truncate(q, pivot, self.cfg.gamma)
         q_values = q.tolist()
         trace = RoundTrace(
@@ -119,7 +125,7 @@ class DensePolicy(MygaPolicy):
             dropped_table=dense_mass_table(q[pivot:], self.thresholds),
             majority_mass=left_sum(q_values[:pivot]),
             minority_mass=left_sum(q_values[pivot:]),
-            residual=residual, iterations=iterations)
+            residual=residual, below=below, iterations=sum(below))
         return trace.p_original, trace
 
     def _charge(self, trace, arm_original, est):

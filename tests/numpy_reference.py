@@ -155,17 +155,17 @@ def mixture_residual(q, zeta_sorted, pivot, weights, thresholds):
 
 
 def solve(zeta_sorted, pivot, weights, grid):
-    """The solver on arrays: (q, unit advances, residual)."""
+    """The solver on arrays: (q, thresholds strictly below each minority arm, residual)."""
     zeta = require_sorted_inputs(zeta_sorted, pivot)
     weights.require(grid.size)
     k = pivot
     minority = zeta.size - k
+    below = [0] * minority
     if grid.size == 0 or minority == 0:
         q = zeta.copy()
-        return q, 0, mixture_residual(q, zeta, k, weights, grid)
+        return q, below, mixture_residual(q, zeta, k, weights, grid)
     prefix = np.concatenate(([0.0], np.cumsum(np.asarray(weights.per_threshold, dtype=float))))
     base_min = float(weights.base) * zeta[k:]
-    below = [0] * minority
     kept = np.zeros(minority)
     q_min = base_min
     for _ in range(grid.size + 1):
@@ -182,16 +182,13 @@ def solve(zeta_sorted, pivot, weights, grid):
         q_min = base_min / denom
     else:
         raise RuntimeError("boundary growth failed to terminate")
-    iterations = sum(below)
-    if iterations > minority * grid.size:
-        raise RuntimeError("unit advances exceeded the guaranteed bound")
     q = np.empty(zeta.size)
     q[k:] = q_min
     q[:k] = zeta[:k] * ((1.0 - float(q_min.sum())) / float(zeta[:k].sum()))
     resid = mixture_residual(q, zeta, k, weights, grid)
     if not resid <= RESIDUAL_TOL:
         raise RuntimeError(f"fixed-point residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e}")
-    return q, iterations, resid
+    return q, below, resid
 
 
 def threshold_mixture(p, gamma):

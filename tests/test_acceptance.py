@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from grid_reference import zero_boundaries
 from myga.cli import ExperimentConfig, execute
 from myga.fixed_point import (MixtureWeights, mixture_residual,
                               solve_fixed_point, two_arm_fixed_point)
@@ -77,20 +78,20 @@ def test_criterion_1_golden_truncation():
     assert _record(1, "golden truncation rows", ok, f"max entry error {worst:.2e}")
 
 
-def test_criterion_2_fixed_point_contract():
+def test_criterion_2_fixed_point_contract(growth_passes):
     rng = np.random.default_rng(2024)
     started = time.time()
     worst_residual = 0.0
     for _ in range(1000):
         zeta, pivot, weights, grid = _random_instance(rng)
-        log = []
-        q, iterations = solve_fixed_point(zeta, pivot, weights, grid, sweep_log=log)
+        growth_passes.clear()
+        q, iterations = solve_fixed_point(zeta, pivot, weights, grid)
         worst_residual = max(worst_residual,
                              mixture_residual(q, zeta, pivot, weights, grid))
         assert iterations <= zeta.size * grid.size
-        for q_min, _ in log:
+        for q_min, _ in growth_passes:
             assert np.all(np.diff(q_min) <= 1e-12)
-        _, boundary = log[-1]
+        boundary = zero_boundaries(growth_passes[-1][1], pivot, grid.size)
         minority_index = np.arange(pivot, zeta.size)
         for j, s in enumerate(grid):
             np.testing.assert_array_equal(q[pivot:] > s,

@@ -35,14 +35,15 @@ def make_trace(zeta_sorted, pivot, q_sorted, p_sorted, thresholds=(),
     perm = ArmPermutation(forward=np.arange(num_arms), inverse=np.arange(num_arms))
     if advices is None:
         advices = np.tile(zeta_sorted, (2, 1))
+    below = thresholds.searchsorted(q_sorted[pivot:], side="left").tolist()
     return RoundTrace(
         t=t, advices=np.asarray(advices, dtype=float), zeta_sorted=zeta_sorted,
         perm=perm, pivot=pivot, q_sorted=q_sorted, p_sorted=p_sorted,
         p_original=p_sorted.copy(), thresholds=thresholds,
-        dropped_table=truncated_mass_table(q_sorted[pivot:], thresholds),
+        dropped_table=truncated_mass_table(q_sorted[pivot:].tolist(), below, thresholds.size),
         majority_mass=float(q_sorted[:pivot].sum()),
         minority_mass=float(q_sorted[pivot:].sum()),
-        residual=0.0, iterations=0)
+        residual=0.0, below=below, iterations=sum(below))
 
 
 
@@ -422,7 +423,7 @@ class TestNonFiniteTrace:
 
     def test_nan_play_mass_fails_loss_domination(self):
         trace = clean_trace()
-        trace.p_sorted[0] = np.nan
+        trace.p_sorted[0] = trace.p_original[0] = np.nan
         auditor = observed(trace, np.array([1.0, 0.0, 0.0]), num_arms=3, gamma=0.05)
         assert [v.rule for v in auditor.violations] == ["non_finite_trace",
                                                         "majority_loss_round"]
@@ -469,7 +470,8 @@ def spoiled(trace, rng):
     the pivot, or one of the two block masses.  A moved block mass breaks
     majority + minority = 1, which is what puts the largest
     proportionality gap at the smallest removed mass rather than the
-    largest.
+    largest.  A moved played mass moves in both coordinates, as the
+    played distribution of a policy's trace is one distribution.
     """
     copy = dataclasses.replace(trace, zeta_sorted=trace.zeta_sorted.copy(),
                                q_sorted=trace.q_sorted.copy(),
@@ -487,6 +489,7 @@ def spoiled(trace, rng):
         else:
             arm = int(rng.integers(copy.pivot, num_arms))
         values[arm] = moved(float(values[arm]), rng)
+    copy.p_original = copy.perm.to_original(copy.p_sorted)
     return copy
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from grid_reference import zero_boundaries
 import myga.fixed_point as fixed_point_mod
 from myga.fixed_point import (MixtureWeights, mixture_residual,
                               solve_fixed_point, two_arm_fixed_point)
@@ -128,6 +129,27 @@ def sweep_solver(zeta, pivot, weights, grid, sweep_log=None):
 
 # Both forms of the boundary growth must satisfy the growth invariants.
 GROWTH_SOLVERS = (solve_fixed_point, sweep_solver)
+
+
+def logged_growth(passes):
+    """Both growth forms as solvers returning (q, unit advances, passes).
+
+    Each pass is (minority masses, per-threshold zero boundaries).  The
+    package's passes are those the ``growth_passes`` fixture recorded into
+    ``passes``; the sweep logs its own.
+    """
+    def package(zeta, pivot, weights, grid):
+        passes.clear()
+        q, iterations = solve_fixed_point(zeta, pivot, weights, grid)
+        return q, iterations, [(masses, zero_boundaries(below, pivot, grid.size))
+                               for masses, below in passes]
+
+    def sweep(zeta, pivot, weights, grid):
+        log = []
+        q, iterations = sweep_solver(zeta, pivot, weights, grid, sweep_log=log)
+        return q, iterations, log
+
+    return package, sweep
 
 
 def literal_residual(q, zeta, pivot, weights, grid):
@@ -285,38 +307,35 @@ class TestBoundaryGrowthInvariants:
                 _, iterations = solve(zeta, pivot, weights, grid)
                 assert iterations <= zeta.size * grid.size
 
-    def test_minority_masses_sorted_every_sweep(self):
+    def test_minority_masses_sorted_every_sweep(self, growth_passes):
         rng = np.random.default_rng(311)
         for _ in range(200):
             zeta, pivot, weights, grid = random_instance(rng, max_arms=12,
                                                          max_thresholds=24)
-            for solve in GROWTH_SOLVERS:
-                log = []
-                solve(zeta, pivot, weights, grid, sweep_log=log)
+            for solve in logged_growth(growth_passes):
+                _, _, log = solve(zeta, pivot, weights, grid)
                 for q_min, _ in log:
                     assert np.all(np.diff(q_min) <= 1e-12)
 
-    def test_each_mass_never_shrinks_across_sweeps(self):
+    def test_each_mass_never_shrinks_across_sweeps(self, growth_passes):
         rng = np.random.default_rng(313)
         for _ in range(200):
             zeta, pivot, weights, grid = random_instance(rng, max_arms=12,
                                                          max_thresholds=24)
-            for solve in GROWTH_SOLVERS:
-                log = []
-                solve(zeta, pivot, weights, grid, sweep_log=log)
+            for solve in logged_growth(growth_passes):
+                _, _, log = solve(zeta, pivot, weights, grid)
                 for (before, _), (after, _) in zip(log, log[1:]):
                     assert np.all(after >= before)
 
-    def test_termination_biconditional(self):
+    def test_termination_biconditional(self, growth_passes):
         # At exit, an arm strictly exceeds a threshold exactly when that
         # threshold's zero boundary has moved past the arm.
         rng = np.random.default_rng(317)
         for _ in range(200):
             zeta, pivot, weights, grid = random_instance(rng, max_arms=12,
                                                          max_thresholds=24)
-            for solve in GROWTH_SOLVERS:
-                log = []
-                q, _ = solve(zeta, pivot, weights, grid, sweep_log=log)
+            for solve in logged_growth(growth_passes):
+                q, _, log = solve(zeta, pivot, weights, grid)
                 _, boundary = log[-1]
                 for j, s in enumerate(grid):
                     for i in range(pivot, zeta.size):

@@ -12,9 +12,10 @@ import pytest
 
 import numpy_reference as ref
 from myga.fixed_point import MixtureWeights, _solve, mixture_residual, solve_fixed_point
-from myga.simplex import (pivot_index, require_distribution_rows, sample_index,
-                          sort_descending, validate, weighted_average)
-from myga.truncation import truncate
+from myga.policy import RoundTrace, threshold_advice_at
+from myga.simplex import (ArmPermutation, pivot_index, require_distribution_rows,
+                          sample_index, sort_descending, validate, weighted_average)
+from myga.truncation import StepFunction, truncate, truncated_mass_table
 
 ARM_COUNTS = range(2, 13)
 ROUNDING = 1e-15
@@ -41,7 +42,7 @@ def assert_same(num_arms, got, want):
         if isinstance(theirs, np.ndarray):
             assert isinstance(mine, np.ndarray) and mine.dtype == theirs.dtype
             assert mine.shape == theirs.shape
-        if num_arms < 8 or isinstance(theirs, (bool, int, np.integer)) \
+        if num_arms < 8 or isinstance(theirs, (bool, int, np.integer, list)) \
                 or (isinstance(theirs, np.ndarray) and theirs.dtype.kind != "f"):
             np.testing.assert_array_equal(mine, theirs, strict=True)
         else:
@@ -268,6 +269,20 @@ class TestExactTie:
     WEIGHTS = MixtureWeights(0.5, np.array([0.25, 0.25]))
     POINTS = [0.125, 0.25]
 
+    @staticmethod
+    def table_and_advice(zeta, solved):
+        """The removed-mass table and the minority arm's threshold advice, from the placement."""
+        q, below, residual = solved
+        grid = np.array(TestExactTie.POINTS)
+        table = truncated_mass_table(q.tolist()[1:], below, grid.size)
+        trace = RoundTrace(
+            t=1, advices=np.tile(zeta, (2, 1)), zeta_sorted=zeta,
+            perm=ArmPermutation(forward=np.arange(2), inverse=np.arange(2)), pivot=1,
+            q_sorted=q, p_sorted=q, p_original=q, thresholds=grid, dropped_table=table,
+            majority_mass=q.item(0), minority_mass=q.item(1), residual=residual,
+            below=below, iterations=sum(below))
+        return table, threshold_advice_at(trace, 1)
+
     def test_mass_grown_onto_a_threshold_stays_truncated(self):
         # The arm starts at 1/2 * 3/8 = 3/16, crosses 1/8, and that
         # threshold's share lifts it to (3/16) / (3/4) = 1/4, exactly onto
@@ -277,12 +292,17 @@ class TestExactTie:
         got = _solve(zeta, 1, self.WEIGHTS, grid)
         assert_same(2, ("ok", got), outcome(ref.solve, zeta, 1, self.WEIGHTS,
                                             np.asarray(grid)))
-        q, iterations, residual = got
-        assert q.tolist() == [0.75, 0.25] and iterations == 1 and residual == 0.0
+        q, below, residual = got
+        assert q.tolist() == [0.75, 0.25] and below == [1] and residual == 0.0
         assert truncate(q, 1, 0.25).tolist() == [1.0, 0.0]
         # One search moved the arm; the confirming pass found it in the
         # interval closed by 1/4 and made no search.
         assert grid.searches == 1
+        # From 1/4 on the arm is removed: its mass is in the table there,
+        # and those thresholds advise it 0.
+        table, advice = self.table_and_advice(zeta, got)
+        assert table == StepFunction([0, 1], [0.0, 0.25])
+        assert advice == StepFunction([0, 1], [0.25, 0.0])
 
     def test_base_mass_on_the_first_threshold_needs_no_search(self):
         zeta = np.array([0.75, 0.25])
@@ -290,8 +310,11 @@ class TestExactTie:
         got = _solve(zeta, 1, self.WEIGHTS, grid)
         assert_same(2, ("ok", got), outcome(ref.solve, zeta, 1, self.WEIGHTS,
                                             np.asarray(grid)))
-        assert got[0].tolist() == [0.875, 0.125] and got[1] == 0
+        assert got[0].tolist() == [0.875, 0.125] and got[1] == [0]
         assert grid.searches == 0
+        table, advice = self.table_and_advice(zeta, got)
+        assert table == StepFunction([0], [0.125])
+        assert advice == StepFunction([0], [0.0])
 
 
 class TestNanResidual:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from grid_reference import DensePolicy, block_losses, densify, round_weights
+from myga.cli import ExperimentConfig, execute
 from myga.fixed_point import MixtureWeights, mixture_residual, two_arm_fixed_point
 from myga.policy import (MygaConfig, MygaPolicy, build_threshold_grid, loss_estimate,
                          schedule_parameters, threshold_advice_at)
@@ -236,6 +237,12 @@ class TestMygaConfig:
         with pytest.raises(ValueError, match="eta"):
             MygaConfig(num_arms=2, num_experts=2, horizon=10, eta=0.0, gamma=0.5)
 
+    @pytest.mark.parametrize("denominator", [0, 1, -4])
+    def test_rejects_grid_denominator_below_two(self, denominator):
+        with pytest.raises(ValueError, match="grid denominator must be at least 2"):
+            MygaConfig(num_arms=2, num_experts=1, horizon=1, eta=0.1, gamma=0.25,
+                       grid_denominator=denominator)
+
 
 def make_policy(num_arms=2, num_experts=2, horizon=100, eta=0.5, gamma=0.01,
                 grid_denominator=200, seed=0):
@@ -293,6 +300,32 @@ class TestMygaPolicyAdvise:
             policy.advise(np.array([[0.9, 0.2], [0.5, 0.5]]))
         with pytest.raises(ValueError, match="expert advice row 1 "):
             policy.advise(np.array([[0.5, 0.5], [0.9, 0.2]]))
+
+
+class TestPlacement:
+    """``RoundTrace.below`` places each solved minority arm on the grid, also on rounds that grow."""
+
+    @pytest.mark.parametrize("config", [
+        ExperimentConfig(env="stochastic_gap", num_arms=2, num_experts=4, horizon=1000),
+        ExperimentConfig(env="adversarial_minority", num_arms=2, num_experts=4, horizon=2000,
+                         gamma=0.4, grid_denominator=4000),
+    ], ids=["stochastic_gap", "adversarial_minority"])
+    def test_below_is_the_search_of_the_solved_minority(self, monkeypatch, config):
+        traces = []
+        advise = MygaPolicy.advise
+
+        def capture(policy, advices):
+            p, trace = advise(policy, advices)
+            traces.append(trace)
+            return p, trace
+
+        monkeypatch.setattr(MygaPolicy, "advise", capture)
+        execute(config)
+        assert sum(trace.iterations > 0 for trace in traces) >= 30
+        for trace in traces:
+            minority = trace.q_sorted[trace.pivot:]
+            assert trace.below == trace.thresholds.searchsorted(minority, side="left").tolist()
+            assert trace.iterations == sum(trace.below)
 
 
 class TestMygaPolicyUpdate(RoundProtocolContract):
