@@ -21,13 +21,14 @@ policy's play distribution must satisfy:
   * majority loss domination: per round and cumulatively, the loss mass
     sitting on majority arms is at most 2K times the expected play loss.
 
-Each round's checks are O(K) float operations on the round's K-entry
-vectors plus one min and one max over the removed-mass table's pieces,
+Each round's checks are O(K) float operations on the trace's K-entry
+lists plus one min and one max over the removed-mass table's pieces,
 of which there are at most K.  The proportionality gap between the two
 sides of the rule is affine in the removed mass, so its largest size over
 the whole table is reached at the table's smallest or largest value; no
 threshold-by-arm matrix is built.
-Floats are added with ``simplex.left_sum``, never with builtin ``sum``.
+Floats are added one at a time from the left, by ``simplex.left_sum`` or a
+loop in the same order, never with builtin ``sum``.
 
 Checks compare at tolerance 1e-9; the per-round loss check also counts
 a NaN margin as a violation.  Violations are recorded, never repaired.
@@ -80,9 +81,10 @@ class RegretReport:
 def check_round(trace: RoundTrace, gamma: float, num_arms: int) -> list[Violation]:
     """Structural checks on one round's solved and played distributions."""
     k = trace.pivot
-    zeta = trace.zeta_sorted.tolist()
-    q = trace.q_sorted.tolist()
-    p = trace.p_sorted.tolist()
+    zeta = trace.zeta_sorted
+    q = trace.q_sorted
+    p = trace.p_sorted
+    thresholds = trace.thresholds
     majority_mass = trace.majority_mass
     minority_mass = trace.minority_mass
     table = trace.dropped_table.values
@@ -93,16 +95,21 @@ def check_round(trace: RoundTrace, gamma: float, num_arms: int) -> list[Violatio
 
     # The proportionality gap is affine in the removed mass, so its largest
     # size over the table sits at the table's smallest or largest value.
-    extremes = (min(table), max(table)) if trace.thresholds.size else ()
+    extremes = (min(table), max(table)) if len(thresholds) else ()
 
     # The table is checked at its two ends, its first and last pieces.  Its
-    # values add the minority masses smallest first, and so does this check.
+    # values add the minority masses smallest first, and so does this check,
+    # one pass for both ends.
     table_gap = 0.0
-    if trace.thresholds.size:
-        minority = q[k:][::-1]
-        for j in (0, -1):
-            threshold = trace.thresholds.item(j)
-            removed = left_sum([x for x in minority if x <= threshold])
+    if len(thresholds):
+        lowest, highest = thresholds[0], thresholds[-1]
+        low = high = 0.0
+        for x in reversed(q[k:]):
+            if x <= lowest:
+                low += x
+            if x <= highest:
+                high += x
+        for j, removed in ((0, low), (-1, high)):
             size = abs(table[j] - removed)
             if size > table_gap:
                 table_gap = size
@@ -166,21 +173,20 @@ def check_round(trace: RoundTrace, gamma: float, num_arms: int) -> list[Violatio
     return violations
 
 
-def _played_losses(trace: RoundTrace, losses: np.ndarray) -> tuple[float, float]:
+def _played_losses(trace: RoundTrace, losses: list[float]) -> tuple[float, float]:
     """The round's loss on played majority arms and on played minority arms.
 
     Arms are taken in sorted order and added one at a time, the order in
     which NumPy sums arrays of fewer than eight entries.
     """
-    losses_sorted = trace.perm.to_sorted(losses).tolist()
     k = trace.pivot
     majority = minority = 0.0
-    for i, (mass, loss) in enumerate(zip(trace.p_sorted.tolist(), losses_sorted)):
+    for i, (mass, arm) in enumerate(zip(trace.p_sorted, trace.perm.forward)):
         if mass > 0.0:
             if i < k:
-                majority += loss
+                majority += losses[arm]
             else:
-                minority += loss
+                minority += losses[arm]
     return majority, minority
 
 
@@ -223,7 +229,7 @@ class Auditor:
         report.rounds += 1
         if not isinstance(trace, RoundTrace):
             return 0
-        majority, minority = _played_losses(trace, losses)
+        majority, minority = _played_losses(trace, losses.tolist())
         report.majority_loss += majority
         report.minority_loss += minority
         if not self.enabled:

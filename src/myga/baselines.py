@@ -5,9 +5,9 @@ additionally zeroes every arm whose mixture mass is at or below gamma
 and renormalizes over the survivors, falling back to the plain mixture
 when that would remove everything.  Both charge experts through the
 same importance-weighted estimator as the main policy, through the
-same advise/update state machine and real-expert weights; neither carries auxiliary experts, so
-the thresholded variant's estimates are biased on the arms it refuses
-to play.
+same advise/update state machine and weight state, which holds the real
+experts alone; neither carries auxiliary experts, so the thresholded
+variant's estimates are biased on the arms it refuses to play.
 """
 
 from __future__ import annotations
@@ -42,19 +42,19 @@ class Exp4Config:
             raise ValueError("thresholded variant needs gamma in (0, 1/2]")
 
 
-def threshold_mixture(p: np.ndarray, gamma: float) -> np.ndarray:
+def threshold_mixture(p, gamma: float) -> list[float]:
     """Zero arms with mass <= gamma and renormalize; identity if nothing survives.
 
     Works on the K entries as Python floats, added from the left, so the
     result equals the whole-array form bit for bit below eight arms.
+    Returns a new list.
     """
-    p = np.asarray(p, dtype=float)
-    values = p.tolist()
+    values = simplex.floats(p)
     if not any(v > gamma for v in values):
-        return p.copy()
+        return list(values)
     kept = [v if v > gamma else 0.0 for v in values]
     total = simplex.left_sum(kept)
-    return np.array([v / total for v in kept])
+    return [v / total for v in kept]
 
 
 @dataclass
@@ -63,15 +63,15 @@ class BaselineTrace:
 
     t: int
     advices: np.ndarray
-    p_original: np.ndarray
+    p_original: list[float]
 
 
 class Exp4Policy(ExpertPolicy):
-    """Exponential weights over the real experts alone."""
+    """Exponential weights over the real experts alone: the grid-free weight state."""
 
-    def _play(self, advices: np.ndarray) -> tuple[np.ndarray, BaselineTrace]:
-        w = self._real_weights(float(self.real_loss.min()))
-        p = simplex.weighted_average(advices, w)
+    def _play(self, advices: np.ndarray) -> tuple[list[float], BaselineTrace]:
+        self.state.weights()
+        p = simplex.weighted_average(advices, self.state.real_weights)
         if self.cfg.variant == "thresholded":
             p = threshold_mixture(p, self.cfg.gamma)
         return p, BaselineTrace(t=self.t, advices=advices, p_original=p)

@@ -68,6 +68,11 @@ class ExperimentConfig:
             raise ValueError(f"env {self.env!r} not one of {KINDS}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        listed = set()
+        for seed in self.seeds:
+            if seed in listed:
+                raise ValueError(f"seed {seed} is listed twice")
+            listed.add(seed)
         if self.env == "replay" and not self.replay_path:
             raise ValueError("replay kind needs replay_path")
         if not math.isfinite(self.bound_factor):

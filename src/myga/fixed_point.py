@@ -35,13 +35,14 @@ at k plus the number of minority arms above it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import simplex
-from .simplex import left_sum
+from .simplex import floats, left_sum
 
 RESIDUAL_TOL = 1e-9
 
@@ -96,10 +97,9 @@ def require_grid(thresholds: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _require_sorted_inputs(zeta_sorted: np.ndarray, pivot: int) -> np.ndarray:
-    """The sorted mixture as a float array, once its contract holds with the pivot."""
-    zeta = simplex.require_distribution(zeta_sorted, what="sorted mixture")
-    values = zeta.tolist()
+def _require_sorted_inputs(zeta_sorted, pivot: int) -> list[float]:
+    """The sorted mixture as a list of floats, once its contract holds with the pivot."""
+    values = simplex.require_distribution(zeta_sorted, what="sorted mixture")
     if any(b > a for a, b in zip(values, values[1:])):
         raise ValueError("sorted mixture must be non-increasing")
     if not 1 <= pivot <= len(values):
@@ -108,32 +108,40 @@ def _require_sorted_inputs(zeta_sorted: np.ndarray, pivot: int) -> np.ndarray:
         raise ValueError("majority prefix of the sorted mixture is lighter than 1/2")
     if pivot > 1 and left_sum(values[:pivot - 1]) >= 0.5:
         raise ValueError("pivot is not minimal for the sorted mixture")
-    return zeta
+    return values
 
 
-def _solve(zeta: np.ndarray, pivot: int, weights: MixtureWeights,
-           grid: np.ndarray) -> tuple[np.ndarray, list[int], float]:
+def _place(grid: list[float], mass: float) -> int:
+    """The number of thresholds strictly below ``mass``, ``np.searchsorted(grid, mass)``.
+
+    NumPy orders NaN above every number, so a NaN mass is above every
+    threshold; ``bisect_left`` alone would put it below the first.
+    """
+    return bisect_left(grid, mass) if mass == mass else len(grid)
+
+
+def _solve(values: list[float], pivot: int, weights: MixtureWeights,
+           grid: list[float]) -> tuple[list[float], list[int], float]:
     """``solve_fixed_point`` without its input checks, returning the placement and residual.
 
     ``below[i]`` is the number of thresholds strictly below minority arm
-    i's solved mass, ``grid.searchsorted(mass, side="left")``: the last
+    i's solved mass, ``np.searchsorted(grid, mass, side="left")``: the last
     pass's search or in-place check has just established it, and the
     round's threshold advice and removed-mass table are read from it.
     It trusts its inputs: ``solve_fixed_point`` checks a caller's, and
     ``MygaPolicy`` passes a mixture, pivot, shares and grid it has just
-    built.  The per-arm bookkeeping is on Python floats; the grid stays an
-    array, searched once per pass, and an arm's kept weight is one prefix
-    read.
+    built.  The mixture and the grid are lists of floats, the grid
+    searched with ``bisect`` once per arm and pass, and an arm's kept
+    weight is one prefix read.
     """
-    values = zeta.tolist()
     k = pivot
     minority = len(values) - k
 
     # below[i]: thresholds strictly below minority arm i, all of which keep it.
     below = [0] * minority
-    if grid.size == 0 or minority == 0:
-        q = zeta.copy()
-        return q, below, mixture_residual(q, zeta, k, weights, grid)
+    if not grid or minority == 0:
+        q = list(values)
+        return q, below, mixture_residual(q, values, k, weights, grid)
 
     base = float(weights.base)
     base_min = [base * z for z in values[k:]]
@@ -144,10 +152,10 @@ def _solve(zeta: np.ndarray, pivot: int, weights: MixtureWeights,
     # in at most |grid| passes and one more pass finds nothing to cross.
     # A pass searches only if some arm has left the interval its last
     # search put it in.
-    for _ in range(grid.size + 1):
+    for _ in range(len(grid) + 1):
         if _in_place(grid, below, q_min):
             break
-        reached = grid.searchsorted(q_min, side="left").tolist()
+        reached = [_place(grid, x) for x in q_min]
         if reached == below:
             break
         for i, (old, new) in enumerate(zip(below, reached)):
@@ -162,24 +170,24 @@ def _solve(zeta: np.ndarray, pivot: int, weights: MixtureWeights,
         raise RuntimeError("boundary growth failed to terminate")
 
     scale = (1.0 - left_sum(q_min)) / left_sum(values[:k])
-    q = np.array([z * scale for z in values[:k]] + q_min)
-    resid = mixture_residual(q, zeta, k, weights, grid)
+    q = [z * scale for z in values[:k]] + q_min
+    resid = mixture_residual(q, values, k, weights, grid)
     if not resid <= RESIDUAL_TOL:
         raise RuntimeError(f"fixed-point residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e}")
     return q, below, resid
 
 
-def _in_place(grid: np.ndarray, below: list[int], masses: list[float]) -> bool:
+def _in_place(grid: list[float], below: list[int], masses: list[float]) -> bool:
     """Whether each mass lies in (grid[b-1], grid[b]] for its count b of thresholds below.
 
-    That is where ``searchsorted(grid, mass, side="left")`` puts it, so a
-    search would return ``below`` unchanged.  A mass on a threshold is in
-    the interval that threshold closes, and a NaN mass is in none.
-    ``_solve`` calls it once at the start of every growth pass.
+    That is where ``_place`` puts it, so a search would return ``below``
+    unchanged.  A mass on a threshold is in the interval that threshold
+    closes, and a NaN mass is in none.  ``_solve`` calls it once at the
+    start of every growth pass.
     """
-    last = grid.size
+    last = len(grid)
     for b, x in zip(below, masses):
-        if (b and not grid.item(b - 1) < x) or (b < last and not x <= grid.item(b)):
+        if (b and not grid[b - 1] < x) or (b < last and not x <= grid[b]):
             return False
     return True
 
@@ -198,19 +206,19 @@ def solve_fixed_point(zeta_sorted: np.ndarray, pivot: int, weights: MixtureWeigh
     grid = require_grid(thresholds)
     zeta = _require_sorted_inputs(zeta_sorted, pivot)
     weights.require(grid.size)
-    q, below, _ = _solve(zeta, pivot, weights, grid)
-    return q, sum(below)
+    q, below, _ = _solve(zeta, pivot, weights, grid.tolist())
+    return np.array(q), sum(below)
 
 
-def mixture_residual(q: np.ndarray, zeta_sorted: np.ndarray, pivot: int,
-                     weights: MixtureWeights, thresholds: np.ndarray) -> float:
+def mixture_residual(q, zeta_sorted, pivot: int, weights: MixtureWeights,
+                     thresholds) -> float:
     """Max-norm distance between q and the truncation mixture evaluated at q.
 
     A NaN anywhere in the comparison makes the distance NaN.
     """
-    q_vals = np.asarray(q, dtype=float).tolist()
-    zeta = np.asarray(zeta_sorted, dtype=float).tolist()
-    grid = np.asarray(thresholds, dtype=float)
+    q_vals = floats(q)
+    zeta = floats(zeta_sorted)
+    grid = floats(thresholds)
     base = float(weights.base)
     k = pivot
     majority_mass = left_sum(q_vals[:k])
@@ -220,7 +228,7 @@ def mixture_residual(q: np.ndarray, zeta_sorted: np.ndarray, pivot: int,
     # Each gap is compared as it is made: a NaN gap is the answer at once,
     # and otherwise the largest gap is.
     worst = 0.0
-    if grid.size == 0:
+    if not grid:
         for x, z in zip(q_vals, zeta):
             gap = abs(x - base * z)
             if not gap <= worst:
@@ -234,8 +242,8 @@ def mixture_residual(q: np.ndarray, zeta_sorted: np.ndarray, pivot: int,
     # regroups per arm, added left to right; no arm order is assumed.
     q_min = q_vals[k:]
     dropped_weight = 0.0
-    for x, z, b in zip(q_min, zeta[k:], grid.searchsorted(q_min, side="left").tolist()):
-        kept, dropped = weights.split(b)
+    for x, z in zip(q_min, zeta[k:]):
+        kept, dropped = weights.split(_place(grid, x))
         gap = abs(x - (base * z + x * kept))
         if not gap <= worst:
             if gap != gap:

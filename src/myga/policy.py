@@ -15,8 +15,13 @@ the majority side) and is a step function over the threshold grid with
 at most one piece more than the minority arms.  Their weights live in
 ``WeightState``, about sqrt(G) blocks of about sqrt(G) thresholds, so a
 round never touches all G thresholds: it reads a few prefix sums and
-charges a few ranges.  The same object hands the solver the round's
+charges a few ranges.  The same object holds the real experts' losses,
+rebases every weight in one pass and hands the solver the round's
 mixture shares.
+
+A round's arm vectors are lists of Python floats and the threshold grid
+is one list, built once per policy; NumPy is left to the advice matrix,
+the weights' ``exp`` and the blocks.
 """
 
 from __future__ import annotations
@@ -126,29 +131,34 @@ class MygaConfig:
 
 
 class WeightState:
-    """The threshold experts' weights, in blocks of ``width`` = ceil(sqrt(G)) thresholds.
+    """Every expert's weight: the real experts' and the threshold experts', in one rebase.
 
-    Threshold j's cumulative loss is its block's offset plus its own part,
-    ``block_loss[j // width] + loss[j]``.  Inside a block the weights are
-    kept relative to the block's lowest own part (``block_base``), as the
-    running sum ``inner_cum``; ``weights`` puts the blocks on one scale,
-    exp(-eta * (offset + base - shift)) for a common shift, and sums them.
+    The threshold experts are kept in blocks of ``width`` = ceil(sqrt(G))
+    thresholds.  Threshold j's cumulative loss is its block's offset plus
+    its own part, ``block_loss[j // width] + loss[j]``.  Inside a block the
+    weights are kept relative to the block's lowest own part
+    (``block_base``), as the running sum ``inner_cum``.
+
+    ``lead`` holds the E real experts' cumulative losses (``real_loss``,
+    a view) and then each block's lead, its offset plus its base.
+    ``weights`` rebases them all on the lowest, exp(-eta * (lead - shift)),
+    floors the real part at ``_WEIGHT_FLOOR`` (``real_weights``), and sums
+    the scaled blocks into the block prefix sums.
 
     A charge adds its cost to the offset of every block a piece covers
     whole and to the own parts of the few blocks it covers in part, which
     are then recomputed from their losses: every weight is exp of a
     cumulative loss, never a running product of factors.  A prefix sum is
     one block prefix plus one in-block entry, and the total is the last
-    block prefix.
+    block prefix.  Without thresholds the state is the real experts alone.
 
-    The real experts' weights live in ``ExpertPolicy``.  Once
-    ``set_shares`` has added their total, the state is the round's
-    mixture shares for the solver: the real experts' ``base`` share and
-    ``split``, the kept and dropped threshold shares of a prefix of the
-    grid.  The shares are exactly invariant to the common shift.
+    Once ``set_shares`` has added the real experts' total, the state is
+    the round's mixture shares for the solver: the real experts' ``base``
+    share and ``split``, the kept and dropped threshold shares of a prefix
+    of the grid.  The shares are exactly invariant to the common shift.
     """
 
-    def __init__(self, size: int, eta: float):
+    def __init__(self, size: int, eta: float, num_experts: int):
         self.size = size
         self.eta = eta
         self.width = math.isqrt(size - 1) + 1 if size else 1
@@ -158,10 +168,17 @@ class WeightState:
         self.block_loss = np.zeros(count)
         self.block_base = np.zeros(count)
         self.block_inner = np.empty(count)
+        self.lead = np.zeros(num_experts + count)
+        self.real_loss = self.lead[:num_experts]
+        self._block_lead = self.lead[num_experts:]
+        self._weight = np.empty(num_experts + count)
+        self.real_weights = self._weight[:num_experts]
+        self._scale = self._weight[num_experts:]
+        self._scaled = np.empty(count)
+        self._prefix = np.zeros(count + 1)
+        self._block_prefix = self._prefix[1:]
         for block in range(count):
             self._refresh(block)
-        self._scale: list[float] = []
-        self._prefix = [0.0]
         self.total = 0.0
         self._norm = 1.0
         self.base = 1.0
@@ -175,31 +192,30 @@ class WeightState:
         self.block_base[block] = base
         self.block_inner[block] = self.inner_cum[hi - 1]
 
-    def weights(self, lowest: float) -> float:
-        """Scale every block against the lowest cumulative loss and sum the blocks.
+    def weights(self) -> float:
+        """Rebase every weight on the lowest cumulative loss and sum the blocks.
 
-        ``lowest`` is the lowest cumulative loss outside the grid.  The
-        shift is the lower of it and the grid's own lowest, so the best
-        expert sits at weight 1 and no weight overflows; returns the shift.
+        The best expert sits at weight 1, so no weight overflows; returns
+        the shift.  The real experts' weights are then ``real_weights``.
         """
-        lead = self.block_loss + self.block_base
-        if lead.size:
-            lowest = min(lowest, float(np.minimum.reduce(lead)))
-        lead -= lowest
-        lead *= -self.eta
-        np.exp(lead, out=lead)
-        self._scale = lead.tolist()
-        lead *= self.block_inner
-        self._prefix = [0.0, *np.cumsum(lead).tolist()]
-        self.total = self._prefix[-1]
-        return lowest
+        weight = self._weight
+        shift = float(np.minimum.reduce(self.lead))
+        np.subtract(self.lead, shift, out=weight)
+        np.multiply(weight, -self.eta, out=weight)
+        np.exp(weight, out=weight)
+        np.maximum(self.real_weights, _WEIGHT_FLOOR, out=self.real_weights)
+        if self._scaled.size:
+            np.multiply(self._scale, self.block_inner, out=self._scaled)
+            np.cumsum(self._scaled, out=self._block_prefix)
+            self.total = self._prefix.item(-1)
+        return shift
 
     def prefix(self, n: int) -> float:
         """Total weight of the first ``n`` thresholds, on the scale of the last ``weights``."""
         block, rest = divmod(n, self.width)
         if not rest:
-            return self._prefix[block]
-        return self._prefix[block] + self.inner_cum.item(n - 1) * self._scale[block]
+            return self._prefix.item(block)
+        return self._prefix.item(block) + self.inner_cum.item(n - 1) * self._scale.item(block)
 
     def set_shares(self, real_total: float) -> None:
         """Normalize by the real experts' total weight, on the scale of the last ``weights``."""
@@ -215,9 +231,11 @@ class WeightState:
         """Add ``costs.values[i]`` to the cumulative loss of every threshold in piece i."""
         width, count = self.width, self.block_loss.size
         touched = set()
+        charged = False
         for lo, hi, cost in zip(costs.breaks, [*costs.breaks[1:], self.size], costs.values):
             if cost == 0.0:
                 continue
+            charged = True
             first = -(-lo // width)                 # blocks [first, last) lie inside the piece
             last = count if hi == self.size else hi // width
             if first > last:                        # the piece sits inside one block
@@ -234,26 +252,32 @@ class WeightState:
                 touched.add(last)
         for block in touched:
             self._refresh(block)
+        if charged:   # a block's lead is its offset plus its base, as one sum
+            np.add(self.block_loss, self.block_base, out=self._block_lead)
 
 
 @dataclass
 class RoundTrace:
     """Everything one round's ``advise`` produced, for the update step and the auditor.
 
-    ``below[i]`` is the number of thresholds strictly below the solved
-    mass of minority arm ``pivot + i``, and ``iterations`` is their sum.
-    Output only: nothing writes to a trace after ``advise`` returns.
+    ``advices`` is the round's (experts, arms) array.  The arm vectors,
+    ``zeta_sorted``, ``q_sorted``, ``p_sorted`` and ``p_original``, are
+    lists of floats and ``perm`` holds two lists of ints.  ``thresholds``
+    is the policy's grid list, shared by every round.  ``below[i]`` is the
+    number of thresholds strictly below the solved mass of minority arm
+    ``pivot + i``, and ``iterations`` is their sum.  Output only: nothing
+    writes to a trace after ``advise`` returns.
     """
 
     t: int
     advices: np.ndarray
-    zeta_sorted: np.ndarray
+    zeta_sorted: list[float]
     perm: ArmPermutation
     pivot: int
-    q_sorted: np.ndarray
-    p_sorted: np.ndarray
-    p_original: np.ndarray
-    thresholds: np.ndarray
+    q_sorted: list[float]
+    p_sorted: list[float]
+    p_original: list[float]
+    thresholds: list[float]
     dropped_table: StepFunction
     majority_mass: float
     minority_mass: float
@@ -269,8 +293,8 @@ def threshold_advice_at(trace: RoundTrace, arm_sorted: int) -> StepFunction:
     it and the rest remove it; on the majority side every threshold
     rescales it by (majority + removed) / majority.
     """
-    size = trace.thresholds.size
-    q_at = trace.q_sorted.item(arm_sorted)
+    size = len(trace.thresholds)
+    q_at = trace.q_sorted[arm_sorted]
     if arm_sorted < trace.pivot:
         majority = trace.majority_mass
         breaks, dropped = trace.dropped_table
@@ -286,26 +310,23 @@ def threshold_advice_at(trace: RoundTrace, arm_sorted: int) -> StepFunction:
 class ExpertPolicy:
     """Single-threaded advise/update state machine over one run, shared by all policies.
 
-    It holds the real experts: their cumulative estimated losses, their
-    charge and their weights.  A subclass supplies ``_play`` (advice ->
-    play distribution and a trace carrying ``t``, ``advices`` and
-    ``p_original``) and, if it has experts beyond the real ones, a
-    ``_charge`` for their share of the round's loss estimate.
+    It owns the ``WeightState`` of every expert, over ``num_thresholds``
+    threshold experts (none by default), and charges the real experts;
+    ``real_loss`` is a view of their cumulative estimated losses in it.  A
+    subclass supplies ``_play`` (advice -> play distribution and a trace
+    carrying ``t``, ``advices`` and ``p_original``) and, if it has experts
+    beyond the real ones, a ``_charge`` for their share of the round's loss
+    estimate.
     """
 
-    def __init__(self, config, sample_rng=None):
+    def __init__(self, config, sample_rng=None, num_thresholds: int = 0):
         self.cfg = config
         self.rng = sample_rng if isinstance(sample_rng, np.random.Generator) \
             else np.random.default_rng(sample_rng)
         self.t = 1
         self._awaiting_update = False
-        self.real_loss = np.zeros(config.num_experts)
-
-    def _real_weights(self, shift: float) -> np.ndarray:
-        """exp(-eta * (real_loss - shift)), floored at ``_WEIGHT_FLOOR``."""
-        w_real = np.exp(-self.cfg.eta * (self.real_loss - shift))
-        np.maximum(w_real, _WEIGHT_FLOOR, out=w_real)
-        return w_real
+        self.state = WeightState(num_thresholds, config.eta, config.num_experts)
+        self.real_loss = self.state.real_loss
 
     def _charge(self, trace, arm_original: int, est: float) -> None:
         """Charge the experts beyond the real ones; a policy of real experts alone has none."""
@@ -324,7 +345,7 @@ class ExpertPolicy:
         self._awaiting_update = True
         return p_original, trace
 
-    def sample(self, p_original: np.ndarray) -> int:
+    def sample(self, p_original: list[float]) -> int:
         """Draw an arm by inverse CDF in original coordinates, one uniform."""
         return simplex.sample_index(p_original, float(self.rng.random()))
 
@@ -345,20 +366,21 @@ class MygaPolicy(ExpertPolicy):
     """Exponential weights over the real experts plus one auxiliary expert per threshold."""
 
     def __init__(self, config: MygaConfig, sample_rng=None):
-        super().__init__(config, sample_rng)
-        self.thresholds = build_threshold_grid(config.gamma, config.grid_denominator)
-        self.state = WeightState(self.thresholds.size, config.eta)
+        grid = build_threshold_grid(config.gamma, config.grid_denominator).tolist()
+        super().__init__(config, sample_rng, len(grid))
+        self.thresholds = grid
 
-    def _play(self, advices: np.ndarray) -> tuple[np.ndarray, RoundTrace]:
-        w_real = self._real_weights(self.state.weights(float(np.minimum.reduce(self.real_loss))))
+    def _play(self, advices: np.ndarray) -> tuple[list[float], RoundTrace]:
+        state = self.state
+        state.weights()
+        w_real = state.real_weights
         zeta_original = simplex.weighted_average(advices, w_real)
         zeta_sorted, perm = simplex.sort_descending(zeta_original)
         pivot = simplex.pivot_index(zeta_sorted)
-        self.state.set_shares(float(np.add.reduce(w_real)))
-        q, below, residual = _solve(zeta_sorted, pivot, self.state, self.thresholds)
+        state.set_shares(float(np.add.reduce(w_real)))
+        q, below, residual = _solve(zeta_sorted, pivot, state, self.thresholds)
         p_sorted = truncate(q, pivot, self.cfg.gamma)
         p_original = perm.to_original(p_sorted)
-        q_values = q.tolist()
         trace = RoundTrace(
             t=self.t,
             advices=advices,
@@ -369,9 +391,9 @@ class MygaPolicy(ExpertPolicy):
             p_sorted=p_sorted,
             p_original=p_original,
             thresholds=self.thresholds,
-            dropped_table=truncated_mass_table(q_values[pivot:], below, self.thresholds.size),
-            majority_mass=left_sum(q_values[:pivot]),
-            minority_mass=left_sum(q_values[pivot:]),
+            dropped_table=truncated_mass_table(q[pivot:], below, len(self.thresholds)),
+            majority_mass=left_sum(q[:pivot]),
+            minority_mass=left_sum(q[pivot:]),
             residual=residual,
             below=below,
             iterations=sum(below),
@@ -379,5 +401,5 @@ class MygaPolicy(ExpertPolicy):
         return p_original, trace
 
     def _charge(self, trace: RoundTrace, arm_original: int, est: float) -> None:
-        aux_at = threshold_advice_at(trace, trace.perm.inverse.item(arm_original))
+        aux_at = threshold_advice_at(trace, trace.perm.inverse[arm_original])
         self.state.charge(StepFunction(aux_at.breaks, [a * est for a in aux_at.values]))

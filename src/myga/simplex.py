@@ -1,14 +1,16 @@
 """Probability-simplex primitives shared by the policies.
 
-Distributions over arms are plain float64 arrays.  Validation is a
-predicate, not a wrapper type; renormalization happens only where a
-distribution is constructed (``weighted_average``), never as a silent
-fix-up downstream.
+Distributions over arms are plain lists of Python floats, one entry per
+arm.  Validation is a predicate, not a wrapper type; renormalization
+happens only where a distribution is constructed (``weighted_average``),
+never as a silent fix-up downstream.
 
-A distribution has one entry per arm, a handful, so the functions here
-take their arrays apart with ``tolist`` and work on Python floats: a
-NumPy call on a few entries costs more in call overhead than the whole
-loop.  Totals are added one entry at a time from the left (``left_sum``)
+A distribution has a handful of entries, and a NumPy call on a few
+entries costs more in call overhead than a Python loop over them, so a
+round's vectors stay lists from the mixture to the audit.  Each public
+function also accepts an array, which ``floats`` converts once on entry.
+NumPy is left to the (experts, arms) advice matrix and its products.
+Totals are added one entry at a time from the left (``left_sum``)
 and prefix sums with ``itertools.accumulate``, the order in which NumPy
 reduces fewer than eight entries and in which ``cumsum`` always runs, so
 results match the whole-array NumPy expressions bit for bit below eight
@@ -26,6 +28,11 @@ from itertools import accumulate
 import numpy as np
 
 SIMPLEX_TOL = 1e-9
+
+
+def floats(values) -> list[float]:
+    """A vector's entries as Python floats: a list is taken as it is, anything else through NumPy."""
+    return values if type(values) is list else np.asarray(values, dtype=float).tolist()
 
 
 def left_sum(values) -> float:
@@ -56,20 +63,25 @@ def _first_bad_row(rows: list[list[float]], tol: float) -> int:
     return -1
 
 
-def validate(probs: np.ndarray, tol: float = SIMPLEX_TOL) -> bool:
+def validate(probs, tol: float = SIMPLEX_TOL) -> bool:
     """Return True if ``probs`` is a distribution: entries >= 0, sum within ``tol`` of 1."""
-    probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 1 or probs.size == 0:
+    if type(probs) is not list:
+        probs = np.asarray(probs, dtype=float)
+        if probs.ndim != 1:
+            return False
+        probs = probs.tolist()
+    try:
+        return bool(probs) and _first_bad_row([probs], tol) < 0
+    except TypeError:   # a list holding lists or other non-numbers
         return False
-    return _first_bad_row([probs.tolist()], tol) < 0
 
 
-def require_distribution(probs: np.ndarray, what: str = "distribution") -> np.ndarray:
-    """Return ``probs`` as a float array, raising ValueError if it is not a distribution."""
-    arr = np.asarray(probs, dtype=float)
-    if not validate(arr):
-        raise ValueError(f"{what} is not a probability distribution: {arr!r}")
-    return arr
+def require_distribution(probs, what: str = "distribution") -> list[float]:
+    """Return ``probs`` as a list of floats, raising ValueError if it is not a distribution."""
+    if not validate(probs):
+        raise ValueError(f"{what} is not a probability distribution: "
+                         f"{np.asarray(probs, dtype=float)!r}")
+    return floats(probs)
 
 
 def require_distribution_rows(matrix: np.ndarray, what: str = "distribution") -> np.ndarray:
@@ -90,7 +102,7 @@ def require_distribution_rows(matrix: np.ndarray, what: str = "distribution") ->
     return arr
 
 
-def weighted_average(advices: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def weighted_average(advices: np.ndarray, weights: np.ndarray) -> list[float]:
     """Convex combination of advice distributions, renormalized.
 
     ``advices`` has one row per expert, ``weights`` one positive entry per
@@ -110,7 +122,7 @@ def weighted_average(advices: np.ndarray, weights: np.ndarray) -> np.ndarray:
     total = left_sum(mix)
     if total <= 0.0:
         raise ValueError("advice mixture has no mass")
-    return np.array([m / total for m in mix])
+    return [m / total for m in mix]
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,25 +133,26 @@ class ArmPermutation:
     ``inverse[i]`` is the sorted position of original arm ``i``.
     """
 
-    forward: np.ndarray
-    inverse: np.ndarray
+    forward: list[int]
+    inverse: list[int]
 
-    def to_sorted(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values)[self.forward]
+    def to_sorted(self, values) -> list[float]:
+        values = floats(values)
+        return [values[i] for i in self.forward]
 
-    def to_original(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values)[self.inverse]
+    def to_original(self, values) -> list[float]:
+        values = floats(values)
+        return [values[i] for i in self.inverse]
 
 
-def sort_descending(zeta: np.ndarray) -> tuple[np.ndarray, ArmPermutation]:
+def sort_descending(zeta) -> tuple[list[float], ArmPermutation]:
     """Sort a distribution into non-increasing order.
 
     Ties keep the original arm order (stable sort), so the permutation is
     deterministic; NaN entries go last, in arm order, as in NumPy's sort.
     Returns the sorted values and the permutation.
     """
-    zeta = np.asarray(zeta, dtype=float)
-    values = zeta.tolist()
+    values = floats(zeta)
     arms = range(len(values))
     if any(map(math.isnan, values)):
         order = sorted(arms, key=lambda i: (values[i] == values[i], values[i]), reverse=True)
@@ -148,19 +161,17 @@ def sort_descending(zeta: np.ndarray) -> tuple[np.ndarray, ArmPermutation]:
     inverse = [0] * len(values)
     for position, arm in enumerate(order):
         inverse[arm] = position
-    forward = np.array(order, dtype=np.intp)
-    return zeta[forward], ArmPermutation(forward=forward,
-                                         inverse=np.array(inverse, dtype=np.intp))
+    return [values[i] for i in order], ArmPermutation(forward=order, inverse=inverse)
 
 
-def pivot_index(zeta_sorted: np.ndarray) -> int:
+def pivot_index(zeta_sorted) -> int:
     """Length of the shortest prefix of a sorted distribution with mass >= 1/2.
 
     The comparison is an exact floating >=, no tolerance: the prefix either
     reaches one half or it does not.  Arms inside the prefix are the
     majority arms, the rest the minority.
     """
-    values = np.asarray(zeta_sorted, dtype=float).tolist()
+    values = floats(zeta_sorted)
     if not values:
         raise ValueError("empty distribution has no pivot")
     if any(b - a > 0.0 for a, b in zip(values, values[1:])):
@@ -169,13 +180,13 @@ def pivot_index(zeta_sorted: np.ndarray) -> int:
     return min(k, len(values))
 
 
-def sample_index(probs: np.ndarray, u: float) -> int:
+def sample_index(probs, u: float) -> int:
     """Inverse-CDF draw from ``probs`` using a single uniform ``u`` in [0, 1).
 
     Zero-mass arms are never selected; a uniform landing past the final
     cumulative value (floating drift) falls back to the last positive arm.
     """
-    values = np.asarray(probs, dtype=float).tolist()
+    values = floats(probs)
     cdf = list(accumulate(values))
     if cdf and math.isnan(cdf[-1]):   # NumPy's search orders NaN above every number
         cdf = [math.inf if math.isnan(c) else c for c in cdf]

@@ -10,19 +10,18 @@ the threshold is removed.
 The convention s = 0 is accepted and acts as the identity, since no
 positive mass can be <= 0.
 
-``truncate`` works on the distribution's entries as Python floats, added
-one at a time from the left (``simplex.left_sum``), so its result equals
-the whole-array NumPy form bit for bit below eight arms.  The removed-mass
-table over the threshold grid is a step function with one piece more than
-the minority arms it removes, never an array over the grid, and is built
-from the solver's placement of each arm on the grid, with no search.
+``truncate`` takes and returns a list of Python floats (an array is
+converted on entry), its entries added one at a time from the left
+(``simplex.left_sum``), so its result equals the whole-array NumPy form
+bit for bit below eight arms.  The removed-mass table over the threshold
+grid is a step function with one piece more than the minority arms it
+removes, never an array over the grid, and is built from the solver's
+placement of each arm on the grid, with no search.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
-
-import numpy as np
 
 from . import simplex
 from .simplex import left_sum
@@ -37,15 +36,15 @@ def _check_params(size: int, pivot: int, threshold: float) -> None:
         raise ValueError(f"threshold {threshold} outside [0, 1/2]")
 
 
-def truncate(q: np.ndarray, pivot: int, threshold: float) -> np.ndarray:
+def truncate(q, pivot: int, threshold: float) -> list[float]:
     """Apply the truncation operator to a sorted distribution.
 
     ``q`` must be a distribution whose first ``pivot`` entries carry
-    positive total mass.  Returns a new array; the input is not modified.
+    positive total mass.  Returns a new list; the input is not modified.
     Raises RuntimeError if redistribution fails to conserve mass to within
     ``DRIFT_TOL`` (an arithmetic inconsistency, not a user error).
     """
-    values = simplex.require_distribution(q, what="truncation input").tolist()
+    values = simplex.require_distribution(q, what="truncation input")
     _check_params(len(values), pivot, threshold)
     majority_mass = left_sum(values[:pivot])
     if majority_mass <= 0.0:
@@ -59,7 +58,7 @@ def truncate(q: np.ndarray, pivot: int, threshold: float) -> np.ndarray:
     drift = abs(left_sum(out) - left_sum(values))
     if drift > DRIFT_TOL:
         raise RuntimeError(f"truncation failed to conserve mass, drift {drift:.3e}")
-    return np.array(out)
+    return out
 
 
 class StepFunction(NamedTuple):

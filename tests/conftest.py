@@ -17,8 +17,8 @@ def corrupted_solve(monkeypatch):
 
     def corrupt(zeta, pivot, weights, grid):
         _, _, residual = solve(zeta, pivot, weights, grid)
-        q = np.array([0.55, 0.45])
-        return q, grid.searchsorted(q[pivot:], side="left").tolist(), residual
+        q = [0.55, 0.45]
+        return q, np.searchsorted(grid, q[pivot:], side="left").tolist(), residual
 
     monkeypatch.setattr(policy_mod, "_solve", corrupt)
 

@@ -63,33 +63,38 @@ def block_losses(aux):
 
 def round_weights(policy):
     """The real weights and the threshold weight state a round of ``policy`` plays with."""
-    shift = policy.state.weights(float(policy.real_loss.min()))
-    return policy._real_weights(shift), policy.state
+    policy.state.weights()
+    return policy.state.real_weights, policy.state
 
 
 def dense_threshold_advice(trace, arm_sorted):
     """Every threshold expert's advice at the sorted arm, one entry per threshold."""
-    q_at = trace.q_sorted.item(arm_sorted)
+    q_at = trace.q_sorted[arm_sorted]
     if arm_sorted >= trace.pivot:
-        return np.where(trace.thresholds < q_at, q_at, 0.0)
+        return np.where(np.asarray(trace.thresholds) < q_at, q_at, 0.0)
     return (q_at / trace.majority_mass) * (trace.majority_mass + trace.dropped_table)
 
 
 class DenseWeightState:
-    """The threshold experts' cumulative losses as one array, weights as ``exp`` over the grid.
+    """The real and the threshold experts' cumulative losses as two arrays, weights as ``exp``.
 
-    ``weights`` sets ``w_aux`` and returns the shift, as ``WeightState.weights`` does.
+    ``weights`` sets ``real_weights`` and ``w_aux``, each floored, and
+    returns the shift, as ``WeightState.weights`` does.
     """
 
-    def __init__(self, num_thresholds, eta):
+    def __init__(self, num_thresholds, eta, num_experts):
         self.eta = eta
+        self.real_loss = np.zeros(num_experts)
         self.aux_loss = np.zeros(num_thresholds)
+        self.real_weights = np.ones(num_experts)
         self.w_aux = np.ones(num_thresholds)
 
-    def weights(self, lowest):
-        shift = lowest
+    def weights(self):
+        shift = float(self.real_loss.min())
         if self.aux_loss.size:
             shift = min(shift, float(self.aux_loss.min()))
+        self.real_weights = np.exp(-self.eta * (self.real_loss - shift))
+        np.maximum(self.real_weights, _WEIGHT_FLOOR, out=self.real_weights)
         self.w_aux = np.exp(-self.eta * (self.aux_loss - shift))
         np.maximum(self.w_aux, _WEIGHT_FLOOR, out=self.w_aux)
         return shift
@@ -103,7 +108,8 @@ class DensePolicy(MygaPolicy):
 
     def __init__(self, config, sample_rng=None):
         super().__init__(config, sample_rng)
-        self.state = DenseWeightState(self.thresholds.size, config.eta)
+        self.state = DenseWeightState(len(self.thresholds), config.eta, config.num_experts)
+        self.real_loss = self.state.real_loss
         self.shares = None
 
     def _play(self, advices):
@@ -117,17 +123,16 @@ class DensePolicy(MygaPolicy):
         self.shares = MixtureWeights(base=real_total / total, per_threshold=w_aux / total)
         q, below, residual = _solve(zeta_sorted, pivot, self.shares, self.thresholds)
         p_sorted = truncate(q, pivot, self.cfg.gamma)
-        q_values = q.tolist()
         trace = RoundTrace(
             t=self.t, advices=advices, zeta_sorted=zeta_sorted, perm=perm, pivot=pivot,
             q_sorted=q, p_sorted=p_sorted, p_original=perm.to_original(p_sorted),
             thresholds=self.thresholds,
             dropped_table=dense_mass_table(q[pivot:], self.thresholds),
-            majority_mass=left_sum(q_values[:pivot]),
-            minority_mass=left_sum(q_values[pivot:]),
+            majority_mass=left_sum(q[:pivot]),
+            minority_mass=left_sum(q[pivot:]),
             residual=residual, below=below, iterations=sum(below))
         return trace.p_original, trace
 
     def _charge(self, trace, arm_original, est):
-        arm_sorted = trace.perm.inverse.item(arm_original)
+        arm_sorted = trace.perm.inverse[arm_original]
         self.state.aux_loss += dense_threshold_advice(trace, arm_sorted) * est

@@ -63,7 +63,7 @@ class RoundProtocolContract:
         for loss in (0.5, 0.0, 1.0):
             p, trace = policy.advise(ADVICES)
             before = copy.deepcopy(trace)
-            policy.update(trace, int(np.flatnonzero(p > 0.0)[0]), loss)
+            policy.update(trace, int(np.flatnonzero(np.asarray(p) > 0.0)[0]), loss)
             assert vars(trace).keys() == vars(before).keys()
             for field in fields(trace):
                 got, want = getattr(trace, field.name), getattr(before, field.name)
@@ -75,6 +75,19 @@ class RoundProtocolContract:
                     np.testing.assert_array_equal(got.inverse, want.inverse)
                 else:
                     assert got == want, field.name
+
+    def test_update_charges_the_weight_state(self):
+        # ``real_loss`` is a view of the weight state's real entries, not a
+        # copy: the charge ``update`` makes lands in the state, and the next
+        # rebase weighs the charged expert down.
+        policy = self.make()
+        p, trace = policy.advise(ADVICES)
+        policy.update(trace, 0, 0.5)
+        est = 0.5 / p[0]
+        assert policy.state.real_loss.tolist() == policy.real_loss.tolist() == [est, 0.4 * est]
+        assert np.shares_memory(policy.real_loss, policy.state.lead)
+        policy.state.weights()
+        assert policy.state.real_weights[0] < policy.state.real_weights[1] == 1.0
 
     def test_rejects_advice_rows_that_are_not_distributions(self):
         policy, reference = self.make(), self.make()

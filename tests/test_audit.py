@@ -26,20 +26,20 @@ def run_policy(policy, spec, auditor=None, horizon=None):
 
 def make_trace(zeta_sorted, pivot, q_sorted, p_sorted, thresholds=(),
                advices=None, t=1):
-    """Hand-assembled round trace in identity arm order."""
+    """Hand-assembled round trace in identity arm order, its arm vectors as lists."""
     zeta_sorted = np.asarray(zeta_sorted, dtype=float)
     q_sorted = np.asarray(q_sorted, dtype=float)
     p_sorted = np.asarray(p_sorted, dtype=float)
     thresholds = np.asarray(thresholds, dtype=float)
     num_arms = zeta_sorted.size
-    perm = ArmPermutation(forward=np.arange(num_arms), inverse=np.arange(num_arms))
+    perm = ArmPermutation(forward=list(range(num_arms)), inverse=list(range(num_arms)))
     if advices is None:
         advices = np.tile(zeta_sorted, (2, 1))
     below = thresholds.searchsorted(q_sorted[pivot:], side="left").tolist()
     return RoundTrace(
-        t=t, advices=np.asarray(advices, dtype=float), zeta_sorted=zeta_sorted,
-        perm=perm, pivot=pivot, q_sorted=q_sorted, p_sorted=p_sorted,
-        p_original=p_sorted.copy(), thresholds=thresholds,
+        t=t, advices=np.asarray(advices, dtype=float), zeta_sorted=zeta_sorted.tolist(),
+        perm=perm, pivot=pivot, q_sorted=q_sorted.tolist(), p_sorted=p_sorted.tolist(),
+        p_original=p_sorted.tolist(), thresholds=thresholds.tolist(),
         dropped_table=truncated_mass_table(q_sorted[pivot:].tolist(), below, thresholds.size),
         majority_mass=float(q_sorted[:pivot].sum()),
         minority_mass=float(q_sorted[pivot:].sum()),
@@ -57,13 +57,14 @@ def reference_check_round(trace, gamma, num_arms, tol=1e-9):
     """
     violations = []
     k = trace.pivot
-    zeta = trace.zeta_sorted
-    q = trace.q_sorted
-    p = trace.p_sorted
+    zeta = np.asarray(trace.zeta_sorted)
+    q = np.asarray(trace.q_sorted)
+    p = np.asarray(trace.p_sorted)
+    thresholds = np.asarray(trace.thresholds)
 
     zeta_majority = float(zeta[:k].sum())
-    if trace.thresholds.size:
-        table = densify(trace.dropped_table, trace.thresholds.size)
+    if thresholds.size:
+        table = densify(trace.dropped_table, thresholds.size)
         aux_majority = np.outer(trace.majority_mass + table, q[:k]) / trace.majority_mass
         lhs = aux_majority * zeta_majority
         rhs = np.outer(1.0 - (trace.minority_mass - table), zeta[:k])
@@ -73,7 +74,7 @@ def reference_check_round(trace, gamma, num_arms, tol=1e-9):
                 trace.t, "threshold_advice_proportionality", margin,
                 "auxiliary majority advice is not a common rescale of the mixture"))
         minority = q[k:]
-        ends = trace.thresholds[[0, -1]]
+        ends = thresholds[[0, -1]]
         removed = np.array([minority[minority <= s].sum() for s in ends])
         margin = float(np.max(np.abs(table[[0, -1]] - removed)))
         if margin > tol:
@@ -127,10 +128,11 @@ def loss_violations(trace, losses, num_arms):
 
 def reference_check_round_losses(trace, losses, num_arms, tol=1e-9):
     """Per-round majority loss domination as whole-array NumPy expressions."""
-    losses_sorted = trace.perm.to_sorted(np.asarray(losses, dtype=float))
-    observable = losses_sorted * (trace.p_sorted > 0.0)
+    losses_sorted = np.asarray(trace.perm.to_sorted(np.asarray(losses, dtype=float)))
+    p_sorted = np.asarray(trace.p_sorted)
+    observable = losses_sorted * (p_sorted > 0.0)
     majority_part = float(observable[:trace.pivot].sum())
-    expected = float(trace.p_sorted @ losses_sorted)
+    expected = float(p_sorted @ losses_sorted)
     margin = majority_part - 2.0 * num_arms * expected
     if margin > tol:
         return [Violation(trace.t, "majority_loss_round", margin,
@@ -476,7 +478,7 @@ def spoiled(trace, rng):
     copy = dataclasses.replace(trace, zeta_sorted=trace.zeta_sorted.copy(),
                                q_sorted=trace.q_sorted.copy(),
                                p_sorted=trace.p_sorted.copy())
-    num_arms = copy.zeta_sorted.size
+    num_arms = len(copy.zeta_sorted)
     for _ in range(int(rng.integers(1, 4))):
         target = int(rng.integers(4))
         if target == 3:
@@ -531,9 +533,9 @@ def round_families():
         for zeta, losses in (([0.6, 0.4], [1.0, 0.0]),
                              ([0.4, 0.35, 0.25], [0.3, 0.9, 0.1]),
                              ([0.3, 0.3, 0.2, 0.2], [0.0, 1.0, 0.5, 0.2]))]
-    assert gap[0][0].thresholds.size == 7698
-    assert lattice[0][0].thresholds.size == 400
-    assert empty_grid[0][0].thresholds.size == 0
+    assert len(gap[0][0].thresholds) == 7698
+    assert len(lattice[0][0].thresholds) == 400
+    assert len(empty_grid[0][0].thresholds) == 0
     assert sum(len(trace.dropped_table.values) > 1 for trace, _, _ in varying_table) >= 30
     return {"gap_wide_grid": gap, "minority_lattice": lattice,
             "empty_grid": empty_grid, "pivot_is_k": full_pivot,
@@ -542,7 +544,7 @@ def round_families():
 
 class TestReferenceAgreement:
     def audit_both(self, trace, losses, gamma):
-        num_arms = trace.zeta_sorted.size
+        num_arms = len(trace.zeta_sorted)
         got = observed(trace, losses, num_arms, gamma).violations
         want = (reference_check_round(trace, gamma, num_arms)
                 + reference_check_round_losses(trace, losses, num_arms))
@@ -598,7 +600,7 @@ class TestRemovedMassTable:
             breaks, table = trace.dropped_table
             copy = dataclasses.replace(
                 trace, dropped_table=StepFunction(breaks, [v + 0.3 for v in table]))
-            rules = [v.rule for v in check_round(copy, gamma, copy.zeta_sorted.size)]
+            rules = [v.rule for v in check_round(copy, gamma, len(copy.zeta_sorted))]
             assert "removed_mass_table" in rules
 
     def test_margin_is_the_larger_end_gap(self):

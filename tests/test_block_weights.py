@@ -40,7 +40,7 @@ def dense_prefix(loss, eta, lowest):
 
 class TestBlockWeights:
     def test_block_width(self):
-        assert [WeightState(size, 0.1).width for size in (0, 1, 2, 3, 4, 5, 9, 10, 7698)] \
+        assert [WeightState(size, 0.1, 1).width for size in (0, 1, 2, 3, 4, 5, 9, 10, 7698)] \
             == [1, 1, 2, 2, 2, 3, 3, 4, 88]
 
     @pytest.mark.parametrize("size", SIZES)
@@ -50,7 +50,7 @@ class TestBlockWeights:
             eta = float(rng.uniform(0.01, 1.0))
             charges = int(rng.integers(1, 40))
             scale = 40.0 / (eta * charges)   # eta times any cumulative loss stays below 40
-            aux, loss = WeightState(size, eta), np.zeros(size)
+            aux, loss = WeightState(size, eta, 1), np.zeros(size)
             for step in range(charges):
                 charge = random_charge(rng, size, scale)
                 aux.charge(charge)
@@ -59,20 +59,22 @@ class TestBlockWeights:
                     continue
                 lowest = float(rng.uniform(-5.0, 45.0)) / eta
                 want, shift = dense_prefix(loss, eta, lowest)
-                assert aux.weights(lowest) == pytest.approx(shift, rel=1e-14, abs=1e-12)
+                aux.real_loss[0] = lowest
+                assert aux.weights() == pytest.approx(shift, rel=1e-14, abs=1e-12)
                 got = np.array([aux.prefix(n) for n in range(size + 1)])
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
                 assert aux.total == pytest.approx(want[-1], rel=1e-12, abs=0.0)
 
     def test_charge_on_empty_grid(self):
-        aux = WeightState(0, 0.5)
+        aux = WeightState(0, 0.5, 1)
         aux.charge(StepFunction([], []))
-        assert aux.weights(3.0) == 3.0
+        aux.real_loss[0] = 3.0
+        assert aux.weights() == 3.0
         assert aux.prefix(0) == 0.0 and aux.total == 0.0
 
     def test_shares_of_real_total(self):
-        aux = WeightState(4, 0.5)
-        aux.weights(0.0)
+        aux = WeightState(4, 0.5, 1)
+        aux.weights()
         aux.set_shares(1.0)
         assert aux.base == 0.2
         assert aux.split(1) == (0.2, 0.6)
@@ -100,11 +102,11 @@ def drift(policy, dense, spec, rounds, same_state):
     round, so the gaps are one round's rounding; without it the two keep
     their own state and the gaps are the whole trajectory's.
     """
-    size = policy.thresholds.size
+    size = len(policy.thresholds)
     worst = dict.fromkeys(("q", "p", "base", "kept", "table", "advice"), 0.0)
     for t in range(1, rounds + 1):
         if same_state:
-            dense.real_loss = policy.real_loss.copy()
+            dense.real_loss[:] = policy.real_loss
             dense.state.aux_loss = block_losses(policy.state)
         data = generate(spec, t)
         p, trace = policy.advise(data.advices)
@@ -112,8 +114,8 @@ def drift(policy, dense, spec, rounds, same_state):
         w_real, shares = round_weights(policy)
         shares.set_shares(float(w_real.sum()))
         gaps = dict(
-            q=np.abs(trace.q_sorted - reference.q_sorted).max(),
-            p=np.abs(p - p_dense).max(),
+            q=np.abs(np.subtract(trace.q_sorted, reference.q_sorted)).max(),
+            p=np.abs(np.subtract(p, p_dense)).max(),
             base=abs(shares.base - dense.shares.base),
             kept=max(abs(shares.split(n)[0] - dense.shares.split(n)[0])
                      for n in range(0, size + 1, 1 + size // 64)),
@@ -122,9 +124,9 @@ def drift(policy, dense, spec, rounds, same_state):
         arm = policy.sample(p)
         policy.update(trace, arm, float(data.losses[arm]))
         dense.update(reference, arm, float(data.losses[arm]))
-        advice = threshold_advice_at(trace, trace.perm.inverse.item(arm))
+        advice = threshold_advice_at(trace, trace.perm.inverse[arm])
         gaps["advice"] = np.abs(densify(advice, size) - dense_threshold_advice(
-            reference, reference.perm.inverse.item(arm))).max(initial=0.0)
+            reference, reference.perm.inverse[arm])).max(initial=0.0)
         worst = {key: max(worst[key], float(gaps[key])) for key in worst}
     return worst
 

@@ -420,10 +420,13 @@ class TestRunAndMain:
         (["--bound-factor", "nan"], "bound factor nan is not finite"),
         (["--bound-factor=-inf"], "bound factor -inf is not finite"),
         (["--bound-factor=-1"], "bound factor -1.0 is negative"),
+        (["--seed", "1,1"], "seed 1 is listed twice"),
+        (["--seed", "3,0,2,0"], "seed 0 is listed twice"),
     ], ids=["one_arm", "off_lattice_gamma", "missing_replay", "malformed_replay",
             "replay_shape", "replay_without_path", "eta_nan", "eta_inf", "exp4_eta_nan",
             "exp4_eta_inf", "lstar_nan", "lstar_inf", "delta_nan", "delta_inf",
-            "bound_factor_nan", "bound_factor_neg_inf", "bound_factor_negative"])
+            "bound_factor_nan", "bound_factor_neg_inf", "bound_factor_negative",
+            "repeated_seed", "repeated_seed_unsorted"])
     def test_main_set_up_error_leaves_output_files(self, tmp_path, capsys, flags, message):
         # The run is resolved before either CSV file is opened: an earlier
         # run's rounds file keeps its bytes and no summary file appears.

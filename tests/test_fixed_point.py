@@ -156,7 +156,7 @@ def literal_residual(q, zeta, pivot, weights, grid):
     """The residual straight from the definition: one truncate call per threshold."""
     target = weights.base * zeta
     for w, s in zip(weights.per_threshold, grid):
-        target = target + w * truncate(q, pivot, float(s))
+        target = target + w * np.asarray(truncate(q, pivot, float(s)))
     return float(np.max(np.abs(q - target)))
 
 

@@ -1,8 +1,11 @@
 """The arm-sized float path against its whole-array NumPy references.
 
-Below eight arms every result must be equal, bit for bit; from eight arms
-on NumPy sums pairwise, so results may differ by rounding, at most 1e-15.
-On spoiled inputs both must raise the same exception with the same message.
+The float path returns its vectors as lists of Python floats (a
+permutation as lists of ints), and each is compared with the reference's
+array.  Below eight arms every result must be equal, bit for bit; from
+eight arms on NumPy sums pairwise, so results may differ by rounding, at
+most 1e-15.  On spoiled inputs both must raise the same exception with
+the same message.
 """
 
 import math
@@ -10,8 +13,10 @@ import math
 import numpy as np
 import pytest
 
+import myga.fixed_point as fixed_point_mod
 import numpy_reference as ref
 from myga.fixed_point import MixtureWeights, _solve, mixture_residual, solve_fixed_point
+from myga.policy import build_threshold_grid
 from myga.policy import RoundTrace, threshold_advice_at
 from myga.simplex import (ArmPermutation, pivot_index, require_distribution_rows,
                           sample_index, sort_descending, validate, weighted_average)
@@ -39,8 +44,13 @@ def assert_same(num_arms, got, want):
     want_parts = want[1] if isinstance(want[1], tuple) else (want[1],)
     assert len(got_parts) == len(want_parts)
     for mine, theirs in zip(got_parts, want_parts):
-        if isinstance(theirs, np.ndarray):
+        if isinstance(theirs, np.ndarray) and theirs.ndim == 2:   # the advice matrix
             assert isinstance(mine, np.ndarray) and mine.dtype == theirs.dtype
+            assert mine.shape == theirs.shape
+        elif isinstance(theirs, np.ndarray):   # an arm vector: a list of Python numbers
+            entry = float if theirs.dtype.kind == "f" else int
+            assert isinstance(mine, list) and all(type(x) is entry for x in mine)
+            mine = np.array(mine, dtype=theirs.dtype)
             assert mine.shape == theirs.shape
         if num_arms < 8 or isinstance(theirs, (bool, int, np.integer, list)) \
                 or (isinstance(theirs, np.ndarray) and theirs.dtype.kind != "f"):
@@ -212,7 +222,7 @@ class TestFixedPointAgreement:
             dyadic = rng.random() < 0.5
             grid = threshold_grid(rng, zeta, dyadic)
             weights = mixture_weights(rng, grid.size, dyadic)
-            got = outcome(_solve, zeta, pivot, weights, grid)
+            got = outcome(_solve, zeta.tolist(), pivot, weights, grid.tolist())
             assert_same(num_arms, got, outcome(ref.solve, zeta, pivot, weights, grid))
             q = got[1][0]
             for candidate in (q, zeta):
@@ -238,7 +248,7 @@ class TestFixedPointAgreement:
     def test_nan_share_fails_the_residual_check(self):
         zeta, grid = np.array([0.7, 0.2, 0.1]), np.array([0.1, 0.2])
         weights = MixtureWeights(float("nan"), np.array([0.25, 0.25]))
-        got = outcome(_solve, zeta, 1, weights, grid)
+        got = outcome(_solve, zeta.tolist(), 1, weights, grid.tolist())
         assert got[0] is RuntimeError and "residual nan" in got[1]
         assert_same(3, got, outcome(ref.solve, zeta, 1, weights, grid))
 
@@ -248,18 +258,18 @@ class TestFixedPointAgreement:
         assert_same(2, outcome(mixture_residual, *args), outcome(ref.mixture_residual, *args))
 
 
-class SearchCountingGrid(np.ndarray):
-    """A threshold grid that counts the searches made on it."""
+@pytest.fixture
+def placements(monkeypatch):
+    """Every mass the solver or the residual check places on the grid, in call order."""
+    masses = []
+    place = fixed_point_mod._place
 
-    def searchsorted(self, *args, **kwargs):
-        self.searches += 1
-        return np.asarray(self).searchsorted(*args, **kwargs)
+    def record(grid, mass):
+        masses.append(mass)
+        return place(grid, mass)
 
-
-def counting_grid(points):
-    grid = np.array(points, dtype=float).view(SearchCountingGrid)
-    grid.searches = 0
-    return grid
+    monkeypatch.setattr(fixed_point_mod, "_place", record)
+    return masses
 
 
 class TestExactTie:
@@ -273,48 +283,111 @@ class TestExactTie:
     def table_and_advice(zeta, solved):
         """The removed-mass table and the minority arm's threshold advice, from the placement."""
         q, below, residual = solved
-        grid = np.array(TestExactTie.POINTS)
-        table = truncated_mass_table(q.tolist()[1:], below, grid.size)
+        grid = TestExactTie.POINTS
+        table = truncated_mass_table(q[1:], below, len(grid))
         trace = RoundTrace(
             t=1, advices=np.tile(zeta, (2, 1)), zeta_sorted=zeta,
-            perm=ArmPermutation(forward=np.arange(2), inverse=np.arange(2)), pivot=1,
+            perm=ArmPermutation(forward=[0, 1], inverse=[0, 1]), pivot=1,
             q_sorted=q, p_sorted=q, p_original=q, thresholds=grid, dropped_table=table,
-            majority_mass=q.item(0), minority_mass=q.item(1), residual=residual,
+            majority_mass=q[0], minority_mass=q[1], residual=residual,
             below=below, iterations=sum(below))
         return table, threshold_advice_at(trace, 1)
 
-    def test_mass_grown_onto_a_threshold_stays_truncated(self):
+    def test_mass_grown_onto_a_threshold_stays_truncated(self, placements):
         # The arm starts at 1/2 * 3/8 = 3/16, crosses 1/8, and that
         # threshold's share lifts it to (3/16) / (3/4) = 1/4, exactly onto
         # the second threshold, which keeps removing it.
-        zeta = np.array([0.625, 0.375])
-        grid = counting_grid(self.POINTS)
-        got = _solve(zeta, 1, self.WEIGHTS, grid)
-        assert_same(2, ("ok", got), outcome(ref.solve, zeta, 1, self.WEIGHTS,
-                                            np.asarray(grid)))
+        zeta = [0.625, 0.375]
+        got = _solve(zeta, 1, self.WEIGHTS, self.POINTS)
+        assert_same(2, ("ok", got), outcome(ref.solve, np.array(zeta), 1, self.WEIGHTS,
+                                            np.array(self.POINTS)))
         q, below, residual = got
-        assert q.tolist() == [0.75, 0.25] and below == [1] and residual == 0.0
-        assert truncate(q, 1, 0.25).tolist() == [1.0, 0.0]
-        # One search moved the arm; the confirming pass found it in the
-        # interval closed by 1/4 and made no search.
-        assert grid.searches == 1
+        assert q == [0.75, 0.25] and below == [1] and residual == 0.0
+        assert truncate(q, 1, 0.25) == [1.0, 0.0]
+        # One search moved the arm from 3/16; the confirming pass found it in
+        # the interval closed by 1/4 and made no search.  The last placement
+        # is the residual check's, of the solved mass.
+        assert placements == [0.1875, 0.25]
         # From 1/4 on the arm is removed: its mass is in the table there,
         # and those thresholds advise it 0.
         table, advice = self.table_and_advice(zeta, got)
         assert table == StepFunction([0, 1], [0.0, 0.25])
         assert advice == StepFunction([0, 1], [0.25, 0.0])
 
-    def test_base_mass_on_the_first_threshold_needs_no_search(self):
-        zeta = np.array([0.75, 0.25])
-        grid = counting_grid(self.POINTS)
-        got = _solve(zeta, 1, self.WEIGHTS, grid)
-        assert_same(2, ("ok", got), outcome(ref.solve, zeta, 1, self.WEIGHTS,
-                                            np.asarray(grid)))
-        assert got[0].tolist() == [0.875, 0.125] and got[1] == [0]
-        assert grid.searches == 0
+    def test_base_mass_on_the_first_threshold_needs_no_search(self, placements):
+        zeta = [0.75, 0.25]
+        got = _solve(zeta, 1, self.WEIGHTS, self.POINTS)
+        assert_same(2, ("ok", got), outcome(ref.solve, np.array(zeta), 1, self.WEIGHTS,
+                                            np.array(self.POINTS)))
+        assert got[0] == [0.875, 0.125] and got[1] == [0]
+        assert placements == [0.125]   # the residual check's only
         table, advice = self.table_and_advice(zeta, got)
         assert table == StepFunction([0], [0.125])
         assert advice == StepFunction([0], [0.0])
+
+
+class ZeroThresholdShares:
+    """A base share of 1 and no threshold weight, recording each prefix length asked for."""
+
+    base = 1.0
+
+    def __init__(self):
+        self.asked = []
+
+    def split(self, n):
+        self.asked.append(n)
+        return 0.0, 0.0
+
+
+class TestGridPlacement:
+    """Both placements on the grid list are NumPy's ``searchsorted(grid, mass, side="left")``.
+
+    The solver's ``below`` and the residual check's prefix reads must both
+    count the thresholds strictly below a mass: a mass on a threshold is
+    not above it, and a NaN mass is above every threshold, where NumPy's
+    search orders it.  With no threshold weight a mass solves to itself,
+    so the solver's placement of any mass can be read from ``below``.
+    """
+
+    GRIDS = {
+        "lattice": build_threshold_grid(0.05, 40).tolist(),
+        "random": np.unique(np.random.default_rng(5).uniform(1e-4, 0.5, size=30)).tolist(),
+        "one": [0.25],
+        "dyadic": [0.125, 0.25],
+    }
+
+    @staticmethod
+    def masses(grid):
+        """0, 1/2, every threshold and its two neighbours, and random masses."""
+        points = np.array(grid)
+        special = [0.0, 0.5, *points, *np.nextafter(points, 0.0), *np.nextafter(points, 1.0)]
+        rng = np.random.default_rng(len(grid))
+        return [float(x) for x in special] + rng.uniform(0.0, 0.5, size=50).tolist()
+
+    @pytest.mark.parametrize("name", GRIDS)
+    def test_solver_places_like_numpy(self, name):
+        grid = self.GRIDS[name]
+        for x in self.masses(grid):
+            q, below, residual = _solve([1.0 - x, x], 1, ZeroThresholdShares(), grid)
+            assert q[1] == x and residual == 0.0
+            assert below == np.searchsorted(grid, [x], side="left").tolist(), x
+
+    @pytest.mark.parametrize("name", GRIDS)
+    def test_solver_places_nan_after_every_threshold(self, name, growth_passes):
+        grid = self.GRIDS[name]
+        with pytest.raises(RuntimeError, match="residual nan"):
+            _solve([0.5, math.nan], 1, ZeroThresholdShares(), grid)
+        assert growth_passes[-1][1] == [len(grid)]
+        assert np.searchsorted(grid, [math.nan], side="left").tolist() == [len(grid)]
+
+    @pytest.mark.parametrize("name", GRIDS)
+    def test_residual_places_like_numpy(self, name):
+        grid = self.GRIDS[name]
+        masses = self.masses(grid) + [math.nan]
+        shares = ZeroThresholdShares()
+        for x in masses:
+            mixture_residual([1.0 - x, x], [1.0 - x, x], 1, shares, grid)
+        assert shares.asked == np.searchsorted(grid, masses, side="left").tolist()
 
 
 class TestNanResidual:

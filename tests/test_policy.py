@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from grid_reference import DensePolicy, block_losses, densify, round_weights
+from myga.baselines import Exp4Config, Exp4Policy
 from myga.cli import ExperimentConfig, execute
 from myga.fixed_point import MixtureWeights, mixture_residual, two_arm_fixed_point
 from myga.policy import (MygaConfig, MygaPolicy, build_threshold_grid, loss_estimate,
@@ -219,6 +220,17 @@ class TestWeightState:
             np.testing.assert_array_equal(getattr(trace, field), getattr(reference, field))
         assert trace.residual <= 1e-9
 
+    def test_hopeless_expert_keeps_positive_weight_under_exp4(self):
+        # The floor lives in the rebase both policies share; without a grid
+        # the state is the real experts alone, and the round still plays.
+        policy = Exp4Policy(Exp4Config(num_arms=2, num_experts=2, eta=1.0))
+        policy.real_loss += np.array([0.0, 1e6])
+        w_real, aux = round_weights(policy)
+        assert w_real[1] > 0.0 and np.isfinite(w_real).all()
+        assert aux.total == 0.0
+        p, _ = policy.advise(np.array([[0.7, 0.3], [0.2, 0.8]]))
+        assert p == [0.7, 0.3]
+
 
 class TestMygaConfig:
     def test_denominator_defaults_to_twice_horizon(self):
@@ -261,9 +273,9 @@ class TestMygaPolicyAdvise:
         assert validate(p)
         # Minority mass solves the same one-dimensional equation the
         # closed-form oracle enumerates.
-        shares = MixtureWeights(base=2.0 / (2.0 + trace.thresholds.size),
-                                per_threshold=np.full(trace.thresholds.size,
-                                                      1.0 / (2.0 + trace.thresholds.size)))
+        shares = MixtureWeights(base=2.0 / (2.0 + len(trace.thresholds)),
+                                per_threshold=np.full(len(trace.thresholds),
+                                                      1.0 / (2.0 + len(trace.thresholds))))
         oracle = two_arm_fixed_point(0.3, shares, trace.thresholds)
         assert abs(trace.q_sorted[1] - oracle) <= 1e-9
         np.testing.assert_allclose(trace.p_sorted,
@@ -287,7 +299,7 @@ class TestMygaPolicyAdvise:
             advices = rng.dirichlet(np.ones(6), size=4)
             p, trace = policy.advise(advices)
             assert trace.residual <= 1e-9
-            shares_total = trace.q_sorted.sum()
+            shares_total = np.sum(trace.q_sorted)
             assert abs(shares_total - 1.0) <= 1e-9
             arm = policy.sample(p)
             policy.update(trace, arm, float(rng.uniform()))
@@ -324,7 +336,7 @@ class TestPlacement:
         assert sum(trace.iterations > 0 for trace in traces) >= 30
         for trace in traces:
             minority = trace.q_sorted[trace.pivot:]
-            assert trace.below == trace.thresholds.searchsorted(minority, side="left").tolist()
+            assert trace.below == np.searchsorted(trace.thresholds, minority, side="left").tolist()
             assert trace.iterations == sum(trace.below)
 
 
@@ -351,12 +363,12 @@ class TestMygaPolicyUpdate(RoundProtocolContract):
         for _ in range(60):
             advices = rng.dirichlet(np.ones(6) * 0.7, size=3)
             p, trace = policy.advise(advices)
-            support = np.flatnonzero(trace.p_original > 0.0)
+            support = np.flatnonzero(np.asarray(trace.p_original) > 0.0)
             arm = int(rng.choice(support))
             loss = float(rng.uniform())
             before = block_losses(aux)
             policy.update(trace, arm, loss)
-            arm_sorted = trace.perm.inverse.item(arm)
+            arm_sorted = trace.perm.inverse[arm]
             advice = densify(threshold_advice_at(trace, arm_sorted), aux.size)
             literal = np.array([truncate(trace.q_sorted, trace.pivot, float(s))[arm_sorted]
                                 for s in trace.thresholds])
@@ -373,7 +385,7 @@ class TestMygaPolicyUpdate(RoundProtocolContract):
         policy = make_policy()
         advices = np.array([[1.0, 0.0], [0.4, 0.6]])
         p, trace = policy.advise(advices)
-        arm = int(np.flatnonzero(p > 0.0)[0])
+        arm = int(np.flatnonzero(np.asarray(p) > 0.0)[0])
         before = policy.real_loss.copy()
         policy.update(trace, arm, 0.5)
         est = 0.5 / p[arm]

@@ -45,7 +45,9 @@ class TestValidate:
     def test_rejects_nan_and_shape(self):
         assert not validate(np.array([np.nan, 1.0]))
         assert not validate(np.array([[0.5, 0.5]]))
+        assert not validate([[0.5, 0.5]])
         assert not validate(np.array([]))
+        assert not validate([])
 
     def test_require_raises_with_context(self):
         with pytest.raises(ValueError, match="expert advice"):
@@ -132,8 +134,9 @@ class TestSortDescending:
 
     def test_permutation_composes_to_identity(self):
         _, perm = sort_descending(np.array([0.25, 0.25, 0.25, 0.25]))
-        np.testing.assert_array_equal(perm.forward[perm.inverse], np.arange(4))
-        np.testing.assert_array_equal(perm.inverse[perm.forward], np.arange(4))
+        forward, inverse = np.asarray(perm.forward), np.asarray(perm.inverse)
+        np.testing.assert_array_equal(forward[inverse], np.arange(4))
+        np.testing.assert_array_equal(inverse[forward], np.arange(4))
 
 
 class TestPivotIndex:

@@ -50,7 +50,7 @@ class TestTruncateProperties:
         rng = np.random.default_rng(17)
         for _ in range(400):
             q, pivot, s = self._random_case(rng)
-            out = truncate(q, pivot, s)
+            out = np.asarray(truncate(q, pivot, s))
             assert abs(out.sum() - 1.0) <= 1e-9
             assert np.all(out >= 0.0)
 
@@ -60,7 +60,7 @@ class TestTruncateProperties:
         rng = np.random.default_rng(19)
         for _ in range(400):
             q, pivot, s = self._random_case(rng)
-            out = truncate(q, pivot, s)
+            out = np.asarray(truncate(q, pivot, s))
             q_maj = q[:pivot].sum()
             dropped = truncated_mass(q, pivot, s)
             np.testing.assert_allclose(out[:pivot] * q_maj,
@@ -92,7 +92,7 @@ class TestTruncateProperties:
             grid = np.sort(rng.uniform(0.0, 0.5, size=6))
             previous = np.zeros(q.size, dtype=bool)
             for s in grid:
-                zeroed = truncate(q, pivot, float(s)) == 0.0
+                zeroed = np.asarray(truncate(q, pivot, float(s))) == 0.0
                 zeroed &= q > 0.0
                 assert np.all(previous <= zeroed)
                 previous = zeroed
