@@ -143,7 +143,11 @@ class WeightState:
     a view) and then each block's lead, its offset plus its base.
     ``weights`` rebases them all on the lowest, exp(-eta * (lead - shift)),
     floors the real part at ``_WEIGHT_FLOOR`` (``real_weights``), and sums
-    the scaled blocks into the block prefix sums.
+    the scaled blocks into the block prefix sums.  It rebases only when a
+    cumulative loss has changed since the last rebase: ``charge`` marks the
+    threshold part, and the real losses are compared, bit for bit, with
+    those the last rebase read, so a write through ``real_loss`` is seen
+    too.  Otherwise the last rebase's numbers are the ones it would compute.
 
     A charge adds its cost to the offset of every block a piece covers
     whole and to the own parts of the few blocks it covers in part, which
@@ -152,10 +156,10 @@ class WeightState:
     one block prefix plus one in-block entry, and the total is the last
     block prefix.  Without thresholds the state is the real experts alone.
 
-    Once ``set_shares`` has added the real experts' total, the state is
-    the round's mixture shares for the solver: the real experts' ``base``
-    share and ``split``, the kept and dropped threshold shares of a prefix
-    of the grid.  The shares are exactly invariant to the common shift.
+    After ``weights`` the state is also the round's mixture shares for the
+    solver: the real experts' ``base`` share and ``split``, the kept and
+    dropped threshold shares of a prefix of the grid.  The shares are
+    exactly invariant to the common shift.
     """
 
     def __init__(self, size: int, eta: float, num_experts: int):
@@ -182,22 +186,35 @@ class WeightState:
         self.total = 0.0
         self._norm = 1.0
         self.base = 1.0
+        self._shift = 0.0
+        self._rebased_real = None     # the real losses' bytes at the last rebase
+        self._threshold_changed = True
 
     def _refresh(self, block: int) -> None:
         lo = block * self.width
         hi = min(lo + self.width, self.size)
         own = self.loss[lo:hi]
         base = float(own.min())
-        np.cumsum(np.exp((base - own) * self.eta), out=self.inner_cum[lo:hi])
+        np.add.accumulate(np.exp((base - own) * self.eta), out=self.inner_cum[lo:hi])
         self.block_base[block] = base
         self.block_inner[block] = self.inner_cum[hi - 1]
 
     def weights(self) -> float:
-        """Rebase every weight on the lowest cumulative loss and sum the blocks.
+        """Rebase every weight on the lowest cumulative loss, sum the blocks and set the shares.
 
         The best expert sits at weight 1, so no weight overflows; returns
         the shift.  The real experts' weights are then ``real_weights``.
+        When no cumulative loss has changed since the last rebase, that
+        rebase stands: it would compute the same numbers again.
         """
+        real = self.real_loss.tobytes()
+        if self._threshold_changed or real != self._rebased_real:
+            self._shift = self._rebase()
+            self._rebased_real = real
+            self._threshold_changed = False
+        return self._shift
+
+    def _rebase(self) -> float:
         weight = self._weight
         shift = float(np.minimum.reduce(self.lead))
         np.subtract(self.lead, shift, out=weight)
@@ -206,8 +223,11 @@ class WeightState:
         np.maximum(self.real_weights, _WEIGHT_FLOOR, out=self.real_weights)
         if self._scaled.size:
             np.multiply(self._scale, self.block_inner, out=self._scaled)
-            np.cumsum(self._scaled, out=self._block_prefix)
+            np.add.accumulate(self._scaled, out=self._block_prefix)
             self.total = self._prefix.item(-1)
+        real_total = float(np.add.reduce(self.real_weights))
+        self._norm = real_total + self.total
+        self.base = real_total / self._norm
         return shift
 
     def prefix(self, n: int) -> float:
@@ -216,11 +236,6 @@ class WeightState:
         if not rest:
             return self._prefix.item(block)
         return self._prefix.item(block) + self.inner_cum.item(n - 1) * self._scale.item(block)
-
-    def set_shares(self, real_total: float) -> None:
-        """Normalize by the real experts' total weight, on the scale of the last ``weights``."""
-        self._norm = real_total + self.total
-        self.base = real_total / self._norm
 
     def split(self, n: int) -> tuple[float, float]:
         """Shares of the first ``n`` thresholds (kept) and of the rest (dropped)."""
@@ -254,6 +269,7 @@ class WeightState:
             self._refresh(block)
         if charged:   # a block's lead is its offset plus its base, as one sum
             np.add(self.block_loss, self.block_base, out=self._block_lead)
+            self._threshold_changed = True
 
 
 @dataclass
@@ -356,8 +372,9 @@ class ExpertPolicy:
         if trace.t != self.t:
             raise ValueError(f"trace from round {trace.t} given to round {self.t}")
         est = loss_estimate(trace.p_original, arm_original, observed_loss)
-        self.real_loss += trace.advices[:, arm_original] * est
-        self._charge(trace, arm_original, est)
+        if est:   # a zero estimate would add exact zeros to every cumulative loss
+            self.real_loss += trace.advices[:, arm_original] * est
+            self._charge(trace, arm_original, est)
         self.t += 1
         self._awaiting_update = False
 
@@ -377,7 +394,6 @@ class MygaPolicy(ExpertPolicy):
         zeta_original = simplex.weighted_average(advices, w_real)
         zeta_sorted, perm = simplex.sort_descending(zeta_original)
         pivot = simplex.pivot_index(zeta_sorted)
-        state.set_shares(float(np.add.reduce(w_real)))
         q, below, residual = _solve(zeta_sorted, pivot, state, self.thresholds)
         p_sorted = truncate(q, pivot, self.cfg.gamma)
         p_original = perm.to_original(p_sorted)

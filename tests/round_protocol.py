@@ -12,7 +12,29 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from myga.truncation import StepFunction
+
 ADVICES = np.array([[1.0, 0.0], [0.4, 0.6]])
+
+
+def rebuilt(state):
+    """A copy of a weight state with buffers of its own; its views are views of them.
+
+    ``copy.deepcopy`` would copy ``real_loss`` and the other views into
+    arrays of their own, cut off from the arrays they view.
+    """
+    clone = type(state)(state.size, state.eta, state.real_loss.size)
+    for name, value in vars(state).items():
+        if isinstance(value, np.ndarray) and value.base is None:
+            getattr(clone, name)[...] = value
+    return clone
+
+
+def rebase_bits(state, shift):
+    """The bytes of all a rebase sets: shift, real weights, block prefixes, total, shares."""
+    splits = [share for n in range(state.size + 1) for share in state.split(n)]
+    return (np.array([shift, state.total, state.base, *splits]).tobytes(),
+            state.real_weights.tobytes(), state._prefix.tobytes())
 
 
 class RoundProtocolContract:
@@ -39,6 +61,19 @@ class RoundProtocolContract:
         assert p[1] == 0.0
         with pytest.raises(RuntimeError, match="zero probability"):
             policy.update(trace, 1, 0.5)
+
+    def test_zero_loss_play_is_still_checked(self):
+        # A zero loss charges nobody, yet the play it is reported for is
+        # checked as any other: on an arm of zero probability or outside
+        # the arms it is an error.
+        policy, advices = self.starved_round()
+        p, trace = policy.advise(advices)
+        assert p[1] == 0.0
+        with pytest.raises(RuntimeError, match="zero probability"):
+            policy.update(trace, 1, 0.0)
+        for arm in (-1, 2, 5):
+            with pytest.raises(ValueError, match="arm"):
+                policy.update(trace, arm, 0.0)
 
     def test_rejects_out_of_range_loss_and_arm(self):
         policy, reference = self.make(), self.make()
@@ -88,6 +123,30 @@ class RoundProtocolContract:
         assert np.shares_memory(policy.real_loss, policy.state.lead)
         policy.state.weights()
         assert policy.state.real_weights[0] < policy.state.real_weights[1] == 1.0
+
+    def test_weights_match_a_forced_rebase(self):
+        # ``weights`` keeps its last rebase while no cumulative loss has
+        # changed.  After a zero-loss round, a charged round, a write
+        # through ``real_loss`` and a bare charge alike, what it serves is
+        # bit for bit what a copy of the state computes by rebasing anyway.
+        policy = self.make()
+        state = policy.state
+
+        def play(loss):
+            p, trace = policy.advise(ADVICES)
+            policy.update(trace, int(np.flatnonzero(np.asarray(p) > 0.0)[0]), loss)
+
+        def bare_charge():
+            half = state.size // 2
+            state.charge(StepFunction([0, half], [0.25, 0.5]) if half else StepFunction([], []))
+
+        def real_write():
+            policy.real_loss[1] += 0.25
+
+        for change in (lambda: play(0.0), lambda: play(0.5), real_write, bare_charge):
+            change()
+            clone = rebuilt(state)
+            assert rebase_bits(state, state.weights()) == rebase_bits(clone, clone._rebase())
 
     def test_rejects_advice_rows_that_are_not_distributions(self):
         policy, reference = self.make(), self.make()

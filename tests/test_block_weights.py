@@ -8,8 +8,7 @@ rounds of the dense policy in ``grid_reference``, both up to rounding.
 import numpy as np
 import pytest
 
-from grid_reference import (DensePolicy, block_losses, dense_threshold_advice, densify,
-                            round_weights)
+from grid_reference import DensePolicy, block_losses, dense_threshold_advice, densify
 from myga.environments import EnvSpec, generate
 from myga.policy import (MygaConfig, MygaPolicy, WeightState, schedule_parameters,
                          threshold_advice_at)
@@ -75,7 +74,6 @@ class TestBlockWeights:
     def test_shares_of_real_total(self):
         aux = WeightState(4, 0.5, 1)
         aux.weights()
-        aux.set_shares(1.0)
         assert aux.base == 0.2
         assert aux.split(1) == (0.2, 0.6)
 
@@ -111,8 +109,7 @@ def drift(policy, dense, spec, rounds, same_state):
         data = generate(spec, t)
         p, trace = policy.advise(data.advices)
         p_dense, reference = dense.advise(data.advices)
-        w_real, shares = round_weights(policy)
-        shares.set_shares(float(w_real.sum()))
+        shares = policy.state
         gaps = dict(
             q=np.abs(np.subtract(trace.q_sorted, reference.q_sorted)).max(),
             p=np.abs(np.subtract(p, p_dense)).max(),

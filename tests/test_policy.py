@@ -6,9 +6,10 @@ import pytest
 from grid_reference import DensePolicy, block_losses, densify, round_weights
 from myga.baselines import Exp4Config, Exp4Policy
 from myga.cli import ExperimentConfig, execute
+from myga.environments import EnvSpec, generate
 from myga.fixed_point import MixtureWeights, mixture_residual, two_arm_fixed_point
-from myga.policy import (MygaConfig, MygaPolicy, build_threshold_grid, loss_estimate,
-                         schedule_parameters, threshold_advice_at)
+from myga.policy import (MygaConfig, MygaPolicy, WeightState, build_threshold_grid,
+                         loss_estimate, schedule_parameters, threshold_advice_at)
 from myga.simplex import validate
 from myga.truncation import StepFunction, truncate
 from round_protocol import RoundProtocolContract
@@ -150,8 +151,7 @@ class TestLossEstimator:
 
 def shares_of(policy):
     """The base share and every prefix's kept share of a policy's weights."""
-    w_real, shares = round_weights(policy)
-    shares.set_shares(float(w_real.sum()))
+    shares = round_weights(policy)[1]
     return shares.base, np.array([shares.split(n)[0] for n in range(shares.size + 1)])
 
 
@@ -230,6 +230,36 @@ class TestWeightState:
         assert aux.total == 0.0
         p, _ = policy.advise(np.array([[0.7, 0.3], [0.2, 0.8]]))
         assert p == [0.7, 0.3]
+
+
+class TestRebaseSkip:
+    def test_rebase_runs_only_after_a_charge(self, monkeypatch):
+        # A zero loss charges nobody, so the next round's weights are the
+        # last rebase's: the rebase runs in round 1 and in each round after
+        # a charged one, and in no other.
+        eta, gamma = schedule_parameters(2, 4, 2000, 2000.0)
+        policy = MygaPolicy(MygaConfig(num_arms=2, num_experts=4, horizon=2000, eta=eta,
+                                       gamma=gamma), np.random.default_rng(0))
+        spec = EnvSpec(kind="stochastic_gap", num_arms=2, num_experts=4, horizon=2000, seed=0,
+                       mu_star=0.1, delta=0.2)
+        rebased, charged, grown = [], [], 0
+        rebase = WeightState._rebase
+
+        def count(state):
+            rebased.append(policy.t)
+            return rebase(state)
+
+        monkeypatch.setattr(WeightState, "_rebase", count)
+        for t in range(1, 2001):
+            data = generate(spec, t)
+            p, trace = policy.advise(data.advices)
+            arm = policy.sample(p)
+            loss = float(data.losses[arm])
+            policy.update(trace, arm, loss)
+            charged += [t] if loss else []
+            grown += trace.iterations > 0
+        assert rebased == [1] + [t + 1 for t in charged if t < 2000]
+        assert 200 < len(charged) < 1000 and grown >= 30
 
 
 class TestMygaConfig:
