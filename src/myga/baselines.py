@@ -70,7 +70,6 @@ class Exp4Policy(ExpertPolicy):
     """Exponential weights over the real experts alone: the grid-free weight state."""
 
     def _play(self, advices: np.ndarray) -> tuple[list[float], BaselineTrace]:
-        self.state.weights()
         p = simplex.weighted_average(advices, self.state.real_weights)
         if self.cfg.variant == "thresholded":
             p = threshold_mixture(p, self.cfg.gamma)

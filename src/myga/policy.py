@@ -26,6 +26,7 @@ the weights' ``exp`` and the blocks.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -148,6 +149,8 @@ class WeightState:
     threshold part, and the real losses are compared, bit for bit, with
     those the last rebase read, so a write through ``real_loss`` is seen
     too.  Otherwise the last rebase's numbers are the ones it would compute.
+    ``rebases`` counts the rebases run: while it stands, so does every
+    number a round's play reads from the state.
 
     A charge adds its cost to the offset of every block a piece covers
     whole and to the own parts of the few blocks it covers in part, which
@@ -160,6 +163,8 @@ class WeightState:
     solver: the real experts' ``base`` share and ``split``, the kept and
     dropped threshold shares of a prefix of the grid.  The shares are
     exactly invariant to the common shift.
+
+    ``copy.deepcopy`` gives the copy buffers of its own and views of them.
     """
 
     def __init__(self, size: int, eta: float, num_experts: int):
@@ -173,14 +178,10 @@ class WeightState:
         self.block_base = np.zeros(count)
         self.block_inner = np.empty(count)
         self.lead = np.zeros(num_experts + count)
-        self.real_loss = self.lead[:num_experts]
-        self._block_lead = self.lead[num_experts:]
         self._weight = np.empty(num_experts + count)
-        self.real_weights = self._weight[:num_experts]
-        self._scale = self._weight[num_experts:]
         self._scaled = np.empty(count)
         self._prefix = np.zeros(count + 1)
-        self._block_prefix = self._prefix[1:]
+        self._view(num_experts)
         for block in range(count):
             self._refresh(block)
         self.total = 0.0
@@ -189,6 +190,24 @@ class WeightState:
         self._shift = 0.0
         self._rebased_real = None     # the real losses' bytes at the last rebase
         self._threshold_changed = True
+        self.rebases = 0
+
+    def _view(self, num_experts: int) -> None:
+        """Point the real and block views at ``lead``, the weights and the prefix buffer."""
+        self.real_loss = self.lead[:num_experts]
+        self._block_lead = self.lead[num_experts:]
+        self.real_weights = self._weight[:num_experts]
+        self._scale = self._weight[num_experts:]
+        self._block_prefix = self._prefix[1:]
+
+    def __deepcopy__(self, memo) -> WeightState:
+        clone = copy.copy(self)
+        memo[id(self)] = clone
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray) and value.base is None:
+                setattr(clone, name, value.copy())
+        clone._view(self.real_loss.size)
+        return clone
 
     def _refresh(self, block: int) -> None:
         lo = block * self.width
@@ -212,6 +231,7 @@ class WeightState:
             self._shift = self._rebase()
             self._rebased_real = real
             self._threshold_changed = False
+            self.rebases += 1
         return self._shift
 
     def _rebase(self) -> float:
@@ -282,7 +302,9 @@ class RoundTrace:
     is the policy's grid list, shared by every round.  ``below[i]`` is the
     number of thresholds strictly below the solved mass of minority arm
     ``pivot + i``, and ``iterations`` is their sum.  Output only: nothing
-    writes to a trace after ``advise`` returns.
+    writes to a trace after ``advise`` returns, so a repeated round's trace
+    shares every list with the last round's and holds only its own ``t``
+    and ``advices``.
     """
 
     t: int
@@ -328,11 +350,12 @@ class ExpertPolicy:
 
     It owns the ``WeightState`` of every expert, over ``num_thresholds``
     threshold experts (none by default), and charges the real experts;
-    ``real_loss`` is a view of their cumulative estimated losses in it.  A
-    subclass supplies ``_play`` (advice -> play distribution and a trace
-    carrying ``t``, ``advices`` and ``p_original``) and, if it has experts
-    beyond the real ones, a ``_charge`` for their share of the round's loss
-    estimate.
+    ``real_loss`` is the state's view of their cumulative estimated losses.
+    A subclass supplies ``_play`` (advice and rebased weights -> play
+    distribution and a trace carrying ``t``, ``advices`` and
+    ``p_original``; it reads only the state a rebase sets, the advice and
+    the policy's constants) and, if it has experts beyond the real ones, a
+    ``_charge`` for their share of the round's loss estimate.
     """
 
     def __init__(self, config, sample_rng=None, num_thresholds: int = 0):
@@ -342,13 +365,32 @@ class ExpertPolicy:
         self.t = 1
         self._awaiting_update = False
         self.state = WeightState(num_thresholds, config.eta, config.num_experts)
-        self.real_loss = self.state.real_loss
+        self._last_key = None       # (rebases, advice bytes) of the last round played
+        self._last = None           # and what ``_play`` returned for it
+
+    @property
+    def real_loss(self) -> np.ndarray:
+        return self.state.real_loss
+
+    @real_loss.setter
+    def real_loss(self, values) -> None:
+        self.state.real_loss[...] = values
 
     def _charge(self, trace, arm_original: int, est: float) -> None:
         """Charge the experts beyond the real ones; a policy of real experts alone has none."""
 
     def advise(self, advices: np.ndarray):
-        """Check the round's advice matrix, every row a distribution, and compute the play distribution."""
+        """Check the round's advice matrix, every row a distribution, and compute the play distribution.
+
+        A round whose weights (no rebase since the last round) and advice
+        bytes are the last round's plays the last round's distribution: its
+        trace is a new object with this round's ``t`` and ``advices`` and
+        the last trace's solved lists.  ``_play`` would compute the same
+        floats from the same inputs, and advice bytes that passed the row
+        check pass it again.  Only a round whose check and play both
+        returned is kept.  The returned distribution is the trace's
+        ``p_original``, so callers read it and write nothing to it.
+        """
         if self._awaiting_update:
             raise RuntimeError("advise called again before update")
         advices = np.asarray(advices, dtype=float)
@@ -356,8 +398,17 @@ class ExpertPolicy:
             raise ValueError(
                 f"advice matrix {advices.shape} does not match "
                 f"({self.cfg.num_experts}, {self.cfg.num_arms})")
-        simplex.require_distribution_rows(advices, what="expert advice")
-        p_original, trace = self._play(advices)
+        state = self.state
+        state.weights()
+        key = (state.rebases, advices.tobytes())
+        if key == self._last_key:
+            p_original, last = self._last
+            trace = object.__new__(type(last))
+            trace.__dict__.update(last.__dict__, t=self.t, advices=advices)
+        else:
+            simplex.require_distribution_rows(advices, what="expert advice")
+            p_original, trace = self._play(advices)
+            self._last_key, self._last = key, (p_original, trace)
         self._awaiting_update = True
         return p_original, trace
 
@@ -373,7 +424,7 @@ class ExpertPolicy:
             raise ValueError(f"trace from round {trace.t} given to round {self.t}")
         est = loss_estimate(trace.p_original, arm_original, observed_loss)
         if est:   # a zero estimate would add exact zeros to every cumulative loss
-            self.real_loss += trace.advices[:, arm_original] * est
+            self.state.real_loss += trace.advices[:, arm_original] * est
             self._charge(trace, arm_original, est)
         self.t += 1
         self._awaiting_update = False
@@ -389,7 +440,6 @@ class MygaPolicy(ExpertPolicy):
 
     def _play(self, advices: np.ndarray) -> tuple[list[float], RoundTrace]:
         state = self.state
-        state.weights()
         w_real = state.real_weights
         zeta_original = simplex.weighted_average(advices, w_real)
         zeta_sorted, perm = simplex.sort_descending(zeta_original)

@@ -79,7 +79,9 @@ class DenseWeightState:
     """The real and the threshold experts' cumulative losses as two arrays, weights as ``exp``.
 
     ``weights`` sets ``real_weights`` and ``w_aux``, each floored, and
-    returns the shift, as ``WeightState.weights`` does.
+    returns the shift, as ``WeightState.weights`` does.  It rebases on every
+    call, and ``rebases`` counts them, so no round of a ``DensePolicy``
+    reuses the last one's play.
     """
 
     def __init__(self, num_thresholds, eta, num_experts):
@@ -88,8 +90,10 @@ class DenseWeightState:
         self.aux_loss = np.zeros(num_thresholds)
         self.real_weights = np.ones(num_experts)
         self.w_aux = np.ones(num_thresholds)
+        self.rebases = 0
 
     def weights(self):
+        self.rebases += 1
         shift = float(self.real_loss.min())
         if self.aux_loss.size:
             shift = min(shift, float(self.aux_loss.min()))
@@ -109,7 +113,6 @@ class DensePolicy(MygaPolicy):
     def __init__(self, config, sample_rng=None):
         super().__init__(config, sample_rng)
         self.state = DenseWeightState(len(self.thresholds), config.eta, config.num_experts)
-        self.real_loss = self.state.real_loss
         self.shares = None
 
     def _play(self, advices):

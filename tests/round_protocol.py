@@ -17,17 +17,27 @@ from myga.truncation import StepFunction
 ADVICES = np.array([[1.0, 0.0], [0.4, 0.6]])
 
 
-def rebuilt(state):
-    """A copy of a weight state with buffers of its own; its views are views of them.
+def bits(value):
+    """A value's exact content: floats by their bits, arrays by dtype, shape and bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return type(value).__name__, value.hex()
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, tuple(bits(v) for v in value)
+    if hasattr(value, "__dict__"):
+        return type(value).__name__, bits(list(vars(value).values()))
+    return type(value).__name__, value
 
-    ``copy.deepcopy`` would copy ``real_loss`` and the other views into
-    arrays of their own, cut off from the arrays they view.
-    """
-    clone = type(state)(state.size, state.eta, state.real_loss.size)
-    for name, value in vars(state).items():
-        if isinstance(value, np.ndarray) and value.base is None:
-            getattr(clone, name)[...] = value
-    return clone
+
+def trace_bits(trace):
+    """Every attribute of a trace, field by field, as ``bits``."""
+    assert vars(trace).keys() == {field.name for field in fields(trace)}
+    return {name: bits(value) for name, value in vars(trace).items()}
+
+
+def first_played_arm(p):
+    return int(np.flatnonzero(np.asarray(p) > 0.0)[0])
 
 
 def rebase_bits(state, shift):
@@ -95,21 +105,11 @@ class RoundProtocolContract:
 
     def test_update_leaves_the_trace_unchanged(self):
         policy = self.make()
-        for loss in (0.5, 0.0, 1.0):
+        for loss in (0.5, 0.0, 0.0, 1.0):   # the third round reuses the second's play
             p, trace = policy.advise(ADVICES)
-            before = copy.deepcopy(trace)
-            policy.update(trace, int(np.flatnonzero(np.asarray(p) > 0.0)[0]), loss)
-            assert vars(trace).keys() == vars(before).keys()
-            for field in fields(trace):
-                got, want = getattr(trace, field.name), getattr(before, field.name)
-                assert type(got) is type(want), field.name
-                if isinstance(want, np.ndarray):
-                    np.testing.assert_array_equal(got, want, err_msg=field.name)
-                elif field.name == "perm":
-                    np.testing.assert_array_equal(got.forward, want.forward)
-                    np.testing.assert_array_equal(got.inverse, want.inverse)
-                else:
-                    assert got == want, field.name
+            before = trace_bits(trace)
+            policy.update(trace, first_played_arm(p), loss)
+            assert trace_bits(trace) == before
 
     def test_update_charges_the_weight_state(self):
         # ``real_loss`` is a view of the weight state's real entries, not a
@@ -134,7 +134,7 @@ class RoundProtocolContract:
 
         def play(loss):
             p, trace = policy.advise(ADVICES)
-            policy.update(trace, int(np.flatnonzero(np.asarray(p) > 0.0)[0]), loss)
+            policy.update(trace, first_played_arm(p), loss)
 
         def bare_charge():
             half = state.size // 2
@@ -145,8 +145,86 @@ class RoundProtocolContract:
 
         for change in (lambda: play(0.0), lambda: play(0.5), real_write, bare_charge):
             change()
-            clone = rebuilt(state)
+            clone = copy.deepcopy(state)
             assert rebase_bits(state, state.weights()) == rebase_bits(clone, clone._rebase())
+
+    def test_reused_play_is_the_play_of_a_fresh_solve(self):
+        # A round reuses the last play while no rebase has run and the
+        # advice bytes repeat.  After each kind of change, what ``advise``
+        # returns is bit for bit what ``_play`` computes on a deep copy
+        # after a forced rebase, and the trace carries this round's ``t``
+        # and advice array.
+        policy = self.make()
+        state = policy.state
+        advices = ADVICES.copy()
+
+        def same():
+            return advices
+
+        def new_array():
+            return advices.copy()
+
+        def in_place():
+            advices[...] = ADVICES[::-1]
+            return advices
+
+        def real_write():
+            policy.real_loss[1] += 0.25
+            return advices
+
+        def bare_charge():
+            half = state.size // 2
+            state.charge(StepFunction([0, half], [0.25, 0.5]) if half else StepFunction([], []))
+            return advices
+
+        # (the round's advice, the loss its update reports, whether the play is reused);
+        # a bare charge of a grid-free state charges nothing.
+        rounds = ((same, 0.0, False), (same, 0.0, True), (new_array, 0.0, True),
+                  (in_place, 0.5, False), (same, 0.0, False), (real_write, 0.0, False),
+                  (bare_charge, 0.0, state.size == 0), (same, 0.0, True))
+        last = None
+        for change, loss, reused in rounds:
+            round_advices = change()
+            clone = copy.deepcopy(policy)
+            clone.state._rebase()
+            want_p, want = clone._play(round_advices)
+            p, trace = policy.advise(round_advices)
+            assert bits(p) == bits(want_p) and trace_bits(trace) == trace_bits(want)
+            assert trace.t == policy.t and trace.advices is round_advices
+            assert (last is not None and trace.p_original is last.p_original) == reused
+            policy.update(trace, first_played_arm(p), loss)
+            last = trace
+
+    def test_deep_copy_plays_on_as_the_original(self):
+        # A deep copy taken mid-run, before a round that reuses the last
+        # play, has buffers of its own and views of them; it then plays
+        # every later round bit for bit as the original does.
+        policy = self.make()
+        for loss in (0.5, 0.0):
+            last = policy.advise(ADVICES)
+            policy.update(last[1], policy.sample(last[0]), loss)
+        clone = copy.deepcopy(policy)
+        state = clone.state
+        assert clone.real_loss is state.real_loss
+        assert np.shares_memory(state.real_loss, state.lead)
+        assert np.shares_memory(state.real_weights, state._weight)
+        assert not np.shares_memory(state.lead, policy.state.lead)
+        rng = np.random.default_rng(19)
+        other = np.array([[0.2, 0.8], [0.5, 0.5]])
+        reused = 0
+        for t in range(50):
+            advices = other if t % 9 == 8 else ADVICES
+            loss = float(rng.uniform()) if rng.random() < 0.3 else 0.0
+            outcomes = []
+            for each in (clone, policy):
+                p, trace = each.advise(advices)
+                arm = each.sample(p)
+                each.update(trace, arm, loss)
+                outcomes.append((bits(p), trace_bits(trace), arm))
+            reused += p is last[0]
+            last = p, trace
+            assert outcomes[0] == outcomes[1]
+        assert reused >= 10
 
     def test_rejects_advice_rows_that_are_not_distributions(self):
         policy, reference = self.make(), self.make()
@@ -155,3 +233,21 @@ class RoundProtocolContract:
                 policy.advise(np.array([ADVICES[0], row]))
         # A rejected matrix opens no round: the next advise matches a fresh policy.
         np.testing.assert_array_equal(policy.advise(ADVICES)[0], reference.advise(ADVICES)[0])
+
+    def test_rejects_advice_rows_after_a_reused_round(self):
+        # A rejected matrix is checked as on any other round and leaves no
+        # play to reuse: offered again it is rejected again, and the next
+        # valid round matches a policy that never saw it.
+        policy, reference = self.make(), self.make()
+        for each in (policy, reference):
+            for _ in range(2):   # the second round reuses the first's play
+                p, trace = each.advise(ADVICES)
+                each.update(trace, first_played_arm(p), 0.0)
+        for row in ([np.nan, np.nan], [0.9, 0.9], [0.9, 0.9]):
+            with pytest.raises(ValueError, match="expert advice row 1 "):
+                policy.advise(np.array([ADVICES[0], row]))
+        for advices in (ADVICES, ADVICES[::-1]):
+            got, want = policy.advise(advices), reference.advise(advices)
+            assert bits(got[0]) == bits(want[0]) and trace_bits(got[1]) == trace_bits(want[1])
+            for each, (p, trace) in ((policy, got), (reference, want)):
+                each.update(trace, first_played_arm(p), 0.0)

@@ -236,20 +236,26 @@ class TestRebaseSkip:
     def test_rebase_runs_only_after_a_charge(self, monkeypatch):
         # A zero loss charges nobody, so the next round's weights are the
         # last rebase's: the rebase runs in round 1 and in each round after
-        # a charged one, and in no other.
+        # a charged one, and in no other.  The experts' advice repeats, so
+        # the play is solved in those rounds alone and reused in the rest.
         eta, gamma = schedule_parameters(2, 4, 2000, 2000.0)
         policy = MygaPolicy(MygaConfig(num_arms=2, num_experts=4, horizon=2000, eta=eta,
                                        gamma=gamma), np.random.default_rng(0))
         spec = EnvSpec(kind="stochastic_gap", num_arms=2, num_experts=4, horizon=2000, seed=0,
                        mu_star=0.1, delta=0.2)
-        rebased, charged, grown = [], [], 0
-        rebase = WeightState._rebase
+        rebased, played, charged, grown = [], [], [], 0
+        rebase, play = WeightState._rebase, MygaPolicy._play
 
-        def count(state):
+        def count_rebase(state):
             rebased.append(policy.t)
             return rebase(state)
 
-        monkeypatch.setattr(WeightState, "_rebase", count)
+        def count_play(self, advices):
+            played.append(self.t)
+            return play(self, advices)
+
+        monkeypatch.setattr(WeightState, "_rebase", count_rebase)
+        monkeypatch.setattr(MygaPolicy, "_play", count_play)
         for t in range(1, 2001):
             data = generate(spec, t)
             p, trace = policy.advise(data.advices)
@@ -258,7 +264,7 @@ class TestRebaseSkip:
             policy.update(trace, arm, loss)
             charged += [t] if loss else []
             grown += trace.iterations > 0
-        assert rebased == [1] + [t + 1 for t in charged if t < 2000]
+        assert rebased == played == [1] + [t + 1 for t in charged if t < 2000]
         assert 200 < len(charged) < 1000 and grown >= 30
 
 
