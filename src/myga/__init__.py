@@ -9,7 +9,7 @@ invariant auditor, and a CSV-emitting experiment harness.
 from .audit import Auditor, RegretReport, Violation
 from .baselines import Exp4Config, Exp4Policy
 from .environments import EnvSpec, Replay, RoundData, generate, load_replay, save_replay
-from .fixed_point import MixtureWeights, mixture_residual, solve_fixed_point, two_arm_fixed_point
+from .fixed_point import MixtureWeights, mixture_residual, solve_fixed_point
 from .policy import (MygaConfig, MygaPolicy, RoundTrace, build_threshold_grid,
                      schedule_parameters)
 from .simplex import ArmPermutation, pivot_index, sample_index, sort_descending, weighted_average
@@ -21,6 +21,5 @@ __all__ = [
     "RoundData", "RoundTrace", "Violation", "build_threshold_grid",
     "generate", "load_replay", "mixture_residual",
     "pivot_index", "sample_index", "save_replay", "schedule_parameters",
-    "solve_fixed_point", "sort_descending", "truncate",
-    "two_arm_fixed_point", "weighted_average",
+    "solve_fixed_point", "sort_descending", "truncate", "weighted_average",
 ]

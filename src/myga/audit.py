@@ -32,6 +32,14 @@ loop in the same order, never with builtin ``sum``.
 
 Checks compare at tolerance 1e-9; the per-round loss check also counts
 a NaN margin as a violation.  Violations are recorded, never repaired.
+
+A round that repeats the last play, its trace holding the last trace's
+lists, is checked once: ``check_round`` reads only the play, and nothing
+writes to a trace after ``advise`` returns.  A repeated play's violations
+are recorded again in every round that plays it, with that round's ``t``.
+Its expected loss and its majority/minority split read the round's losses
+every round, from the play as an array and the played arms as two index
+lists, built on the play's first repeat.
 """
 
 from __future__ import annotations
@@ -190,6 +198,31 @@ def _played_losses(trace: RoundTrace, losses: list[float]) -> tuple[float, float
     return majority, minority
 
 
+def _played_arms(trace: RoundTrace) -> tuple[list[int], list[int]]:
+    """The played majority arms and the played minority arms, in ``_played_losses``' order."""
+    k = trace.pivot
+    majority: list[int] = []
+    minority: list[int] = []
+    for i, (mass, arm) in enumerate(zip(trace.p_sorted, trace.perm.forward)):
+        if mass > 0.0:
+            (majority if i < k else minority).append(arm)
+    return majority, minority
+
+
+def _same_play(trace, last) -> bool:
+    """Whether ``trace`` holds ``last``'s play: the same lists, and equal pivot and block masses.
+
+    A baseline's play is its ``p_original`` alone.
+    """
+    return trace.p_original is last.p_original and (
+        not isinstance(trace, RoundTrace)
+        or (trace.zeta_sorted is last.zeta_sorted and trace.q_sorted is last.q_sorted
+            and trace.p_sorted is last.p_sorted and trace.thresholds is last.thresholds
+            and trace.dropped_table is last.dropped_table and trace.perm is last.perm
+            and trace.pivot == last.pivot and trace.majority_mass == last.majority_mass
+            and trace.minority_mass == last.minority_mass))
+
+
 def theorem_bound_value(num_arms: int, num_experts: int, horizon: int,
                         l_star: float) -> float:
     """sqrt(K * log(E*T) * L) + K * log(E*T), the first-order regret scale."""
@@ -212,6 +245,9 @@ class Auditor:
         self.report = RegretReport.empty(num_experts)
         self.violations: list[Violation] = []
         self.round_play_loss = 0.0
+        self._last = None       # the trace of the last distinct play observed
+        self._found = None      # check_round's violations for it, once checked
+        self._repeat = None     # its play as an array and its played arms, once it repeats
 
     def observe_round(self, trace, losses: np.ndarray) -> int:
         """Check and accumulate one round; returns this round's violation count.
@@ -220,21 +256,43 @@ class Auditor:
         has a pivot, so only it splits its loss into majority and minority
         parts and is checked.  The round's expected play loss is kept as
         ``round_play_loss``, and the per-round majority loss check reads it.
+        A trace holding the last trace's play reuses its check, with this
+        round's ``t``, and adds its losses in the same order with the same
+        bits.
         """
         losses = np.asarray(losses, dtype=float)
         report = self.report
-        self.round_play_loss = float(trace.p_original @ losses)
+        repeat = self._repeat
+        if self._last is not None and _same_play(trace, self._last):
+            if repeat is None:
+                arms = _played_arms(trace) if isinstance(trace, RoundTrace) else ([], [])
+                repeat = self._repeat = (np.array(trace.p_original, dtype=float), *arms)
+            self.round_play_loss = float(repeat[0].dot(losses))
+        else:
+            self._last, self._found, self._repeat, repeat = trace, None, None, None
+            self.round_play_loss = float(np.dot(trace.p_original, losses))
         report.total_play_loss += self.round_play_loss
-        report.per_expert_loss += trace.advices @ losses
+        report.per_expert_loss += trace.advices.dot(losses)
         report.rounds += 1
         if not isinstance(trace, RoundTrace):
             return 0
-        majority, minority = _played_losses(trace, losses.tolist())
+        if repeat is None:
+            majority, minority = _played_losses(trace, losses.tolist())
+        else:   # _played_losses' additions, on the arms it would pick
+            _, majority_arms, minority_arms = repeat
+            values = losses.tolist()
+            majority = minority = 0.0
+            for arm in majority_arms:
+                majority += values[arm]
+            for arm in minority_arms:
+                minority += values[arm]
         report.majority_loss += majority
         report.minority_loss += minority
         if not self.enabled:
             return 0
-        fresh = check_round(trace, self.gamma, self.num_arms)
+        if self._found is None:
+            self._found = check_round(trace, self.gamma, self.num_arms)
+        fresh = [Violation(trace.t, v.rule, v.margin, v.detail) for v in self._found]
         margin = majority - 2.0 * self.num_arms * self.round_play_loss
         if not margin <= AUDIT_TOL:
             fresh.append(Violation(trace.t, "majority_loss_round", margin,

@@ -27,7 +27,6 @@ import operator
 import os
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -105,14 +104,12 @@ _CHUNK = 1024   # rounds per chunk
 _CHUNK_SALT = 2 ** 41
 
 
-@lru_cache(maxsize=1)
 def _chunk(spec: EnvSpec, chunk: int) -> tuple[np.ndarray, np.ndarray]:
     """Advices (C, E, K) and losses (C, K) of the rounds
     ``chunk * C + 1 .. (chunk + 1) * C``, read-only.
 
     They come from the generator of ``[seed, _CHUNK_SALT, chunk]``, one call
-    per random block.  Play visits the rounds of a seed in order, so one
-    chunk is kept.
+    per random block.
     """
     rng = np.random.default_rng([spec.seed, _CHUNK_SALT, chunk])
     num_arms, num_experts = spec.num_arms, spec.num_experts
@@ -156,18 +153,29 @@ def _chunk(spec: EnvSpec, chunk: int) -> tuple[np.ndarray, np.ndarray]:
     return advices, losses
 
 
+# The one chunk ``generate`` holds: (spec, chunk index, arrays).  Play visits
+# the rounds of a seed in order, and the spec is matched by identity, so no
+# round hashes it; an equal spec made anew draws its chunk again.
+_held = (None, -1, None)
+
+
 def generate(spec: EnvSpec, t: int) -> RoundData:
     """Round t (1-based) of the environment, a pure function of (seed, t):
     fresh, writable copies of one row of its chunk, or of row t - 1 of the
     spec's replay."""
+    global _held
     if not 1 <= t <= spec.horizon:
         raise ValueError(f"round {t} outside [1, {spec.horizon}]")
     if spec.kind == "replay":
-        return RoundData(advices=spec.replay.advices[t - 1].copy(),
-                         losses=spec.replay.losses[t - 1].copy())
+        replay = spec.replay
+        return RoundData(replay.advices[t - 1].copy(), replay.losses[t - 1].copy())
     chunk, row = divmod(t - 1, _CHUNK)
-    advices, losses = _chunk(spec, chunk)
-    return RoundData(advices=advices[row].copy(), losses=losses[row].copy())
+    held_spec, held_chunk, arrays = _held
+    if held_spec is not spec or held_chunk != chunk:
+        arrays = _chunk(spec, chunk)
+        _held = (spec, chunk, arrays)
+    advices, losses = arrays
+    return RoundData(advices[row].copy(), losses[row].copy())
 
 
 def _format_row(values: list) -> str:

@@ -35,6 +35,7 @@ at k plus the number of minority arms above it.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -68,6 +69,8 @@ class MixtureWeights:
         if per.shape != (num_thresholds,):
             raise ValueError(
                 f"threshold weight count {per.shape} does not match grid size {num_thresholds}")
+        if not (math.isfinite(self.base) and np.isfinite(per).all()):
+            raise ValueError("mixture weight shares must be finite")
         if self.base <= 0.0 or (per.size and per.min() <= 0.0):
             raise ValueError("mixture weight shares must be strictly positive")
         total = self.base + float(per.sum())
@@ -85,10 +88,12 @@ class MixtureWeights:
 
 
 def require_grid(thresholds: np.ndarray) -> np.ndarray:
-    """The threshold grid as a float array: 1-d, strictly increasing, inside (0, 1/2]."""
+    """The threshold grid as a float array: 1-d, finite, strictly increasing, inside (0, 1/2]."""
     grid = np.asarray(thresholds, dtype=float)
     if grid.ndim != 1:
         raise ValueError("thresholds must be a 1-d array")
+    if not np.isfinite(grid).all():
+        raise ValueError("thresholds must be finite")
     if grid.size:
         if (grid[1:] <= grid[:-1]).any():
             raise ValueError("thresholds must be strictly increasing")
@@ -259,30 +264,3 @@ def mixture_residual(q, zeta_sorted, pivot: int, weights: MixtureWeights,
             worst = gap
     return worst
 
-
-def two_arm_fixed_point(base_mass: float, weights: MixtureWeights,
-                        thresholds: np.ndarray) -> float:
-    """Closed-form least fixed point of the one-dimensional threshold map.
-
-    Solves x = base*base_mass + x * (weight of thresholds strictly below x)
-    on [0, 1/2] by enumerating the linear pieces between consecutive
-    thresholds and keeping the smallest candidate consistent with its own
-    piece.  This is the minority mass of the two-arm problem, and equally
-    the per-arm decoupled solution for any single minority coordinate.
-    """
-    if not 0.0 <= base_mass <= 0.5:
-        raise ValueError(f"base mass {base_mass} outside [0, 1/2]")
-    grid = np.asarray(thresholds, dtype=float)
-    weights.require(grid.size)
-    best = None
-    for j in range(grid.size + 1):
-        x = weights.base * base_mass / (1.0 - weights.split(j)[0])
-        if j > 0 and not x > grid[j - 1]:
-            continue
-        if j < grid.size and not x <= grid[j]:
-            continue
-        if best is None or x < best:
-            best = x
-    if best is None:
-        raise RuntimeError("no piece of the threshold map is self-consistent")
-    return float(best)

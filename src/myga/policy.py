@@ -304,7 +304,7 @@ class RoundTrace:
     ``pivot + i``, and ``iterations`` is their sum.  Output only: nothing
     writes to a trace after ``advise`` returns, so a repeated round's trace
     shares every list with the last round's and holds only its own ``t``
-    and ``advices``.
+    and ``advices``, and the auditor checks a repeated play once.
     """
 
     t: int

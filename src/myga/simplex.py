@@ -136,10 +136,6 @@ class ArmPermutation:
     forward: list[int]
     inverse: list[int]
 
-    def to_sorted(self, values) -> list[float]:
-        values = floats(values)
-        return [values[i] for i in self.forward]
-
     def to_original(self, values) -> list[float]:
         values = floats(values)
         return [values[i] for i in self.inverse]

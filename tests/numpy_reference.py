@@ -155,9 +155,12 @@ def mixture_residual(q, zeta_sorted, pivot, weights, thresholds):
 
 
 def solve(zeta_sorted, pivot, weights, grid):
-    """The solver on arrays: (q, thresholds strictly below each minority arm, residual)."""
+    """The solver on arrays: (q, thresholds strictly below each minority arm, residual).
+
+    The mixture and pivot are checked as ``solve_fixed_point`` checks them;
+    the shares are taken as given, as ``_solve`` takes them.
+    """
     zeta = require_sorted_inputs(zeta_sorted, pivot)
-    weights.require(grid.size)
     k = pivot
     minority = zeta.size - k
     below = [0] * minority

@@ -12,10 +12,10 @@ import time
 import numpy as np
 import pytest
 
+from fixed_point_reference import two_arm_fixed_point
 from grid_reference import zero_boundaries
 from myga.cli import ExperimentConfig, execute
-from myga.fixed_point import (MixtureWeights, mixture_residual,
-                              solve_fixed_point, two_arm_fixed_point)
+from myga.fixed_point import MixtureWeights, mixture_residual, solve_fixed_point
 from myga.policy import loss_estimate
 from myga.truncation import truncate
 

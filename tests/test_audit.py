@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from myga.audit import Auditor, RegretReport, Violation, check_round, theorem_bound_value
-from myga.baselines import BaselineTrace
+import myga.audit as audit_mod
+from myga.audit import (Auditor, RegretReport, Violation, _played_losses, check_round,
+                        theorem_bound_value)
+from myga.baselines import BaselineTrace, Exp4Config, Exp4Policy
 from myga.environments import EnvSpec, generate
 from myga.policy import MygaConfig, MygaPolicy, RoundTrace, schedule_parameters
 from myga.simplex import ArmPermutation
@@ -128,7 +130,7 @@ def loss_violations(trace, losses, num_arms):
 
 def reference_check_round_losses(trace, losses, num_arms, tol=1e-9):
     """Per-round majority loss domination as whole-array NumPy expressions."""
-    losses_sorted = np.asarray(trace.perm.to_sorted(np.asarray(losses, dtype=float)))
+    losses_sorted = np.asarray(losses, dtype=float)[trace.perm.forward]
     p_sorted = np.asarray(trace.p_sorted)
     observable = losses_sorted * (p_sorted > 0.0)
     majority_part = float(observable[:trace.pivot].sum())
@@ -609,3 +611,161 @@ class TestRemovedMassTable:
         violations = check_round(trace, gamma=0.05, num_arms=3)
         table = [v for v in violations if v.rule == "removed_mass_table"]
         assert table and table[0].margin == pytest.approx(1e-3, abs=1e-15)
+
+
+def repeated_traces(rounds):
+    """A two-arm policy's traces over ``rounds`` rounds of one advice matrix and no loss.
+
+    No round charges an expert and the advice repeats, so every round after
+    the first reuses the first round's play: its trace shares every list.
+    """
+    policy = MygaPolicy(MygaConfig(num_arms=2, num_experts=2, horizon=rounds, eta=0.5,
+                                   gamma=0.01, grid_denominator=200),
+                        sample_rng=np.random.default_rng(3))
+    traces = []
+    for _ in range(rounds):
+        p, trace = policy.advise(np.array([[1.0, 0.0], [0.4, 0.6]]))
+        policy.update(trace, policy.sample(p), 0.0)
+        traces.append(trace)
+    first = traces[0]
+    assert all(trace.q_sorted is first.q_sorted and trace.perm is first.perm
+               for trace in traces)
+    assert [trace.t for trace in traces] == list(range(1, rounds + 1))
+    return traces
+
+
+def per_round(traces, losses, gamma, num_arms):
+    """Every round's violations as a fresh auditor records them for that round alone."""
+    return [v for trace in traces
+            for v in observed(trace, losses, num_arms, gamma).violations]
+
+
+class TestRepeatedPlay:
+    LOSSES = np.array([0.0, 1.0])
+
+    def test_shared_list_violation_recorded_every_round(self):
+        # A minority mass above the mixture, written into the list every
+        # reused trace shares before any round is audited.
+        traces = repeated_traces(6)
+        traces[0].q_sorted[1] = traces[0].zeta_sorted[1] + 0.01
+        auditor = Auditor(num_arms=2, num_experts=2, gamma=0.01)
+        counts = [auditor.observe_round(trace, self.LOSSES) for trace in traces]
+        flagged = [v for v in auditor.violations if v.rule == "minority_cap"]
+        assert [v.t for v in flagged] == [1, 2, 3, 4, 5, 6]
+        assert len({v.margin for v in flagged}) == 1
+        assert counts == [len(check_round(trace, 0.01, 2)) for trace in traces]
+        assert auditor.violations == per_round(traces, self.LOSSES, 0.01, 2)
+
+    def test_patched_rule_fails_every_round_checked_once(self, monkeypatch):
+        # With a negative tolerance every rule fails; the play is checked
+        # once and each round records the failures with its own t.
+        monkeypatch.setattr(audit_mod, "AUDIT_TOL", -1.0)
+        calls = []
+
+        def counted(trace, gamma, num_arms):
+            calls.append(trace.t)
+            return check_round(trace, gamma, num_arms)
+
+        monkeypatch.setattr(audit_mod, "check_round", counted)
+        traces = repeated_traces(5)
+        auditor = Auditor(num_arms=2, num_experts=2, gamma=0.01)
+        for trace in traces:
+            assert auditor.observe_round(trace, self.LOSSES) == 8
+        assert calls == [1]
+        assert auditor.violations == per_round(traces, self.LOSSES, 0.01, 2)
+
+    def test_new_lists_after_a_streak_are_checked_afresh(self):
+        traces = repeated_traces(4)
+        auditor = Auditor(num_arms=2, num_experts=2, gamma=0.01)
+        for trace in traces:
+            assert auditor.observe_round(trace, self.LOSSES) == 0
+        last = traces[-1]
+        spoiled_q = [last.q_sorted[0] - 0.01, last.q_sorted[1] + 0.01]
+        fresh = [
+            dataclasses.replace(last, t=5, q_sorted=spoiled_q),        # new list
+            dataclasses.replace(last, t=6, q_sorted=list(spoiled_q)),  # equal values, new list
+            dataclasses.replace(last, t=7),                            # the streak's lists again
+            dataclasses.replace(last, t=8, majority_mass=last.majority_mass + 0.01),
+        ]
+        for trace in fresh:
+            auditor.observe_round(trace, self.LOSSES)
+        got = [(v.t, v.rule) for v in auditor.violations]
+        assert got == [(v.t, v.rule) for v in per_round(fresh, self.LOSSES, 0.01, 2)]
+        assert {t for t, _ in got} == {5, 6, 8}
+
+
+class ReferenceAuditor:
+    """The auditor's per-round work, done in full every round.
+
+    Each round runs ``check_round``, ``_played_losses`` and the expected
+    loss as ``list @ ndarray``, with no memory of the last round's play.
+    """
+
+    def __init__(self, num_arms, num_experts, gamma=0.0):
+        self.num_arms = num_arms
+        self.gamma = gamma
+        self.report = RegretReport.empty(num_experts)
+        self.violations = []
+
+    def observe_round(self, trace, losses):
+        losses = np.asarray(losses, dtype=float)
+        report = self.report
+        play = float(trace.p_original @ losses)
+        report.total_play_loss += play
+        report.per_expert_loss += trace.advices @ losses
+        report.rounds += 1
+        if not isinstance(trace, RoundTrace):
+            return
+        majority, minority = _played_losses(trace, losses.tolist())
+        report.majority_loss += majority
+        report.minority_loss += minority
+        found = check_round(trace, self.gamma, self.num_arms)
+        margin = majority - 2.0 * self.num_arms * play
+        if not margin <= audit_mod.AUDIT_TOL:
+            found.append(Violation(trace.t, "majority_loss_round", margin,
+                                   "majority loss mass exceeded 2K times the expected loss"))
+        self.violations.extend(found)
+
+
+def report_bits(report):
+    """A report's fields, floats by their bits."""
+    return (report.per_expert_loss.tobytes(), report.total_play_loss.hex(),
+            report.majority_loss.hex(), report.minority_loss.hex(), report.rounds)
+
+
+def violation_bits(violations):
+    return [(v.t, v.rule, float(v.margin).hex(), v.detail) for v in violations]
+
+
+class TestAgainstReferenceLoop:
+    @pytest.mark.parametrize("policy", ["myga", "exp4_threshold"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_stochastic_gap_run_matches_bit_for_bit(self, policy, seed):
+        # K=2, E=4, T=2000: most rounds lose nothing and repeat the play.
+        horizon = 2000
+        spec = EnvSpec(kind="stochastic_gap", num_arms=2, num_experts=4,
+                       horizon=horizon, seed=seed)
+        eta, gamma = schedule_parameters(2, 4, horizon, float(horizon))
+        if policy == "myga":
+            pol = MygaPolicy(MygaConfig(num_arms=2, num_experts=4, horizon=horizon,
+                                        eta=eta, gamma=gamma),
+                             sample_rng=np.random.default_rng(seed))
+        else:
+            pol = Exp4Policy(Exp4Config(num_arms=2, num_experts=4, eta=eta,
+                                        variant="thresholded", gamma=gamma),
+                             sample_rng=np.random.default_rng(seed))
+        auditor, reference = Auditor(2, 4, gamma), ReferenceAuditor(2, 4, gamma)
+        repeats = 0
+        last = None
+        for t in range(1, horizon + 1):
+            data = generate(spec, t)
+            p, trace = pol.advise(data.advices)
+            arm = pol.sample(p)
+            pol.update(trace, arm, float(data.losses[arm]))
+            auditor.observe_round(trace, data.losses)
+            reference.observe_round(trace, data.losses)
+            repeats += last is not None and trace.p_original is last.p_original
+            last = trace
+        assert repeats > horizon // 2
+        assert report_bits(auditor.report) == report_bits(reference.report)
+        assert violation_bits(auditor.violations) == violation_bits(reference.violations)

@@ -1,3 +1,4 @@
+import dataclasses
 import locale
 import os
 import subprocess
@@ -221,6 +222,11 @@ def key_words(key):
     return tuple(words + [0] * (4 - len(words)))
 
 
+def chunks_held():
+    """How many chunks ``generate`` holds: its one entry, once filled."""
+    return int(env_mod._held[0] is not None)
+
+
 class TestRoundStreams:
     """Each chunk of 1024 rounds is drawn from ``default_rng([seed, 2**41, chunk])``."""
 
@@ -303,7 +309,7 @@ class TestRoundStreams:
         rng = np.random.default_rng(5)
         pairs = [(seed, int(t)) for seed in seeds
                  for t in rng.integers(1, self.horizon + 1, size=12)]
-        held = env_mod._chunk.cache_info().maxsize
+        held = 1    # generate holds one chunk
         assert len({(seed, (t - 1) // CHUNK) for seed, t in pairs}) > held
         in_order = {pair: generate(specs[pair[0]], pair[1]) for pair in sorted(pairs)}
         for _ in range(2):
@@ -317,7 +323,25 @@ class TestRoundStreams:
                 advices, losses = adversarial_minority_round(specs[seed], t)
                 np.testing.assert_array_equal(data.advices, advices, strict=True)
                 np.testing.assert_array_equal(data.losses, losses, strict=True)
-        assert env_mod._chunk.cache_info().currsize <= held
+        assert chunks_held() <= held
+
+    def test_held_chunk_is_never_stale(self):
+        # The held chunk is matched by spec identity and chunk index: across
+        # a chunk boundary, for a replaced spec with another seed, and for an
+        # equal spec made anew, every round is its reference round.
+        for kind in GENERATED:
+            spec = spec_for(kind, horizon=self.horizon, seed=3)
+            other = dataclasses.replace(spec, seed=4)
+            equal = dataclasses.replace(spec)
+            assert equal == spec and equal is not spec
+            for current, t in [(spec, CHUNK), (spec, CHUNK + 1), (spec, CHUNK),
+                               (other, CHUNK), (spec, CHUNK), (other, CHUNK + 1),
+                               (equal, CHUNK + 1), (spec, 1), (equal, 1)]:
+                data = generate(current, t)
+                assert env_mod._held[0] is current
+                advices, losses = ROUNDS[kind](current, t)
+                np.testing.assert_array_equal(data.advices, advices, strict=True)
+                np.testing.assert_array_equal(data.losses, losses, strict=True)
 
     def test_rounds_never_share_arrays(self):
         # Two rounds of one chunk and one round twice: every array is its

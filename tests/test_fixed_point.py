@@ -3,8 +3,8 @@ import pytest
 
 from grid_reference import zero_boundaries
 import myga.fixed_point as fixed_point_mod
-from myga.fixed_point import (MixtureWeights, mixture_residual,
-                              solve_fixed_point, two_arm_fixed_point)
+from fixed_point_reference import two_arm_fixed_point
+from myga.fixed_point import MixtureWeights, mixture_residual, require_grid, solve_fixed_point
 from myga.truncation import truncate
 
 
@@ -178,6 +178,24 @@ class TestMixtureWeights:
         with pytest.raises(ValueError, match="grid size"):
             MixtureWeights(0.5, np.array([0.5])).require(2)
 
+    def test_rejects_nan_base_share(self):
+        # nan <= 0 and abs(nan - 1) > 1e-9 are both False, so only a
+        # finiteness check stops it before the solver's residual does.
+        with pytest.raises(ValueError, match="must be finite"):
+            MixtureWeights(float("nan"), np.array([0.25, 0.25])).require(2)
+        with pytest.raises(ValueError, match="must be finite"):
+            solve_fixed_point(np.array([0.7, 0.3]), 1,
+                              MixtureWeights(float("nan"), np.array([0.25, 0.25])),
+                              np.array([0.1, 0.2]))
+
+    def test_rejects_nan_threshold_share(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            MixtureWeights(0.5, np.array([0.25, np.nan])).require(2)
+        with pytest.raises(ValueError, match="must be finite"):
+            solve_fixed_point(np.array([0.7, 0.3]), 1,
+                              MixtureWeights(0.5, np.array([np.nan, 0.25])),
+                              np.array([0.1, 0.2]))
+
 
 class TestSolveExamples:
     def test_empty_grid_returns_input(self):
@@ -267,6 +285,30 @@ class TestSolveValidation:
         weights = MixtureWeights(0.4, np.array([0.3, 0.3]))
         with pytest.raises(ValueError, match="strictly increasing"):
             solve_fixed_point(zeta, 1, weights, np.array([0.2, 0.1]))
+
+    def test_rejects_nan_threshold(self):
+        # A NaN compares False both ways, so it passes the order and range
+        # checks; solving on it returned [0.8, 0.2].
+        with pytest.raises(ValueError, match="thresholds must be finite"):
+            require_grid([0.1, float("nan"), 0.3])
+        with pytest.raises(ValueError, match="thresholds must be finite"):
+            solve_fixed_point(np.array([0.7, 0.3]), 1,
+                              MixtureWeights(0.5, np.array([0.25, 0.25])),
+                              np.array([0.1, np.nan]))
+
+    def test_checks_run_in_documented_order(self):
+        # Grid, mixture, pivot, shares: each broken input is reported only
+        # when every input before it holds.
+        nan_shares = MixtureWeights(float("nan"), np.array([0.25, 0.25]))
+        cases = [
+            (np.array([0.3, 0.7]), 0, np.array([0.1, np.nan]), "thresholds must be finite"),
+            (np.array([0.3, 0.7]), 0, np.array([0.1, 0.2]), "non-increasing"),
+            (np.array([0.7, 0.3]), 0, np.array([0.1, 0.2]), "pivot 0 outside"),
+            (np.array([0.7, 0.3]), 1, np.array([0.1, 0.2]), "must be finite"),
+        ]
+        for zeta, pivot, grid, message in cases:
+            with pytest.raises(ValueError, match=message):
+                solve_fixed_point(zeta, pivot, nan_shares, grid)
 
     def test_rejects_shares_off_the_grid(self):
         with pytest.raises(ValueError, match="grid size"):
