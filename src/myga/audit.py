@@ -37,9 +37,10 @@ A round that repeats the last play, its trace holding the last trace's
 lists, is checked once: ``check_round`` reads only the play, and nothing
 writes to a trace after ``advise`` returns.  A repeated play's violations
 are recorded again in every round that plays it, with that round's ``t``.
-Its expected loss and its majority/minority split read the round's losses
-every round, from the play as an array and the played arms as two index
-lists, built on the play's first repeat.
+A play's record, the play as an array and the played arms as two index
+lists, is built when the play is first seen; every round, new play or
+repeat, reads its expected loss and its majority/minority split from the
+record and the round's losses.
 """
 
 from __future__ import annotations
@@ -181,25 +182,8 @@ def check_round(trace: RoundTrace, gamma: float, num_arms: int) -> list[Violatio
     return violations
 
 
-def _played_losses(trace: RoundTrace, losses: list[float]) -> tuple[float, float]:
-    """The round's loss on played majority arms and on played minority arms.
-
-    Arms are taken in sorted order and added one at a time, the order in
-    which NumPy sums arrays of fewer than eight entries.
-    """
-    k = trace.pivot
-    majority = minority = 0.0
-    for i, (mass, arm) in enumerate(zip(trace.p_sorted, trace.perm.forward)):
-        if mass > 0.0:
-            if i < k:
-                majority += losses[arm]
-            else:
-                minority += losses[arm]
-    return majority, minority
-
-
 def _played_arms(trace: RoundTrace) -> tuple[list[int], list[int]]:
-    """The played majority arms and the played minority arms, in ``_played_losses``' order."""
+    """The played majority arms and the played minority arms, each in sorted order."""
     k = trace.pivot
     majority: list[int] = []
     minority: list[int] = []
@@ -247,7 +231,7 @@ class Auditor:
         self.round_play_loss = 0.0
         self._last = None       # the trace of the last distinct play observed
         self._found = None      # check_round's violations for it, once checked
-        self._repeat = None     # its play as an array and its played arms, once it repeats
+        self._record = None     # its play as an array and its played arms
 
     def observe_round(self, trace, losses: np.ndarray) -> int:
         """Check and accumulate one round; returns this round's violation count.
@@ -256,36 +240,29 @@ class Auditor:
         has a pivot, so only it splits its loss into majority and minority
         parts and is checked.  The round's expected play loss is kept as
         ``round_play_loss``, and the per-round majority loss check reads it.
-        A trace holding the last trace's play reuses its check, with this
-        round's ``t``, and adds its losses in the same order with the same
-        bits.
+        A trace that does not hold the last trace's play gets a new record;
+        every round then reads its losses through the record, and a repeated
+        play reuses its check with this round's ``t``.
         """
         losses = np.asarray(losses, dtype=float)
         report = self.report
-        repeat = self._repeat
-        if self._last is not None and _same_play(trace, self._last):
-            if repeat is None:
-                arms = _played_arms(trace) if isinstance(trace, RoundTrace) else ([], [])
-                repeat = self._repeat = (np.array(trace.p_original, dtype=float), *arms)
-            self.round_play_loss = float(repeat[0].dot(losses))
-        else:
-            self._last, self._found, self._repeat, repeat = trace, None, None, None
-            self.round_play_loss = float(np.dot(trace.p_original, losses))
+        if self._last is None or not _same_play(trace, self._last):
+            arms = _played_arms(trace) if isinstance(trace, RoundTrace) else ((), ())
+            self._last, self._found = trace, None
+            self._record = (np.array(trace.p_original, dtype=float), *arms)
+        play, majority_arms, minority_arms = self._record
+        self.round_play_loss = float(play.dot(losses))
         report.total_play_loss += self.round_play_loss
         report.per_expert_loss += trace.advices.dot(losses)
         report.rounds += 1
         if not isinstance(trace, RoundTrace):
             return 0
-        if repeat is None:
-            majority, minority = _played_losses(trace, losses.tolist())
-        else:   # _played_losses' additions, on the arms it would pick
-            _, majority_arms, minority_arms = repeat
-            values = losses.tolist()
-            majority = minority = 0.0
-            for arm in majority_arms:
-                majority += values[arm]
-            for arm in minority_arms:
-                minority += values[arm]
+        values = losses.tolist()
+        majority = minority = 0.0
+        for arm in majority_arms:
+            majority += values[arm]
+        for arm in minority_arms:
+            minority += values[arm]
         report.majority_loss += majority
         report.minority_loss += minority
         if not self.enabled:

@@ -366,7 +366,7 @@ class ExpertPolicy:
         self._awaiting_update = False
         self.state = WeightState(num_thresholds, config.eta, config.num_experts)
         self._last_key = None       # (rebases, advice bytes) of the last round played
-        self._last = None           # and what ``_play`` returned for it
+        self._last = None           # and the trace ``_play`` returned for it
 
     @property
     def real_loss(self) -> np.ndarray:
@@ -402,13 +402,13 @@ class ExpertPolicy:
         state.weights()
         key = (state.rebases, advices.tobytes())
         if key == self._last_key:
-            p_original, last = self._last
-            trace = object.__new__(type(last))
-            trace.__dict__.update(last.__dict__, t=self.t, advices=advices)
+            trace = object.__new__(type(self._last))
+            trace.__dict__.update(self._last.__dict__, t=self.t, advices=advices)
+            p_original = trace.p_original
         else:
             simplex.require_distribution_rows(advices, what="expert advice")
             p_original, trace = self._play(advices)
-            self._last_key, self._last = key, (p_original, trace)
+            self._last_key, self._last = key, trace
         self._awaiting_update = True
         return p_original, trace
 

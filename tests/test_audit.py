@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 import myga.audit as audit_mod
-from myga.audit import (Auditor, RegretReport, Violation, _played_losses, check_round,
-                        theorem_bound_value)
+from myga.audit import Auditor, RegretReport, Violation, check_round, theorem_bound_value
 from myga.baselines import BaselineTrace, Exp4Config, Exp4Policy
 from myga.environments import EnvSpec, generate
 from myga.policy import MygaConfig, MygaPolicy, RoundTrace, schedule_parameters
@@ -694,6 +693,23 @@ class TestRepeatedPlay:
         assert {t for t, _ in got} == {5, 6, 8}
 
 
+def _played_losses(trace: RoundTrace, losses: list[float]) -> tuple[float, float]:
+    """The round's loss on played majority arms and on played minority arms.
+
+    Arms are taken in sorted order and added one at a time, the order in
+    which NumPy sums arrays of fewer than eight entries.
+    """
+    k = trace.pivot
+    majority = minority = 0.0
+    for i, (mass, arm) in enumerate(zip(trace.p_sorted, trace.perm.forward)):
+        if mass > 0.0:
+            if i < k:
+                majority += losses[arm]
+            else:
+                minority += losses[arm]
+    return majority, minority
+
+
 class ReferenceAuditor:
     """The auditor's per-round work, done in full every round.
 
@@ -767,5 +783,70 @@ class TestAgainstReferenceLoop:
             repeats += last is not None and trace.p_original is last.p_original
             last = trace
         assert repeats > horizon // 2
+        assert report_bits(auditor.report) == report_bits(reference.report)
+        assert violation_bits(auditor.violations) == violation_bits(reference.violations)
+
+    @pytest.mark.parametrize("policy, env", [("myga", "adversarial_minority"),
+                                             ("exp4_threshold", "zero_loss_expert")])
+    def test_never_repeating_run_matches_bit_for_bit(self, policy, env):
+        # The advice changes every round, so no play repeats and every round
+        # builds its play's record.
+        horizon = 2000
+        if policy == "myga":   # minority_lattice's cell: K=5, E=8 on the threshold lattice
+            arms, experts, gamma = 5, 8, 0.4
+            pol = MygaPolicy(MygaConfig(num_arms=arms, num_experts=experts, horizon=horizon,
+                                        eta=0.2, gamma=gamma, grid_denominator=4000),
+                             sample_rng=np.random.default_rng(0))
+        else:
+            arms, experts = 3, 4
+            eta, gamma = schedule_parameters(arms, experts, horizon, float(horizon))
+            pol = Exp4Policy(Exp4Config(num_arms=arms, num_experts=experts, eta=eta,
+                                        variant="thresholded", gamma=gamma),
+                             sample_rng=np.random.default_rng(0))
+        spec = EnvSpec(kind=env, num_arms=arms, num_experts=experts, horizon=horizon, seed=0)
+        auditor = Auditor(arms, experts, gamma)
+        reference = ReferenceAuditor(arms, experts, gamma)
+        repeats = 0
+        last = None
+        for t in range(1, horizon + 1):
+            data = generate(spec, t)
+            p, trace = pol.advise(data.advices)
+            arm = pol.sample(p)
+            pol.update(trace, arm, float(data.losses[arm]))
+            auditor.observe_round(trace, data.losses)
+            reference.observe_round(trace, data.losses)
+            repeats += last is not None and trace.p_original is last.p_original
+            last = trace
+        assert repeats == 0
+        assert report_bits(auditor.report) == report_bits(reference.report)
+        assert violation_bits(auditor.violations) == violation_bits(reference.violations)
+
+
+class TestPlayRecord:
+    LOSSES = np.array([0.0, 1.0])
+
+    def test_record_built_once_per_distinct_play(self, monkeypatch):
+        built = []
+        played_arms = audit_mod._played_arms
+
+        def counted(trace):
+            built.append(trace.t)
+            return played_arms(trace)
+
+        monkeypatch.setattr(audit_mod, "_played_arms", counted)
+        traces = repeated_traces(6)
+        last = traces[-1]
+        # The streak's play with its two arms swapped between the blocks: only
+        # ``perm`` differs, so only the loss split can tell the records apart.
+        swapped = ArmPermutation(forward=last.perm.forward[::-1],
+                                 inverse=last.perm.inverse[::-1])
+        traces += [dataclasses.replace(last, t=7, perm=swapped),
+                   dataclasses.replace(last, t=8)]
+        auditor, reference = Auditor(2, 2, 0.01), ReferenceAuditor(2, 2, 0.01)
+        for trace in traces:
+            auditor.observe_round(trace, self.LOSSES)
+            reference.observe_round(trace, self.LOSSES)
+        assert built == [1, 7, 8]
+        assert auditor.report.majority_loss == 1.0   # round 7's majority arm is arm 1
         assert report_bits(auditor.report) == report_bits(reference.report)
         assert violation_bits(auditor.violations) == violation_bits(reference.violations)
