@@ -28,7 +28,7 @@ sides of the rule is affine in the removed mass, so its largest size over
 the whole table is reached at the table's smallest or largest value; no
 threshold-by-arm matrix is built.
 Floats are added one at a time from the left, by ``simplex.left_sum`` or a
-loop in the same order, never with builtin ``sum``.
+loop in the same order; builtin ``sum`` only tells whether a NaN is present.
 
 Checks compare at tolerance 1e-9; the per-round loss check also counts
 a NaN margin as a violation.  Violations are recorded, never repaired.
@@ -80,6 +80,20 @@ class RegretReport:
 
     @property
     def best_expert_loss(self) -> float:
+        """The lowest cumulative expert loss, bit for bit ``float(per_expert_loss.min())``.
+
+        It is read in Python from ``per_expert_loss.tolist()``, since equal
+        minima have equal bits, with one exception: a zero held by more than
+        one expert may be +0.0 in one and -0.0 in another, and NumPy picks
+        among those in its SIMD order.  Such a zero minimum, a NaN anywhere
+        (it makes the losses' sum NaN) and an empty vector are handed to
+        NumPy.
+        """
+        values = self.per_expert_loss.tolist()
+        if values and not math.isnan(sum(values)):
+            best = min(values)
+            if best or values.count(0.0) == 1:
+                return best
         return float(self.per_expert_loss.min())
 
     @property

@@ -21,7 +21,8 @@ mixture shares.
 
 A round's arm vectors are lists of Python floats and the threshold grid
 is one list, built once per policy; NumPy is left to the advice matrix,
-the weights' ``exp`` and the blocks.
+the weights' ``exp``, the blocks and one draw of sample uniforms per
+``_UNIFORM_BLOCK`` rounds.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ from .truncation import StepFunction, truncate, truncated_mass_table
 # sums divided by a total of at least 1 (the best expert's weight), where a
 # weight below the floor and a weight of 0 differ by less than 1e-300.
 _WEIGHT_FLOOR = 1e-300
+
+# ``sample`` draws its uniforms this many at a time.
+_UNIFORM_BLOCK = 1024
 
 
 def schedule_parameters(num_arms: int, num_experts: int, horizon: int,
@@ -367,6 +371,7 @@ class ExpertPolicy:
         self.state = WeightState(num_thresholds, config.eta, config.num_experts)
         self._last_key = None       # (rebases, advice bytes) of the last round played
         self._last = None           # and the trace ``_play`` returned for it
+        self._uniforms = []         # the block's unused uniforms, next one last
 
     @property
     def real_loss(self) -> np.ndarray:
@@ -413,8 +418,17 @@ class ExpertPolicy:
         return p_original, trace
 
     def sample(self, p_original: list[float]) -> int:
-        """Draw an arm by inverse CDF in original coordinates, one uniform."""
-        return simplex.sample_index(p_original, float(self.rng.random()))
+        """Draw an arm by inverse CDF in original coordinates, one uniform.
+
+        The uniforms are the sample generator's ``random()`` stream, drawn
+        ``_UNIFORM_BLOCK`` at a time: the same values, in the same order, as
+        one ``random()`` call per round.  ``copy.deepcopy`` copies the
+        block's unused part with the generator, so a copy samples on as
+        the original does.
+        """
+        if not self._uniforms:
+            self._uniforms = self.rng.random(_UNIFORM_BLOCK).tolist()[::-1]
+        return simplex.sample_index(p_original, self._uniforms.pop())
 
     def update(self, trace, arm_original: int, observed_loss: float) -> None:
         """Charge every expert its advice-weighted share of the loss estimate."""

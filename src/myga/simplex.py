@@ -116,8 +116,9 @@ def weighted_average(advices: np.ndarray, weights: np.ndarray) -> list[float]:
     if weights.ndim != 1 or weights.shape[0] != advices.shape[0]:
         raise ValueError(
             f"weight count {weights.shape} does not match advice rows {advices.shape}")
-    if not all(0.0 < w < math.inf for w in weights.tolist()):
-        raise ValueError("weights must be strictly positive and finite")
+    for w in weights.tolist():
+        if not 0.0 < w < math.inf:
+            raise ValueError("weights must be strictly positive and finite")
     mix = (weights @ advices).tolist()
     total = left_sum(mix)
     if total <= 0.0:

@@ -12,6 +12,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from myga.simplex import sample_index
 from myga.truncation import StepFunction
 
 ADVICES = np.array([[1.0, 0.0], [0.4, 0.6]])
@@ -195,36 +196,57 @@ class RoundProtocolContract:
             policy.update(trace, first_played_arm(p), loss)
             last = trace
 
+    def test_samples_match_one_uniform_per_round(self):
+        # ``sample`` takes its uniforms from blocks of the sample
+        # generator's stream; over three blocks its arms are those drawn
+        # with one ``random()`` call of the same generator per round.
+        policy = self.make()
+        uniforms = copy.deepcopy(policy.rng)
+        rng = np.random.default_rng(23)
+        other = np.array([[0.2, 0.8], [0.5, 0.5]])
+        arms = []
+        for t in range(2500):
+            p, trace = policy.advise(other if t % 7 == 6 else ADVICES)
+            arm = policy.sample(p)
+            assert arm == sample_index(p, uniforms.random())
+            policy.update(trace, arm, float(rng.uniform()) if rng.random() < 0.3 else 0.0)
+            arms.append(arm)
+        assert 0 < sum(arms) < len(arms)
+
     def test_deep_copy_plays_on_as_the_original(self):
         # A deep copy taken mid-run, before a round that reuses the last
         # play, has buffers of its own and views of them; it then plays
-        # every later round bit for bit as the original does.
-        policy = self.make()
-        for loss in (0.5, 0.0):
-            last = policy.advise(ADVICES)
-            policy.update(last[1], policy.sample(last[0]), loss)
-        clone = copy.deepcopy(policy)
-        state = clone.state
-        assert clone.real_loss is state.real_loss
-        assert np.shares_memory(state.real_loss, state.lead)
-        assert np.shares_memory(state.real_weights, state._weight)
-        assert not np.shares_memory(state.lead, policy.state.lead)
-        rng = np.random.default_rng(19)
-        other = np.array([[0.2, 0.8], [0.5, 0.5]])
-        reused = 0
-        for t in range(50):
-            advices = other if t % 9 == 8 else ADVICES
-            loss = float(rng.uniform()) if rng.random() < 0.3 else 0.0
-            outcomes = []
-            for each in (clone, policy):
-                p, trace = each.advise(advices)
-                arm = each.sample(p)
-                each.update(trace, arm, loss)
-                outcomes.append((bits(p), trace_bits(trace), arm))
-            reused += p is last[0]
-            last = p, trace
-            assert outcomes[0] == outcomes[1]
-        assert reused >= 10
+        # every later round bit for bit as the original does.  Taken at
+        # round 1500, partway through the second block of sample uniforms,
+        # it holds the block's unused part and samples on into the third.
+        for rounds_before, rounds_after in ((2, 50), (1500, 1000)):
+            policy = self.make()
+            for t in range(rounds_before):
+                last = policy.advise(ADVICES)
+                loss = 0.0 if t == rounds_before - 1 else 0.5   # the next round reuses the play
+                policy.update(last[1], policy.sample(last[0]), loss)
+            clone = copy.deepcopy(policy)
+            state = clone.state
+            assert clone.real_loss is state.real_loss
+            assert np.shares_memory(state.real_loss, state.lead)
+            assert np.shares_memory(state.real_weights, state._weight)
+            assert not np.shares_memory(state.lead, policy.state.lead)
+            rng = np.random.default_rng(19)
+            other = np.array([[0.2, 0.8], [0.5, 0.5]])
+            reused = 0
+            for t in range(rounds_after):
+                advices = other if t % 9 == 8 else ADVICES
+                loss = float(rng.uniform()) if rng.random() < 0.3 else 0.0
+                outcomes = []
+                for each in (clone, policy):
+                    p, trace = each.advise(advices)
+                    arm = each.sample(p)
+                    each.update(trace, arm, loss)
+                    outcomes.append((bits(p), trace_bits(trace), arm))
+                reused += p is last[0]
+                last = p, trace
+                assert outcomes[0] == outcomes[1]
+            assert reused >= 10
 
     def test_rejects_advice_rows_that_are_not_distributions(self):
         policy, reference = self.make(), self.make()

@@ -153,6 +153,28 @@ class TestRegretReport:
         assert report.best_expert_loss == 2.0
         assert report.regret == 4.5
 
+    @pytest.mark.parametrize("num_experts", range(1, 17))
+    def test_best_expert_loss_is_numpy_min_bit_for_bit(self, num_experts):
+        # Read in Python, the best expert's loss is NumPy's minimum to the
+        # bit and the sign, also with NaN, an infinity or a zero of either
+        # sign at any position, over base vectors that hold zeros of both
+        # signs, negatives and infinities themselves.
+        rng = np.random.default_rng(400 + num_experts)
+        specials = (np.nan, np.inf, -np.inf, 0.0, -0.0)
+        bases = [rng.uniform(0.0, 50.0, num_experts),
+                 rng.choice([0.0, -0.0, 0.5, 2.0, 7.25], num_experts),
+                 rng.choice([0.0, -0.0], num_experts),
+                 rng.choice([-3.0, 0.0, -0.0, 1.5, np.inf, -np.inf], num_experts)]
+        for base in bases:
+            for position in range(num_experts):
+                for special in specials:
+                    losses = base.copy()
+                    losses[position] = special
+                    got = RegretReport(per_expert_loss=losses).best_expert_loss
+                    want = float(losses.min())
+                    assert type(got) is float
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), losses
+
 
 class TestAccumulate:
     def test_point_mass_play_splits_majority_loss(self):

@@ -126,3 +126,10 @@ class TestExp4Policy(RoundProtocolContract):
             assert validate(p, tol=1e-9)
             arm = policy.sample(p)
             policy.update(trace, arm, float(rng.uniform()))
+
+
+@pytest.mark.parametrize("num_arms, num_experts", [(1, 2), (0, 2), (2, 0)])
+def test_out_of_range_counts_are_named(num_arms, num_experts):
+    with pytest.raises(ValueError) as raised:
+        Exp4Config(num_arms=num_arms, num_experts=num_experts, eta=0.1)
+    assert str(raised.value) == "need at least 2 arms and 1 expert"

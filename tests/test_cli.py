@@ -13,7 +13,7 @@ from myga.audit import theorem_bound_value
 from myga.cli import (ROUND_HEADER, SUMMARY_HEADER, ExperimentConfig,
                       build_config, emit_csv, execute, main, parse_config_file,
                       run)
-from myga.environments import RoundData, save_replay
+from myga.environments import KINDS, EnvSpec, RoundData, generate, save_replay
 
 
 class TestParseConfigFile:
@@ -226,6 +226,25 @@ class TestExecute:
         result = execute(config)
         assert result.exit_code == 0
         assert result.seed_results[0].report.rounds == 6
+
+    @pytest.mark.parametrize("policy", ["exp4_threshold", "myga"])
+    def test_replay_run_equals_the_run_it_was_saved_from(self, tmp_path, policy):
+        # A saved environment replays to the bytes of the generated run,
+        # past the first 1024-round chunk of generated rounds and the first
+        # 1024-uniform block of the sample stream.
+        spec = EnvSpec(kind="zero_loss_expert", num_arms=3, num_experts=4, horizon=1100, seed=1)
+        path = str(tmp_path / "replay.txt")
+        save_replay(path, [generate(spec, t) for t in range(1, 1101)])
+        written = []
+        for env, replay_path in (("replay", path), ("zero_loss_expert", None)):
+            out = str(tmp_path / env)
+            execute(ExperimentConfig(policy=policy, env=env, replay_path=replay_path,
+                                     num_arms=3, num_experts=4, horizon=1100, seeds=(1,),
+                                     out=out))
+            written.append([open(out + suffix, "rb").read()
+                            for suffix in ("_rounds.csv", "_summary.csv")])
+        assert written[0] == written[1]
+        assert written[0][0].count(b"\n") == 1 + 1100
 
     def write_replay(self, path, loss):
         """Six rounds of two experts on two arms, every arm losing ``loss``."""
@@ -523,3 +542,13 @@ class TestSubprocess:
             [sys.executable, "-m", "myga.cli", "--horizon", "not-a-number"],
             capture_output=True, text=True)
         assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("fields, message", [
+    pytest.param({"env": "drifting"}, f"env 'drifting' not one of {KINDS}", id="env"),
+    pytest.param({"seeds": ()}, "need at least one seed", id="seeds"),
+])
+def test_out_of_range_config_values_are_named(fields, message):
+    with pytest.raises(ValueError) as raised:
+        ExperimentConfig(**fields)
+    assert str(raised.value) == message

@@ -666,3 +666,30 @@ class TestReplayParsers:
     def test_crlf_and_tabs_take_the_vectorised_parse(self):
         for text, _, _ in SPELLINGS[:2]:
             assert env_mod._parse_columns(text.encode()) is not None
+
+
+def replay_with_header(header):
+    """A loader of a replay file that holds only ``header``."""
+    def load(tmp_path):
+        path = tmp_path / "replay.txt"
+        path.write_text(header + "\n")
+        return load_replay(str(path))
+    return load
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda tmp_path: spec_for("zero_loss_expert", num_experts=0),
+                 "need at least 1 expert", id="spec-experts"),
+    pytest.param(lambda tmp_path: spec_for("stochastic_gap", horizon=0),
+                 "need at least 1 round", id="spec-horizon"),
+    pytest.param(replay_with_header("1 2 3"), "line 1: header values out of range",
+                 id="header-arms"),
+    pytest.param(replay_with_header("2 0 3"), "line 1: header values out of range",
+                 id="header-experts"),
+    pytest.param(replay_with_header("2 2 0"), "line 1: header values out of range",
+                 id="header-rounds"),
+])
+def test_out_of_range_values_are_named(tmp_path, build, message):
+    with pytest.raises(ValueError) as raised:
+        build(tmp_path)
+    assert str(raised.value) == message

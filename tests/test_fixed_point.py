@@ -515,3 +515,10 @@ class TestTwoArmOracle:
             kept = float(weights.per_threshold[grid < x].sum())
             assert abs(x - (weights.base * base_mass + x * kept)) <= 1e-12
             assert 0.0 <= x <= 0.5 + 1e-12
+
+
+@pytest.mark.parametrize("grid", [[[0.1, 0.2]], 0.25], ids=["2-d", "0-d"])
+def test_grid_of_wrong_dimension_is_named(grid):
+    with pytest.raises(ValueError) as raised:
+        require_grid(grid)
+    assert str(raised.value) == "thresholds must be a 1-d array"

@@ -439,3 +439,20 @@ class TestMygaPolicyUpdate(RoundProtocolContract):
             policy.update(trace, arm, 1.0 if arm == 0 else 0.0)
         w_real, _ = round_weights(policy)
         assert w_real[1] > w_real[0]
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: MygaConfig(num_arms=2, num_experts=2, horizon=0, eta=0.1, gamma=0.25,
+                                    grid_denominator=4),
+                 "need at least 1 round", id="config-horizon"),
+    pytest.param(lambda: MygaConfig(num_arms=2, num_experts=2, horizon=10, eta=0.1, gamma=0.0),
+                 "gamma must lie in (0, 1/2]", id="config-gamma-zero"),
+    pytest.param(lambda: MygaConfig(num_arms=2, num_experts=2, horizon=10, eta=0.1, gamma=0.55),
+                 "gamma must lie in (0, 1/2]", id="config-gamma-above-half"),
+    pytest.param(lambda: build_threshold_grid(0.25, 1),
+                 "grid denominator must be at least 2", id="grid-denominator"),
+])
+def test_out_of_range_values_are_named(build, message):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == message

@@ -197,3 +197,11 @@ class TestSampleIndex:
     def test_top_drift_falls_back_to_positive_arm(self):
         p = np.array([1.0 - 1e-12, 1e-12, 0.0])
         assert p[sample_index(p, 0.9999999999999999)] > 0.0
+
+
+@pytest.mark.parametrize("advices", [np.array([0.5, 0.5]), np.full((1, 2, 2), 0.5)],
+                         ids=["1-d", "3-d"])
+def test_advice_of_wrong_dimension_is_named(advices):
+    with pytest.raises(ValueError) as raised:
+        weighted_average(advices, np.ones(1))
+    assert str(raised.value) == "advices must be a 2-d array, one row per expert"
