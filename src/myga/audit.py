@@ -27,8 +27,9 @@ of which there are at most K.  The proportionality gap between the two
 sides of the rule is affine in the removed mass, so its largest size over
 the whole table is reached at the table's smallest or largest value; no
 threshold-by-arm matrix is built.
-Floats are added one at a time from the left, by ``simplex.left_sum`` or a
-loop in the same order; builtin ``sum`` only tells whether a NaN is present.
+Floats are added one at a time from the left with ``+=``, the order of
+``simplex.left_sum``; builtin ``sum`` only tells whether a NaN or an
+infinity may be present.
 
 Checks compare at tolerance 1e-9; the per-round loss check also counts
 a NaN margin as a violation.  Violations are recorded, never repaired.
@@ -51,7 +52,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .policy import RoundTrace
-from .simplex import left_sum
 
 AUDIT_TOL = 1e-9
 
@@ -112,19 +112,27 @@ def check_round(trace: RoundTrace, gamma: float, num_arms: int) -> list[Violatio
     minority_mass = trace.minority_mass
     table = trace.dropped_table.values
 
-    if not all(map(math.isfinite, (*zeta, *q, *p, majority_mass, minority_mass, *table))):
+    # A sum is finite only if every term is; an overflowing one is checked term by term.
+    if not math.isfinite(sum(zeta) + sum(q) + sum(p) + majority_mass + minority_mass
+                         + sum(table)) and not all(map(math.isfinite, (
+                             *zeta, *q, *p, majority_mass, minority_mass, *table))):
         return [Violation(trace.t, "non_finite_trace", math.nan,
                           "the round's mixture, solved or played masses are not all finite")]
 
     # The proportionality gap is affine in the removed mass, so its largest
-    # size over the table sits at the table's smallest or largest value.
-    extremes = (min(table), max(table)) if len(thresholds) else ()
+    # size over the table sits at the table's smallest or largest value;
+    # each gives the rule's two factors once per round.
+    proportional = bool(len(thresholds))
+    if proportional:
+        least, most = min(table), max(table)
+        least_grown, most_grown = majority_mass + least, majority_mass + most
+        least_kept, most_kept = 1.0 - (minority_mass - least), 1.0 - (minority_mass - most)
 
     # The table is checked at its two ends, its first and last pieces.  Its
     # values add the minority masses smallest first, and so does this check,
     # one pass for both ends.
     table_gap = 0.0
-    if len(thresholds):
+    if proportional:
         lowest, highest = thresholds[0], thresholds[-1]
         low = high = 0.0
         for x in reversed(q[k:]):
@@ -132,14 +140,15 @@ def check_round(trace: RoundTrace, gamma: float, num_arms: int) -> list[Violatio
                 low += x
             if x <= highest:
                 high += x
-        for j, removed in ((0, low), (-1, high)):
-            size = abs(table[j] - removed)
-            if size > table_gap:
-                table_gap = size
+        table_gap = abs(table[0] - low)
+        if abs(table[-1] - high) > table_gap:
+            table_gap = abs(table[-1] - high)
 
     # One pass over the arms gathers every rule's margin.  Each is kept by
     # comparison, ``if b > a: a = b``, which is what ``a = max(a, b)`` does.
-    zeta_majority = left_sum(zeta[:k])
+    zeta_majority = 0.0
+    for z in zeta[:k]:
+        zeta_majority += z
     growth = 1.0 - 2.0 * num_arms * gamma
     gap = over = drop = 0.0
     under = shrink = -math.inf
@@ -150,9 +159,11 @@ def check_round(trace: RoundTrace, gamma: float, num_arms: int) -> list[Violatio
                 under = zi - qi
             if zi < zeta_low:
                 zeta_low = zi
-            for d in extremes:
-                size = abs((majority_mass + d) * qi / majority_mass * zeta_majority
-                           - (1.0 - (minority_mass - d)) * zi)
+            if proportional:
+                size = abs(least_grown * qi / majority_mass * zeta_majority - least_kept * zi)
+                if size > gap:
+                    gap = size
+                size = abs(most_grown * qi / majority_mass * zeta_majority - most_kept * zi)
                 if size > gap:
                     gap = size
         elif qi - zi > over:
@@ -257,8 +268,18 @@ class Auditor:
         A trace that does not hold the last trace's play gets a new record;
         every round then reads its losses through the record, and a repeated
         play reuses its check with this round's ``t``.
+
+        A round whose losses are all +0.0 or -0.0 adds nothing to the expert
+        losses.  The skip is exact on the traces ``advise`` returns: their
+        advice rows passed the row check, so each product with a zero loss
+        is a zero of either sign, and adding one changes no entry of
+        ``per_expert_loss`` other than a -0.0, which that vector never
+        holds: it starts at +0.0, and a float sum is -0.0 only when both
+        terms are.  A trace whose advice holds a NaN or an infinity (which
+        ``advise`` never returns) would have made that expert's loss NaN.
         """
         losses = np.asarray(losses, dtype=float)
+        values = losses.tolist()
         report = self.report
         if self._last is None or not _same_play(trace, self._last):
             arms = _played_arms(trace) if isinstance(trace, RoundTrace) else ((), ())
@@ -267,11 +288,11 @@ class Auditor:
         play, majority_arms, minority_arms = self._record
         self.round_play_loss = float(play.dot(losses))
         report.total_play_loss += self.round_play_loss
-        report.per_expert_loss += trace.advices.dot(losses)
+        if any(values):   # zero losses, of either sign, would add exact zeros
+            report.per_expert_loss += trace.advices.dot(losses)
         report.rounds += 1
         if not isinstance(trace, RoundTrace):
             return 0
-        values = losses.tolist()
         majority = minority = 0.0
         for arm in majority_arms:
             majority += values[arm]

@@ -167,14 +167,21 @@ def _solve(values: list[float], pivot: int, weights: MixtureWeights,
             if new > old:
                 kept[i] = weights.split(new)[0]
         below = reached
-        denom = [1.0 - w for w in kept]
-        if any(d <= 0.0 for d in denom):
-            raise RuntimeError("threshold weight mass exhausted the mixture")
-        q_min = [b / d for b, d in zip(base_min, denom)]
+        q_min = []
+        for b, w in zip(base_min, kept):
+            d = 1.0 - w
+            if d <= 0.0:
+                raise RuntimeError("threshold weight mass exhausted the mixture")
+            q_min.append(b / d)
     else:
         raise RuntimeError("boundary growth failed to terminate")
 
-    scale = (1.0 - left_sum(q_min)) / left_sum(values[:k])
+    minority_mass = majority_mass = 0.0
+    for x in q_min:
+        minority_mass += x
+    for z in values[:k]:
+        majority_mass += z
+    scale = (1.0 - minority_mass) / majority_mass
     q = [z * scale for z in values[:k]] + q_min
     resid = mixture_residual(q, values, k, weights, grid)
     if not resid <= RESIDUAL_TOL:
@@ -221,12 +228,15 @@ def mixture_residual(q, zeta_sorted, pivot: int, weights: MixtureWeights,
 
     A NaN anywhere in the comparison makes the distance NaN.
     """
-    q_vals = floats(q)
-    zeta = floats(zeta_sorted)
-    grid = floats(thresholds)
+    q_vals = q if type(q) is list else floats(q)
+    zeta = zeta_sorted if type(zeta_sorted) is list else floats(zeta_sorted)
+    grid = thresholds if type(thresholds) is list else floats(thresholds)
     base = float(weights.base)
     k = pivot
-    majority_mass = left_sum(q_vals[:k])
+    majority = q_vals[:k]
+    majority_mass = 0.0
+    for x in majority:
+        majority_mass += x
     if majority_mass <= 0.0:
         raise ValueError("majority arms carry no mass, truncation undefined")
 
@@ -245,9 +255,8 @@ def mixture_residual(q, zeta_sorted, pivot: int, weights: MixtureWeights,
     # Arm i is kept by the thresholds strictly below it and dropped by the
     # rest, so the majority's intake sum_j w_j * (minority mass <= grid[j])
     # regroups per arm, added left to right; no arm order is assumed.
-    q_min = q_vals[k:]
     dropped_weight = 0.0
-    for x, z in zip(q_min, zeta[k:]):
+    for x, z in zip(q_vals[k:], zeta[k:]):
         kept, dropped = weights.split(_place(grid, x))
         gap = abs(x - (base * z + x * kept))
         if not gap <= worst:
@@ -256,7 +265,7 @@ def mixture_residual(q, zeta_sorted, pivot: int, weights: MixtureWeights,
             worst = gap
         dropped_weight += x * dropped
     scale = (1.0 - base) + dropped_weight / majority_mass
-    for x, z in zip(q_vals[:k], zeta[:k]):
+    for x, z in zip(majority, zeta[:k]):
         gap = abs(x - (base * z + x * scale))
         if not gap <= worst:
             if gap != gap:

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import simplex
 from .fixed_point import _solve
-from .simplex import ArmPermutation, left_sum
+from .simplex import ArmPermutation
 from .truncation import StepFunction, truncate, truncated_mass_table
 
 # Shifted real-expert weights are floored here so the real mixture stays
@@ -262,8 +262,14 @@ class WeightState:
         return self._prefix.item(block) + self.inner_cum.item(n - 1) * self._scale.item(block)
 
     def split(self, n: int) -> tuple[float, float]:
-        """Shares of the first ``n`` thresholds (kept) and of the rest (dropped)."""
-        kept = self.prefix(n)
+        """Shares of the first ``n`` thresholds (kept) and of the rest (dropped).
+
+        The kept weight is ``prefix(n)``, read here without the call.
+        """
+        block, rest = divmod(n, self.width)
+        kept = self._prefix.item(block)
+        if rest:
+            kept += self.inner_cum.item(n - 1) * self._scale.item(block)
         return kept / self._norm, (self.total - kept) / self._norm
 
     def charge(self, costs: StepFunction) -> None:
@@ -461,6 +467,12 @@ class MygaPolicy(ExpertPolicy):
         q, below, residual = _solve(zeta_sorted, pivot, state, self.thresholds)
         p_sorted = truncate(q, pivot, self.cfg.gamma)
         p_original = perm.to_original(p_sorted)
+        majority_mass = minority_mass = 0.0   # each block added from the left
+        for i, x in enumerate(q):
+            if i < pivot:
+                majority_mass += x
+            else:
+                minority_mass += x
         trace = RoundTrace(
             t=self.t,
             advices=advices,
@@ -472,8 +484,8 @@ class MygaPolicy(ExpertPolicy):
             p_original=p_original,
             thresholds=self.thresholds,
             dropped_table=truncated_mass_table(q[pivot:], below, len(self.thresholds)),
-            majority_mass=left_sum(q[:pivot]),
-            minority_mass=left_sum(q[pivot:]),
+            majority_mass=majority_mass,
+            minority_mass=minority_mass,
             residual=residual,
             below=below,
             iterations=sum(below),

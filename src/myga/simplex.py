@@ -10,12 +10,18 @@ entries costs more in call overhead than a Python loop over them, so a
 round's vectors stay lists from the mixture to the audit.  Each public
 function also accepts an array, which ``floats`` converts once on entry.
 NumPy is left to the (experts, arms) advice matrix and its products.
-Totals are added one entry at a time from the left (``left_sum``)
-and prefix sums with ``itertools.accumulate``, the order in which NumPy
-reduces fewer than eight entries and in which ``cumsum`` always runs, so
-results match the whole-array NumPy expressions bit for bit below eight
-arms and up to rounding above.  Binary searches use ``bisect``, the
-search ``np.searchsorted`` makes.
+Totals are added one entry at a time from the left, as ``left_sum``
+does, and prefix sums with ``itertools.accumulate``, the order in which
+NumPy reduces fewer than eight entries and in which ``cumsum`` always
+runs, so results match the whole-array NumPy expressions bit for bit
+below eight arms and up to rounding above.  Binary searches use
+``bisect``, the search ``np.searchsorted`` makes.
+
+A round calls these helpers once each, so their bodies are written for
+the interpreter: a list is taken without a call to ``floats``, and the
+left-to-right totals are plain loops, one per step, rather than calls
+to ``left_sum`` or generator expressions, each of which is a Python
+call of its own.
 """
 
 from __future__ import annotations
@@ -39,7 +45,8 @@ def left_sum(values) -> float:
     """Sum of floats added one at a time from the left, starting at 0.0.
 
     This is NumPy's order for fewer than eight entries.  Builtin ``sum``
-    compensates its rounding from Python 3.12 on, so it is not used on floats.
+    compensates its rounding from Python 3.12 on, so it adds no floats here;
+    it only tells whether a NaN or an infinity may be present.
     """
     total = 0.0
     for value in values:
@@ -52,10 +59,11 @@ def _first_bad_row(rows: list[list[float]], tol: float) -> int:
 
     One loop over the rows' floats, each row summed as ``left_sum`` does.
     """
+    inf = math.inf
     for i, row in enumerate(rows):
         total = 0.0
         for value in row:
-            if not 0.0 <= value < math.inf:   # negative, infinite or NaN
+            if not 0.0 <= value < inf:   # negative, infinite or NaN
                 return i
             total += value
         if not abs(total - 1.0) <= tol:
@@ -81,7 +89,7 @@ def require_distribution(probs, what: str = "distribution") -> list[float]:
     if not validate(probs):
         raise ValueError(f"{what} is not a probability distribution: "
                          f"{np.asarray(probs, dtype=float)!r}")
-    return floats(probs)
+    return probs if type(probs) is list else floats(probs)
 
 
 def require_distribution_rows(matrix: np.ndarray, what: str = "distribution") -> np.ndarray:
@@ -120,7 +128,9 @@ def weighted_average(advices: np.ndarray, weights: np.ndarray) -> list[float]:
         if not 0.0 < w < math.inf:
             raise ValueError("weights must be strictly positive and finite")
     mix = (weights @ advices).tolist()
-    total = left_sum(mix)
+    total = 0.0
+    for m in mix:
+        total += m
     if total <= 0.0:
         raise ValueError("advice mixture has no mass")
     return [m / total for m in mix]
@@ -138,7 +148,8 @@ class ArmPermutation:
     inverse: list[int]
 
     def to_original(self, values) -> list[float]:
-        values = floats(values)
+        if type(values) is not list:
+            values = floats(values)
         return [values[i] for i in self.inverse]
 
 
@@ -149,16 +160,20 @@ def sort_descending(zeta) -> tuple[list[float], ArmPermutation]:
     deterministic; NaN entries go last, in arm order, as in NumPy's sort.
     Returns the sorted values and the permutation.
     """
-    values = floats(zeta)
+    values = zeta if type(zeta) is list else floats(zeta)
     arms = range(len(values))
-    if any(map(math.isnan, values)):
+    if math.isnan(sum(values)):   # a NaN, or +inf and -inf, which this key also sorts
         order = sorted(arms, key=lambda i: (values[i] == values[i], values[i]), reverse=True)
+        ordered = [values[i] for i in order]
     else:
+        # Both sorts are stable over the same keys, so equal entries, zeros
+        # of either sign among them, come out in arm order in each.
         order = sorted(arms, key=values.__getitem__, reverse=True)
+        ordered = sorted(values, reverse=True)
     inverse = [0] * len(values)
     for position, arm in enumerate(order):
         inverse[arm] = position
-    return [values[i] for i in order], ArmPermutation(forward=order, inverse=inverse)
+    return ordered, ArmPermutation(forward=order, inverse=inverse)
 
 
 def pivot_index(zeta_sorted) -> int:
@@ -168,11 +183,14 @@ def pivot_index(zeta_sorted) -> int:
     reaches one half or it does not.  Arms inside the prefix are the
     majority arms, the rest the minority.
     """
-    values = floats(zeta_sorted)
+    values = zeta_sorted if type(zeta_sorted) is list else floats(zeta_sorted)
     if not values:
         raise ValueError("empty distribution has no pivot")
-    if any(b - a > 0.0 for a, b in zip(values, values[1:])):
-        raise ValueError("pivot_index expects a non-increasing distribution")
+    last = values[0]
+    for value in values:
+        if value - last > 0.0:
+            raise ValueError("pivot_index expects a non-increasing distribution")
+        last = value
     k = bisect_left(list(accumulate(values)), 0.5) + 1
     return min(k, len(values))
 
@@ -183,7 +201,7 @@ def sample_index(probs, u: float) -> int:
     Zero-mass arms are never selected; a uniform landing past the final
     cumulative value (floating drift) falls back to the last positive arm.
     """
-    values = floats(probs)
+    values = probs if type(probs) is list else floats(probs)
     cdf = list(accumulate(values))
     if cdf and math.isnan(cdf[-1]):   # NumPy's search orders NaN above every number
         cdf = [math.inf if math.isnan(c) else c for c in cdf]

@@ -11,12 +11,14 @@ The convention s = 0 is accepted and acts as the identity, since no
 positive mass can be <= 0.
 
 ``truncate`` takes and returns a list of Python floats (an array is
-converted on entry), its entries added one at a time from the left
-(``simplex.left_sum``), so its result equals the whole-array NumPy form
-bit for bit below eight arms.  The removed-mass table over the threshold
-grid is a step function with one piece more than the minority arms it
-removes, never an array over the grid, and is built from the solver's
-placement of each arm on the grid, with no search.
+converted on entry), its entries added one at a time from the left in
+plain loops, the order of ``simplex.left_sum``, so its result equals the
+whole-array NumPy form bit for bit below eight arms.  One pass over the
+minority arms both truncates them and continues the input's total for
+the drift check.  The removed-mass table over the threshold grid is a
+step function with one piece more than the minority arms it removes,
+never an array over the grid, and is built from the solver's placement
+of each arm on the grid, with no search.
 """
 
 from __future__ import annotations
@@ -24,16 +26,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import simplex
-from .simplex import left_sum
 
 DRIFT_TOL = 1e-9
-
-
-def _check_params(size: int, pivot: int, threshold: float) -> None:
-    if not 1 <= pivot <= size:
-        raise ValueError(f"pivot {pivot} outside [1, {size}]")
-    if not 0.0 <= threshold <= 0.5:
-        raise ValueError(f"threshold {threshold} outside [0, 1/2]")
 
 
 def truncate(q, pivot: int, threshold: float) -> list[float]:
@@ -45,17 +39,35 @@ def truncate(q, pivot: int, threshold: float) -> list[float]:
     ``DRIFT_TOL`` (an arithmetic inconsistency, not a user error).
     """
     values = simplex.require_distribution(q, what="truncation input")
-    _check_params(len(values), pivot, threshold)
-    majority_mass = left_sum(values[:pivot])
+    size = len(values)
+    if not 1 <= pivot <= size:
+        raise ValueError(f"pivot {pivot} outside [1, {size}]")
+    if not 0.0 <= threshold <= 0.5:
+        raise ValueError(f"threshold {threshold} outside [0, 1/2]")
+    majority = values[:pivot]
+    majority_mass = 0.0
+    for x in majority:
+        majority_mass += x
     if majority_mass <= 0.0:
         raise ValueError("majority arms carry no mass, cannot redistribute")
 
+    # The input's total continues the majority's; the removed mass and the
+    # output's total each start at 0.0, every total added from the left.
+    total_in = majority_mass
+    removed = 0.0
     minority = values[pivot:]
-    factor = 1.0 + left_sum(x for x in minority if x <= threshold) / majority_mass
-    out = [x * factor for x in values[:pivot]] + [0.0 if x <= threshold else x
-                                                  for x in minority]
+    for i, x in enumerate(minority):
+        total_in += x
+        if x <= threshold:
+            removed += x
+            minority[i] = 0.0
+    factor = 1.0 + removed / majority_mass
+    out = [x * factor for x in majority] + minority
+    total_out = 0.0
+    for x in out:
+        total_out += x
 
-    drift = abs(left_sum(out) - left_sum(values))
+    drift = abs(total_out - total_in)
     if drift > DRIFT_TOL:
         raise RuntimeError(f"truncation failed to conserve mass, drift {drift:.3e}")
     return out

@@ -872,3 +872,53 @@ class TestPlayRecord:
         assert auditor.report.majority_loss == 1.0   # round 7's majority arm is arm 1
         assert report_bits(auditor.report) == report_bits(reference.report)
         assert violation_bits(auditor.violations) == violation_bits(reference.violations)
+
+
+class TestZeroLossRound:
+    """A round whose losses are all zeros, of either sign, adds nothing to the expert losses."""
+
+    @pytest.mark.parametrize("policy", ["myga", "exp4_threshold"])
+    def test_policy_traces_match_the_full_add(self, policy):
+        # K=2, E=4: about half the rounds lose nothing.  The auditors see each
+        # of those rounds' losses as +0.0, as -0.0 or as a mix of both signs.
+        horizon = 900
+        spec = EnvSpec(kind="stochastic_gap", num_arms=2, num_experts=4,
+                       horizon=horizon, seed=4)
+        eta, gamma = schedule_parameters(2, 4, horizon, float(horizon))
+        if policy == "myga":
+            pol = MygaPolicy(MygaConfig(num_arms=2, num_experts=4, horizon=horizon,
+                                        eta=eta, gamma=gamma),
+                             sample_rng=np.random.default_rng(4))
+        else:
+            pol = Exp4Policy(Exp4Config(num_arms=2, num_experts=4, eta=eta,
+                                        variant="thresholded", gamma=gamma),
+                             sample_rng=np.random.default_rng(4))
+        zeros = (np.array([0.0, 0.0]), np.array([-0.0, -0.0]), np.array([0.0, -0.0]))
+        auditor, reference = Auditor(2, 4, gamma), ReferenceAuditor(2, 4, gamma)
+        zero_rounds = 0
+        for t in range(1, horizon + 1):
+            data = generate(spec, t)
+            p, trace = pol.advise(data.advices)
+            arm = pol.sample(p)
+            pol.update(trace, arm, float(data.losses[arm]))
+            losses = data.losses
+            if not losses.any():
+                losses = zeros[zero_rounds % 3]
+                zero_rounds += 1
+            auditor.observe_round(trace, losses)
+            reference.observe_round(trace, losses)
+        assert zero_rounds > horizon // 3
+        assert report_bits(auditor.report) == report_bits(reference.report)
+        assert violation_bits(auditor.violations) == violation_bits(reference.violations)
+        assert np.all(np.signbit(auditor.report.per_expert_loss) == 0)
+
+    def test_expert_add_is_skipped(self):
+        # Outside the precondition: an advice entry no row check would pass.
+        # Its product with a zero loss is NaN, and the skipped add leaves it out.
+        trace = BaselineTrace(t=1, advices=np.array([[math.nan, 1.0], [0.5, 0.5]]),
+                              p_original=[0.5, 0.5])
+        auditor = Auditor(num_arms=2, num_experts=2)
+        auditor.observe_round(trace, np.array([-0.0, 0.0]))
+        assert auditor.report.per_expert_loss.tobytes() == np.zeros(2).tobytes()
+        auditor.observe_round(trace, np.array([0.0, 1.0]))
+        assert np.isnan(auditor.report.per_expert_loss[0])
