@@ -7,8 +7,13 @@ per-round log and a per-seed summary.  Identical configuration produces
 identical bytes.  Exit code 0 means success, 1 a configuration or I/O error, 2
 that the run finished but the auditor recorded violations, and 3 an
 internal invariant failure that stopped the run (a ``RuntimeError``, such
-as a fixed-point residual over tolerance or NaN, truncation drift, or a
-played arm of zero probability).
+as a fixed-point residual over tolerance or NaN, truncation drift, a
+played arm of zero probability, or a generated advice row that is not a
+distribution).
+
+The loop plays the rows ``generate`` returns, which the environment
+checked where it made them, so it asks ``advise`` for no second row
+check (``_checked=True``); every played row is checked once.
 """
 
 from __future__ import annotations
@@ -187,7 +192,7 @@ def execute(config: ExperimentConfig) -> ExperimentResult:
             rows: list[tuple] = []
             for t in range(1, config.horizon + 1):
                 data = generate(spec, t)
-                p, trace = pol.advise(data.advices)
+                p, trace = pol.advise(data.advices, _checked=True)
                 arm = pol.sample(p)
                 realized = float(data.losses[arm])
                 pol.update(trace, arm, realized)

@@ -9,6 +9,12 @@ every round's loss vector) in one call.  A round is a fresh, writable copy
 of one row of its chunk.  Losses live in [0, 1]; advice rows are
 distributions over arms.
 
+Each advice row is checked once, where it is made, with one whole-array
+rule (``simplex.distribution_rows``): a generated chunk's (C, E, K) block
+when ``_chunk`` draws it, a replay's advices when the file is parsed.
+So the rows ``generate`` returns are already checked, and the run's loop
+plays them without checking them again.
+
 Replay files are plain text with LF line endings: a header line
 ``K num_experts T``, then per round one loss line followed by one
 advice line per expert, all space-separated ``repr`` floats (lossless
@@ -109,7 +115,10 @@ def _chunk(spec: EnvSpec, chunk: int) -> tuple[np.ndarray, np.ndarray]:
     ``chunk * C + 1 .. (chunk + 1) * C``, read-only.
 
     They come from the generator of ``[seed, _CHUNK_SALT, chunk]``, one call
-    per random block.
+    per random block.  Every advice row is checked here, once, with the
+    replay parser's whole-array rule; a row that is not a distribution is
+    an internal invariant failure, a RuntimeError naming its round and
+    expert.
     """
     rng = np.random.default_rng([spec.seed, _CHUNK_SALT, chunk])
     num_arms, num_experts = spec.num_arms, spec.num_experts
@@ -148,6 +157,11 @@ def _chunk(spec: EnvSpec, chunk: int) -> tuple[np.ndarray, np.ndarray]:
         good_arm = ((chunk * _CHUNK + rows) // block) % num_arms
         losses = (rng.random((_CHUNK, num_arms)) < 0.6).astype(float)
         losses[rows, good_arm] = 0.0
+    checked = simplex.distribution_rows(advices)
+    if not checked.all():
+        row, expert = np.argwhere(~checked)[0].tolist()
+        raise RuntimeError(f"generated advice of round {chunk * _CHUNK + row + 1}, expert "
+                           f"{expert}, is not a distribution: {advices[row, expert]!r}")
     advices.flags.writeable = False
     losses.flags.writeable = False
     return advices, losses
@@ -251,14 +265,9 @@ def _parse_columns(data: bytes) -> Replay | None:
     # Views of one buffer; a round's losses and advices are each contiguous.
     table = rows.reshape(num_rounds, per_round, num_arms)
     losses, advices = table[:, 0], table[:, 1:]
-    # ``_parse_lines``'s rules on whole arrays.  NaN fails every comparison;
-    # each advice row's sum is added column by column from the left.
-    total = np.zeros(advices.shape[:2])
-    for column in np.moveaxis(advices, 2, 0):
-        total += column
+    # ``_parse_lines``'s rules on whole arrays; NaN fails every comparison.
     if not (np.all((losses >= 0.0) & (losses <= 1.0))
-            and np.all((advices >= 0.0) & (advices < np.inf))
-            and np.all(np.abs(total - 1.0) <= simplex.SIMPLEX_TOL)):
+            and np.all(simplex.distribution_rows(advices))):
         return None
     return Replay(losses=losses, advices=advices)
 

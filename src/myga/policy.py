@@ -390,8 +390,14 @@ class ExpertPolicy:
     def _charge(self, trace, arm_original: int, est: float) -> None:
         """Charge the experts beyond the real ones; a policy of real experts alone has none."""
 
-    def advise(self, advices: np.ndarray):
+    def advise(self, advices: np.ndarray, *, _checked: bool = False):
         """Check the round's advice matrix, every row a distribution, and compute the play distribution.
+
+        ``_checked`` is internal, not for library callers: ``cli.execute``
+        passes True for the rows ``environments.generate`` returns, which
+        were checked with the same rule where they were made.  The row
+        check is then skipped; the shape check and the state guards still
+        run.
 
         A round whose weights (no rebase since the last round) and advice
         bytes are the last round's plays the last round's distribution: its
@@ -417,7 +423,8 @@ class ExpertPolicy:
             trace.__dict__.update(self._last.__dict__, t=self.t, advices=advices)
             p_original = trace.p_original
         else:
-            simplex.require_distribution_rows(advices, what="expert advice")
+            if not _checked:
+                simplex.require_distribution_rows(advices, what="expert advice")
             p_original, trace = self._play(advices)
             self._last_key, self._last = key, trace
         self._awaiting_update = True

@@ -71,6 +71,24 @@ def _first_bad_row(rows: list[list[float]], tol: float) -> int:
     return -1
 
 
+def distribution_rows(array: np.ndarray) -> np.ndarray:
+    """Whether each row along the last axis of a float array is a distribution.
+
+    ``_first_bad_row``'s rule on a whole array: entries in [0, inf), and
+    each row's sum, added column by column from the left, within
+    ``SIMPLEX_TOL`` of 1.  NaN fails every comparison.
+    """
+    total = np.zeros(array.shape[:-1])
+    with np.errstate(invalid="ignore", over="ignore"):   # inf - inf, 1e308 + 1e308
+        for column in np.moveaxis(array, -1, 0):
+            total += column
+    summed = np.abs(total - 1.0) <= SIMPLEX_TOL
+    entries = (array >= 0.0) & (array < np.inf)
+    if entries.all():   # the usual case, without a reduction along the short rows
+        return summed
+    return entries.all(axis=-1) & summed
+
+
 def validate(probs, tol: float = SIMPLEX_TOL) -> bool:
     """Return True if ``probs`` is a distribution: entries >= 0, sum within ``tol`` of 1."""
     if type(probs) is not list:
@@ -104,6 +122,8 @@ def require_distribution_rows(matrix: np.ndarray, what: str = "distribution") ->
         if i >= 0:
             raise ValueError(f"{what} row {i} is not a probability distribution: {arr[i]!r}")
         return arr
+    if arr.ndim == 0:
+        raise ValueError(f"{what} is not a matrix of distributions: {arr!r}")
     for i, row in enumerate(arr):   # no row of a non-matrix is a distribution
         if not validate(row):
             raise ValueError(f"{what} row {i} is not a probability distribution: {row!r}")

@@ -9,11 +9,14 @@ import pytest
 import myga.cli as cli_mod
 import myga.environments as env_mod
 import myga.policy as policy_mod
+import myga.simplex as simplex_mod
 from myga.audit import theorem_bound_value
+from myga.baselines import Exp4Config, Exp4Policy
 from myga.cli import (ROUND_HEADER, SUMMARY_HEADER, ExperimentConfig,
                       build_config, emit_csv, execute, main, parse_config_file,
                       run)
 from myga.environments import KINDS, EnvSpec, RoundData, generate, save_replay
+from myga.policy import MygaConfig, MygaPolicy
 
 
 class TestParseConfigFile:
@@ -514,6 +517,112 @@ class TestRunAndMain:
         err = capsys.readouterr().err
         assert code == 3
         assert "internal error" in err and "residual" in err
+
+
+def count_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` from now on; returns the growing list of calls."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestChecksAtSource:
+    """Every advice row a run plays is checked once, where it was made."""
+
+    HORIZON = 1100   # two chunks of generated rounds per seed
+
+    def config(self, policy, env, **kwargs):
+        return ExperimentConfig(policy=policy, env=env, num_arms=3, num_experts=4,
+                                horizon=self.HORIZON, seeds=(0, 1), eta=0.3, gamma=0.05,
+                                grid_denominator=200, **kwargs)
+
+    @pytest.mark.parametrize("policy", ["myga", "exp4_threshold"])
+    @pytest.mark.parametrize("env", KINDS)
+    def test_execute_checks_each_chunk_and_parse_once(self, tmp_path, monkeypatch,
+                                                      policy, env):
+        kwargs = {}
+        if env == "replay":
+            path = str(tmp_path / "rounds.txt")
+            spec = EnvSpec(kind="adversarial_minority", num_arms=3, num_experts=4,
+                           horizon=self.HORIZON, seed=5)
+            save_replay(path, [generate(spec, t) for t in range(1, self.HORIZON + 1)])
+            kwargs["replay_path"] = path
+        row_checks = count_calls(monkeypatch, simplex_mod, "require_distribution_rows")
+        block_checks = count_calls(monkeypatch, simplex_mod, "distribution_rows")
+        chunks = count_calls(monkeypatch, env_mod, "_chunk")
+        execute(self.config(policy, env, **kwargs))
+        assert row_checks == []
+        if env == "replay":
+            assert chunks == []
+            assert len(block_checks) == 1   # the parse's
+            assert block_checks[0][0].shape == (self.HORIZON, 4, 3)
+        else:
+            assert len(chunks) == 4         # two seeds of two chunks
+            assert len(block_checks) == len(chunks)
+            assert all(args[0].shape == (1024, 4, 3) for args in block_checks)
+
+    @pytest.mark.parametrize("policy", ["myga", "exp4_threshold"])
+    def test_direct_advise_checks_each_distinct_play(self, monkeypatch, policy):
+        spec = EnvSpec(kind="stochastic_gap", num_arms=3, num_experts=4, horizon=300, seed=0)
+        if policy == "myga":
+            pol = MygaPolicy(MygaConfig(num_arms=3, num_experts=4, horizon=300, eta=0.3,
+                                        gamma=0.05, grid_denominator=200), sample_rng=0)
+        else:
+            pol = Exp4Policy(Exp4Config(num_arms=3, num_experts=4, eta=0.3,
+                                        variant="thresholded", gamma=0.05), sample_rng=0)
+        plays = count_calls(monkeypatch, pol, "_play")
+        row_checks = count_calls(monkeypatch, simplex_mod, "require_distribution_rows")
+        for t in range(1, 301):
+            data = generate(spec, t)
+            p, trace = pol.advise(data.advices)
+            arm = pol.sample(p)
+            pol.update(trace, arm, float(data.losses[arm]))
+        assert 0 < len(plays) < 300   # zero-loss rounds with the same advice repeat a play
+        assert len(row_checks) == len(plays)
+
+    def test_a_bad_generated_block_stops_the_run(self, tmp_path, monkeypatch, capsys):
+        # Chunk 1 of every seed draws an advice row that sums to 1.5: round
+        # 1030 (row 5 of the chunk), expert 2.
+        real_default_rng = np.random.default_rng
+
+        class SpoiledDraw:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def dirichlet(self, *args, **kwargs):
+                draw = self.rng.dirichlet(*args, **kwargs)
+                draw[5, 2, 0] += 0.5
+                return draw
+
+        def default_rng(seed=None):
+            rng = real_default_rng(seed)
+            if isinstance(seed, list) and seed[1:] == [env_mod._CHUNK_SALT, 1]:
+                return SpoiledDraw(rng)
+            return rng
+
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        monkeypatch.setattr(cli_mod, "ROUND_CHUNK_ROWS", 512)
+        prefix = str(tmp_path / "spoiled")
+        message = "generated advice of round 1030, expert 2, is not a distribution"
+        with pytest.raises(RuntimeError, match=message):
+            execute(self.config("exp4_threshold", "zero_loss_expert", out=prefix))
+        written = [int(row[1]) for row in rounds_csv_rows(prefix)]
+        assert written == list(range(1, 1025))   # every row of chunk 0, none of chunk 1
+        code = main(["--policy", "exp4_threshold", "--env", "zero_loss_expert",
+                     "--arms", "3", "--experts", "4", "--horizon", str(self.HORIZON),
+                     "--seed", "0", "--out", prefix])
+        assert code == 3
+        assert f"myga: internal error: {message}" in capsys.readouterr().err
+        assert [int(row[1]) for row in rounds_csv_rows(prefix)] == written
 
 
 class TestSubprocess:

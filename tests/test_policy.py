@@ -363,8 +363,8 @@ class TestPlacement:
         traces = []
         advise = MygaPolicy.advise
 
-        def capture(policy, advices):
-            p, trace = advise(policy, advices)
+        def capture(policy, advices, **kwargs):
+            p, trace = advise(policy, advices, **kwargs)
             traces.append(trace)
             return p, trace
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from myga.simplex import (ArmPermutation, left_sum, pivot_index, require_distribution,
+from myga.simplex import (SIMPLEX_TOL, ArmPermutation, _first_bad_row, distribution_rows,
+                          left_sum, pivot_index, require_distribution,
                           require_distribution_rows, sample_index,
                           sort_descending, validate, weighted_average)
 
@@ -78,6 +79,80 @@ class TestRequireDistributionRows:
     def test_rejects_non_matrix(self):
         with pytest.raises(ValueError, match="row 0"):
             require_distribution_rows(np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("scalar", [np.float64(1.0), 1.0])
+    def test_rejects_zero_dimensional_input(self, scalar):
+        with pytest.raises(ValueError) as raised:
+            require_distribution_rows(scalar, what="expert advice")
+        assert str(raised.value) == \
+            "expert advice is not a matrix of distributions: array(1.)"
+
+
+# Entries a row may hold besides ordinary masses: every one but -0.0 and
+# the smallest subnormal breaks the rule, or overflows a row's sum.
+ODD_ENTRIES = (np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.5e308)
+# Left-to-right row sums at the tolerance's two edges and one ulp past them
+# either way.
+EDGE_SUMS = tuple(np.nextafter(edge, toward) for edge in (1.0 + 1e-9, 1.0 - 1e-9)
+                  for toward in (-np.inf, np.inf)) + (1.0 + 1e-9, 1.0 - 1e-9)
+
+
+def row_summing_to(rng, num_arms, target):
+    """A row of ``num_arms`` non-negative floats whose left-to-right sum is exactly
+    ``target``; an entry before the last may be -0.0 or 5e-324."""
+    while True:   # a head whose sums with every last entry skip the target is redrawn
+        head = (rng.dirichlet(np.ones(num_arms)) * rng.uniform(0.2, 0.9))[:-1].tolist()
+        if rng.random() < 0.5:
+            head[int(rng.integers(len(head)))] = float(rng.choice([-0.0, 5e-324]))
+        prefix = left_sum(head)
+        last = target - prefix
+        for _ in range(4):
+            total = prefix + last
+            if total == target:
+                return head + [float(last)]
+            last = np.nextafter(last, np.inf if total < target else -np.inf)
+
+
+class TestDistributionRows:
+    def test_matches_first_bad_row_on_every_row(self):
+        # The whole-array rule gives each row the verdict ``_first_bad_row``
+        # gives it alone, on seeded (C, E, K) blocks with K from 2 to 8.
+        rng = np.random.default_rng(53)
+        verdicts = {True: 0, False: 0}
+        edge_rows = 0
+        for num_arms in range(2, 9):
+            for _ in range(60):
+                shape = (int(rng.integers(1, 9)), int(rng.integers(1, 5)), num_arms)
+                block = rng.dirichlet(np.ones(num_arms), size=shape[:2])
+                for c, e in np.ndindex(*shape[:2]):
+                    pick = rng.random()
+                    if pick < 0.3:
+                        block[c, e, int(rng.integers(num_arms))] = \
+                            ODD_ENTRIES[int(rng.integers(len(ODD_ENTRIES)))]
+                    elif pick < 0.7:
+                        block[c, e] = row_summing_to(
+                            rng, num_arms, EDGE_SUMS[int(rng.integers(len(EDGE_SUMS)))])
+                        edge_rows += 1
+                    elif pick < 0.8:   # a negative entry the row's sum does not show
+                        a, b = rng.choice(num_arms, size=2, replace=False)
+                        block[c, e, b] += 2.0 * block[c, e, a]
+                        block[c, e, a] *= -1.0
+                got = distribution_rows(block)
+                assert got.shape == shape[:2] and got.dtype == bool
+                for (c, e), verdict in np.ndenumerate(got):
+                    expected = _first_bad_row([block[c, e].tolist()], SIMPLEX_TOL) < 0
+                    assert verdict == expected, (block[c, e].tolist(), verdict)
+                    verdicts[expected] += 1
+        assert min(verdicts.values()) > 1000
+        assert edge_rows > 1000
+
+    def test_edge_sums_split_at_the_tolerance(self):
+        # Each edge row is accepted exactly when its sum is within 1e-9 of 1.
+        rng = np.random.default_rng(59)
+        for target in EDGE_SUMS:
+            row = row_summing_to(rng, 3, target)
+            assert left_sum(row) == target
+            assert bool(distribution_rows(np.array([row]))[0]) == (abs(target - 1.0) <= 1e-9)
 
 
 class TestWeightedAverage:
