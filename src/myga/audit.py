@@ -34,14 +34,15 @@ infinity may be present.
 Checks compare at tolerance 1e-9; the per-round loss check also counts
 a NaN margin as a violation.  Violations are recorded, never repaired.
 
-A round that repeats the last play, its trace holding the last trace's
-lists, is checked once: ``check_round`` reads only the play, and nothing
-writes to a trace after ``advise`` returns.  A repeated play's violations
-are recorded again in every round that plays it, with that round's ``t``.
-A play's record, the play as an array and the played arms as two index
-lists, is built when the play is first seen; every round, new play or
-repeat, reads its expected loss and its majority/minority split from the
-record and the round's losses.
+A round repeats the last play when its trace holds the last play
+object seen, ``trace.play is`` it; that one identity test decides it.
+Such a play is checked once: ``check_round`` reads only the play, and
+nothing writes to a play after ``advise`` returns.  A repeated play's
+violations are recorded again in every round that plays it, with that
+round's ``t``.  A play's record, the play as an array and the played arms
+as two index lists, is built when the play is first seen; every round,
+new play or repeat, reads its expected loss and its majority/minority
+split from the record and the round's losses.
 """
 
 from __future__ import annotations
@@ -103,14 +104,15 @@ class RegretReport:
 
 def check_round(trace: RoundTrace, gamma: float, num_arms: int) -> list[Violation]:
     """Structural checks on one round's solved and played distributions."""
-    k = trace.pivot
-    zeta = trace.zeta_sorted
-    q = trace.q_sorted
-    p = trace.p_sorted
-    thresholds = trace.thresholds
-    majority_mass = trace.majority_mass
-    minority_mass = trace.minority_mass
-    table = trace.dropped_table.values
+    play = trace.play
+    k = play.pivot
+    zeta = play.zeta_sorted
+    q = play.q_sorted
+    p = play.p_sorted
+    thresholds = play.thresholds
+    majority_mass = play.majority_mass
+    minority_mass = play.minority_mass
+    table = play.dropped_table.values
 
     # A sum is finite only if every term is; an overflowing one is checked term by term.
     if not math.isfinite(sum(zeta) + sum(q) + sum(p) + majority_mass + minority_mass
@@ -209,27 +211,14 @@ def check_round(trace: RoundTrace, gamma: float, num_arms: int) -> list[Violatio
 
 def _played_arms(trace: RoundTrace) -> tuple[list[int], list[int]]:
     """The played majority arms and the played minority arms, each in sorted order."""
-    k = trace.pivot
+    play = trace.play
+    k = play.pivot
     majority: list[int] = []
     minority: list[int] = []
-    for i, (mass, arm) in enumerate(zip(trace.p_sorted, trace.perm.forward)):
+    for i, (mass, arm) in enumerate(zip(play.p_sorted, play.perm.forward)):
         if mass > 0.0:
             (majority if i < k else minority).append(arm)
     return majority, minority
-
-
-def _same_play(trace, last) -> bool:
-    """Whether ``trace`` holds ``last``'s play: the same lists, and equal pivot and block masses.
-
-    A baseline's play is its ``p_original`` alone.
-    """
-    return trace.p_original is last.p_original and (
-        not isinstance(trace, RoundTrace)
-        or (trace.zeta_sorted is last.zeta_sorted and trace.q_sorted is last.q_sorted
-            and trace.p_sorted is last.p_sorted and trace.thresholds is last.thresholds
-            and trace.dropped_table is last.dropped_table and trace.perm is last.perm
-            and trace.pivot == last.pivot and trace.majority_mass == last.majority_mass
-            and trace.minority_mass == last.minority_mass))
 
 
 def theorem_bound_value(num_arms: int, num_experts: int, horizon: int,
@@ -254,7 +243,7 @@ class Auditor:
         self.report = RegretReport.empty(num_experts)
         self.violations: list[Violation] = []
         self.round_play_loss = 0.0
-        self._last = None       # the trace of the last distinct play observed
+        self._play = None       # the last distinct play observed
         self._found = None      # check_round's violations for it, once checked
         self._record = None     # its play as an array and its played arms
 
@@ -265,9 +254,9 @@ class Auditor:
         has a pivot, so only it splits its loss into majority and minority
         parts and is checked.  The round's expected play loss is kept as
         ``round_play_loss``, and the per-round majority loss check reads it.
-        A trace that does not hold the last trace's play gets a new record;
-        every round then reads its losses through the record, and a repeated
-        play reuses its check with this round's ``t``.
+        A trace whose play is not the last play object seen gets a new
+        record; every round then reads its losses through the record, and a
+        repeated play reuses its check with this round's ``t``.
 
         A round whose losses are all +0.0 or -0.0 adds nothing to the expert
         losses.  The skip is exact on the traces ``advise`` returns: their
@@ -281,12 +270,13 @@ class Auditor:
         losses = np.asarray(losses, dtype=float)
         values = losses.tolist()
         report = self.report
-        if self._last is None or not _same_play(trace, self._last):
+        play = trace.play
+        if play is not self._play:
             arms = _played_arms(trace) if isinstance(trace, RoundTrace) else ((), ())
-            self._last, self._found = trace, None
-            self._record = (np.array(trace.p_original, dtype=float), *arms)
-        play, majority_arms, minority_arms = self._record
-        self.round_play_loss = float(play.dot(losses))
+            self._play, self._found = play, None
+            self._record = (np.array(play.p_original, dtype=float), *arms)
+        masses, majority_arms, minority_arms = self._record
+        self.round_play_loss = float(masses.dot(losses))
         report.total_play_loss += self.round_play_loss
         if any(values):   # zero losses, of either sign, would add exact zeros
             report.per_expert_loss += trace.advices.dot(losses)

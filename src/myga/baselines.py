@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -57,20 +58,31 @@ def threshold_mixture(p, gamma: float) -> list[float]:
     return [v / total for v in kept]
 
 
-@dataclass
+@dataclass(slots=True)
+class BaselinePlay:
+    """A baseline's play: its ``p_original`` alone; nothing writes to it after ``advise``."""
+
+    p_original: list[float]
+
+
+@dataclass(slots=True)
 class BaselineTrace:
-    """What one round's ``advise`` produced; nothing writes to it afterwards."""
+    """One round of ``Exp4Policy``: its ``t``, its advice and its ``play``, shared by repeats."""
 
     t: int
     advices: np.ndarray
-    p_original: list[float]
+    play: BaselinePlay
+
+    p_original = property(attrgetter("play.p_original"))
 
 
 class Exp4Policy(ExpertPolicy):
     """Exponential weights over the real experts alone: the grid-free weight state."""
 
-    def _play(self, advices: np.ndarray) -> tuple[list[float], BaselineTrace]:
+    _trace_type = BaselineTrace
+
+    def _play(self, advices: np.ndarray) -> BaselinePlay:
         p = simplex.weighted_average(advices, self.state.real_weights)
         if self.cfg.variant == "thresholded":
             p = threshold_mixture(p, self.cfg.gamma)
-        return p, BaselineTrace(t=self.t, advices=advices, p_original=p)
+        return BaselinePlay(p)

@@ -200,13 +200,14 @@ def execute(config: ExperimentConfig) -> ExperimentResult:
                 if collect_rounds:
                     report = auditor.report
                     best = report.best_expert_loss
+                    play = trace.play
                     rows.append((
                         seed, t,
-                        trace.pivot if solved else 0, arm,
+                        play.pivot if solved else 0, arm,
                         realized, auditor.round_play_loss,
                         report.total_play_loss, best,
                         report.total_play_loss - best, report.majority_loss,
-                        report.minority_loss, trace.residual if solved else 0.0, fresh,
+                        report.minority_loss, play.residual if solved else 0.0, fresh,
                     ))
                     if len(rows) == ROUND_CHUNK_ROWS:
                         emit_csv(rounds_fh, rows)

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,8 +156,7 @@ def weighted_average(advices: np.ndarray, weights: np.ndarray) -> list[float]:
     return [m / total for m in mix]
 
 
-@dataclass(frozen=True, eq=False)
-class ArmPermutation:
+class ArmPermutation(NamedTuple):
     """Bijection between original arm indices and descending-sort positions.
 
     ``forward[j]`` is the original arm sitting at sorted position ``j``;
@@ -193,7 +192,7 @@ def sort_descending(zeta) -> tuple[list[float], ArmPermutation]:
     inverse = [0] * len(values)
     for position, arm in enumerate(order):
         inverse[arm] = position
-    return ordered, ArmPermutation(forward=order, inverse=inverse)
+    return ordered, ArmPermutation(order, inverse)
 
 
 def pivot_index(zeta_sorted) -> int:
@@ -215,16 +214,28 @@ def pivot_index(zeta_sorted) -> int:
     return min(k, len(values))
 
 
-def sample_index(probs, u: float) -> int:
-    """Inverse-CDF draw from ``probs`` using a single uniform ``u`` in [0, 1).
+def cumulative(probs) -> list[float]:
+    """The prefix sums ``sample_index`` searches, added from the left; NaN reads as +inf.
 
-    Zero-mass arms are never selected; a uniform landing past the final
-    cumulative value (floating drift) falls back to the last positive arm.
+    NumPy's search orders NaN above every number, and so does +inf here.
     """
     values = probs if type(probs) is list else floats(probs)
     cdf = list(accumulate(values))
-    if cdf and math.isnan(cdf[-1]):   # NumPy's search orders NaN above every number
+    if cdf and math.isnan(cdf[-1]):
         cdf = [math.inf if math.isnan(c) else c for c in cdf]
+    return cdf
+
+
+def sample_index(probs, u: float, cdf: list[float] | None = None) -> int:
+    """Inverse-CDF draw from ``probs`` using a single uniform ``u`` in [0, 1).
+
+    ``cdf`` is ``cumulative(probs)``, built here when not given.  Zero-mass
+    arms are never selected; a uniform landing past the final cumulative
+    value (floating drift) falls back to the last positive arm.
+    """
+    values = probs if type(probs) is list else floats(probs)
+    if cdf is None:
+        cdf = cumulative(values)
     a = bisect_right(cdf, u)
     if a >= len(values):
         a = len(values) - 1

@@ -11,7 +11,7 @@ only.
 import numpy as np
 
 from myga.fixed_point import MixtureWeights, _solve
-from myga.policy import _WEIGHT_FLOOR, MygaPolicy, RoundTrace
+from myga.policy import _WEIGHT_FLOOR, MygaPolicy, Play
 from myga.simplex import left_sum, pivot_index, sort_descending, weighted_average
 from myga.truncation import StepFunction, truncate
 
@@ -126,15 +126,14 @@ class DensePolicy(MygaPolicy):
         self.shares = MixtureWeights(base=real_total / total, per_threshold=w_aux / total)
         q, below, residual = _solve(zeta_sorted, pivot, self.shares, self.thresholds)
         p_sorted = truncate(q, pivot, self.cfg.gamma)
-        trace = RoundTrace(
-            t=self.t, advices=advices, zeta_sorted=zeta_sorted, perm=perm, pivot=pivot,
+        return Play(
+            zeta_sorted=zeta_sorted, perm=perm, pivot=pivot,
             q_sorted=q, p_sorted=p_sorted, p_original=perm.to_original(p_sorted),
             thresholds=self.thresholds,
             dropped_table=dense_mass_table(q[pivot:], self.thresholds),
             majority_mass=left_sum(q[:pivot]),
             minority_mass=left_sum(q[pivot:]),
             residual=residual, below=below, iterations=sum(below))
-        return trace.p_original, trace
 
     def _charge(self, trace, arm_original, est):
         arm_sorted = trace.perm.inverse[arm_original]

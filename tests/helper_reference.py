@@ -3,7 +3,8 @@
 Each function here is the earlier body of the package function of the
 same name: totals through ``simplex.left_sum``, vectors through
 ``simplex.floats``, generator expressions, a placement per call to
-``fixed_point._place`` and the kept weight through ``WeightState.prefix``.
+``fixed_point._place`` and the kept weight through ``prefix``, the method
+``WeightState`` once had, here read from the state's buffers.
 The package's helpers must return the same floats and ints, bit for
 bit, and raise the same exception with the same message, on every input.
 """
@@ -101,9 +102,20 @@ def truncate(q, pivot, threshold):
     return out
 
 
+def prefix(state, n):
+    """Total weight of a ``WeightState``'s first ``n`` thresholds, on the scale of its last rebase.
+
+    One block prefix plus one in-block entry, read from the state's buffers.
+    """
+    block, rest = divmod(n, state.width)
+    if not rest:
+        return state._prefix.item(block)
+    return state._prefix.item(block) + state.inner_cum.item(n - 1) * state._scale.item(block)
+
+
 def split(state, n):
-    """``WeightState.split`` through its ``prefix`` method."""
-    kept = state.prefix(n)
+    """``WeightState.split`` through ``prefix``."""
+    kept = prefix(state, n)
     return kept / state._norm, (state.total - kept) / state._norm
 
 

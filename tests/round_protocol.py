@@ -7,7 +7,7 @@ plays arm 1 with probability zero.
 """
 
 import copy
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -26,15 +26,17 @@ def bits(value):
         return type(value).__name__, value.hex()
     if isinstance(value, (list, tuple)):
         return type(value).__name__, tuple(bits(v) for v in value)
-    if hasattr(value, "__dict__"):
-        return type(value).__name__, bits(list(vars(value).values()))
+    if is_dataclass(value):
+        return type(value).__name__, bits([getattr(value, f.name) for f in fields(value)])
     return type(value).__name__, value
 
 
 def trace_bits(trace):
-    """Every attribute of a trace, field by field, as ``bits``."""
-    assert vars(trace).keys() == {field.name for field in fields(trace)}
-    return {name: bits(value) for name, value in vars(trace).items()}
+    """Every field of a trace and of its play, field by field, as ``bits``."""
+    found = {f.name: bits(getattr(trace, f.name)) for f in fields(trace) if f.name != "play"}
+    found.update((f"play.{f.name}", bits(getattr(trace.play, f.name)))
+                 for f in fields(trace.play))
+    return found
 
 
 def first_played_arm(p):
@@ -188,11 +190,11 @@ class RoundProtocolContract:
             round_advices = change()
             clone = copy.deepcopy(policy)
             clone.state._rebase()
-            want_p, want = clone._play(round_advices)
+            want = policy._trace_type(policy.t, round_advices, clone._play(round_advices))
             p, trace = policy.advise(round_advices)
-            assert bits(p) == bits(want_p) and trace_bits(trace) == trace_bits(want)
+            assert bits(p) == bits(want.p_original) and trace_bits(trace) == trace_bits(want)
             assert trace.t == policy.t and trace.advices is round_advices
-            assert (last is not None and trace.p_original is last.p_original) == reused
+            assert (last is not None and trace.play is last.play) == reused
             policy.update(trace, first_played_arm(p), loss)
             last = trace
 

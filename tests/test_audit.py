@@ -6,9 +6,9 @@ import pytest
 
 import myga.audit as audit_mod
 from myga.audit import Auditor, RegretReport, Violation, check_round, theorem_bound_value
-from myga.baselines import BaselineTrace, Exp4Config, Exp4Policy
+from myga.baselines import BaselinePlay, BaselineTrace, Exp4Config, Exp4Policy
 from myga.environments import EnvSpec, generate
-from myga.policy import MygaConfig, MygaPolicy, RoundTrace, schedule_parameters
+from myga.policy import MygaConfig, MygaPolicy, Play, RoundTrace, schedule_parameters
 from myga.simplex import ArmPermutation
 from myga.truncation import StepFunction, truncated_mass_table
 from grid_reference import densify
@@ -37,14 +37,20 @@ def make_trace(zeta_sorted, pivot, q_sorted, p_sorted, thresholds=(),
     if advices is None:
         advices = np.tile(zeta_sorted, (2, 1))
     below = thresholds.searchsorted(q_sorted[pivot:], side="left").tolist()
-    return RoundTrace(
-        t=t, advices=np.asarray(advices, dtype=float), zeta_sorted=zeta_sorted.tolist(),
+    play = Play(
+        zeta_sorted=zeta_sorted.tolist(),
         perm=perm, pivot=pivot, q_sorted=q_sorted.tolist(), p_sorted=p_sorted.tolist(),
         p_original=p_sorted.tolist(), thresholds=thresholds.tolist(),
         dropped_table=truncated_mass_table(q_sorted[pivot:].tolist(), below, thresholds.size),
         majority_mass=float(q_sorted[:pivot].sum()),
         minority_mass=float(q_sorted[pivot:].sum()),
         residual=0.0, below=below, iterations=sum(below))
+    return RoundTrace(t=t, advices=np.asarray(advices, dtype=float), play=play)
+
+
+def new_play(trace, t, **changes):
+    """Round ``t`` of ``trace``'s advice with a new ``Play``: a copy of its play with ``changes``."""
+    return RoundTrace(t=t, advices=trace.advices, play=dataclasses.replace(trace.play, **changes))
 
 
 
@@ -203,7 +209,7 @@ class TestAccumulate:
 
     def test_baseline_trace_skips_split(self):
         trace = BaselineTrace(t=1, advices=np.array([[0.5, 0.5]]),
-                              p_original=np.array([0.5, 0.5]))
+                              play=BaselinePlay(p_original=np.array([0.5, 0.5])))
         auditor = Auditor(num_arms=2, num_experts=1)
         assert auditor.observe_round(trace, np.array([1.0, 0.0])) == 0
         report = auditor.report
@@ -241,15 +247,15 @@ class TestCheckRoundRules:
 
     def test_minority_above_mixture_is_flagged(self):
         trace = self.base_trace()
-        trace.q_sorted = np.array([0.5, 0.28, 0.22])
-        trace.p_sorted = trace.q_sorted.copy()
-        trace.p_original = trace.q_sorted.copy()
+        trace.play.q_sorted = np.array([0.5, 0.28, 0.22])
+        trace.play.p_sorted = trace.q_sorted.copy()
+        trace.play.p_original = trace.q_sorted.copy()
         rules = {v.rule for v in check_round(trace, gamma=0.05, num_arms=3)}
         assert "minority_cap" in rules
 
     def test_majority_below_mixture_is_flagged(self):
         trace = self.base_trace()
-        trace.q_sorted = np.array([0.5, 0.28, 0.22])
+        trace.play.q_sorted = np.array([0.5, 0.28, 0.22])
         rules = {v.rule for v in check_round(trace, gamma=0.05, num_arms=3)}
         assert "majority_floor" in rules
 
@@ -262,20 +268,20 @@ class TestCheckRoundRules:
 
     def test_overgrown_play_mass_is_flagged(self):
         trace = self.base_trace()
-        trace.p_sorted = np.array([0.0, 0.0, 1.0])
+        trace.play.p_sorted = np.array([0.0, 0.0, 1.0])
         rules = {v.rule for v in check_round(trace, gamma=0.05, num_arms=3)}
         assert "play_mass_upper" in rules
 
     def test_played_arm_losing_mass_is_flagged(self):
         trace = self.base_trace()
-        trace.p_sorted = np.array([0.6, 0.24, 0.16])
+        trace.play.p_sorted = np.array([0.6, 0.24, 0.16])
         rules = {v.rule for v in check_round(trace, gamma=0.05, num_arms=3)}
         assert "play_mass_support" in rules
 
     def test_violation_records_round_and_margin(self):
         trace = self.base_trace()
         trace.t = 17
-        trace.q_sorted = np.array([0.5, 0.28, 0.22])
+        trace.play.q_sorted = np.array([0.5, 0.28, 0.22])
         violations = check_round(trace, gamma=0.05, num_arms=3)
         flagged = [v for v in violations if v.rule == "minority_cap"]
         assert flagged and flagged[0].t == 17
@@ -352,7 +358,7 @@ class TestTheoremBound:
         bound = theorem_bound_value(2, 4, 10000, 0.0)
         assert bound == pytest.approx(21.193269466192145, rel=1e-14)
         trace = BaselineTrace(t=1, advices=np.array([[0.0, 1.0]]),
-                              p_original=np.array([1.0, 0.0]))
+                              play=BaselinePlay(p_original=np.array([1.0, 0.0])))
         auditor = Auditor(num_arms=2, num_experts=1)
         for _ in range(50):
             auditor.observe_round(trace, np.array([1.0, 0.0]))
@@ -442,7 +448,7 @@ class TestNonFiniteTrace:
 
     def test_infinite_block_mass_is_flagged(self):
         trace = clean_trace()
-        trace.minority_mass = np.inf
+        trace.play.minority_mass = np.inf
         assert [v.rule for v in check_round(trace, gamma=0.05, num_arms=3)] == [
             "non_finite_trace"]
 
@@ -498,23 +504,23 @@ def spoiled(trace, rng):
     largest.  A moved played mass moves in both coordinates, as the
     played distribution of a policy's trace is one distribution.
     """
-    copy = dataclasses.replace(trace, zeta_sorted=trace.zeta_sorted.copy(),
-                               q_sorted=trace.q_sorted.copy(),
-                               p_sorted=trace.p_sorted.copy())
-    num_arms = len(copy.zeta_sorted)
+    copy = new_play(trace, trace.t, zeta_sorted=trace.zeta_sorted.copy(),
+                    q_sorted=trace.q_sorted.copy(), p_sorted=trace.p_sorted.copy())
+    play = copy.play
+    num_arms = len(play.zeta_sorted)
     for _ in range(int(rng.integers(1, 4))):
         target = int(rng.integers(4))
         if target == 3:
             name = ("majority_mass", "minority_mass")[rng.integers(2)]
-            setattr(copy, name, moved(getattr(copy, name), rng))
+            setattr(play, name, moved(getattr(play, name), rng))
             continue
-        values = getattr(copy, ("zeta_sorted", "q_sorted", "p_sorted")[target])
-        if copy.pivot == num_arms or rng.random() < 0.5:
-            arm = int(rng.integers(0, copy.pivot))
+        values = getattr(play, ("zeta_sorted", "q_sorted", "p_sorted")[target])
+        if play.pivot == num_arms or rng.random() < 0.5:
+            arm = int(rng.integers(0, play.pivot))
         else:
-            arm = int(rng.integers(copy.pivot, num_arms))
+            arm = int(rng.integers(play.pivot, num_arms))
         values[arm] = moved(float(values[arm]), rng)
-    copy.p_original = copy.perm.to_original(copy.p_sorted)
+    play.p_original = play.perm.to_original(play.p_sorted)
     return copy
 
 
@@ -609,7 +615,7 @@ class TestRemovedMassTable:
             breaks, table = trace.dropped_table
             for wrong in ([0.0 * v for v in table], [2.0 * v for v in table],
                           [7.0 * v + 0.3 for v in table]):
-                copy = dataclasses.replace(trace, dropped_table=StepFunction(breaks, wrong))
+                copy = new_play(trace, trace.t, dropped_table=StepFunction(breaks, wrong))
                 violations = TestReferenceAgreement().audit_both(copy, losses, gamma)
                 if wrong == table:
                     assert "removed_mass_table" not in {v.rule for v in violations}
@@ -621,14 +627,14 @@ class TestRemovedMassTable:
     def test_pivot_at_k_table_must_be_zero(self, round_families):
         for trace, losses, gamma in round_families["pivot_is_k"]:
             breaks, table = trace.dropped_table
-            copy = dataclasses.replace(
-                trace, dropped_table=StepFunction(breaks, [v + 0.3 for v in table]))
+            copy = new_play(trace, trace.t,
+                            dropped_table=StepFunction(breaks, [v + 0.3 for v in table]))
             rules = [v.rule for v in check_round(copy, gamma, len(copy.zeta_sorted))]
             assert "removed_mass_table" in rules
 
     def test_margin_is_the_larger_end_gap(self):
         trace = clean_trace()    # minority masses 0.22 and 0.16, thresholds 0.25 and 0.5
-        trace.dropped_table = StepFunction([0, 1], [0.38, 0.38 + 1e-3])
+        trace.play.dropped_table = StepFunction([0, 1], [0.38, 0.38 + 1e-3])
         violations = check_round(trace, gamma=0.05, num_arms=3)
         table = [v for v in violations if v.rule == "removed_mass_table"]
         assert table and table[0].margin == pytest.approx(1e-3, abs=1e-15)
@@ -638,7 +644,7 @@ def repeated_traces(rounds):
     """A two-arm policy's traces over ``rounds`` rounds of one advice matrix and no loss.
 
     No round charges an expert and the advice repeats, so every round after
-    the first reuses the first round's play: its trace shares every list.
+    the first reuses the first round's play: its trace holds the same ``Play``.
     """
     policy = MygaPolicy(MygaConfig(num_arms=2, num_experts=2, horizon=rounds, eta=0.5,
                                    gamma=0.01, grid_denominator=200),
@@ -649,8 +655,7 @@ def repeated_traces(rounds):
         policy.update(trace, policy.sample(p), 0.0)
         traces.append(trace)
     first = traces[0]
-    assert all(trace.q_sorted is first.q_sorted and trace.perm is first.perm
-               for trace in traces)
+    assert all(trace.play is first.play for trace in traces)
     assert [trace.t for trace in traces] == list(range(1, rounds + 1))
     return traces
 
@@ -665,7 +670,7 @@ class TestRepeatedPlay:
     LOSSES = np.array([0.0, 1.0])
 
     def test_shared_list_violation_recorded_every_round(self):
-        # A minority mass above the mixture, written into the list every
+        # A minority mass above the mixture, written into the play every
         # reused trace shares before any round is audited.
         traces = repeated_traces(6)
         traces[0].q_sorted[1] = traces[0].zeta_sorted[1] + 0.01
@@ -703,16 +708,56 @@ class TestRepeatedPlay:
         last = traces[-1]
         spoiled_q = [last.q_sorted[0] - 0.01, last.q_sorted[1] + 0.01]
         fresh = [
-            dataclasses.replace(last, t=5, q_sorted=spoiled_q),        # new list
-            dataclasses.replace(last, t=6, q_sorted=list(spoiled_q)),  # equal values, new list
-            dataclasses.replace(last, t=7),                            # the streak's lists again
-            dataclasses.replace(last, t=8, majority_mass=last.majority_mass + 0.01),
+            new_play(last, 5, q_sorted=spoiled_q),          # new play
+            new_play(last, 6, q_sorted=list(spoiled_q)),    # equal values, new play
+            dataclasses.replace(last, t=7),                 # the streak's play again
+            new_play(last, 8, majority_mass=last.majority_mass + 0.01),
         ]
         for trace in fresh:
             auditor.observe_round(trace, self.LOSSES)
         got = [(v.t, v.rule) for v in auditor.violations]
         assert got == [(v.t, v.rule) for v in per_round(fresh, self.LOSSES, 0.01, 2)]
         assert {t for t, _ in got} == {5, 6, 8}
+
+    def test_one_check_and_record_per_play_object(self, monkeypatch):
+        # Rounds that share one ``Play`` are checked and recorded once.  A new
+        # ``Play`` is checked and recorded afresh, even when it holds the last
+        # play's very lists and values.
+        checked, built = [], []
+        check, played_arms = audit_mod.check_round, audit_mod._played_arms
+
+        def counted_check(trace, gamma, num_arms):
+            checked.append(trace.t)
+            return check(trace, gamma, num_arms)
+
+        def counted_arms(trace):
+            built.append(trace.t)
+            return played_arms(trace)
+
+        monkeypatch.setattr(audit_mod, "AUDIT_TOL", -1.0)   # every rule records
+        monkeypatch.setattr(audit_mod, "check_round", counted_check)
+        monkeypatch.setattr(audit_mod, "_played_arms", counted_arms)
+        traces = repeated_traces(3)
+        traces += [new_play(traces[-1], 4), new_play(traces[-1], 5)]
+        traces += [dataclasses.replace(traces[-1], t=t) for t in (6, 7)]
+        assert traces[4].play == traces[0].play and traces[4].play is not traces[3].play
+        auditor = Auditor(num_arms=2, num_experts=2, gamma=0.01)
+        for trace in traces:
+            assert auditor.observe_round(trace, self.LOSSES) == 8
+        assert checked == built == [1, 4, 5]
+        assert auditor.violations == per_round(traces, self.LOSSES, 0.01, 2)
+
+    def test_solved_fields_are_read_only_through_the_trace(self):
+        # Each of the play's fields reads through the trace; writing one
+        # there raises instead of shadowing the play every repeat shares.
+        trace = repeated_traces(2)[-1]
+        before = dataclasses.astuple(trace.play)
+        for field in dataclasses.fields(Play):
+            value = getattr(trace, field.name)
+            assert value is getattr(trace.play, field.name)
+            with pytest.raises(AttributeError):
+                setattr(trace, field.name, value)
+        assert dataclasses.astuple(trace.play) == before
 
 
 def _played_losses(trace: RoundTrace, losses: list[float]) -> tuple[float, float]:
@@ -862,8 +907,8 @@ class TestPlayRecord:
         # ``perm`` differs, so only the loss split can tell the records apart.
         swapped = ArmPermutation(forward=last.perm.forward[::-1],
                                  inverse=last.perm.inverse[::-1])
-        traces += [dataclasses.replace(last, t=7, perm=swapped),
-                   dataclasses.replace(last, t=8)]
+        traces += [new_play(last, 7, perm=swapped),     # a new play
+                   dataclasses.replace(last, t=8)]     # the streak's play again
         auditor, reference = Auditor(2, 2, 0.01), ReferenceAuditor(2, 2, 0.01)
         for trace in traces:
             auditor.observe_round(trace, self.LOSSES)
@@ -916,7 +961,7 @@ class TestZeroLossRound:
         # Outside the precondition: an advice entry no row check would pass.
         # Its product with a zero loss is NaN, and the skipped add leaves it out.
         trace = BaselineTrace(t=1, advices=np.array([[math.nan, 1.0], [0.5, 0.5]]),
-                              p_original=[0.5, 0.5])
+                              play=BaselinePlay(p_original=[0.5, 0.5]))
         auditor = Auditor(num_arms=2, num_experts=2)
         auditor.observe_round(trace, np.array([-0.0, 0.0]))
         assert auditor.report.per_expert_loss.tobytes() == np.zeros(2).tobytes()

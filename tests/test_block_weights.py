@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from grid_reference import DensePolicy, block_losses, dense_threshold_advice, densify
+from helper_reference import prefix
 from myga.environments import EnvSpec, generate
 from myga.policy import (MygaConfig, MygaPolicy, WeightState, schedule_parameters,
                          threshold_advice_at)
@@ -60,7 +61,7 @@ class TestBlockWeights:
                 want, shift = dense_prefix(loss, eta, lowest)
                 aux.real_loss[0] = lowest
                 assert aux.weights() == pytest.approx(shift, rel=1e-14, abs=1e-12)
-                got = np.array([aux.prefix(n) for n in range(size + 1)])
+                got = np.array([prefix(aux, n) for n in range(size + 1)])
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
                 assert aux.total == pytest.approx(want[-1], rel=1e-12, abs=0.0)
 
@@ -69,7 +70,7 @@ class TestBlockWeights:
         aux.charge(StepFunction([], []))
         aux.real_loss[0] = 3.0
         assert aux.weights() == 3.0
-        assert aux.prefix(0) == 0.0 and aux.total == 0.0
+        assert prefix(aux, 0) == 0.0 and aux.total == 0.0
 
     def test_shares_of_real_total(self):
         aux = WeightState(4, 0.5, 1)

@@ -17,7 +17,7 @@ import myga.fixed_point as fixed_point_mod
 import numpy_reference as ref
 from myga.fixed_point import MixtureWeights, _solve, mixture_residual, solve_fixed_point
 from myga.policy import build_threshold_grid
-from myga.policy import RoundTrace, threshold_advice_at
+from myga.policy import Play, RoundTrace, threshold_advice_at
 from myga.simplex import (ArmPermutation, pivot_index, require_distribution_rows,
                           sample_index, sort_descending, validate, weighted_average)
 from myga.truncation import StepFunction, truncate, truncated_mass_table
@@ -285,12 +285,13 @@ class TestExactTie:
         q, below, residual = solved
         grid = TestExactTie.POINTS
         table = truncated_mass_table(q[1:], below, len(grid))
-        trace = RoundTrace(
-            t=1, advices=np.tile(zeta, (2, 1)), zeta_sorted=zeta,
+        play = Play(
+            zeta_sorted=zeta,
             perm=ArmPermutation(forward=[0, 1], inverse=[0, 1]), pivot=1,
             q_sorted=q, p_sorted=q, p_original=q, thresholds=grid, dropped_table=table,
             majority_mass=q[0], minority_mass=q[1], residual=residual,
             below=below, iterations=sum(below))
+        trace = RoundTrace(t=1, advices=np.tile(zeta, (2, 1)), play=play)
         return table, threshold_advice_at(trace, 1)
 
     def test_mass_grown_onto_a_threshold_stays_truncated(self, placements):

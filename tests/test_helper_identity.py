@@ -250,17 +250,18 @@ def test_block_masses(traces):
 
 def spoil(trace, rng):
     """A copy of ``trace`` with one to three entries or block masses replaced or moved."""
-    copy = dataclasses.replace(trace, zeta_sorted=list(trace.zeta_sorted),
+    play = dataclasses.replace(trace.play, zeta_sorted=list(trace.zeta_sorted),
                                q_sorted=list(trace.q_sorted), p_sorted=list(trace.p_sorted))
-    num_arms = len(copy.zeta_sorted)
+    copy = dataclasses.replace(trace, play=play)
+    num_arms = len(play.zeta_sorted)
     for _ in range(int(rng.integers(1, 4))):
         target = int(rng.integers(4))
         if target == 3:   # a block mass, now and then a majority of no mass
             name = ("majority_mass", "minority_mass")[int(rng.integers(2))]
             factor = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 1.5))
-            setattr(copy, name, getattr(copy, name) * factor)
+            setattr(play, name, getattr(play, name) * factor)
             continue
-        values = getattr(copy, ("zeta_sorted", "q_sorted", "p_sorted")[target])
+        values = getattr(play, ("zeta_sorted", "q_sorted", "p_sorted")[target])
         arm = int(rng.integers(num_arms))
         if rng.random() < 0.2:
             values[arm] = SPECIALS[int(rng.integers(len(SPECIALS)))]
@@ -278,6 +279,7 @@ def test_check_round(traces):
     # Finite masses whose total overflows: the finiteness rule must still pass them.
     for trace, gamma in traces[::50]:
         num_arms = len(trace.zeta_sorted)
-        huge = dataclasses.replace(trace, zeta_sorted=[1e308] * num_arms)
+        huge = dataclasses.replace(
+            trace, play=dataclasses.replace(trace.play, zeta_sorted=[1e308] * num_arms))
         same(check_round, ref.check_round, huge, gamma, num_arms)
         assert "non_finite_trace" not in {v.rule for v in check_round(huge, gamma, num_arms)}

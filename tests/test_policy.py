@@ -1,17 +1,20 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
+import numpy_reference as ref
 from fixed_point_reference import two_arm_fixed_point
 from grid_reference import DensePolicy, block_losses, densify, round_weights
+from helper_reference import prefix
 from myga.baselines import Exp4Config, Exp4Policy
 from myga.cli import ExperimentConfig, execute
 from myga.environments import EnvSpec, generate
 from myga.fixed_point import MixtureWeights, mixture_residual
 from myga.policy import (MygaConfig, MygaPolicy, WeightState, build_threshold_grid,
                          loss_estimate, schedule_parameters, threshold_advice_at)
-from myga.simplex import validate
+from myga.simplex import cumulative, sample_index, validate
 from myga.truncation import StepFunction, truncate
 from round_protocol import RoundProtocolContract
 
@@ -169,7 +172,7 @@ class TestWeightState:
         policy = policy_with(3, 2, 0.5)
         w_real, aux = round_weights(policy)
         np.testing.assert_array_equal(w_real, [1.0, 1.0, 1.0])
-        assert [aux.prefix(n) for n in range(3)] == [0.0, 1.0, 2.0]
+        assert [prefix(aux, n) for n in range(3)] == [0.0, 1.0, 2.0]
         assert aux.total == 2.0
 
     def test_best_expert_pins_weight_one(self):
@@ -185,7 +188,7 @@ class TestWeightState:
         policy.real_loss += np.array([2.0, 5.0])
         policy.state.charge(StepFunction([0, 2, 3], [4.0, 1.0, 3.0]))
         w_real, aux = round_weights(policy)
-        assert aux.prefix(3) - aux.prefix(2) == pytest.approx(1.0, rel=1e-15)
+        assert prefix(aux, 3) - prefix(aux, 2) == pytest.approx(1.0, rel=1e-15)
         np.testing.assert_allclose(w_real, np.exp(-0.7 * np.array([1.0, 4.0])), rtol=1e-15)
 
     def test_common_shift_leaves_shares_unchanged(self):
@@ -439,6 +442,86 @@ class TestMygaPolicyUpdate(RoundProtocolContract):
             policy.update(trace, arm, 1.0 if arm == 0 else 0.0)
         w_real, _ = round_weights(policy)
         assert w_real[1] > w_real[0]
+
+
+def sampling_run(shape):
+    """A policy and its environment: ``gap_wide_grid``'s cell (K=2, repeats) or the lattice cell."""
+    if shape == "gap_wide_grid":
+        horizon = 3000
+        eta, gamma = schedule_parameters(2, 4, horizon, 480.0)
+        config = MygaConfig(num_arms=2, num_experts=4, horizon=horizon, eta=eta, gamma=gamma)
+        spec = EnvSpec(kind="stochastic_gap", num_arms=2, num_experts=4, horizon=horizon,
+                       seed=0, mu_star=0.16, delta=0.2)
+    else:
+        config = MygaConfig(num_arms=5, num_experts=8, horizon=1500, eta=0.2, gamma=0.4,
+                            grid_denominator=4000)
+        spec = EnvSpec(kind="adversarial_minority", num_arms=5, num_experts=8,
+                       horizon=1500, seed=0)
+    return MygaPolicy(config, sample_rng=np.random.default_rng(5)), spec
+
+
+class TestCachedCdf:
+    """``sample`` keeps the last distribution's prefix sums, keyed by the list's identity."""
+
+    @pytest.mark.parametrize("shape", ["gap_wide_grid", "minority_lattice"])
+    def test_arms_match_an_uncached_search(self, shape):
+        # Every arm is the one ``sample_index`` finds on the same uniform
+        # when it builds the prefix sums itself.
+        policy, spec = sampling_run(shape)
+        uniforms = copy.deepcopy(policy.rng)
+        repeats, last = 0, None
+        for t in range(1, spec.horizon + 1):
+            data = generate(spec, t)
+            p, trace = policy.advise(data.advices)
+            arm = policy.sample(p)
+            assert arm == sample_index(list(p), uniforms.random())
+            policy.update(trace, arm, float(data.losses[arm]))
+            repeats += p is last
+            last = p
+        if shape == "gap_wide_grid":
+            assert repeats > spec.horizon // 2
+        else:
+            assert repeats == 0
+
+    def test_deep_copy_mid_streak_samples_on(self):
+        # A copy taken inside a streak of repeated plays holds the streak's
+        # distribution and prefix sums of its own, and draws every later
+        # arm as the original does.
+        policy, spec = sampling_run("gap_wide_grid")
+        streak, last, t = 0, None, 0
+        while streak < 3:
+            t += 1
+            data = generate(spec, t)
+            p, trace = policy.advise(data.advices)
+            arm = policy.sample(p)
+            policy.update(trace, arm, float(data.losses[arm]))
+            streak = streak + 1 if p is last else 0
+            last = p
+        clone = copy.deepcopy(policy)
+        assert clone._drawn == policy._drawn and clone._drawn is not policy._drawn
+        assert clone._cdf == policy._cdf and clone._cdf is not policy._cdf
+        assert clone._drawn is clone._last_play.p_original
+        start = t + 1
+        for t in range(start, start + 1500):
+            data = generate(spec, t)
+            arms = []
+            for each in (policy, clone):
+                p, trace = each.advise(data.advices)
+                arm = each.sample(p)
+                each.update(trace, arm, float(data.losses[arm]))
+                arms.append(arm)
+            assert arms[0] == arms[1]
+
+    def test_nan_distribution_samples_as_before(self):
+        # A NaN reads as +inf from its arm on, in a new list and in a kept one.
+        assert cumulative([0.3, math.nan, 0.7]) == [0.3, math.inf, math.inf]
+        policy = make_policy(num_arms=3)
+        uniforms = copy.deepcopy(policy.rng)
+        for probs in ([0.3, math.nan, 0.7], [math.nan, 0.5, 0.5], [0.2, 0.0, math.nan]):
+            for _ in range(3):   # a new list, then the same list twice
+                u = uniforms.random()
+                want = ref.sample_index(probs, u)
+                assert policy.sample(probs) == sample_index(probs, u) == want
 
 
 @pytest.mark.parametrize("build, message", [
