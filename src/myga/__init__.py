@@ -10,15 +10,14 @@ from .audit import Auditor, RegretReport, Violation
 from .baselines import Exp4Config, Exp4Policy
 from .environments import EnvSpec, Replay, RoundData, generate, load_replay, save_replay
 from .fixed_point import MixtureWeights, mixture_residual, solve_fixed_point
-from .policy import (MygaConfig, MygaPolicy, Play, RoundTrace, build_threshold_grid,
-                     schedule_parameters)
+from .policy import MygaConfig, MygaPolicy, Play, build_threshold_grid, schedule_parameters
 from .simplex import ArmPermutation, pivot_index, sample_index, sort_descending, weighted_average
 from .truncation import truncate
 
 __all__ = [
     "ArmPermutation", "Auditor", "EnvSpec", "Exp4Config", "Exp4Policy",
     "MixtureWeights", "MygaConfig", "MygaPolicy", "Play", "RegretReport", "Replay",
-    "RoundData", "RoundTrace", "Violation", "build_threshold_grid",
+    "RoundData", "Violation", "build_threshold_grid",
     "generate", "load_replay", "mixture_residual",
     "pivot_index", "sample_index", "save_replay", "schedule_parameters",
     "solve_fixed_point", "sort_descending", "truncate", "weighted_average",

@@ -1,10 +1,11 @@
 """Runtime invariant auditing and regret accounting.
 
-The auditor consumes one trace per round together with the true loss
-vector (simulator knowledge) and checks the structural guarantees the
-policy's play distribution must satisfy:
+The auditor consumes one round at a time, its ``t``, its advice matrix
+and the play ``advise`` returned, together with the true loss vector
+(simulator knowledge), and checks the structural guarantees the policy's
+play distribution must satisfy:
 
-  * finite trace: every mixture, solved and played mass, both block
+  * finite play: every mixture, solved and played mass, both block
     masses and the removed-mass table are finite; otherwise the round
     records ``non_finite_trace`` with margin nan and no other rule of
     ``check_round`` is evaluated on it;
@@ -21,7 +22,7 @@ policy's play distribution must satisfy:
   * majority loss domination: per round and cumulatively, the loss mass
     sitting on majority arms is at most 2K times the expected play loss.
 
-Each round's checks are O(K) float operations on the trace's K-entry
+Each round's checks are O(K) float operations on the play's K-entry
 lists plus one min and one max over the removed-mass table's pieces,
 of which there are at most K.  The proportionality gap between the two
 sides of the rule is affine in the removed mass, so its largest size over
@@ -34,8 +35,8 @@ infinity may be present.
 Checks compare at tolerance 1e-9; the per-round loss check also counts
 a NaN margin as a violation.  Violations are recorded, never repaired.
 
-A round repeats the last play when its trace holds the last play
-object seen, ``trace.play is`` it; that one identity test decides it.
+A round repeats the last play when its play is the last play object
+seen; that one identity test decides it.
 Such a play is checked once: ``check_round`` reads only the play, and
 nothing writes to a play after ``advise`` returns.  A repeated play's
 violations are recorded again in every round that plays it, with that
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policy import RoundTrace
+from .policy import Play
 
 AUDIT_TOL = 1e-9
 
@@ -102,9 +103,8 @@ class RegretReport:
         return self.total_play_loss - self.best_expert_loss
 
 
-def check_round(trace: RoundTrace, gamma: float, num_arms: int) -> list[Violation]:
-    """Structural checks on one round's solved and played distributions."""
-    play = trace.play
+def check_round(t: int, play: Play, gamma: float, num_arms: int) -> list[Violation]:
+    """Structural checks on round ``t``'s solved and played distributions."""
     k = play.pivot
     zeta = play.zeta_sorted
     q = play.q_sorted
@@ -118,7 +118,7 @@ def check_round(trace: RoundTrace, gamma: float, num_arms: int) -> list[Violatio
     if not math.isfinite(sum(zeta) + sum(q) + sum(p) + majority_mass + minority_mass
                          + sum(table)) and not all(map(math.isfinite, (
                              *zeta, *q, *p, majority_mass, minority_mass, *table))):
-        return [Violation(trace.t, "non_finite_trace", math.nan,
+        return [Violation(t, "non_finite_trace", math.nan,
                           "the round's mixture, solved or played masses are not all finite")]
 
     # The proportionality gap is affine in the removed mass, so its largest
@@ -180,38 +180,37 @@ def check_round(trace: RoundTrace, gamma: float, num_arms: int) -> list[Violatio
     violations: list[Violation] = []
     if gap > AUDIT_TOL:
         violations.append(Violation(
-            trace.t, "threshold_advice_proportionality", gap,
+            t, "threshold_advice_proportionality", gap,
             "auxiliary majority advice is not a common rescale of the mixture"))
     if table_gap > AUDIT_TOL:
         violations.append(Violation(
-            trace.t, "removed_mass_table", table_gap,
+            t, "removed_mass_table", table_gap,
             "the removed-mass table disagrees with the solved minority masses"))
     if over > AUDIT_TOL:
         violations.append(Violation(
-            trace.t, "minority_cap", over,
+            t, "minority_cap", over,
             "solved mass exceeds the mixture on a minority arm"))
     if under > AUDIT_TOL:
         violations.append(Violation(
-            trace.t, "majority_floor", under,
+            t, "majority_floor", under,
             "solved mass fell below the mixture on a majority arm"))
     if short > AUDIT_TOL:
         violations.append(Violation(
-            trace.t, "pivot_mass_floor", short,
+            t, "pivot_mass_floor", short,
             f"majority mixture mass fell below 1/(2K) = {floor}"))
     if shrink > AUDIT_TOL:
         violations.append(Violation(
-            trace.t, "play_mass_upper", shrink,
+            t, "play_mass_upper", shrink,
             "played mass exceeds the truncation growth factor"))
     if drop > AUDIT_TOL:
         violations.append(Violation(
-            trace.t, "play_mass_support", drop,
+            t, "play_mass_support", drop,
             "a played arm lost mass relative to the solved distribution"))
     return violations
 
 
-def _played_arms(trace: RoundTrace) -> tuple[list[int], list[int]]:
+def _played_arms(play: Play) -> tuple[list[int], list[int]]:
     """The played majority arms and the played minority arms, each in sorted order."""
-    play = trace.play
     k = play.pivot
     majority: list[int] = []
     minority: list[int] = []
@@ -247,41 +246,42 @@ class Auditor:
         self._found = None      # check_round's violations for it, once checked
         self._record = None     # its play as an array and its played arms
 
-    def observe_round(self, trace, losses: np.ndarray) -> int:
-        """Check and accumulate one round; returns this round's violation count.
+    def observe_round(self, t: int, advices: np.ndarray, play, losses: np.ndarray) -> int:
+        """Check and accumulate round ``t``; returns this round's violation count.
 
-        Every trace adds to the play and expert losses; only a ``RoundTrace``
-        has a pivot, so only it splits its loss into majority and minority
-        parts and is checked.  The round's expected play loss is kept as
+        ``advices`` and ``play`` are the round's advice matrix and the play
+        ``advise`` returned for it.  Every round adds to the play and expert
+        losses; only a ``Play`` has a pivot, so only it splits its loss into
+        majority and minority parts and is checked, and any other play is a
+        baseline's.  The round's expected play loss is kept as
         ``round_play_loss``, and the per-round majority loss check reads it.
-        A trace whose play is not the last play object seen gets a new
-        record; every round then reads its losses through the record, and a
+        A play that is not the last play object seen gets a new record;
+        every round then reads its losses through the record, and a
         repeated play reuses its check with this round's ``t``.
 
         A round whose losses are all +0.0 or -0.0 adds nothing to the expert
-        losses.  The skip is exact on the traces ``advise`` returns: their
+        losses.  The skip is exact on the rounds ``advise`` accepts: their
         advice rows passed the row check, so each product with a zero loss
         is a zero of either sign, and adding one changes no entry of
         ``per_expert_loss`` other than a -0.0, which that vector never
         holds: it starts at +0.0, and a float sum is -0.0 only when both
-        terms are.  A trace whose advice holds a NaN or an infinity (which
-        ``advise`` never returns) would have made that expert's loss NaN.
+        terms are.  Advice holding a NaN or an infinity (which ``advise``
+        never accepts) would have made that expert's loss NaN.
         """
         losses = np.asarray(losses, dtype=float)
         values = losses.tolist()
         report = self.report
-        play = trace.play
         if play is not self._play:
-            arms = _played_arms(trace) if isinstance(trace, RoundTrace) else ((), ())
+            arms = _played_arms(play) if isinstance(play, Play) else ((), ())
             self._play, self._found = play, None
             self._record = (np.array(play.p_original, dtype=float), *arms)
         masses, majority_arms, minority_arms = self._record
         self.round_play_loss = float(masses.dot(losses))
         report.total_play_loss += self.round_play_loss
         if any(values):   # zero losses, of either sign, would add exact zeros
-            report.per_expert_loss += trace.advices.dot(losses)
+            report.per_expert_loss += advices.dot(losses)
         report.rounds += 1
-        if not isinstance(trace, RoundTrace):
+        if not isinstance(play, Play):
             return 0
         majority = minority = 0.0
         for arm in majority_arms:
@@ -293,11 +293,11 @@ class Auditor:
         if not self.enabled:
             return 0
         if self._found is None:
-            self._found = check_round(trace, self.gamma, self.num_arms)
-        fresh = [Violation(trace.t, v.rule, v.margin, v.detail) for v in self._found]
+            self._found = check_round(t, play, self.gamma, self.num_arms)
+        fresh = [Violation(t, v.rule, v.margin, v.detail) for v in self._found]
         margin = majority - 2.0 * self.num_arms * self.round_play_loss
         if not margin <= AUDIT_TOL:
-            fresh.append(Violation(trace.t, "majority_loss_round", margin,
+            fresh.append(Violation(t, "majority_loss_round", margin,
                                    "majority loss mass exceeded 2K times the expected loss"))
         self.violations.extend(fresh)
         return len(fresh)

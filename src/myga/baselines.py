@@ -7,14 +7,14 @@ when that would remove everything.  Both charge experts through the
 same importance-weighted estimator as the main policy, through the
 same advise/update state machine and weight state, which holds the real
 experts alone; neither carries auxiliary experts, so the thresholded
-variant's estimates are biased on the arms it refuses to play.
+variant's estimates are biased on the arms it refuses to play.  A
+round's play is a ``BaselinePlay``, its distribution alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -60,26 +60,16 @@ def threshold_mixture(p, gamma: float) -> list[float]:
 
 @dataclass(slots=True)
 class BaselinePlay:
-    """A baseline's play: its ``p_original`` alone; nothing writes to it after ``advise``."""
+    """A baseline's play: its ``p_original`` alone; nothing writes to it after ``advise``.
+
+    It carries no pivot, so the auditor accounts its losses and checks no rule.
+    """
 
     p_original: list[float]
 
 
-@dataclass(slots=True)
-class BaselineTrace:
-    """One round of ``Exp4Policy``: its ``t``, its advice and its ``play``, shared by repeats."""
-
-    t: int
-    advices: np.ndarray
-    play: BaselinePlay
-
-    p_original = property(attrgetter("play.p_original"))
-
-
 class Exp4Policy(ExpertPolicy):
     """Exponential weights over the real experts alone: the grid-free weight state."""
-
-    _trace_type = BaselineTrace
 
     def _play(self, advices: np.ndarray) -> BaselinePlay:
         p = simplex.weighted_average(advices, self.state.real_weights)

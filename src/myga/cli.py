@@ -177,7 +177,7 @@ def execute(config: ExperimentConfig) -> ExperimentResult:
 
     result = ExperimentResult(config=config)
     collect_rounds = config.out is not None
-    solved = config.policy == "myga"   # only its traces carry a pivot and a residual
+    solved = config.policy == "myga"   # only its plays carry a pivot and a residual
     with contextlib.ExitStack() as files:
         if collect_rounds:
             rounds_path, summary_path = _csv_paths(config.out)
@@ -192,15 +192,14 @@ def execute(config: ExperimentConfig) -> ExperimentResult:
             rows: list[tuple] = []
             for t in range(1, config.horizon + 1):
                 data = generate(spec, t)
-                p, trace = pol.advise(data.advices, _checked=True)
+                p, play = pol.advise(data.advices, _checked=True)
                 arm = pol.sample(p)
                 realized = float(data.losses[arm])
-                pol.update(trace, arm, realized)
-                fresh = auditor.observe_round(trace, data.losses)
+                pol.update(arm, realized)
+                fresh = auditor.observe_round(t, data.advices, play, data.losses)
                 if collect_rounds:
                     report = auditor.report
                     best = report.best_expert_loss
-                    play = trace.play
                     rows.append((
                         seed, t,
                         play.pivot if solved else 0, arm,

@@ -30,7 +30,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -299,15 +298,16 @@ class WeightState:
 
 @dataclass(slots=True)
 class Play:
-    """One distinct play: what ``MygaPolicy._play`` solved, for the update step and the auditor.
+    """One distinct play: what ``MygaPolicy._play`` solved, the round's record.
 
+    ``advise`` returns it, ``update`` charges it and the auditor checks it.
     The arm vectors, ``zeta_sorted``, ``q_sorted``, ``p_sorted`` and
     ``p_original``, are lists of floats and ``perm`` holds two lists of
     ints.  ``thresholds`` is the policy's grid list, shared by every play.
     ``below[i]`` is the number of thresholds strictly below the solved mass
     of minority arm ``pivot + i``, and ``iterations`` is their sum.  Output
     only: nothing writes to a play after ``advise`` returns, so every round
-    that repeats it holds the same object.
+    that repeats it returns the same object.
     """
 
     zeta_sorted: list[float]
@@ -325,42 +325,13 @@ class Play:
     iterations: int
 
 
-@dataclass(slots=True)
-class RoundTrace:
-    """One round of ``MygaPolicy``: its ``t``, its (experts, arms) ``advices`` and its ``play``.
-
-    A round that repeats the last play holds the last round's ``Play``
-    object, so "this round replays the last play" is ``play is`` the last
-    one.  Each of the play's fields reads through the trace, read-only.
-    """
-
-    t: int
-    advices: np.ndarray
-    play: Play
-
-    zeta_sorted = property(attrgetter("play.zeta_sorted"))
-    perm = property(attrgetter("play.perm"))
-    pivot = property(attrgetter("play.pivot"))
-    q_sorted = property(attrgetter("play.q_sorted"))
-    p_sorted = property(attrgetter("play.p_sorted"))
-    p_original = property(attrgetter("play.p_original"))
-    thresholds = property(attrgetter("play.thresholds"))
-    dropped_table = property(attrgetter("play.dropped_table"))
-    majority_mass = property(attrgetter("play.majority_mass"))
-    minority_mass = property(attrgetter("play.minority_mass"))
-    residual = property(attrgetter("play.residual"))
-    below = property(attrgetter("play.below"))
-    iterations = property(attrgetter("play.iterations"))
-
-
-def threshold_advice_at(trace: RoundTrace, arm_sorted: int) -> StepFunction:
+def threshold_advice_at(play: Play, arm_sorted: int) -> StepFunction:
     """Every threshold expert's advice at the sorted arm, a step function over the grid.
 
     On the minority side the thresholds strictly below the arm's mass keep
     it and the rest remove it; on the majority side every threshold
     rescales it by (majority + removed) / majority.
     """
-    play = trace.play
     size = len(play.thresholds)
     q_at = play.q_sorted[arm_sorted]
     if arm_sorted < play.pivot:
@@ -383,10 +354,10 @@ class ExpertPolicy:
     ``real_loss`` is the state's view of their cumulative estimated losses.
     A subclass supplies ``_play`` (advice and rebased weights -> the
     round's play, which carries ``p_original``; it reads only the state a
-    rebase sets, the advice and the policy's constants), ``_trace_type``,
-    the trace class built from ``(t, advices, play)``, and, if it has
+    rebase sets, the advice and the policy's constants) and, if it has
     experts beyond the real ones, a ``_charge`` for their share of the
-    round's loss estimate.
+    round's loss estimate.  Between ``advise`` and ``update`` the round's
+    advice matrix and play wait in ``_pending``.
     """
 
     def __init__(self, config, sample_rng=None, num_thresholds: int = 0):
@@ -394,7 +365,7 @@ class ExpertPolicy:
         self.rng = sample_rng if isinstance(sample_rng, np.random.Generator) \
             else np.random.default_rng(sample_rng)
         self.t = 1
-        self._awaiting_update = False
+        self._pending = None        # (advices, play) of the round awaiting its update
         self.state = WeightState(num_thresholds, config.eta, config.num_experts)
         self._last_key = None       # (rebases, advice bytes) of the last round played
         self._last_play = None      # and the play ``_play`` returned for it
@@ -406,15 +377,11 @@ class ExpertPolicy:
     def real_loss(self) -> np.ndarray:
         return self.state.real_loss
 
-    @real_loss.setter
-    def real_loss(self, values) -> None:
-        self.state.real_loss[...] = values
-
-    def _charge(self, trace, arm_original: int, est: float) -> None:
+    def _charge(self, play, arm_original: int, est: float) -> None:
         """Charge the experts beyond the real ones; a policy of real experts alone has none."""
 
     def advise(self, advices: np.ndarray, *, _checked: bool = False):
-        """Check the round's advice matrix, every row a distribution, and compute the play distribution.
+        """Check the round's advice matrix, every row a distribution; return ``(p_original, play)``.
 
         ``_checked`` is internal, not for library callers: ``cli.execute``
         passes True for the rows ``environments.generate`` returns, which
@@ -423,15 +390,14 @@ class ExpertPolicy:
         run.
 
         A round whose weights (no rebase since the last round) and advice
-        bytes are the last round's plays the last round's play: its trace
-        holds this round's ``t`` and ``advices`` and the last round's
-        ``Play`` object.  ``_play`` would compute the same floats from the
-        same inputs, and advice bytes that passed the row check pass it
-        again.  Only a round whose check and play both returned is kept.
-        The returned distribution is the play's ``p_original``, so callers
-        read it and write nothing to it.
+        bytes are the last round's returns the last round's ``Play``
+        object: ``_play`` would compute the same floats from the same
+        inputs, and advice bytes that passed the row check pass it again.
+        Only a round whose check and play both returned is kept.  The
+        returned distribution is the play's ``p_original``, so callers read
+        it and the play and write nothing to either.
         """
-        if self._awaiting_update:
+        if self._pending is not None:
             raise RuntimeError("advise called again before update")
         advices = np.asarray(advices, dtype=float)
         if advices.shape != (self.cfg.num_experts, self.cfg.num_arms):
@@ -447,8 +413,8 @@ class ExpertPolicy:
             self._last_play = self._play(advices)
             self._last_key = key
         play = self._last_play
-        self._awaiting_update = True
-        return play.p_original, self._trace_type(self.t, advices, play)
+        self._pending = advices, play
+        return play.p_original, play
 
     def sample(self, p_original: list[float]) -> int:
         """Draw an arm by inverse CDF in original coordinates, one uniform.
@@ -468,24 +434,21 @@ class ExpertPolicy:
             self._drawn, self._cdf = p_original, simplex.cumulative(p_original)
         return simplex.sample_index(p_original, self._uniforms.pop(), self._cdf)
 
-    def update(self, trace, arm_original: int, observed_loss: float) -> None:
-        """Charge every expert its advice-weighted share of the loss estimate."""
-        if not self._awaiting_update:
+    def update(self, arm_original: int, observed_loss: float) -> None:
+        """Charge every expert its advice-weighted share of the pending round's loss estimate."""
+        if self._pending is None:
             raise RuntimeError("update called without a pending advise")
-        if trace.t != self.t:
-            raise ValueError(f"trace from round {trace.t} given to round {self.t}")
-        est = loss_estimate(trace.play.p_original, arm_original, observed_loss)
+        advices, play = self._pending
+        est = loss_estimate(play.p_original, arm_original, observed_loss)
         if est:   # a zero estimate would add exact zeros to every cumulative loss
-            self.state.real_loss += trace.advices[:, arm_original] * est
-            self._charge(trace, arm_original, est)
+            self.state.real_loss += advices[:, arm_original] * est
+            self._charge(play, arm_original, est)
         self.t += 1
-        self._awaiting_update = False
+        self._pending = None
 
 
 class MygaPolicy(ExpertPolicy):
     """Exponential weights over the real experts plus one auxiliary expert per threshold."""
-
-    _trace_type = RoundTrace
 
     def __init__(self, config: MygaConfig, sample_rng=None):
         grid = build_threshold_grid(config.gamma, config.grid_denominator).tolist()
@@ -512,6 +475,6 @@ class MygaPolicy(ExpertPolicy):
                     self.thresholds, table, majority_mass, minority_mass, residual,
                     below, sum(below))
 
-    def _charge(self, trace: RoundTrace, arm_original: int, est: float) -> None:
-        aux_at = threshold_advice_at(trace, trace.play.perm.inverse[arm_original])
+    def _charge(self, play: Play, arm_original: int, est: float) -> None:
+        aux_at = threshold_advice_at(play, play.perm.inverse[arm_original])
         self.state.charge(StepFunction(aux_at.breaks, [a * est for a in aux_at.values]))

@@ -67,12 +67,12 @@ def round_weights(policy):
     return policy.state.real_weights, policy.state
 
 
-def dense_threshold_advice(trace, arm_sorted):
+def dense_threshold_advice(play, arm_sorted):
     """Every threshold expert's advice at the sorted arm, one entry per threshold."""
-    q_at = trace.q_sorted[arm_sorted]
-    if arm_sorted >= trace.pivot:
-        return np.where(np.asarray(trace.thresholds) < q_at, q_at, 0.0)
-    return (q_at / trace.majority_mass) * (trace.majority_mass + trace.dropped_table)
+    q_at = play.q_sorted[arm_sorted]
+    if arm_sorted >= play.pivot:
+        return np.where(np.asarray(play.thresholds) < q_at, q_at, 0.0)
+    return (q_at / play.majority_mass) * (play.majority_mass + play.dropped_table)
 
 
 class DenseWeightState:
@@ -135,6 +135,6 @@ class DensePolicy(MygaPolicy):
             minority_mass=left_sum(q[pivot:]),
             residual=residual, below=below, iterations=sum(below))
 
-    def _charge(self, trace, arm_original, est):
-        arm_sorted = trace.perm.inverse[arm_original]
-        self.state.aux_loss += dense_threshold_advice(trace, arm_sorted) * est
+    def _charge(self, play, arm_original, est):
+        arm_sorted = play.perm.inverse[arm_original]
+        self.state.aux_loss += dense_threshold_advice(play, arm_sorted) * est

@@ -120,7 +120,7 @@ def split(state, n):
 
 
 def block_masses(q, pivot):
-    """The majority and minority masses ``MygaPolicy._play`` puts in a trace."""
+    """The majority and minority masses ``MygaPolicy._play`` puts in a play."""
     return left_sum(q[:pivot]), left_sum(q[pivot:])
 
 
@@ -202,18 +202,18 @@ def mixture_residual(q, zeta_sorted, pivot, weights, thresholds):
     return worst
 
 
-def check_round(trace, gamma, num_arms):
-    k = trace.pivot
-    zeta = trace.zeta_sorted
-    q = trace.q_sorted
-    p = trace.p_sorted
-    thresholds = trace.thresholds
-    majority_mass = trace.majority_mass
-    minority_mass = trace.minority_mass
-    table = trace.dropped_table.values
+def check_round(t, play, gamma, num_arms):
+    k = play.pivot
+    zeta = play.zeta_sorted
+    q = play.q_sorted
+    p = play.p_sorted
+    thresholds = play.thresholds
+    majority_mass = play.majority_mass
+    minority_mass = play.minority_mass
+    table = play.dropped_table.values
 
     if not all(map(math.isfinite, (*zeta, *q, *p, majority_mass, minority_mass, *table))):
-        return [Violation(trace.t, "non_finite_trace", math.nan,
+        return [Violation(t, "non_finite_trace", math.nan,
                           "the round's mixture, solved or played masses are not all finite")]
 
     extremes = (min(table), max(table)) if len(thresholds) else ()
@@ -260,30 +260,30 @@ def check_round(trace, gamma, num_arms):
     violations = []
     if gap > AUDIT_TOL:
         violations.append(Violation(
-            trace.t, "threshold_advice_proportionality", gap,
+            t, "threshold_advice_proportionality", gap,
             "auxiliary majority advice is not a common rescale of the mixture"))
     if table_gap > AUDIT_TOL:
         violations.append(Violation(
-            trace.t, "removed_mass_table", table_gap,
+            t, "removed_mass_table", table_gap,
             "the removed-mass table disagrees with the solved minority masses"))
     if over > AUDIT_TOL:
         violations.append(Violation(
-            trace.t, "minority_cap", over,
+            t, "minority_cap", over,
             "solved mass exceeds the mixture on a minority arm"))
     if under > AUDIT_TOL:
         violations.append(Violation(
-            trace.t, "majority_floor", under,
+            t, "majority_floor", under,
             "solved mass fell below the mixture on a majority arm"))
     if short > AUDIT_TOL:
         violations.append(Violation(
-            trace.t, "pivot_mass_floor", short,
+            t, "pivot_mass_floor", short,
             f"majority mixture mass fell below 1/(2K) = {floor}"))
     if shrink > AUDIT_TOL:
         violations.append(Violation(
-            trace.t, "play_mass_upper", shrink,
+            t, "play_mass_upper", shrink,
             "played mass exceeds the truncation growth factor"))
     if drop > AUDIT_TOL:
         violations.append(Violation(
-            trace.t, "play_mass_support", drop,
+            t, "play_mass_support", drop,
             "a played arm lost mass relative to the solved distribution"))
     return violations

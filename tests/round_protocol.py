@@ -31,12 +31,9 @@ def bits(value):
     return type(value).__name__, value
 
 
-def trace_bits(trace):
-    """Every field of a trace and of its play, field by field, as ``bits``."""
-    found = {f.name: bits(getattr(trace, f.name)) for f in fields(trace) if f.name != "play"}
-    found.update((f"play.{f.name}", bits(getattr(trace.play, f.name)))
-                 for f in fields(trace.play))
-    return found
+def play_bits(play):
+    """Every field of a play, field by field, as ``bits``."""
+    return {f.name: bits(getattr(play, f.name)) for f in fields(play)}
 
 
 def first_played_arm(p):
@@ -53,74 +50,92 @@ def rebase_bits(state, shift):
 class RoundProtocolContract:
     def test_state_machine_guards(self):
         policy = self.make()
-        _, round_one = self.make().advise(ADVICES)
         with pytest.raises(RuntimeError, match="without a pending"):
-            policy.update(round_one, 0, 0.5)
-        p, trace = policy.advise(ADVICES)
+            policy.update(0, 0.5)
+        policy.advise(ADVICES)
         with pytest.raises(RuntimeError, match="before update"):
             policy.advise(ADVICES)
-        policy.update(trace, 0, 0.5)
+        policy.update(0, 0.5)
         with pytest.raises(RuntimeError, match="without a pending"):
-            policy.update(trace, 0, 0.5)
-        p2, trace2 = policy.advise(ADVICES)
-        with pytest.raises(ValueError, match="round"):
-            policy.update(trace, 0, 0.5)
-        policy.update(trace2, 0, 0.5)
+            policy.update(0, 0.5)
+        policy.advise(ADVICES)
+        policy.update(0, 0.5)
         assert policy.t == 3
 
     def test_zero_probability_play_is_an_error(self):
         policy, advices = self.starved_round()
-        p, trace = policy.advise(advices)
+        p, _ = policy.advise(advices)
         assert p[1] == 0.0
         with pytest.raises(RuntimeError, match="zero probability"):
-            policy.update(trace, 1, 0.5)
+            policy.update(1, 0.5)
 
     def test_zero_loss_play_is_still_checked(self):
         # A zero loss charges nobody, yet the play it is reported for is
         # checked as any other: on an arm of zero probability or outside
         # the arms it is an error.
         policy, advices = self.starved_round()
-        p, trace = policy.advise(advices)
+        p, _ = policy.advise(advices)
         assert p[1] == 0.0
         with pytest.raises(RuntimeError, match="zero probability"):
-            policy.update(trace, 1, 0.0)
+            policy.update(1, 0.0)
         for arm in (-1, 2, 5):
             with pytest.raises(ValueError, match="arm"):
-                policy.update(trace, arm, 0.0)
+                policy.update(arm, 0.0)
 
     def test_rejects_out_of_range_loss_and_arm(self):
         policy, reference = self.make(), self.make()
-        p, trace = policy.advise(ADVICES)
+        policy.advise(ADVICES)
         for arm in (-1, 2, 5):
             with pytest.raises(ValueError, match="arm"):
-                policy.update(trace, arm, 0.5)
+                policy.update(arm, 0.5)
         with pytest.raises(ValueError, match="loss"):
-            policy.update(trace, 0, 1.5)
+            policy.update(0, 1.5)
         # The rejected updates changed nothing: the policy's round and real
         # losses are a fresh policy's, the round still completes, and the
         # next round matches a policy that never saw them.
         assert policy.t == reference.t
         np.testing.assert_array_equal(policy.real_loss, reference.real_loss)
-        policy.update(trace, 0, 0.5)
-        _, ref_trace = reference.advise(ADVICES)
-        reference.update(ref_trace, 0, 0.5)
+        policy.update(0, 0.5)
+        reference.advise(ADVICES)
+        reference.update(0, 0.5)
         np.testing.assert_array_equal(policy.advise(ADVICES)[0], reference.advise(ADVICES)[0])
 
-    def test_update_leaves_the_trace_unchanged(self):
+    def test_update_leaves_the_play_and_the_advice_unchanged(self):
+        # The pending round is the advice matrix ``advise`` took and the play
+        # it returned; ``update`` charges them and writes to neither.
         policy = self.make()
         for loss in (0.5, 0.0, 0.0, 1.0):   # the third round reuses the second's play
-            p, trace = policy.advise(ADVICES)
-            before = trace_bits(trace)
-            policy.update(trace, first_played_arm(p), loss)
-            assert trace_bits(trace) == before
+            advices = ADVICES.copy()
+            p, play = policy.advise(advices)
+            assert policy._pending[0] is advices and policy._pending[1] is play
+            before = play_bits(play), bits(advices)
+            policy.update(first_played_arm(p), loss)
+            assert (play_bits(play), bits(advices)) == before
+            assert policy._pending is None
+
+    def test_repeated_round_returns_the_same_play(self):
+        # A round that repeats the last one's key, no rebase and the same
+        # advice bytes, returns the last round's ``Play`` object; a new
+        # advice matrix or a charged round gives a new one.
+        policy = self.make()
+        plays = []
+        for advices, loss in ((ADVICES, 0.0), (ADVICES.copy(), 0.0), (ADVICES[::-1], 0.0),
+                              (ADVICES[::-1], 0.5), (ADVICES[::-1], 0.0)):
+            p, play = policy.advise(advices)
+            assert p is play.p_original
+            policy.update(first_played_arm(p), loss)
+            plays.append(play)
+        assert plays[1] is plays[0]
+        assert plays[2] is not plays[1] and plays[3] is plays[2]
+        assert plays[4] is not plays[3]
 
     def test_update_charges_the_weight_state(self):
         # ``real_loss`` is a view of the weight state's real entries, not a
         # copy: the charge ``update`` makes lands in the state, and the next
         # rebase weighs the charged expert down.
         policy = self.make()
-        p, trace = policy.advise(ADVICES)
-        policy.update(trace, 0, 0.5)
+        p, _ = policy.advise(ADVICES)
+        policy.update(0, 0.5)
         est = 0.5 / p[0]
         assert policy.state.real_loss.tolist() == policy.real_loss.tolist() == [est, 0.4 * est]
         assert np.shares_memory(policy.real_loss, policy.state.lead)
@@ -136,8 +151,8 @@ class RoundProtocolContract:
         state = policy.state
 
         def play(loss):
-            p, trace = policy.advise(ADVICES)
-            policy.update(trace, first_played_arm(p), loss)
+            p, _ = policy.advise(ADVICES)
+            policy.update(first_played_arm(p), loss)
 
         def bare_charge():
             half = state.size // 2
@@ -155,8 +170,8 @@ class RoundProtocolContract:
         # A round reuses the last play while no rebase has run and the
         # advice bytes repeat.  After each kind of change, what ``advise``
         # returns is bit for bit what ``_play`` computes on a deep copy
-        # after a forced rebase, and the trace carries this round's ``t``
-        # and advice array.
+        # after a forced rebase, and the pending round holds this round's
+        # advice array and play.
         policy = self.make()
         state = policy.state
         advices = ADVICES.copy()
@@ -190,13 +205,13 @@ class RoundProtocolContract:
             round_advices = change()
             clone = copy.deepcopy(policy)
             clone.state._rebase()
-            want = policy._trace_type(policy.t, round_advices, clone._play(round_advices))
-            p, trace = policy.advise(round_advices)
-            assert bits(p) == bits(want.p_original) and trace_bits(trace) == trace_bits(want)
-            assert trace.t == policy.t and trace.advices is round_advices
-            assert (last is not None and trace.play is last.play) == reused
-            policy.update(trace, first_played_arm(p), loss)
-            last = trace
+            want = clone._play(round_advices)
+            p, play = policy.advise(round_advices)
+            assert bits(p) == bits(want.p_original) and play_bits(play) == play_bits(want)
+            assert policy._pending[0] is round_advices and policy._pending[1] is play
+            assert (last is not None and play is last) == reused
+            policy.update(first_played_arm(p), loss)
+            last = play
 
     def test_samples_match_one_uniform_per_round(self):
         # ``sample`` takes its uniforms from blocks of the sample
@@ -208,10 +223,10 @@ class RoundProtocolContract:
         other = np.array([[0.2, 0.8], [0.5, 0.5]])
         arms = []
         for t in range(2500):
-            p, trace = policy.advise(other if t % 7 == 6 else ADVICES)
+            p, _ = policy.advise(other if t % 7 == 6 else ADVICES)
             arm = policy.sample(p)
             assert arm == sample_index(p, uniforms.random())
-            policy.update(trace, arm, float(rng.uniform()) if rng.random() < 0.3 else 0.0)
+            policy.update(arm, float(rng.uniform()) if rng.random() < 0.3 else 0.0)
             arms.append(arm)
         assert 0 < sum(arms) < len(arms)
 
@@ -226,7 +241,7 @@ class RoundProtocolContract:
             for t in range(rounds_before):
                 last = policy.advise(ADVICES)
                 loss = 0.0 if t == rounds_before - 1 else 0.5   # the next round reuses the play
-                policy.update(last[1], policy.sample(last[0]), loss)
+                policy.update(policy.sample(last[0]), loss)
             clone = copy.deepcopy(policy)
             state = clone.state
             assert clone.real_loss is state.real_loss
@@ -241,14 +256,46 @@ class RoundProtocolContract:
                 loss = float(rng.uniform()) if rng.random() < 0.3 else 0.0
                 outcomes = []
                 for each in (clone, policy):
-                    p, trace = each.advise(advices)
+                    p, play = each.advise(advices)
                     arm = each.sample(p)
-                    each.update(trace, arm, loss)
-                    outcomes.append((bits(p), trace_bits(trace), arm))
+                    each.update(arm, loss)
+                    outcomes.append((bits(p), play_bits(play), arm))
                 reused += p is last[0]
-                last = p, trace
+                last = p, play
                 assert outcomes[0] == outcomes[1]
             assert reused >= 10
+
+    def test_deep_copy_of_a_pending_round_plays_on_as_the_original(self):
+        # A deep copy taken between ``advise`` and ``update`` holds the
+        # pending advice and play of its own; it updates, then advises,
+        # samples and updates every later round bit for bit as the original.
+        # The copied round repeats the last play, so the copy's pending play
+        # is its last play and the distribution it last drew from.
+        policy = self.make()
+        for loss in (0.5, 0.0):
+            p, _ = policy.advise(ADVICES)
+            policy.update(policy.sample(p), loss)
+        p, play = policy.advise(ADVICES)
+        arm = policy.sample(p)
+        clone = copy.deepcopy(policy)
+        advices, pending = clone._pending
+        assert pending is clone._last_play and pending.p_original is clone._drawn
+        assert play_bits(pending) == play_bits(play) and pending is not play
+        assert bits(advices) == bits(ADVICES) and advices is not policy._pending[0]
+        rng = np.random.default_rng(29)
+        other = np.array([[0.2, 0.8], [0.5, 0.5]])
+        for each in (clone, policy):
+            each.update(arm, 0.5)
+        for t in range(200):
+            advices = other if t % 9 == 8 else ADVICES
+            loss = float(rng.uniform()) if rng.random() < 0.3 else 0.0
+            outcomes = []
+            for each in (clone, policy):
+                p, play = each.advise(advices)
+                arm = each.sample(p)
+                each.update(arm, loss)
+                outcomes.append((bits(p), play_bits(play), arm, bits(each.real_loss)))
+            assert outcomes[0] == outcomes[1]
 
     def test_rejects_advice_rows_that_are_not_distributions(self):
         policy, reference = self.make(), self.make()
@@ -265,13 +312,13 @@ class RoundProtocolContract:
         policy, reference = self.make(), self.make()
         for each in (policy, reference):
             for _ in range(2):   # the second round reuses the first's play
-                p, trace = each.advise(ADVICES)
-                each.update(trace, first_played_arm(p), 0.0)
+                p, _ = each.advise(ADVICES)
+                each.update(first_played_arm(p), 0.0)
         for row in ([np.nan, np.nan], [0.9, 0.9], [0.9, 0.9]):
             with pytest.raises(ValueError, match="expert advice row 1 "):
                 policy.advise(np.array([ADVICES[0], row]))
         for advices in (ADVICES, ADVICES[::-1]):
             got, want = policy.advise(advices), reference.advise(advices)
-            assert bits(got[0]) == bits(want[0]) and trace_bits(got[1]) == trace_bits(want[1])
-            for each, (p, trace) in ((policy, got), (reference, want)):
-                each.update(trace, first_played_arm(p), 0.0)
+            assert bits(got[0]) == bits(want[0]) and play_bits(got[1]) == play_bits(want[1])
+            for each, (p, _) in ((policy, got), (reference, want)):
+                each.update(first_played_arm(p), 0.0)

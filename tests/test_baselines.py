@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from myga.baselines import (Exp4Config, Exp4Policy, BaselineTrace,
-                            threshold_mixture)
+from myga.baselines import BaselinePlay, Exp4Config, Exp4Policy, threshold_mixture
 from myga.simplex import validate
 import numpy_reference as ref
 from round_protocol import RoundProtocolContract
@@ -82,9 +81,9 @@ class TestExp4Policy(RoundProtocolContract):
         policy = Exp4Policy(Exp4Config(num_arms=3, num_experts=2, eta=0.5),
                             sample_rng=np.random.default_rng(0))
         advices = np.array([[1.0, 0.0, 0.0], [0.2, 0.5, 0.3]])
-        p, trace = policy.advise(advices)
+        p, play = policy.advise(advices)
         np.testing.assert_allclose(p, [0.6, 0.25, 0.15], atol=1e-15)
-        assert isinstance(trace, BaselineTrace)
+        assert isinstance(play, BaselinePlay) and p is play.p_original
 
     def test_thresholded_first_round(self):
         cfg = Exp4Config(num_arms=3, num_experts=2, eta=0.5,
@@ -98,8 +97,8 @@ class TestExp4Policy(RoundProtocolContract):
         policy = Exp4Policy(Exp4Config(num_arms=2, num_experts=2, eta=0.5),
                             sample_rng=np.random.default_rng(0))
         advices = np.array([[1.0, 0.0], [0.4, 0.6]])
-        p, trace = policy.advise(advices)
-        policy.update(trace, 0, 0.7)
+        p, _ = policy.advise(advices)
+        policy.update(0, 0.7)
         est = 0.7 / p[0]
         np.testing.assert_allclose(policy.real_loss, [est, 0.4 * est], atol=1e-12)
 
@@ -108,9 +107,9 @@ class TestExp4Policy(RoundProtocolContract):
                             sample_rng=np.random.default_rng(3))
         advices = np.array([[1.0, 0.0], [0.0, 1.0]])
         for _ in range(10):
-            p, trace = policy.advise(advices)
+            p, _ = policy.advise(advices)
             arm = policy.sample(p)
-            policy.update(trace, arm, 1.0 if arm == 0 else 0.0)
+            policy.update(arm, 1.0 if arm == 0 else 0.0)
         assert policy.real_loss[0] > policy.real_loss[1]
         p, _ = policy.advise(advices)
         assert p[1] > 0.9
@@ -122,10 +121,10 @@ class TestExp4Policy(RoundProtocolContract):
         policy = Exp4Policy(cfg, sample_rng=np.random.default_rng(5))
         for _ in range(200):
             advices = rng.dirichlet(np.ones(4), size=3)
-            p, trace = policy.advise(advices)
+            p, _ = policy.advise(advices)
             assert validate(p, tol=1e-9)
             arm = policy.sample(p)
-            policy.update(trace, arm, float(rng.uniform()))
+            policy.update(arm, float(rng.uniform()))
 
 
 @pytest.mark.parametrize("num_arms, num_experts", [(1, 2), (0, 2), (2, 0)])

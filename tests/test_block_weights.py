@@ -108,21 +108,21 @@ def drift(policy, dense, spec, rounds, same_state):
             dense.real_loss[:] = policy.real_loss
             dense.state.aux_loss = block_losses(policy.state)
         data = generate(spec, t)
-        p, trace = policy.advise(data.advices)
+        p, play = policy.advise(data.advices)
         p_dense, reference = dense.advise(data.advices)
         shares = policy.state
         gaps = dict(
-            q=np.abs(np.subtract(trace.q_sorted, reference.q_sorted)).max(),
+            q=np.abs(np.subtract(play.q_sorted, reference.q_sorted)).max(),
             p=np.abs(np.subtract(p, p_dense)).max(),
             base=abs(shares.base - dense.shares.base),
             kept=max(abs(shares.split(n)[0] - dense.shares.split(n)[0])
                      for n in range(0, size + 1, 1 + size // 64)),
-            table=np.abs(densify(trace.dropped_table, size)
+            table=np.abs(densify(play.dropped_table, size)
                          - reference.dropped_table).max(initial=0.0))
         arm = policy.sample(p)
-        policy.update(trace, arm, float(data.losses[arm]))
-        dense.update(reference, arm, float(data.losses[arm]))
-        advice = threshold_advice_at(trace, trace.perm.inverse[arm])
+        policy.update(arm, float(data.losses[arm]))
+        dense.update(arm, float(data.losses[arm]))
+        advice = threshold_advice_at(play, play.perm.inverse[arm])
         gaps["advice"] = np.abs(densify(advice, size) - dense_threshold_advice(
             reference, reference.perm.inverse[arm])).max(initial=0.0)
         worst = {key: max(worst[key], float(gaps[key])) for key in worst}

@@ -580,9 +580,9 @@ class TestChecksAtSource:
         row_checks = count_calls(monkeypatch, simplex_mod, "require_distribution_rows")
         for t in range(1, 301):
             data = generate(spec, t)
-            p, trace = pol.advise(data.advices)
+            p, _ = pol.advise(data.advices)
             arm = pol.sample(p)
-            pol.update(trace, arm, float(data.losses[arm]))
+            pol.update(arm, float(data.losses[arm]))
         assert 0 < len(plays) < 300   # zero-loss rounds with the same advice repeat a play
         assert len(row_checks) == len(plays)
 

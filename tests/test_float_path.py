@@ -17,7 +17,7 @@ import myga.fixed_point as fixed_point_mod
 import numpy_reference as ref
 from myga.fixed_point import MixtureWeights, _solve, mixture_residual, solve_fixed_point
 from myga.policy import build_threshold_grid
-from myga.policy import Play, RoundTrace, threshold_advice_at
+from myga.policy import Play, threshold_advice_at
 from myga.simplex import (ArmPermutation, pivot_index, require_distribution_rows,
                           sample_index, sort_descending, validate, weighted_average)
 from myga.truncation import StepFunction, truncate, truncated_mass_table
@@ -291,8 +291,7 @@ class TestExactTie:
             q_sorted=q, p_sorted=q, p_original=q, thresholds=grid, dropped_table=table,
             majority_mass=q[0], minority_mass=q[1], residual=residual,
             below=below, iterations=sum(below))
-        trace = RoundTrace(t=1, advices=np.tile(zeta, (2, 1)), play=play)
-        return table, threshold_advice_at(trace, 1)
+        return table, threshold_advice_at(play, 1)
 
     def test_mass_grown_onto_a_threshold_stays_truncated(self, placements):
         # The arm starts at 1/2 * 3/8 = 3/16, crosses 1/8, and that

@@ -214,54 +214,53 @@ def test_solver_errors_match():
          MixtureWeights(0.5, np.array([0.5])), [0.2])
 
 
-def policy_traces(num_arms, num_experts, kind, gamma, denominator, rounds, seed):
+def policy_plays(num_arms, num_experts, kind, gamma, denominator, rounds, seed):
     cfg = MygaConfig(num_arms=num_arms, num_experts=num_experts, horizon=rounds, eta=0.3,
                      gamma=gamma, grid_denominator=denominator)
     spec = EnvSpec(kind=kind, num_arms=num_arms, num_experts=num_experts, horizon=rounds,
                    seed=seed)
     policy = MygaPolicy(cfg, sample_rng=np.random.default_rng(seed))
-    traces = []
+    plays = []
     for t in range(1, rounds + 1):
         data = generate(spec, t)
-        p, trace = policy.advise(data.advices)
+        p, play = policy.advise(data.advices)
         arm = policy.sample(p)
-        policy.update(trace, arm, float(data.losses[arm]))
-        traces.append((trace, gamma))
-    return traces
+        policy.update(arm, float(data.losses[arm]))
+        plays.append((t, play, gamma))
+    return plays
 
 
 @pytest.fixture(scope="module")
-def traces():
-    """Policy traces: the lattice cell, a two-arm cell, nine and twelve arms, an empty grid."""
+def plays():
+    """Each round's play: the lattice cell, a two-arm cell, nine and twelve arms, an empty grid."""
     out = []
-    out += policy_traces(5, 8, "adversarial_minority", 0.4, 4000, 60, 3)
-    out += policy_traces(2, 4, "stochastic_gap", 0.01, 400, 60, 1)
-    out += policy_traces(9, 6, "adversarial_minority", 0.2, 1000, 40, 2)
-    out += policy_traces(12, 5, "zero_loss_expert", 0.05, 200, 40, 4)
-    out += policy_traces(3, 2, "stochastic_gap", 0.5, 60, 20, 5)
+    out += policy_plays(5, 8, "adversarial_minority", 0.4, 4000, 60, 3)
+    out += policy_plays(2, 4, "stochastic_gap", 0.01, 400, 60, 1)
+    out += policy_plays(9, 6, "adversarial_minority", 0.2, 1000, 40, 2)
+    out += policy_plays(12, 5, "zero_loss_expert", 0.05, 200, 40, 4)
+    out += policy_plays(3, 2, "stochastic_gap", 0.5, 60, 20, 5)
     return out
 
 
-def test_block_masses(traces):
-    for trace, _ in traces:
-        want = ref.block_masses(trace.q_sorted, trace.pivot)
-        assert bits((trace.majority_mass, trace.minority_mass)) == bits(want)
+def test_block_masses(plays):
+    for _, play, _ in plays:
+        want = ref.block_masses(play.q_sorted, play.pivot)
+        assert bits((play.majority_mass, play.minority_mass)) == bits(want)
 
 
-def spoil(trace, rng):
-    """A copy of ``trace`` with one to three entries or block masses replaced or moved."""
-    play = dataclasses.replace(trace.play, zeta_sorted=list(trace.zeta_sorted),
-                               q_sorted=list(trace.q_sorted), p_sorted=list(trace.p_sorted))
-    copy = dataclasses.replace(trace, play=play)
-    num_arms = len(play.zeta_sorted)
+def spoil(play, rng):
+    """A copy of ``play`` with one to three entries or block masses replaced or moved."""
+    copy = dataclasses.replace(play, zeta_sorted=list(play.zeta_sorted),
+                               q_sorted=list(play.q_sorted), p_sorted=list(play.p_sorted))
+    num_arms = len(copy.zeta_sorted)
     for _ in range(int(rng.integers(1, 4))):
         target = int(rng.integers(4))
         if target == 3:   # a block mass, now and then a majority of no mass
             name = ("majority_mass", "minority_mass")[int(rng.integers(2))]
             factor = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 1.5))
-            setattr(play, name, getattr(play, name) * factor)
+            setattr(copy, name, getattr(copy, name) * factor)
             continue
-        values = getattr(play, ("zeta_sorted", "q_sorted", "p_sorted")[target])
+        values = getattr(copy, ("zeta_sorted", "q_sorted", "p_sorted")[target])
         arm = int(rng.integers(num_arms))
         if rng.random() < 0.2:
             values[arm] = SPECIALS[int(rng.integers(len(SPECIALS)))]
@@ -270,16 +269,15 @@ def spoil(trace, rng):
     return copy
 
 
-def test_check_round(traces):
+def test_check_round(plays):
     rng = np.random.default_rng(700)
-    for trace, gamma in traces:
-        num_arms = len(trace.zeta_sorted)
-        for candidate in (trace, *(spoil(trace, rng) for _ in range(6))):
-            same(check_round, ref.check_round, candidate, gamma, num_arms)
+    for t, play, gamma in plays:
+        num_arms = len(play.zeta_sorted)
+        for candidate in (play, *(spoil(play, rng) for _ in range(6))):
+            same(check_round, ref.check_round, t, candidate, gamma, num_arms)
     # Finite masses whose total overflows: the finiteness rule must still pass them.
-    for trace, gamma in traces[::50]:
-        num_arms = len(trace.zeta_sorted)
-        huge = dataclasses.replace(
-            trace, play=dataclasses.replace(trace.play, zeta_sorted=[1e308] * num_arms))
-        same(check_round, ref.check_round, huge, gamma, num_arms)
-        assert "non_finite_trace" not in {v.rule for v in check_round(huge, gamma, num_arms)}
+    for t, play, gamma in plays[::50]:
+        num_arms = len(play.zeta_sorted)
+        huge = dataclasses.replace(play, zeta_sorted=[1e308] * num_arms)
+        same(check_round, ref.check_round, t, huge, gamma, num_arms)
+        assert "non_finite_trace" not in {v.rule for v in check_round(t, huge, gamma, num_arms)}

@@ -16,7 +16,7 @@ from myga.policy import (MygaConfig, MygaPolicy, WeightState, build_threshold_gr
                          loss_estimate, schedule_parameters, threshold_advice_at)
 from myga.simplex import cumulative, sample_index, validate
 from myga.truncation import StepFunction, truncate
-from round_protocol import RoundProtocolContract
+from round_protocol import RoundProtocolContract, bits, play_bits
 
 
 class TestScheduleParameters:
@@ -177,7 +177,7 @@ class TestWeightState:
 
     def test_best_expert_pins_weight_one(self):
         policy = policy_with(3, 0, 0.7)
-        policy.real_loss += np.array([2.0, 5.0, 3.5])
+        policy.real_loss[...] += np.array([2.0, 5.0, 3.5])
         w_real, aux = round_weights(policy)
         assert w_real[0] == 1.0
         assert np.all(w_real <= 1.0)
@@ -185,7 +185,7 @@ class TestWeightState:
 
     def test_best_auxiliary_expert_pins_weight_one(self):
         policy = policy_with(2, 5, 0.7)
-        policy.real_loss += np.array([2.0, 5.0])
+        policy.real_loss[...] += np.array([2.0, 5.0])
         policy.state.charge(StepFunction([0, 2, 3], [4.0, 1.0, 3.0]))
         w_real, aux = round_weights(policy)
         assert prefix(aux, 3) - prefix(aux, 2) == pytest.approx(1.0, rel=1e-15)
@@ -194,10 +194,10 @@ class TestWeightState:
     def test_common_shift_leaves_shares_unchanged(self):
         policy = policy_with(4, 3, 0.3)
         rng = np.random.default_rng(41)
-        policy.real_loss += rng.uniform(0.0, 20.0, size=4)
+        policy.real_loss[...] += rng.uniform(0.0, 20.0, size=4)
         policy.state.charge(StepFunction([0, 1, 2], rng.uniform(0.0, 20.0, size=3).tolist()))
         base, kept = shares_of(policy)
-        policy.real_loss += 1000.0
+        policy.real_loss[...] += 1000.0
         policy.state.charge(StepFunction([0], [1000.0]))
         base2, kept2 = shares_of(policy)
         assert base2 == pytest.approx(base, rel=1e-12)
@@ -211,24 +211,24 @@ class TestWeightState:
                             grid_denominator=8)
         policy, dense = MygaPolicy(config), DensePolicy(config)
         for each in (policy, dense):
-            each.real_loss += np.array([0.0, 1e6])
+            each.real_loss[...] += np.array([0.0, 1e6])
         policy.state.charge(StepFunction([0], [2e6]))
         dense.state.aux_loss += 2e6
         w_real, aux = round_weights(policy)
         assert w_real[1] > 0.0 and np.isfinite(w_real).all()
         assert aux.total == 0.0 and round_weights(dense)[1].w_aux[0] == 1e-300
         advices = np.array([[0.7, 0.3], [0.2, 0.8]])
-        _, trace = policy.advise(advices)
+        _, play = policy.advise(advices)
         _, reference = dense.advise(advices)
         for field in ("q_sorted", "p_sorted"):
-            np.testing.assert_array_equal(getattr(trace, field), getattr(reference, field))
-        assert trace.residual <= 1e-9
+            np.testing.assert_array_equal(getattr(play, field), getattr(reference, field))
+        assert play.residual <= 1e-9
 
     def test_hopeless_expert_keeps_positive_weight_under_exp4(self):
         # The floor lives in the rebase both policies share; without a grid
         # the state is the real experts alone, and the round still plays.
         policy = Exp4Policy(Exp4Config(num_arms=2, num_experts=2, eta=1.0))
-        policy.real_loss += np.array([0.0, 1e6])
+        policy.real_loss[...] += np.array([0.0, 1e6])
         w_real, aux = round_weights(policy)
         assert w_real[1] > 0.0 and np.isfinite(w_real).all()
         assert aux.total == 0.0
@@ -248,7 +248,7 @@ class TestRebaseSkip:
         spec = EnvSpec(kind="stochastic_gap", num_arms=2, num_experts=4, horizon=2000, seed=0,
                        mu_star=0.1, delta=0.2)
         rebased, played, charged, grown = [], [], [], 0
-        rebase, play = WeightState._rebase, MygaPolicy._play
+        rebase, solve = WeightState._rebase, MygaPolicy._play
 
         def count_rebase(state):
             rebased.append(policy.t)
@@ -256,18 +256,18 @@ class TestRebaseSkip:
 
         def count_play(self, advices):
             played.append(self.t)
-            return play(self, advices)
+            return solve(self, advices)
 
         monkeypatch.setattr(WeightState, "_rebase", count_rebase)
         monkeypatch.setattr(MygaPolicy, "_play", count_play)
         for t in range(1, 2001):
             data = generate(spec, t)
-            p, trace = policy.advise(data.advices)
+            p, play = policy.advise(data.advices)
             arm = policy.sample(p)
             loss = float(data.losses[arm])
-            policy.update(trace, arm, loss)
+            policy.update(arm, loss)
             charged += [t] if loss else []
-            grown += trace.iterations > 0
+            grown += play.iterations > 0
         assert rebased == played == [1] + [t + 1 for t in charged if t < 2000]
         assert 200 < len(charged) < 1000 and grown >= 30
 
@@ -307,19 +307,19 @@ class TestMygaPolicyAdvise:
     def test_first_round_mixture_is_plain_average(self):
         policy = make_policy()
         advices = np.array([[1.0, 0.0], [0.4, 0.6]])
-        p, trace = policy.advise(advices)
-        np.testing.assert_allclose(trace.zeta_sorted, [0.7, 0.3], atol=1e-15)
-        assert trace.pivot == 1
+        p, play = policy.advise(advices)
+        np.testing.assert_allclose(play.zeta_sorted, [0.7, 0.3], atol=1e-15)
+        assert play.pivot == 1
         assert validate(p)
         # Minority mass solves the same one-dimensional equation the
         # closed-form oracle enumerates.
-        shares = MixtureWeights(base=2.0 / (2.0 + len(trace.thresholds)),
-                                per_threshold=np.full(len(trace.thresholds),
-                                                      1.0 / (2.0 + len(trace.thresholds))))
-        oracle = two_arm_fixed_point(0.3, shares, trace.thresholds)
-        assert abs(trace.q_sorted[1] - oracle) <= 1e-9
-        np.testing.assert_allclose(trace.p_sorted,
-                                   truncate(trace.q_sorted, 1, policy.cfg.gamma),
+        shares = MixtureWeights(base=2.0 / (2.0 + len(play.thresholds)),
+                                per_threshold=np.full(len(play.thresholds),
+                                                      1.0 / (2.0 + len(play.thresholds))))
+        oracle = two_arm_fixed_point(0.3, shares, play.thresholds)
+        assert abs(play.q_sorted[1] - oracle) <= 1e-9
+        np.testing.assert_allclose(play.p_sorted,
+                                   truncate(play.q_sorted, 1, policy.cfg.gamma),
                                    atol=1e-15)
 
     def test_play_is_gamma_truncation_in_original_coordinates(self):
@@ -327,9 +327,9 @@ class TestMygaPolicyAdvise:
         policy = make_policy(num_arms=5, num_experts=3, gamma=0.125,
                              grid_denominator=8)
         advices = rng.dirichlet(np.ones(5), size=3)
-        p, trace = policy.advise(advices)
-        np.testing.assert_array_equal(trace.perm.to_original(trace.p_sorted), p)
-        np.testing.assert_array_equal([p[i] for i in trace.perm.forward], trace.p_sorted)
+        p, play = policy.advise(advices)
+        np.testing.assert_array_equal(play.perm.to_original(play.p_sorted), p)
+        np.testing.assert_array_equal([p[i] for i in play.perm.forward], play.p_sorted)
 
     def test_trace_residual_within_contract(self):
         rng = np.random.default_rng(57)
@@ -337,12 +337,12 @@ class TestMygaPolicyAdvise:
                              grid_denominator=40)
         for t in range(20):
             advices = rng.dirichlet(np.ones(6), size=4)
-            p, trace = policy.advise(advices)
-            assert trace.residual <= 1e-9
-            shares_total = np.sum(trace.q_sorted)
+            p, play = policy.advise(advices)
+            assert play.residual <= 1e-9
+            shares_total = np.sum(play.q_sorted)
             assert abs(shares_total - 1.0) <= 1e-9
             arm = policy.sample(p)
-            policy.update(trace, arm, float(rng.uniform()))
+            policy.update(arm, float(rng.uniform()))
 
     def test_rejects_bad_advice_shape_and_rows(self):
         policy = make_policy()
@@ -355,7 +355,7 @@ class TestMygaPolicyAdvise:
 
 
 class TestPlacement:
-    """``RoundTrace.below`` places each solved minority arm on the grid, also on rounds that grow."""
+    """``Play.below`` places each solved minority arm on the grid, also on rounds that grow."""
 
     @pytest.mark.parametrize("config", [
         ExperimentConfig(env="stochastic_gap", num_arms=2, num_experts=4, horizon=1000),
@@ -363,21 +363,21 @@ class TestPlacement:
                          gamma=0.4, grid_denominator=4000),
     ], ids=["stochastic_gap", "adversarial_minority"])
     def test_below_is_the_search_of_the_solved_minority(self, monkeypatch, config):
-        traces = []
+        plays = []
         advise = MygaPolicy.advise
 
         def capture(policy, advices, **kwargs):
-            p, trace = advise(policy, advices, **kwargs)
-            traces.append(trace)
-            return p, trace
+            p, play = advise(policy, advices, **kwargs)
+            plays.append(play)
+            return p, play
 
         monkeypatch.setattr(MygaPolicy, "advise", capture)
         execute(config)
-        assert sum(trace.iterations > 0 for trace in traces) >= 30
-        for trace in traces:
-            minority = trace.q_sorted[trace.pivot:]
-            assert trace.below == np.searchsorted(trace.thresholds, minority, side="left").tolist()
-            assert trace.iterations == sum(trace.below)
+        assert sum(play.iterations > 0 for play in plays) >= 30
+        for play in plays:
+            minority = play.q_sorted[play.pivot:]
+            assert play.below == np.searchsorted(play.thresholds, minority, side="left").tolist()
+            assert play.iterations == sum(play.below)
 
 
 class TestMygaPolicyUpdate(RoundProtocolContract):
@@ -402,20 +402,20 @@ class TestMygaPolicyUpdate(RoundProtocolContract):
         seen_minority = seen_majority = 0
         for _ in range(60):
             advices = rng.dirichlet(np.ones(6) * 0.7, size=3)
-            p, trace = policy.advise(advices)
-            support = np.flatnonzero(np.asarray(trace.p_original) > 0.0)
+            p, play = policy.advise(advices)
+            support = np.flatnonzero(np.asarray(play.p_original) > 0.0)
             arm = int(rng.choice(support))
             loss = float(rng.uniform())
             before = block_losses(aux)
-            policy.update(trace, arm, loss)
-            arm_sorted = trace.perm.inverse[arm]
-            advice = densify(threshold_advice_at(trace, arm_sorted), aux.size)
-            literal = np.array([truncate(trace.q_sorted, trace.pivot, float(s))[arm_sorted]
-                                for s in trace.thresholds])
+            policy.update(arm, loss)
+            arm_sorted = play.perm.inverse[arm]
+            advice = densify(threshold_advice_at(play, arm_sorted), aux.size)
+            literal = np.array([truncate(play.q_sorted, play.pivot, float(s))[arm_sorted]
+                                for s in play.thresholds])
             np.testing.assert_allclose(advice, literal, atol=1e-12)
             np.testing.assert_allclose(block_losses(aux) - before, advice * (loss / p[arm]),
                                        atol=1e-12)
-            if arm_sorted >= trace.pivot:
+            if arm_sorted >= play.pivot:
                 seen_minority += 1
             else:
                 seen_majority += 1
@@ -424,10 +424,10 @@ class TestMygaPolicyUpdate(RoundProtocolContract):
     def test_real_expert_charges_accumulate(self):
         policy = make_policy()
         advices = np.array([[1.0, 0.0], [0.4, 0.6]])
-        p, trace = policy.advise(advices)
+        p, play = policy.advise(advices)
         arm = int(np.flatnonzero(np.asarray(p) > 0.0)[0])
         before = policy.real_loss.copy()
-        policy.update(trace, arm, 0.5)
+        policy.update(arm, 0.5)
         est = 0.5 / p[arm]
         np.testing.assert_allclose(policy.real_loss - before, advices[:, arm] * est, atol=1e-12)
 
@@ -437,9 +437,9 @@ class TestMygaPolicyUpdate(RoundProtocolContract):
         policy = make_policy(eta=1.0)
         advices = np.array([[1.0, 0.0], [0.0, 1.0]])
         for _ in range(5):
-            p, trace = policy.advise(advices)
+            p, play = policy.advise(advices)
             arm = policy.sample(p)
-            policy.update(trace, arm, 1.0 if arm == 0 else 0.0)
+            policy.update(arm, 1.0 if arm == 0 else 0.0)
         w_real, _ = round_weights(policy)
         assert w_real[1] > w_real[0]
 
@@ -472,10 +472,10 @@ class TestCachedCdf:
         repeats, last = 0, None
         for t in range(1, spec.horizon + 1):
             data = generate(spec, t)
-            p, trace = policy.advise(data.advices)
+            p, play = policy.advise(data.advices)
             arm = policy.sample(p)
             assert arm == sample_index(list(p), uniforms.random())
-            policy.update(trace, arm, float(data.losses[arm]))
+            policy.update(arm, float(data.losses[arm]))
             repeats += p is last
             last = p
         if shape == "gap_wide_grid":
@@ -492,9 +492,9 @@ class TestCachedCdf:
         while streak < 3:
             t += 1
             data = generate(spec, t)
-            p, trace = policy.advise(data.advices)
+            p, play = policy.advise(data.advices)
             arm = policy.sample(p)
-            policy.update(trace, arm, float(data.losses[arm]))
+            policy.update(arm, float(data.losses[arm]))
             streak = streak + 1 if p is last else 0
             last = p
         clone = copy.deepcopy(policy)
@@ -506,11 +506,45 @@ class TestCachedCdf:
             data = generate(spec, t)
             arms = []
             for each in (policy, clone):
-                p, trace = each.advise(data.advices)
+                p, play = each.advise(data.advices)
                 arm = each.sample(p)
-                each.update(trace, arm, float(data.losses[arm]))
+                each.update(arm, float(data.losses[arm]))
                 arms.append(arm)
             assert arms[0] == arms[1]
+
+    @pytest.mark.parametrize("shape", ["gap_wide_grid", "minority_lattice"])
+    def test_deep_copy_of_a_pending_round_plays_on(self, shape):
+        # A copy taken between ``advise`` and ``update`` updates the pending
+        # round and then plays every later round bit for bit as the
+        # original does: on the K=2 cell inside a streak of repeated plays,
+        # on the K=5, E=8 lattice cell where no play repeats.
+        policy, spec = sampling_run(shape)
+        last = None
+        for t in range(1, spec.horizon + 1):
+            data = generate(spec, t)
+            p, play = policy.advise(data.advices)
+            arm = policy.sample(p)
+            if t >= 40 and (shape == "minority_lattice" or p is last):
+                break
+            policy.update(arm, float(data.losses[arm]))
+            last = p
+        clone = copy.deepcopy(policy)
+        advices, pending = clone._pending
+        assert play_bits(pending) == play_bits(play) and pending is not play
+        assert bits(advices) == bits(policy._pending[0]) and advices is not policy._pending[0]
+        assert (p is last) == (shape == "gap_wide_grid")
+        for each in (policy, clone):
+            each.update(arm, float(data.losses[arm]))
+        for t in range(t + 1, t + 301):
+            data = generate(spec, t)
+            outcomes = []
+            for each in (policy, clone):
+                p, play = each.advise(data.advices)
+                arm = each.sample(p)
+                each.update(arm, float(data.losses[arm]))
+                outcomes.append((bits(p), play_bits(play), arm, bits(each.real_loss),
+                                 bits(each.state.loss), bits(each.state.block_loss)))
+            assert outcomes[0] == outcomes[1]
 
     def test_nan_distribution_samples_as_before(self):
         # A NaN reads as +inf from its arm on, in a new list and in a kept one.
