@@ -3,7 +3,8 @@
 #
 # The CLI runs that CI makes on every push, runnable by hand from any
 # directory of the repository:
-#   1. audited runs of every policy, with warnings as errors;
+#   1. audited runs of every policy, with warnings as errors, and an
+#      unaudited run, which must exit 0 and write the audited run's bytes;
 #   2. no play state crosses seeds: seed 1 writes the same rows after seed 0
 #      as alone;
 #   3. a replay run writes the bytes of the run it was saved from;
@@ -54,6 +55,17 @@ echo "== Audited runs of every policy with warnings as errors"
   cli audited_gap_wide_grid --policy myga --env stochastic_gap --arms 2 --experts 4 \
     --horizon 10000 --mu-star 0.16 --delta 0.2 --lstar 1600 --seed 0
 )
+
+echo "== An unaudited run exits 0 and writes the audited run's bytes"
+# With the audit off no violation is recorded, so the run exits 0 (set -e
+# stops the script on any other status).  The audited gap run records no
+# violation either, so the two runs write the same rows and summaries.
+cli unaudited_gap --policy myga --env stochastic_gap --arms 2 --experts 4 \
+  --horizon 2000 --seed 0,1 --audit false
+for kind in rounds summary; do
+  cmp "$runs/audited_gap_$kind.csv" "$runs/unaudited_gap_$kind.csv"
+done
+echo "unaudited_gap: exit 0, rounds and summary equal audited_gap's"
 
 echo "== No play state crosses seeds (seed 1 writes the same rows after seed 0 as alone)"
 check() {   # name, seed-1 round rows, then the run's arguments

@@ -101,12 +101,15 @@ class RoundData:
 
 _CHUNK = 1024   # rounds per chunk
 
-# SeedSequence hashes a key as the 32-bit words of its integers, zero-padded
-# to four: the chunk key gives the seed's words, then 0 and 512, then the
-# chunk's, where the sample stream ``[seed, cli.SAMPLE_STREAM_SALT]`` gives
-# the seed's words, then 0 and 256.  While the chunk index fits one word
-# (rounds below 2**42), no chunk key has the words of a sample key, nor of
-# another chunk key.
+# The seed-stream keys.  A seed's chunk of rounds draws from
+# ``[seed, _CHUNK_SALT, chunk]`` and its sample stream, made in ``cli``, from
+# ``[seed, SAMPLE_STREAM_SALT]``.  SeedSequence hashes a key as the 32-bit
+# words of its integers, zero-padded to four: the chunk key gives the seed's
+# words, then 0 and 512, then the chunk's, where the sample key gives the
+# seed's words, then 0 and 256.  While the chunk index fits one word (rounds
+# below 2**42), no chunk key has the words of a sample key, nor of another
+# chunk key.
+SAMPLE_STREAM_SALT = 2 ** 40
 _CHUNK_SALT = 2 ** 41
 
 

@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from . import simplex
-from .simplex import floats, left_sum
+from .simplex import floats
 
 RESIDUAL_TOL = 1e-9
 
@@ -103,16 +103,17 @@ def require_grid(thresholds: np.ndarray) -> np.ndarray:
 
 
 def _require_sorted_inputs(zeta_sorted, pivot: int) -> list[float]:
-    """The sorted mixture as a list of floats, once its contract holds with the pivot."""
+    """The sorted mixture as a list of floats, once it is non-increasing with pivot ``pivot``.
+
+    The mixture must be a distribution, and ``pivot`` must be the one
+    ``simplex.pivot_index`` places: the pivot rule is stated there alone.
+    """
     values = simplex.require_distribution(zeta_sorted, what="sorted mixture")
     if any(b > a for a, b in zip(values, values[1:])):
         raise ValueError("sorted mixture must be non-increasing")
-    if not 1 <= pivot <= len(values):
-        raise ValueError(f"pivot {pivot} outside [1, {len(values)}]")
-    if left_sum(values[:pivot]) < 0.5:
-        raise ValueError("majority prefix of the sorted mixture is lighter than 1/2")
-    if pivot > 1 and left_sum(values[:pivot - 1]) >= 0.5:
-        raise ValueError("pivot is not minimal for the sorted mixture")
+    expected = simplex.pivot_index(values)
+    if pivot != expected:
+        raise ValueError(f"pivot {pivot} is not the sorted mixture's pivot {expected}")
     return values
 
 

@@ -79,18 +79,23 @@ def schedule_parameters(num_arms: int, num_experts: int, horizon: int,
     return eta, step / denom
 
 
-def build_threshold_grid(gamma: float, grid_denominator: int) -> np.ndarray:
-    """Ascending lattice multiples of 1/grid_denominator inside (gamma, 1/2]."""
-    denom = int(grid_denominator)
+def _lattice_index(gamma: float, denom: int) -> int:
+    """The j with gamma = j/denom, once D >= 2, gamma in (0, 1/2] and gamma on the lattice."""
     if denom < 2:
         raise ValueError("grid denominator must be at least 2")
     if not 0.0 < gamma <= 0.5:
-        raise ValueError(f"gamma {gamma} outside (0, 1/2]")
-    j_gamma = round(gamma * denom)
-    if abs(gamma - j_gamma / denom) > 1e-12:
-        raise ValueError(f"gamma {gamma} is not a multiple of 1/{denom}")
-    j_half = denom // 2
-    return np.arange(j_gamma + 1, j_half + 1, dtype=float) / denom
+        raise ValueError("gamma must lie in (0, 1/2]")
+    j = round(gamma * denom)
+    if abs(gamma - j / denom) > 1e-12:
+        raise ValueError(f"gamma {gamma} off the 1/{denom} lattice")
+    return j
+
+
+def build_threshold_grid(gamma: float, grid_denominator: int) -> np.ndarray:
+    """Ascending lattice multiples of 1/grid_denominator inside (gamma, 1/2]."""
+    denom = int(grid_denominator)
+    j_gamma = _lattice_index(gamma, denom)
+    return np.arange(j_gamma + 1, denom // 2 + 1, dtype=float) / denom
 
 
 def loss_estimate(probs: np.ndarray, arm: int, observed_loss: float) -> float:
@@ -123,16 +128,9 @@ class MygaConfig:
             raise ValueError("need at least 1 round")
         if self.grid_denominator is None:
             self.grid_denominator = 2 * self.horizon
-        if self.grid_denominator < 2:
-            raise ValueError("grid denominator must be at least 2")
         if not 0.0 < self.eta < math.inf:
             raise ValueError("eta must be positive")
-        if not 0.0 < self.gamma <= 0.5:
-            raise ValueError("gamma must lie in (0, 1/2]")
-        j = round(self.gamma * self.grid_denominator)
-        if abs(self.gamma - j / self.grid_denominator) > 1e-12:
-            raise ValueError(
-                f"gamma {self.gamma} off the 1/{self.grid_denominator} lattice")
+        _lattice_index(self.gamma, self.grid_denominator)
 
 
 class WeightState:
@@ -146,7 +144,7 @@ class WeightState:
 
     ``lead`` holds the E real experts' cumulative losses (``real_loss``,
     a view) and then each block's lead, its offset plus its base.
-    ``weights`` rebases them all on the lowest, exp(-eta * (lead - shift)),
+    ``weights`` rebases them all on the lowest, exp(-eta * (lead - lowest)),
     floors the real part at ``_WEIGHT_FLOOR`` (``real_weights``), and sums
     the scaled blocks into the block prefix sums.  It rebases only when a
     cumulative loss has changed since the last rebase: ``charge`` marks the
@@ -166,7 +164,8 @@ class WeightState:
     After ``weights`` the state is also the round's mixture shares for the
     solver: the real experts' ``base`` share and ``split``, the kept and
     dropped threshold shares of a prefix of the grid.  The shares are
-    exactly invariant to the common shift.
+    exactly invariant to a common shift of the losses, so the rebase's
+    shift is not kept: a round reads only the rebased numbers.
 
     ``copy.deepcopy`` gives the copy buffers of its own and views of them.
     """
@@ -191,7 +190,6 @@ class WeightState:
         self.total = 0.0
         self._norm = 1.0
         self.base = 1.0
-        self._shift = 0.0
         self._rebased_real = None     # the real losses' bytes at the last rebase
         self._threshold_changed = True
         self.rebases = 0
@@ -222,23 +220,22 @@ class WeightState:
         self.block_base[block] = base
         self.block_inner[block] = self.inner_cum[hi - 1]
 
-    def weights(self) -> float:
+    def weights(self) -> None:
         """Rebase every weight on the lowest cumulative loss, sum the blocks and set the shares.
 
-        The best expert sits at weight 1, so no weight overflows; returns
-        the shift.  The real experts' weights are then ``real_weights``.
-        When no cumulative loss has changed since the last rebase, that
-        rebase stands: it would compute the same numbers again.
+        The best expert sits at weight 1, so no weight overflows.  The real
+        experts' weights are then ``real_weights``.  When no cumulative
+        loss has changed since the last rebase, that rebase stands: it
+        would compute the same numbers again.
         """
         real = self.real_loss.tobytes()
         if self._threshold_changed or real != self._rebased_real:
-            self._shift = self._rebase()
+            self._rebase()
             self._rebased_real = real
             self._threshold_changed = False
             self.rebases += 1
-        return self._shift
 
-    def _rebase(self) -> float:
+    def _rebase(self) -> None:
         weight = self._weight
         shift = float(np.minimum.reduce(self.lead))
         np.subtract(self.lead, shift, out=weight)
@@ -252,7 +249,6 @@ class WeightState:
         real_total = float(np.add.reduce(self.real_weights))
         self._norm = real_total + self.total
         self.base = real_total / self._norm
-        return shift
 
     def split(self, n: int) -> tuple[float, float]:
         """Shares of the first ``n`` thresholds (kept) and of the rest (dropped).
@@ -350,8 +346,8 @@ class ExpertPolicy:
     """Single-threaded advise/update state machine over one run, shared by all policies.
 
     It owns the ``WeightState`` of every expert, over ``num_thresholds``
-    threshold experts (none by default), and charges the real experts;
-    ``real_loss`` is the state's view of their cumulative estimated losses.
+    threshold experts (none by default), and charges the real experts'
+    cumulative estimated losses, ``state.real_loss``.
     A subclass supplies ``_play`` (advice and rebased weights -> the
     round's play, which carries ``p_original``; it reads only the state a
     rebase sets, the advice and the policy's constants) and, if it has
@@ -362,9 +358,7 @@ class ExpertPolicy:
 
     def __init__(self, config, sample_rng=None, num_thresholds: int = 0):
         self.cfg = config
-        self.rng = sample_rng if isinstance(sample_rng, np.random.Generator) \
-            else np.random.default_rng(sample_rng)
-        self.t = 1
+        self.rng = np.random.default_rng(sample_rng)
         self._pending = None        # (advices, play) of the round awaiting its update
         self.state = WeightState(num_thresholds, config.eta, config.num_experts)
         self._last_key = None       # (rebases, advice bytes) of the last round played
@@ -372,10 +366,6 @@ class ExpertPolicy:
         self._uniforms = []         # the block's unused uniforms, next one last
         self._drawn = None          # the last distribution ``sample`` drew from
         self._cdf = None            # and its ``simplex.cumulative``
-
-    @property
-    def real_loss(self) -> np.ndarray:
-        return self.state.real_loss
 
     def _charge(self, play, arm_original: int, est: float) -> None:
         """Charge the experts beyond the real ones; a policy of real experts alone has none."""
@@ -443,7 +433,6 @@ class ExpertPolicy:
         if est:   # a zero estimate would add exact zeros to every cumulative loss
             self.state.real_loss += advices[:, arm_original] * est
             self._charge(play, arm_original, est)
-        self.t += 1
         self._pending = None
 
 

@@ -54,7 +54,7 @@ def left_sum(values) -> float:
     return total
 
 
-def _first_bad_row(rows: list[list[float]], tol: float) -> int:
+def _first_bad_row(rows: list[list[float]]) -> int:
     """Index of the first row that breaks ``validate``'s rule, or -1 if none does.
 
     One loop over the rows' floats, each row summed as ``left_sum`` does.
@@ -66,7 +66,7 @@ def _first_bad_row(rows: list[list[float]], tol: float) -> int:
             if not 0.0 <= value < inf:   # negative, infinite or NaN
                 return i
             total += value
-        if not abs(total - 1.0) <= tol:
+        if not abs(total - 1.0) <= SIMPLEX_TOL:
             return i
     return -1
 
@@ -89,15 +89,15 @@ def distribution_rows(array: np.ndarray) -> np.ndarray:
     return entries.all(axis=-1) & summed
 
 
-def validate(probs, tol: float = SIMPLEX_TOL) -> bool:
-    """Return True if ``probs`` is a distribution: entries >= 0, sum within ``tol`` of 1."""
+def validate(probs) -> bool:
+    """Whether ``probs`` is a distribution: entries >= 0, sum within ``SIMPLEX_TOL`` of 1."""
     if type(probs) is not list:
         probs = np.asarray(probs, dtype=float)
         if probs.ndim != 1:
             return False
         probs = probs.tolist()
     try:
-        return bool(probs) and _first_bad_row([probs], tol) < 0
+        return bool(probs) and _first_bad_row([probs]) < 0
     except TypeError:   # a list holding lists or other non-numbers
         return False
 
@@ -114,19 +114,14 @@ def require_distribution_rows(matrix: np.ndarray, what: str = "distribution") ->
     """Return ``matrix`` as a float array, raising ValueError unless every row is a distribution.
 
     The rule is ``validate``'s, row by row.  The error names the first bad
-    row.
+    row; an array that is not two-dimensional has no rows to name.
     """
     arr = np.asarray(matrix, dtype=float)
-    if arr.ndim == 2:
-        i = _first_bad_row(arr.tolist(), SIMPLEX_TOL)
-        if i >= 0:
-            raise ValueError(f"{what} row {i} is not a probability distribution: {arr[i]!r}")
-        return arr
-    if arr.ndim == 0:
+    if arr.ndim != 2:
         raise ValueError(f"{what} is not a matrix of distributions: {arr!r}")
-    for i, row in enumerate(arr):   # no row of a non-matrix is a distribution
-        if not validate(row):
-            raise ValueError(f"{what} row {i} is not a probability distribution: {row!r}")
+    i = _first_bad_row(arr.tolist())
+    if i >= 0:
+        raise ValueError(f"{what} row {i} is not a probability distribution: {arr[i]!r}")
     return arr
 
 

@@ -78,9 +78,9 @@ def dense_threshold_advice(play, arm_sorted):
 class DenseWeightState:
     """The real and the threshold experts' cumulative losses as two arrays, weights as ``exp``.
 
-    ``weights`` sets ``real_weights`` and ``w_aux``, each floored, and
-    returns the shift, as ``WeightState.weights`` does.  It rebases on every
-    call, and ``rebases`` counts them, so no round of a ``DensePolicy``
+    ``weights`` sets ``real_weights`` and ``w_aux``, each floored on the
+    lowest cumulative loss, as ``WeightState.weights`` does.  It rebases on
+    every call, and ``rebases`` counts them, so no round of a ``DensePolicy``
     reuses the last one's play.
     """
 
@@ -101,7 +101,6 @@ class DenseWeightState:
         np.maximum(self.real_weights, _WEIGHT_FLOOR, out=self.real_weights)
         self.w_aux = np.exp(-self.eta * (self.aux_loss - shift))
         np.maximum(self.w_aux, _WEIGHT_FLOOR, out=self.w_aux)
-        return shift
 
 
 class DensePolicy(MygaPolicy):

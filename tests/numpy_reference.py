@@ -35,8 +35,9 @@ def require_distribution(probs, what="distribution", tol=SIMPLEX_TOL):
 
 def require_distribution_rows(matrix, what="distribution", tol=SIMPLEX_TOL):
     arr = np.asarray(matrix, dtype=float)
-    if (arr.ndim == 2 and arr.size and arr.min() >= 0.0
-            and np.abs(arr.sum(axis=1) - 1.0).max() <= tol):
+    if arr.ndim != 2:
+        raise ValueError(f"{what} is not a matrix of distributions: {arr!r}")
+    if arr.size and arr.min() >= 0.0 and np.abs(arr.sum(axis=1) - 1.0).max() <= tol:
         return arr
     for i, row in enumerate(arr):
         if not validate(row, tol):
@@ -117,12 +118,9 @@ def require_sorted_inputs(zeta_sorted, pivot):
     zeta = require_distribution(zeta_sorted, what="sorted mixture")
     if np.any(zeta[1:] > zeta[:-1]):
         raise ValueError("sorted mixture must be non-increasing")
-    if not 1 <= pivot <= zeta.size:
-        raise ValueError(f"pivot {pivot} outside [1, {zeta.size}]")
-    if float(zeta[:pivot].sum()) < 0.5:
-        raise ValueError("majority prefix of the sorted mixture is lighter than 1/2")
-    if pivot > 1 and float(zeta[:pivot - 1].sum()) >= 0.5:
-        raise ValueError("pivot is not minimal for the sorted mixture")
+    expected = pivot_index(zeta)
+    if pivot != expected:
+        raise ValueError(f"pivot {pivot} is not the sorted mixture's pivot {expected}")
     return zeta
 
 

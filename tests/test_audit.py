@@ -668,7 +668,7 @@ def repeated_rounds(rounds):
         rnds.append(Round(t, advices, play))
     first = rnds[0]
     assert all(rnd.play is first.play for rnd in rnds)
-    assert policy.t == rounds + 1
+    assert len(rnds) == rounds and policy._pending is None
     return rnds
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from myga.baselines import BaselinePlay, Exp4Config, Exp4Policy, threshold_mixture
-from myga.simplex import validate
 import numpy_reference as ref
 from round_protocol import RoundProtocolContract
 
@@ -47,7 +46,7 @@ class TestThresholdMixture:
         for _ in range(300):
             p = rng.dirichlet(np.ones(int(rng.integers(2, 9))))
             out = threshold_mixture(p, float(rng.uniform(0.0, 0.5)))
-            assert validate(out, tol=1e-12)
+            assert ref.validate(out, tol=1e-12)
 
 
 class TestExp4Config:
@@ -100,7 +99,7 @@ class TestExp4Policy(RoundProtocolContract):
         p, _ = policy.advise(advices)
         policy.update(0, 0.7)
         est = 0.7 / p[0]
-        np.testing.assert_allclose(policy.real_loss, [est, 0.4 * est], atol=1e-12)
+        np.testing.assert_allclose(policy.state.real_loss, [est, 0.4 * est], atol=1e-12)
 
     def test_weights_track_cumulative_loss(self):
         policy = Exp4Policy(Exp4Config(num_arms=2, num_experts=2, eta=1.0),
@@ -110,7 +109,7 @@ class TestExp4Policy(RoundProtocolContract):
             p, _ = policy.advise(advices)
             arm = policy.sample(p)
             policy.update(arm, 1.0 if arm == 0 else 0.0)
-        assert policy.real_loss[0] > policy.real_loss[1]
+        assert policy.state.real_loss[0] > policy.state.real_loss[1]
         p, _ = policy.advise(advices)
         assert p[1] > 0.9
 
@@ -122,7 +121,7 @@ class TestExp4Policy(RoundProtocolContract):
         for _ in range(200):
             advices = rng.dirichlet(np.ones(4), size=3)
             p, _ = policy.advise(advices)
-            assert validate(p, tol=1e-9)
+            assert ref.validate(p, tol=1e-9)
             arm = policy.sample(p)
             policy.update(arm, float(rng.uniform()))
 

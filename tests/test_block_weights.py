@@ -60,7 +60,10 @@ class TestBlockWeights:
                 lowest = float(rng.uniform(-5.0, 45.0)) / eta
                 want, shift = dense_prefix(loss, eta, lowest)
                 aux.real_loss[0] = lowest
-                assert aux.weights() == pytest.approx(shift, rel=1e-14, abs=1e-12)
+                aux.weights()
+                # The rebase's shift is the lowest lead, which weighs exactly 1.
+                assert aux._weight.max() == 1.0
+                assert float(aux.lead.min()) == pytest.approx(shift, rel=1e-14, abs=1e-12)
                 got = np.array([prefix(aux, n) for n in range(size + 1)])
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
                 assert aux.total == pytest.approx(want[-1], rel=1e-12, abs=0.0)
@@ -69,7 +72,8 @@ class TestBlockWeights:
         aux = WeightState(0, 0.5, 1)
         aux.charge(StepFunction([], []))
         aux.real_loss[0] = 3.0
-        assert aux.weights() == 3.0
+        aux.weights()
+        assert aux.lead.tolist() == [3.0] and aux.real_weights.tolist() == [1.0]
         assert prefix(aux, 0) == 0.0 and aux.total == 0.0
 
     def test_shares_of_real_total(self):
@@ -105,7 +109,7 @@ def drift(policy, dense, spec, rounds, same_state):
     worst = dict.fromkeys(("q", "p", "base", "kept", "table", "advice"), 0.0)
     for t in range(1, rounds + 1):
         if same_state:
-            dense.real_loss[:] = policy.real_loss
+            dense.state.real_loss[:] = policy.state.real_loss
             dense.state.aux_loss = block_losses(policy.state)
         data = generate(spec, t)
         p, play = policy.advise(data.advices)

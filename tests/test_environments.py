@@ -12,9 +12,9 @@ import myga.environments as env_mod
 from myga.cli import SAMPLE_STREAM_SALT, ExperimentConfig
 from myga.environments import (EnvSpec, Replay, RoundData, generate, load_replay,
                                open_replay, save_replay)
-from myga.simplex import validate
 from environment_reference import ROUNDS, adversarial_minority_round
 from environment_reference import save_replay as joined_save_replay
+import numpy_reference as ref
 
 
 def spec_for(kind, **kwargs):
@@ -119,7 +119,7 @@ class TestZeroLossExpert:
         for t in range(1, 51):
             data = generate(spec, t)
             for row in data.advices:
-                assert validate(row, tol=1e-9)
+                assert ref.validate(row, tol=1e-9)
             assert np.all((data.losses >= 0.0) & (data.losses <= 1.0))
 
 
@@ -185,7 +185,7 @@ class TestAdversarialMinority:
             np.testing.assert_array_equal(data.advices, counts / lattice)
             assert np.all(counts.sum(axis=1) == lattice)
             for row in data.advices:
-                assert validate(row, tol=1e-12)
+                assert ref.validate(row, tol=1e-12)
 
     def test_good_arm_rotates_by_block(self):
         # Other arms may draw a zero by luck, but the scheduled arm is

@@ -4,7 +4,9 @@ import pytest
 from grid_reference import zero_boundaries
 import myga.fixed_point as fixed_point_mod
 from fixed_point_reference import two_arm_fixed_point
-from myga.fixed_point import MixtureWeights, mixture_residual, require_grid, solve_fixed_point
+from myga.fixed_point import (MixtureWeights, _require_sorted_inputs, mixture_residual,
+                              require_grid, solve_fixed_point)
+from myga.simplex import left_sum
 from myga.truncation import truncate
 
 
@@ -258,19 +260,21 @@ class TestSolveValidation:
                               MixtureWeights(1.0, np.array([])), np.array([]))
 
     def test_rejects_light_majority(self):
-        with pytest.raises(ValueError, match="lighter"):
+        with pytest.raises(ValueError, match="^pivot 1 is not the sorted mixture's pivot 2$"):
             solve_fixed_point(np.array([0.4, 0.3, 0.3]), 1,
                               MixtureWeights(1.0, np.array([])), np.array([]))
 
     def test_rejects_non_minimal_pivot(self):
-        with pytest.raises(ValueError, match="minimal"):
+        with pytest.raises(ValueError, match="^pivot 2 is not the sorted mixture's pivot 1$"):
             solve_fixed_point(np.array([0.6, 0.3, 0.1]), 2,
                               MixtureWeights(1.0, np.array([])), np.array([]))
 
     def test_rejects_pivot_out_of_range(self):
-        with pytest.raises(ValueError, match="pivot"):
-            solve_fixed_point(np.array([0.6, 0.4]), 0,
-                              MixtureWeights(1.0, np.array([])), np.array([]))
+        for pivot in (0, 3):
+            with pytest.raises(ValueError,
+                               match=f"^pivot {pivot} is not the sorted mixture's pivot 1$"):
+                solve_fixed_point(np.array([0.6, 0.4]), pivot,
+                                  MixtureWeights(1.0, np.array([])), np.array([]))
 
     def test_rejects_threshold_outside_half_open_range(self):
         zeta = np.array([0.6, 0.4])
@@ -303,12 +307,39 @@ class TestSolveValidation:
         cases = [
             (np.array([0.3, 0.7]), 0, np.array([0.1, np.nan]), "thresholds must be finite"),
             (np.array([0.3, 0.7]), 0, np.array([0.1, 0.2]), "non-increasing"),
-            (np.array([0.7, 0.3]), 0, np.array([0.1, 0.2]), "pivot 0 outside"),
+            (np.array([0.7, 0.3]), 0, np.array([0.1, 0.2]), "pivot 0 is not"),
             (np.array([0.7, 0.3]), 1, np.array([0.1, 0.2]), "must be finite"),
         ]
         for zeta, pivot, grid, message in cases:
             with pytest.raises(ValueError, match=message):
                 solve_fixed_point(zeta, pivot, nan_shares, grid)
+
+    def test_one_pivot_rule_agrees_with_the_prefix_inequalities(self):
+        # The mixture check asks for ``pivot_index``'s pivot.  That is the
+        # pivot whose prefix, summed from the left, reaches 1/2 and whose
+        # prefix one arm shorter does not, on random mixtures and on lattice
+        # mixtures whose prefixes land on 1/2 exactly.
+        rng = np.random.default_rng(131)
+        exact_half = 0
+        for trial in range(3000):
+            arms = int(rng.integers(1, 9))
+            if trial % 2:
+                counts = rng.multinomial(20, rng.dirichlet(np.ones(arms)))
+                zeta = np.sort(counts / 20.0)[::-1]
+            else:
+                zeta = np.sort(rng.dirichlet(np.ones(arms)))[::-1]
+            values = zeta.tolist()
+            exact_half += 0.5 in np.cumsum(zeta)
+            for pivot in range(-1, arms + 2):
+                holds = (1 <= pivot <= arms and left_sum(values[:pivot]) >= 0.5
+                         and (pivot == 1 or left_sum(values[:pivot - 1]) < 0.5))
+                try:
+                    _require_sorted_inputs(zeta, pivot)
+                except ValueError as exc:
+                    assert not holds and str(exc).startswith(f"pivot {pivot} is not"), exc
+                else:
+                    assert holds
+        assert exact_half > 200
 
     def test_rejects_shares_off_the_grid(self):
         with pytest.raises(ValueError, match="grid size"):

@@ -98,7 +98,7 @@ class TestBuildThresholdGrid:
             assert grid.size == denom // 2 - j
 
     def test_rejects_off_lattice_gamma(self):
-        with pytest.raises(ValueError, match="lattice|multiple"):
+        with pytest.raises(ValueError, match="gamma 0.21 off the 1/10 lattice"):
             build_threshold_grid(0.21, 10)
 
     def test_rejects_gamma_out_of_range(self):
@@ -177,7 +177,7 @@ class TestWeightState:
 
     def test_best_expert_pins_weight_one(self):
         policy = policy_with(3, 0, 0.7)
-        policy.real_loss[...] += np.array([2.0, 5.0, 3.5])
+        policy.state.real_loss[...] += np.array([2.0, 5.0, 3.5])
         w_real, aux = round_weights(policy)
         assert w_real[0] == 1.0
         assert np.all(w_real <= 1.0)
@@ -185,7 +185,7 @@ class TestWeightState:
 
     def test_best_auxiliary_expert_pins_weight_one(self):
         policy = policy_with(2, 5, 0.7)
-        policy.real_loss[...] += np.array([2.0, 5.0])
+        policy.state.real_loss[...] += np.array([2.0, 5.0])
         policy.state.charge(StepFunction([0, 2, 3], [4.0, 1.0, 3.0]))
         w_real, aux = round_weights(policy)
         assert prefix(aux, 3) - prefix(aux, 2) == pytest.approx(1.0, rel=1e-15)
@@ -194,10 +194,10 @@ class TestWeightState:
     def test_common_shift_leaves_shares_unchanged(self):
         policy = policy_with(4, 3, 0.3)
         rng = np.random.default_rng(41)
-        policy.real_loss[...] += rng.uniform(0.0, 20.0, size=4)
+        policy.state.real_loss[...] += rng.uniform(0.0, 20.0, size=4)
         policy.state.charge(StepFunction([0, 1, 2], rng.uniform(0.0, 20.0, size=3).tolist()))
         base, kept = shares_of(policy)
-        policy.real_loss[...] += 1000.0
+        policy.state.real_loss[...] += 1000.0
         policy.state.charge(StepFunction([0], [1000.0]))
         base2, kept2 = shares_of(policy)
         assert base2 == pytest.approx(base, rel=1e-12)
@@ -211,7 +211,7 @@ class TestWeightState:
                             grid_denominator=8)
         policy, dense = MygaPolicy(config), DensePolicy(config)
         for each in (policy, dense):
-            each.real_loss[...] += np.array([0.0, 1e6])
+            each.state.real_loss[...] += np.array([0.0, 1e6])
         policy.state.charge(StepFunction([0], [2e6]))
         dense.state.aux_loss += 2e6
         w_real, aux = round_weights(policy)
@@ -228,7 +228,7 @@ class TestWeightState:
         # The floor lives in the rebase both policies share; without a grid
         # the state is the real experts alone, and the round still plays.
         policy = Exp4Policy(Exp4Config(num_arms=2, num_experts=2, eta=1.0))
-        policy.real_loss[...] += np.array([0.0, 1e6])
+        policy.state.real_loss[...] += np.array([0.0, 1e6])
         w_real, aux = round_weights(policy)
         assert w_real[1] > 0.0 and np.isfinite(w_real).all()
         assert aux.total == 0.0
@@ -250,12 +250,12 @@ class TestRebaseSkip:
         rebased, played, charged, grown = [], [], [], 0
         rebase, solve = WeightState._rebase, MygaPolicy._play
 
-        def count_rebase(state):
-            rebased.append(policy.t)
+        def count_rebase(state):   # t is the round the loop below is playing
+            rebased.append(t)
             return rebase(state)
 
         def count_play(self, advices):
-            played.append(self.t)
+            played.append(t)
             return solve(self, advices)
 
         monkeypatch.setattr(WeightState, "_rebase", count_rebase)
@@ -426,10 +426,11 @@ class TestMygaPolicyUpdate(RoundProtocolContract):
         advices = np.array([[1.0, 0.0], [0.4, 0.6]])
         p, play = policy.advise(advices)
         arm = int(np.flatnonzero(np.asarray(p) > 0.0)[0])
-        before = policy.real_loss.copy()
+        before = policy.state.real_loss.copy()
         policy.update(arm, 0.5)
         est = 0.5 / p[arm]
-        np.testing.assert_allclose(policy.real_loss - before, advices[:, arm] * est, atol=1e-12)
+        np.testing.assert_allclose(policy.state.real_loss - before, advices[:, arm] * est,
+                                   atol=1e-12)
 
     def test_update_shifts_weight_toward_better_expert(self):
         # Arm 0 always loses, arm 1 is free; the expert recommending arm 1
@@ -542,7 +543,7 @@ class TestCachedCdf:
                 p, play = each.advise(data.advices)
                 arm = each.sample(p)
                 each.update(arm, float(data.losses[arm]))
-                outcomes.append((bits(p), play_bits(play), arm, bits(each.real_loss),
+                outcomes.append((bits(p), play_bits(play), arm, bits(each.state.real_loss),
                                  bits(each.state.loss), bits(each.state.block_loss)))
             assert outcomes[0] == outcomes[1]
 
@@ -558,16 +559,30 @@ class TestCachedCdf:
                 assert policy.sample(probs) == sample_index(probs, u) == want
 
 
+def _config_of(gamma, denominator):
+    return MygaConfig(num_arms=2, num_experts=2, horizon=10, eta=0.1, gamma=gamma,
+                      grid_denominator=denominator)
+
+
+# The lattice rule, stated once: the configuration and the grid refuse the
+# same (gamma, D) with the same message.
+LATTICE_ERRORS = (
+    ("gamma-zero", 0.0, 20, "gamma must lie in (0, 1/2]"),
+    ("gamma-above-half", 0.55, 20, "gamma must lie in (0, 1/2]"),
+    ("denominator", 0.25, 1, "grid denominator must be at least 2"),
+    ("off-lattice", 0.013, 200, "gamma 0.013 off the 1/200 lattice"),
+)
+
+
 @pytest.mark.parametrize("build, message", [
     pytest.param(lambda: MygaConfig(num_arms=2, num_experts=2, horizon=0, eta=0.1, gamma=0.25,
                                     grid_denominator=4),
                  "need at least 1 round", id="config-horizon"),
-    pytest.param(lambda: MygaConfig(num_arms=2, num_experts=2, horizon=10, eta=0.1, gamma=0.0),
-                 "gamma must lie in (0, 1/2]", id="config-gamma-zero"),
-    pytest.param(lambda: MygaConfig(num_arms=2, num_experts=2, horizon=10, eta=0.1, gamma=0.55),
-                 "gamma must lie in (0, 1/2]", id="config-gamma-above-half"),
-    pytest.param(lambda: build_threshold_grid(0.25, 1),
-                 "grid denominator must be at least 2", id="grid-denominator"),
+] + [
+    pytest.param(lambda make=make, gamma=gamma, denom=denom: make(gamma, denom), message,
+                 id=f"{kind}-{case}")
+    for kind, make in (("config", _config_of), ("grid", build_threshold_grid))
+    for case, gamma, denom, message in LATTICE_ERRORS
 ])
 def test_out_of_range_values_are_named(build, message):
     with pytest.raises(ValueError) as raised:

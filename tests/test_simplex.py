@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from myga.simplex import (SIMPLEX_TOL, ArmPermutation, _first_bad_row, distribution_rows,
+from myga.simplex import (ArmPermutation, _first_bad_row, distribution_rows,
                           left_sum, pivot_index, require_distribution,
                           require_distribution_rows, sample_index,
                           sort_descending, validate, weighted_average)
+import numpy_reference as ref
 
 
 class TestLeftSum:
@@ -77,8 +78,13 @@ class TestRequireDistributionRows:
                 np.testing.assert_array_equal(out, matrix)
 
     def test_rejects_non_matrix(self):
-        with pytest.raises(ValueError, match="row 0"):
-            require_distribution_rows(np.array([0.5, 0.5]))
+        # A vector, an empty vector and an empty stack of matrices have no
+        # rows to check; each is refused as a whole, none returned.
+        for array in (np.array([0.5, 0.5]), np.array([]), np.zeros((0, 3, 2))):
+            with pytest.raises(ValueError) as raised:
+                require_distribution_rows(array, what="expert advice")
+            assert str(raised.value) == \
+                f"expert advice is not a matrix of distributions: {array!r}"
 
     @pytest.mark.parametrize("scalar", [np.float64(1.0), 1.0])
     def test_rejects_zero_dimensional_input(self, scalar):
@@ -140,7 +146,7 @@ class TestDistributionRows:
                 got = distribution_rows(block)
                 assert got.shape == shape[:2] and got.dtype == bool
                 for (c, e), verdict in np.ndenumerate(got):
-                    expected = _first_bad_row([block[c, e].tolist()], SIMPLEX_TOL) < 0
+                    expected = _first_bad_row([block[c, e].tolist()]) < 0
                     assert verdict == expected, (block[c, e].tolist(), verdict)
                     verdicts[expected] += 1
         assert min(verdicts.values()) > 1000
@@ -174,7 +180,7 @@ class TestWeightedAverage:
             n, k = int(rng.integers(1, 8)), int(rng.integers(2, 9))
             advices = rng.dirichlet(np.ones(k), size=n)
             w = rng.uniform(1e-6, 3.0, size=n)
-            assert validate(weighted_average(advices, w), tol=1e-12)
+            assert ref.validate(weighted_average(advices, w), tol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
