@@ -50,6 +50,10 @@ echo "== Audited runs of every policy with warnings as errors"
   cli audited_exp4 --policy exp4 --env stochastic_gap
   cli audited_gap --policy myga --env stochastic_gap --arms 2 --experts 4 \
     --horizon 2000 --seed 0,1
+  # gamma = 1/2 leaves an empty threshold grid: the solver's and the
+  # residual's grid-free paths and the empty removed-mass table.
+  cli audited_empty_grid --policy myga --env adversarial_minority --arms 3 \
+    --experts 4 --horizon 500 --gamma 0.5 --seed 0,1
   # The bench's gap_wide_grid configuration, so the comparison with the
   # base commit below covers that workload's own bytes.
   cli audited_gap_wide_grid --policy myga --env stochastic_gap --arms 2 --experts 4 \

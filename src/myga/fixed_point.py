@@ -1,4 +1,4 @@
-"""Self-consistent mixture of truncations.
+"""Self-consistent mixture of truncations: the solver the policy runs.
 
 Each auxiliary expert is defined by a threshold s: its advice is the
 s-truncation of the final play distribution q itself.  With a base
@@ -12,109 +12,39 @@ decouples per arm: q(i) satisfies q(i) = base*zeta(i) + q(i) * (total
 weight of thresholds strictly below q(i)), a one-dimensional piecewise
 linear fixed point.
 
-``solve_fixed_point`` grows each minority arm from below.  It starts
-every arm at base*zeta(i), with every threshold truncating it, and in
-each pass searches the arm's mass into the ascending grid: the
-thresholds strictly below the mass keep the arm, so the arm's kept
-weight grows by the weights of the thresholds it newly crossed and its
-mass becomes base*zeta(i) / (1 - kept weight).  Masses only grow, no
-pass overshoots (an arm on a threshold stays truncated by it), and
-growth stops at the least fixed point once no arm crosses another
-threshold.  A pass first compares each mass with the two thresholds
-around it, grid[b-1] < mass <= grid[b], and searches the grid only when
-some arm has left that interval, so the pass that confirms the fixed
-point makes no search.  The work is a binary search per minority arm
-and moving pass plus one prefix-sum read of threshold weight per arm
-that moved, so it scales with the few minority arms, not with the grid.
+``_solve`` grows each minority arm from below.  It starts every arm at
+base*zeta(i), with every threshold truncating it, and in each pass
+searches the arm's mass into the ascending grid: the thresholds strictly
+below the mass keep the arm, so the arm's kept weight grows by the
+weights of the thresholds it newly crossed and its mass becomes
+base*zeta(i) / (1 - kept weight).  Masses only grow, no pass overshoots
+(an arm on a threshold stays truncated by it), and growth stops at the
+least fixed point once no arm crosses another threshold.  A pass first
+compares each mass with the two thresholds around it, grid[b-1] < mass
+<= grid[b], and searches the grid only when some arm has left that
+interval, so the pass that confirms the fixed point makes no search.
+The work is a binary search per minority arm and moving pass plus one
+prefix-sum read of threshold weight per arm that moved, so it scales
+with the few minority arms, not with the grid.
 
-The reported iteration count is the number of (minority arm, threshold)
-pairs with the arm strictly above the threshold: the unit advances of
-the equivalent per-threshold zero boundary, which for threshold j sits
-at k plus the number of minority arms above it.
+``_solve`` trusts its inputs: ``MygaPolicy`` passes it the sorted
+mixture, pivot, shares and grid it has just built.  The shares are any
+object with ``base`` and ``split``, the prefix-sum interface; the policy
+passes its ``policy.WeightState``, and the tests drive the solver with
+the shares class in ``tests/fixed_point_reference.py``.  The number of
+(minority arm, threshold) pairs with the arm strictly above the
+threshold, ``sum(below)``, counts the unit advances of the equivalent
+per-threshold zero boundary, which for threshold j sits at k plus the
+number of minority arms above it.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from functools import cached_property
 
-import numpy as np
-
-from . import simplex
 from .simplex import floats
 
 RESIDUAL_TOL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class MixtureWeights:
-    """Normalized weight shares: one base share plus one share per threshold.
-
-    ``base`` is the aggregate share of all real experts; ``per_threshold``
-    is aligned with the ascending threshold grid.  All shares are strictly
-    positive and sum to 1.
-
-    The solver and the residual read threshold weight only through
-    ``base`` and ``split``, the prefix-sum interface; ``MygaPolicy`` passes
-    them its ``policy.WeightState``, which has the same two.
-    """
-
-    base: float
-    per_threshold: np.ndarray
-
-    def require(self, num_thresholds: int) -> None:
-        per = np.asarray(self.per_threshold, dtype=float)
-        if per.shape != (num_thresholds,):
-            raise ValueError(
-                f"threshold weight count {per.shape} does not match grid size {num_thresholds}")
-        if not (math.isfinite(self.base) and np.isfinite(per).all()):
-            raise ValueError("mixture weight shares must be finite")
-        if self.base <= 0.0 or (per.size and per.min() <= 0.0):
-            raise ValueError("mixture weight shares must be strictly positive")
-        total = self.base + float(per.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"mixture weight shares sum to {total!r}, expected 1")
-
-    @cached_property
-    def _prefix(self) -> list[float]:
-        return [0.0] + np.cumsum(np.asarray(self.per_threshold, dtype=float)).tolist()
-
-    def split(self, n: int) -> tuple[float, float]:
-        """Shares of the first ``n`` thresholds (kept) and of the rest (dropped)."""
-        prefix = self._prefix
-        return prefix[n], prefix[-1] - prefix[n]
-
-
-def require_grid(thresholds: np.ndarray) -> np.ndarray:
-    """The threshold grid as a float array: 1-d, finite, strictly increasing, inside (0, 1/2]."""
-    grid = np.asarray(thresholds, dtype=float)
-    if grid.ndim != 1:
-        raise ValueError("thresholds must be a 1-d array")
-    if not np.isfinite(grid).all():
-        raise ValueError("thresholds must be finite")
-    if grid.size:
-        if (grid[1:] <= grid[:-1]).any():
-            raise ValueError("thresholds must be strictly increasing")
-        if grid[0] <= 0.0 or grid[-1] > 0.5:
-            raise ValueError("thresholds must lie in (0, 1/2]")
-    return grid
-
-
-def _require_sorted_inputs(zeta_sorted, pivot: int) -> list[float]:
-    """The sorted mixture as a list of floats, once it is non-increasing with pivot ``pivot``.
-
-    The mixture must be a distribution, and ``pivot`` must be the one
-    ``simplex.pivot_index`` places: the pivot rule is stated there alone.
-    """
-    values = simplex.require_distribution(zeta_sorted, what="sorted mixture")
-    if any(b > a for a, b in zip(values, values[1:])):
-        raise ValueError("sorted mixture must be non-increasing")
-    expected = simplex.pivot_index(values)
-    if pivot != expected:
-        raise ValueError(f"pivot {pivot} is not the sorted mixture's pivot {expected}")
-    return values
 
 
 def _place(grid: list[float], mass: float) -> int:
@@ -126,19 +56,19 @@ def _place(grid: list[float], mass: float) -> int:
     return bisect_left(grid, mass) if mass == mass else len(grid)
 
 
-def _solve(values: list[float], pivot: int, weights: MixtureWeights,
+def _solve(values: list[float], pivot: int, weights,
            grid: list[float]) -> tuple[list[float], list[int], float]:
-    """``solve_fixed_point`` without its input checks, returning the placement and residual.
+    """Solve q = base*zeta + sum_s w_s * truncate(q, pivot, s) in sorted coordinates.
 
-    ``below[i]`` is the number of thresholds strictly below minority arm
-    i's solved mass, ``np.searchsorted(grid, mass, side="left")``: the last
-    pass's search or in-place check has just established it, and the
-    round's threshold advice and removed-mass table are read from it.
-    It trusts its inputs: ``solve_fixed_point`` checks a caller's, and
-    ``MygaPolicy`` passes a mixture, pivot, shares and grid it has just
-    built.  The mixture and the grid are lists of floats, the grid
-    searched with ``bisect`` once per arm and pass, and an arm's kept
-    weight is one prefix read.
+    Returns q, the placement ``below`` and the residual.  ``below[i]`` is
+    the number of thresholds strictly below minority arm i's solved mass,
+    ``np.searchsorted(grid, mass, side="left")``: the last pass's search
+    or in-place check has just established it, and the round's threshold
+    advice and removed-mass table are read from it.  Raises RuntimeError
+    rather than return a q whose residual exceeds ``RESIDUAL_TOL`` or is
+    NaN.  The mixture and the grid are lists of floats, the grid searched
+    with ``bisect`` once per arm and pass, and an arm's kept weight is
+    one ``weights.split`` read.
     """
     k = pivot
     minority = len(values) - k
@@ -205,26 +135,7 @@ def _in_place(grid: list[float], below: list[int], masses: list[float]) -> bool:
     return True
 
 
-def solve_fixed_point(zeta_sorted: np.ndarray, pivot: int, weights: MixtureWeights,
-                      thresholds: np.ndarray) -> tuple[np.ndarray, int]:
-    """Solve q = base*zeta + sum_s w_s * truncate(q, pivot, s) in sorted coordinates.
-
-    Returns the solved distribution and the number of unit boundary
-    advances, which never exceeds (arms - pivot) * len(thresholds).
-    Raises ValueError on a grid, mixture, pivot or shares that break their
-    contracts, checked in that order before any is used, and RuntimeError
-    rather than returning a distribution whose residual exceeds 1e-9 or is
-    NaN.
-    """
-    grid = require_grid(thresholds)
-    zeta = _require_sorted_inputs(zeta_sorted, pivot)
-    weights.require(grid.size)
-    q, below, _ = _solve(zeta, pivot, weights, grid.tolist())
-    return np.array(q), sum(below)
-
-
-def mixture_residual(q, zeta_sorted, pivot: int, weights: MixtureWeights,
-                     thresholds) -> float:
+def mixture_residual(q, zeta_sorted, pivot: int, weights, thresholds) -> float:
     """Max-norm distance between q and the truncation mixture evaluated at q.
 
     A NaN anywhere in the comparison makes the distance NaN.

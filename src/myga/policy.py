@@ -65,9 +65,8 @@ def schedule_parameters(num_arms: int, num_experts: int, horizon: int,
         raise ValueError("cumulative-loss budget must be non-negative")
     if num_experts * horizon < 2:
         raise ValueError("schedule undefined for a single expert-round")
-    denom = 2 * horizon if grid_denominator is None else int(grid_denominator)
-    if denom < 2:
-        raise ValueError("grid denominator must be at least 2")
+    denom = _lattice_denominator(2 * horizon if grid_denominator is None
+                                 else int(grid_denominator))
     budget = num_arms * max(l_star, 1.0)
     if budget < math.inf:
         rate = math.log(num_experts * horizon) / budget
@@ -79,10 +78,16 @@ def schedule_parameters(num_arms: int, num_experts: int, horizon: int,
     return eta, step / denom
 
 
-def _lattice_index(gamma: float, denom: int) -> int:
-    """The j with gamma = j/denom, once D >= 2, gamma in (0, 1/2] and gamma on the lattice."""
+def _lattice_denominator(denom: int) -> int:
+    """``denom``, once it is at least 2: the lattice rule's one bound on D."""
     if denom < 2:
         raise ValueError("grid denominator must be at least 2")
+    return denom
+
+
+def _lattice_index(gamma: float, denom: int) -> int:
+    """The j with gamma = j/denom, once D >= 2, gamma in (0, 1/2] and gamma on the lattice."""
+    _lattice_denominator(denom)
     if not 0.0 < gamma <= 0.5:
         raise ValueError("gamma must lie in (0, 1/2]")
     j = round(gamma * denom)

@@ -10,7 +10,8 @@ only.
 
 import numpy as np
 
-from myga.fixed_point import MixtureWeights, _solve
+from fixed_point_reference import MixtureWeights
+from myga.fixed_point import _solve
 from myga.policy import _WEIGHT_FLOOR, MygaPolicy, Play
 from myga.simplex import left_sum, pivot_index, sort_descending, weighted_average
 from myga.truncation import StepFunction, truncate

@@ -114,16 +114,6 @@ def truncate(q, pivot, threshold):
     return out
 
 
-def require_sorted_inputs(zeta_sorted, pivot):
-    zeta = require_distribution(zeta_sorted, what="sorted mixture")
-    if np.any(zeta[1:] > zeta[:-1]):
-        raise ValueError("sorted mixture must be non-increasing")
-    expected = pivot_index(zeta)
-    if pivot != expected:
-        raise ValueError(f"pivot {pivot} is not the sorted mixture's pivot {expected}")
-    return zeta
-
-
 def mixture_residual(q, zeta_sorted, pivot, weights, thresholds):
     q = np.asarray(q, dtype=float)
     zeta = np.asarray(zeta_sorted, dtype=float)
@@ -155,10 +145,10 @@ def mixture_residual(q, zeta_sorted, pivot, weights, thresholds):
 def solve(zeta_sorted, pivot, weights, grid):
     """The solver on arrays: (q, thresholds strictly below each minority arm, residual).
 
-    The mixture and pivot are checked as ``solve_fixed_point`` checks them;
-    the shares are taken as given, as ``_solve`` takes them.
+    The mixture, pivot, shares and grid are taken as given, as ``_solve``
+    takes them.
     """
-    zeta = require_sorted_inputs(zeta_sorted, pivot)
+    zeta = np.asarray(zeta_sorted, dtype=float)
     k = pivot
     minority = zeta.size - k
     below = [0] * minority

@@ -12,10 +12,10 @@ import time
 import numpy as np
 import pytest
 
-from fixed_point_reference import two_arm_fixed_point
+from fixed_point_reference import MixtureWeights, two_arm_fixed_point
 from grid_reference import zero_boundaries
 from myga.cli import ExperimentConfig, execute
-from myga.fixed_point import MixtureWeights, mixture_residual, solve_fixed_point
+from myga.fixed_point import _solve, mixture_residual
 from myga.policy import loss_estimate
 from myga.truncation import truncate
 
@@ -85,7 +85,8 @@ def test_criterion_2_fixed_point_contract(growth_passes):
     for _ in range(1000):
         zeta, pivot, weights, grid = _random_instance(rng)
         growth_passes.clear()
-        q, iterations = solve_fixed_point(zeta, pivot, weights, grid)
+        q, below, _ = _solve(zeta.tolist(), pivot, weights, grid.tolist())
+        q, iterations = np.array(q), sum(below)
         worst_residual = max(worst_residual,
                              mixture_residual(q, zeta, pivot, weights, grid))
         assert iterations <= zeta.size * grid.size
@@ -113,7 +114,7 @@ def test_criterion_3_oracle_equivalence():
         shares = np.maximum(shares, 1e-6)
         shares = shares / shares.sum()
         weights = MixtureWeights(float(shares[0]), shares[1:])
-        q, _ = solve_fixed_point(zeta, 1, weights, grid)
+        q, _, _ = _solve(zeta.tolist(), 1, weights, grid.tolist())
         oracle = two_arm_fixed_point(minority, weights, grid)
         worst = max(worst, abs(float(q[1]) - oracle))
     ok = worst <= 1e-9

@@ -154,6 +154,24 @@ class TestExecute:
             assert len(row) == len(ROUND_HEADER.split(","))
             assert int(row[2]) >= 1
 
+    def test_empty_grid_run_is_clean(self, tmp_path, monkeypatch):
+        # gamma = 1/2 leaves no threshold in (gamma, 1/2]: every play is the
+        # solver's grid-free return and the residual's grid-free loop.
+        solves = count_calls(monkeypatch, policy_mod, "_solve")
+        prefix = str(tmp_path / "empty_grid")
+        result = execute(self.base_config(env="adversarial_minority", num_arms=3,
+                                          num_experts=4, horizon=500, eta=None,
+                                          gamma=0.5, grid_denominator=None, out=prefix))
+        assert result.exit_code == 0
+        assert not result.any_violation
+        assert solves and all(args[3] == [] for args in solves)
+        rows = rounds_csv_rows(prefix)
+        assert len(rows) == 2 * 500
+        for row in rows:
+            assert int(row[2]) >= 1
+            assert row[11] == "0.0"
+            assert row[12] == "0"
+
     def test_baseline_rows_use_placeholder_pivot_and_residual(self, tmp_path):
         prefix = str(tmp_path / "exp4")
         config = self.base_config(policy="exp4", out=prefix)
@@ -444,11 +462,30 @@ class TestRunAndMain:
         (["--bound-factor=-1"], "bound factor -1.0 is negative"),
         (["--seed", "1,1"], "seed 1 is listed twice"),
         (["--seed", "3,0,2,0"], "seed 0 is listed twice"),
+        # The lattice rule's D >= 2 clause is checked with the schedule:
+        # after the environment and the loss budget, before eta and gamma.
+        (["--grid-denominator=1"], "grid denominator must be at least 2"),
+        (["--grid-denominator=0"], "grid denominator must be at least 2"),
+        (["--grid-denominator=-4"], "grid denominator must be at least 2"),
+        (["--policy", "exp4", "--grid-denominator=1"], "grid denominator must be at least 2"),
+        (["--policy", "exp4", "--grid-denominator=0"], "grid denominator must be at least 2"),
+        (["--policy", "exp4", "--grid-denominator=-4"], "grid denominator must be at least 2"),
+        (["--grid-denominator=0", "--arms", "1"], "need at least 2 arms"),
+        (["--grid-denominator=0", "--lstar", "nan"],
+         "cumulative-loss budget must be non-negative"),
+        (["--grid-denominator=0", "--eta", "nan", "--gamma", "0.013"],
+         "grid denominator must be at least 2"),
+        (["--policy", "exp4", "--grid-denominator=0", "--eta", "nan"],
+         "grid denominator must be at least 2"),
     ], ids=["one_arm", "off_lattice_gamma", "missing_replay", "malformed_replay",
             "replay_shape", "replay_without_path", "eta_nan", "eta_inf", "exp4_eta_nan",
             "exp4_eta_inf", "lstar_nan", "lstar_inf", "delta_nan", "delta_inf",
             "bound_factor_nan", "bound_factor_neg_inf", "bound_factor_negative",
-            "repeated_seed", "repeated_seed_unsorted"])
+            "repeated_seed", "repeated_seed_unsorted", "denominator_1", "denominator_0",
+            "denominator_neg4", "exp4_denominator_1", "exp4_denominator_0",
+            "exp4_denominator_neg4", "arms_before_denominator",
+            "lstar_before_denominator", "denominator_before_eta",
+            "exp4_denominator_before_eta"])
     def test_main_set_up_error_leaves_output_files(self, tmp_path, capsys, flags, message):
         # The run is resolved before either CSV file is opened: an earlier
         # run's rounds file keeps its bytes and no summary file appears.

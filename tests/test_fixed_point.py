@@ -3,11 +3,19 @@ import pytest
 
 from grid_reference import zero_boundaries
 import myga.fixed_point as fixed_point_mod
-from fixed_point_reference import two_arm_fixed_point
-from myga.fixed_point import (MixtureWeights, _require_sorted_inputs, mixture_residual,
-                              require_grid, solve_fixed_point)
-from myga.simplex import left_sum
+from fixed_point_reference import MixtureWeights, two_arm_fixed_point
+from myga.fixed_point import _solve, mixture_residual
 from myga.truncation import truncate
+
+
+def solve(zeta, pivot, weights, grid):
+    """The policy's call of ``_solve``, on lists: q as an array and the unit advances.
+
+    The unit advances are ``sum(below)``, the (minority arm, threshold)
+    pairs with the arm strictly above the threshold.
+    """
+    q, below, _ = _solve(zeta.tolist(), pivot, weights, grid.tolist())
+    return np.array(q), sum(below)
 
 
 def random_instance(rng, max_arms=16, max_thresholds=64):
@@ -130,7 +138,7 @@ def sweep_solver(zeta, pivot, weights, grid, sweep_log=None):
 
 
 # Both forms of the boundary growth must satisfy the growth invariants.
-GROWTH_SOLVERS = (solve_fixed_point, sweep_solver)
+GROWTH_SOLVERS = (solve, sweep_solver)
 
 
 def logged_growth(passes):
@@ -142,7 +150,7 @@ def logged_growth(passes):
     """
     def package(zeta, pivot, weights, grid):
         passes.clear()
-        q, iterations = solve_fixed_point(zeta, pivot, weights, grid)
+        q, iterations = solve(zeta, pivot, weights, grid)
         return q, iterations, [(masses, zero_boundaries(below, pivot, grid.size))
                                for masses, below in passes]
 
@@ -162,55 +170,17 @@ def literal_residual(q, zeta, pivot, weights, grid):
     return float(np.max(np.abs(q - target)))
 
 
-class TestMixtureWeights:
-    def test_valid(self):
-        MixtureWeights(0.5, np.array([0.25, 0.25])).require(2)
-
-    def test_rejects_nonpositive_share(self):
-        with pytest.raises(ValueError, match="positive"):
-            MixtureWeights(0.0, np.array([0.5, 0.5])).require(2)
-        with pytest.raises(ValueError, match="positive"):
-            MixtureWeights(0.6, np.array([0.4, 0.0])).require(2)
-
-    def test_rejects_bad_total(self):
-        with pytest.raises(ValueError, match="sum"):
-            MixtureWeights(0.5, np.array([0.2, 0.2])).require(2)
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="grid size"):
-            MixtureWeights(0.5, np.array([0.5])).require(2)
-
-    def test_rejects_nan_base_share(self):
-        # nan <= 0 and abs(nan - 1) > 1e-9 are both False, so only a
-        # finiteness check stops it before the solver's residual does.
-        with pytest.raises(ValueError, match="must be finite"):
-            MixtureWeights(float("nan"), np.array([0.25, 0.25])).require(2)
-        with pytest.raises(ValueError, match="must be finite"):
-            solve_fixed_point(np.array([0.7, 0.3]), 1,
-                              MixtureWeights(float("nan"), np.array([0.25, 0.25])),
-                              np.array([0.1, 0.2]))
-
-    def test_rejects_nan_threshold_share(self):
-        with pytest.raises(ValueError, match="must be finite"):
-            MixtureWeights(0.5, np.array([0.25, np.nan])).require(2)
-        with pytest.raises(ValueError, match="must be finite"):
-            solve_fixed_point(np.array([0.7, 0.3]), 1,
-                              MixtureWeights(0.5, np.array([np.nan, 0.25])),
-                              np.array([0.1, 0.2]))
-
-
 class TestSolveExamples:
     def test_empty_grid_returns_input(self):
         zeta = np.array([0.6, 0.3, 0.1])
-        q, iterations = solve_fixed_point(zeta, 1, MixtureWeights(1.0, np.array([])),
-                                          np.array([]))
+        q, iterations = solve(zeta, 1, MixtureWeights(1.0, np.array([])), np.array([]))
         np.testing.assert_array_equal(q, zeta)
         assert iterations == 0
 
     def test_two_arm_single_threshold(self):
         # The minority arm starts at 0.5 * 0.1 = 0.05 <= 0.15, so the
         # threshold keeps it truncated and the majority absorbs the mass.
-        q, iterations = solve_fixed_point(
+        q, iterations = solve(
             np.array([0.9, 0.1]), 1, MixtureWeights(0.5, np.array([0.5])),
             np.array([0.15]))
         np.testing.assert_allclose(q, [0.95, 0.05], atol=1e-12)
@@ -221,7 +191,7 @@ class TestSolveExamples:
         # exactly on 0.2; the comparison is strict, so the 0.2 threshold
         # still truncates and growth stops.  (0.7, 0.3) also solves the
         # mixture equation, but the boundary growth never reaches it.
-        q, iterations = solve_fixed_point(
+        q, iterations = solve(
             np.array([0.7, 0.3]), 1, MixtureWeights(0.5, np.array([0.25, 0.25])),
             np.array([0.1, 0.2]))
         np.testing.assert_allclose(q, [0.8, 0.2], atol=1e-12)
@@ -237,8 +207,8 @@ class TestSolveExamples:
         # A minimal majority prefix covers every arm only in the one-arm
         # case; the solver then returns its input untouched.
         zeta = np.array([1.0])
-        q, iterations = solve_fixed_point(zeta, 1, MixtureWeights(0.5, np.array([0.5])),
-                                          np.array([0.25]))
+        q, iterations = solve(zeta, 1, MixtureWeights(0.5, np.array([0.5])),
+                              np.array([0.25]))
         np.testing.assert_array_equal(q, zeta)
         assert iterations == 0
 
@@ -247,104 +217,10 @@ class TestSolveExamples:
         for _ in range(200):
             zeta, pivot, weights, grid = random_instance(rng, max_arms=10,
                                                          max_thresholds=12)
-            q, _ = solve_fixed_point(zeta, pivot, weights, grid)
+            q, _ = solve(zeta, pivot, weights, grid)
             assert abs(q.sum() - 1.0) <= 1e-9
             assert np.all(q[pivot:] <= zeta[pivot:] + 1e-15)
             assert np.all(q[:pivot] >= zeta[:pivot] - 1e-15)
-
-
-class TestSolveValidation:
-    def test_rejects_unsorted_mixture(self):
-        with pytest.raises(ValueError, match="non-increasing"):
-            solve_fixed_point(np.array([0.3, 0.7]), 1,
-                              MixtureWeights(1.0, np.array([])), np.array([]))
-
-    def test_rejects_light_majority(self):
-        with pytest.raises(ValueError, match="^pivot 1 is not the sorted mixture's pivot 2$"):
-            solve_fixed_point(np.array([0.4, 0.3, 0.3]), 1,
-                              MixtureWeights(1.0, np.array([])), np.array([]))
-
-    def test_rejects_non_minimal_pivot(self):
-        with pytest.raises(ValueError, match="^pivot 2 is not the sorted mixture's pivot 1$"):
-            solve_fixed_point(np.array([0.6, 0.3, 0.1]), 2,
-                              MixtureWeights(1.0, np.array([])), np.array([]))
-
-    def test_rejects_pivot_out_of_range(self):
-        for pivot in (0, 3):
-            with pytest.raises(ValueError,
-                               match=f"^pivot {pivot} is not the sorted mixture's pivot 1$"):
-                solve_fixed_point(np.array([0.6, 0.4]), pivot,
-                                  MixtureWeights(1.0, np.array([])), np.array([]))
-
-    def test_rejects_threshold_outside_half_open_range(self):
-        zeta = np.array([0.6, 0.4])
-        weights = MixtureWeights(0.5, np.array([0.5]))
-        with pytest.raises(ValueError, match="0, 1/2"):
-            solve_fixed_point(zeta, 1, weights, np.array([0.6]))
-        with pytest.raises(ValueError, match="0, 1/2"):
-            solve_fixed_point(zeta, 1, weights, np.array([0.0]))
-
-    def test_rejects_unsorted_grid(self):
-        zeta = np.array([0.6, 0.4])
-        weights = MixtureWeights(0.4, np.array([0.3, 0.3]))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            solve_fixed_point(zeta, 1, weights, np.array([0.2, 0.1]))
-
-    def test_rejects_nan_threshold(self):
-        # A NaN compares False both ways, so it passes the order and range
-        # checks; solving on it returned [0.8, 0.2].
-        with pytest.raises(ValueError, match="thresholds must be finite"):
-            require_grid([0.1, float("nan"), 0.3])
-        with pytest.raises(ValueError, match="thresholds must be finite"):
-            solve_fixed_point(np.array([0.7, 0.3]), 1,
-                              MixtureWeights(0.5, np.array([0.25, 0.25])),
-                              np.array([0.1, np.nan]))
-
-    def test_checks_run_in_documented_order(self):
-        # Grid, mixture, pivot, shares: each broken input is reported only
-        # when every input before it holds.
-        nan_shares = MixtureWeights(float("nan"), np.array([0.25, 0.25]))
-        cases = [
-            (np.array([0.3, 0.7]), 0, np.array([0.1, np.nan]), "thresholds must be finite"),
-            (np.array([0.3, 0.7]), 0, np.array([0.1, 0.2]), "non-increasing"),
-            (np.array([0.7, 0.3]), 0, np.array([0.1, 0.2]), "pivot 0 is not"),
-            (np.array([0.7, 0.3]), 1, np.array([0.1, 0.2]), "must be finite"),
-        ]
-        for zeta, pivot, grid, message in cases:
-            with pytest.raises(ValueError, match=message):
-                solve_fixed_point(zeta, pivot, nan_shares, grid)
-
-    def test_one_pivot_rule_agrees_with_the_prefix_inequalities(self):
-        # The mixture check asks for ``pivot_index``'s pivot.  That is the
-        # pivot whose prefix, summed from the left, reaches 1/2 and whose
-        # prefix one arm shorter does not, on random mixtures and on lattice
-        # mixtures whose prefixes land on 1/2 exactly.
-        rng = np.random.default_rng(131)
-        exact_half = 0
-        for trial in range(3000):
-            arms = int(rng.integers(1, 9))
-            if trial % 2:
-                counts = rng.multinomial(20, rng.dirichlet(np.ones(arms)))
-                zeta = np.sort(counts / 20.0)[::-1]
-            else:
-                zeta = np.sort(rng.dirichlet(np.ones(arms)))[::-1]
-            values = zeta.tolist()
-            exact_half += 0.5 in np.cumsum(zeta)
-            for pivot in range(-1, arms + 2):
-                holds = (1 <= pivot <= arms and left_sum(values[:pivot]) >= 0.5
-                         and (pivot == 1 or left_sum(values[:pivot - 1]) < 0.5))
-                try:
-                    _require_sorted_inputs(zeta, pivot)
-                except ValueError as exc:
-                    assert not holds and str(exc).startswith(f"pivot {pivot} is not"), exc
-                else:
-                    assert holds
-        assert exact_half > 200
-
-    def test_rejects_shares_off_the_grid(self):
-        with pytest.raises(ValueError, match="grid size"):
-            solve_fixed_point(np.array([0.6, 0.4]), 1,
-                              MixtureWeights(0.5, np.array([0.5])), np.array([0.1, 0.2]))
 
 
 class TestReferenceAgreement:
@@ -353,7 +229,7 @@ class TestReferenceAgreement:
         for _ in range(300):
             zeta, pivot, weights, grid = random_instance(rng, max_arms=10,
                                                          max_thresholds=10)
-            q, iterations = solve_fixed_point(zeta, pivot, weights, grid)
+            q, iterations = solve(zeta, pivot, weights, grid)
             q_ref, steps_ref = reference_solver(zeta, pivot, weights, grid)
             np.testing.assert_allclose(q, q_ref, atol=1e-12)
             assert iterations == steps_ref
@@ -365,7 +241,7 @@ class TestReferenceAgreement:
         for _ in range(200):
             zeta, pivot, weights, grid = random_instance(rng, max_arms=12,
                                                          max_thresholds=16)
-            q, _ = solve_fixed_point(zeta, pivot, weights, grid)
+            q, _ = solve(zeta, pivot, weights, grid)
             for i in range(pivot, zeta.size):
                 oracle = two_arm_fixed_point(float(zeta[i]), weights, grid)
                 assert abs(q[i] - oracle) <= 1e-9
@@ -376,8 +252,8 @@ class TestBoundaryGrowthInvariants:
         rng = np.random.default_rng(307)
         for _ in range(300):
             zeta, pivot, weights, grid = random_instance(rng)
-            for solve in GROWTH_SOLVERS:
-                _, iterations = solve(zeta, pivot, weights, grid)
+            for grow in GROWTH_SOLVERS:
+                _, iterations = grow(zeta, pivot, weights, grid)
                 assert iterations <= zeta.size * grid.size
 
     def test_minority_masses_sorted_every_sweep(self, growth_passes):
@@ -385,8 +261,8 @@ class TestBoundaryGrowthInvariants:
         for _ in range(200):
             zeta, pivot, weights, grid = random_instance(rng, max_arms=12,
                                                          max_thresholds=24)
-            for solve in logged_growth(growth_passes):
-                _, _, log = solve(zeta, pivot, weights, grid)
+            for grow in logged_growth(growth_passes):
+                _, _, log = grow(zeta, pivot, weights, grid)
                 for q_min, _ in log:
                     assert np.all(np.diff(q_min) <= 1e-12)
 
@@ -395,8 +271,8 @@ class TestBoundaryGrowthInvariants:
         for _ in range(200):
             zeta, pivot, weights, grid = random_instance(rng, max_arms=12,
                                                          max_thresholds=24)
-            for solve in logged_growth(growth_passes):
-                _, _, log = solve(zeta, pivot, weights, grid)
+            for grow in logged_growth(growth_passes):
+                _, _, log = grow(zeta, pivot, weights, grid)
                 for (before, _), (after, _) in zip(log, log[1:]):
                     assert np.all(after >= before)
 
@@ -407,8 +283,8 @@ class TestBoundaryGrowthInvariants:
         for _ in range(200):
             zeta, pivot, weights, grid = random_instance(rng, max_arms=12,
                                                          max_thresholds=24)
-            for solve in logged_growth(growth_passes):
-                q, _, log = solve(zeta, pivot, weights, grid)
+            for grow in logged_growth(growth_passes):
+                q, _, log = grow(zeta, pivot, weights, grid)
                 _, boundary = log[-1]
                 for j, s in enumerate(grid):
                     for i in range(pivot, zeta.size):
@@ -418,7 +294,7 @@ class TestBoundaryGrowthInvariants:
 class TestSweepAgreement:
     @staticmethod
     def assert_same_growth(zeta, pivot, weights, grid):
-        q, iterations = solve_fixed_point(zeta, pivot, weights, grid)
+        q, iterations = solve(zeta, pivot, weights, grid)
         q_ref, iterations_ref = sweep_solver(zeta, pivot, weights, grid)
         assert iterations == iterations_ref
         np.testing.assert_array_equal(q[pivot:, None] > grid, q_ref[pivot:, None] > grid)
@@ -463,7 +339,7 @@ class TestResidual:
         rng = np.random.default_rng(401)
         for _ in range(200):
             zeta, pivot, weights, grid = random_instance(rng)
-            q, _ = solve_fixed_point(zeta, pivot, weights, grid)
+            q, _ = solve(zeta, pivot, weights, grid)
             assert mixture_residual(q, zeta, pivot, weights, grid) <= 1e-9
 
     def test_unsolved_input_reports_gap(self):
@@ -483,9 +359,8 @@ class TestResidual:
         monkeypatch.setattr(fixed_point_mod, "mixture_residual",
                             lambda *args, **kwargs: float("nan"))
         with pytest.raises(RuntimeError, match="residual nan exceeds"):
-            solve_fixed_point(np.array([0.7, 0.3]), 1,
-                              MixtureWeights(0.5, np.array([0.25, 0.25])),
-                              np.array([0.1, 0.2]))
+            solve(np.array([0.7, 0.3]), 1, MixtureWeights(0.5, np.array([0.25, 0.25])),
+                  np.array([0.1, 0.2]))
 
     def test_literal_path_matches_fast_path(self):
         # The per-arm residual must agree with the literal one-truncation-
@@ -494,7 +369,7 @@ class TestResidual:
         for _ in range(100):
             zeta, pivot, weights, grid = random_instance(rng, max_arms=10,
                                                          max_thresholds=8)
-            q, _ = solve_fixed_point(zeta, pivot, weights, grid)
+            q, _ = solve(zeta, pivot, weights, grid)
             minority = zeta.size - pivot
             shuffle = rng.permutation(minority)
             q_shuffled = q.copy()
@@ -547,9 +422,3 @@ class TestTwoArmOracle:
             assert abs(x - (weights.base * base_mass + x * kept)) <= 1e-12
             assert 0.0 <= x <= 0.5 + 1e-12
 
-
-@pytest.mark.parametrize("grid", [[[0.1, 0.2]], 0.25], ids=["2-d", "0-d"])
-def test_grid_of_wrong_dimension_is_named(grid):
-    with pytest.raises(ValueError) as raised:
-        require_grid(grid)
-    assert str(raised.value) == "thresholds must be a 1-d array"

@@ -16,10 +16,11 @@ import math
 import numpy as np
 import pytest
 
+from fixed_point_reference import MixtureWeights
 import helper_reference as ref
 from myga.audit import check_round
 from myga.environments import EnvSpec, generate
-from myga.fixed_point import MixtureWeights, _solve, mixture_residual
+from myga.fixed_point import _solve, mixture_residual
 from myga.policy import MygaConfig, MygaPolicy, WeightState
 from myga.simplex import pivot_index, sample_index, sort_descending, weighted_average
 from myga.truncation import StepFunction, truncate

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 import numpy_reference as ref
-from fixed_point_reference import two_arm_fixed_point
+from fixed_point_reference import MixtureWeights, two_arm_fixed_point
 from grid_reference import DensePolicy, block_losses, densify, round_weights
 from helper_reference import prefix
 from myga.baselines import Exp4Config, Exp4Policy
 from myga.cli import ExperimentConfig, execute
 from myga.environments import EnvSpec, generate
-from myga.fixed_point import MixtureWeights, mixture_residual
+from myga.fixed_point import mixture_residual
 from myga.policy import (MygaConfig, MygaPolicy, WeightState, build_threshold_grid,
                          loss_estimate, schedule_parameters, threshold_advice_at)
 from myga.simplex import cumulative, sample_index, validate

@@ -240,6 +240,29 @@ class TestPivotIndex:
             if k > 1:
                 assert zeta[:k - 1].sum() < 0.5
 
+    def test_one_pivot_rule_agrees_with_the_prefix_inequalities(self):
+        # ``pivot_index`` is the one pivot rule: its pivot is the one whose
+        # prefix, summed from the left, reaches 1/2 and whose prefix one arm
+        # shorter does not, on random mixtures and on lattice mixtures whose
+        # prefixes land on 1/2 exactly.
+        rng = np.random.default_rng(131)
+        exact_half = 0
+        for trial in range(3000):
+            arms = int(rng.integers(1, 9))
+            if trial % 2:
+                counts = rng.multinomial(20, rng.dirichlet(np.ones(arms)))
+                zeta = np.sort(counts / 20.0)[::-1]
+            else:
+                zeta = np.sort(rng.dirichlet(np.ones(arms)))[::-1]
+            values = zeta.tolist()
+            exact_half += 0.5 in np.cumsum(zeta)
+            expected = pivot_index(values)
+            for pivot in range(-1, arms + 2):
+                holds = (1 <= pivot <= arms and left_sum(values[:pivot]) >= 0.5
+                         and (pivot == 1 or left_sum(values[:pivot - 1]) < 0.5))
+                assert holds == (pivot == expected), (values, pivot, expected)
+        assert exact_half > 200
+
     def test_majority_arm_mass_floor(self):
         rng = np.random.default_rng(9)
         for _ in range(500):
