@@ -3,8 +3,9 @@
 #
 # The CLI runs that CI makes on every push, runnable by hand from any
 # directory of the repository:
-#   1. audited runs of every policy, with warnings as errors, and an
-#      unaudited run, which must exit 0 and write the audited run's bytes;
+#   1. audited runs of every policy, with warnings as errors; plain EXP4
+#      given a gamma must write the bytes of its run without one, and an
+#      unaudited run must exit 0 and write the audited run's bytes;
 #   2. no play state crosses seeds: seed 1 writes the same rows after seed 0
 #      as alone;
 #   3. a replay run writes the bytes of the run it was saved from;
@@ -48,6 +49,12 @@ echo "== Audited runs of every policy with warnings as errors"
   cli audited_baseline --policy exp4_threshold --env zero_loss_expert --arms 3 \
     --experts 4 --horizon 300
   cli audited_exp4 --policy exp4 --env stochastic_gap
+  # Plain EXP4 ignores gamma: the same run with a gamma writes the same bytes.
+  cli audited_exp4_gamma --policy exp4 --env stochastic_gap --gamma 0.25
+  for kind in rounds summary; do
+    cmp "$runs/audited_exp4_$kind.csv" "$runs/audited_exp4_gamma_$kind.csv"
+  done
+  echo "audited_exp4_gamma: rounds and summary equal audited_exp4's"
   cli audited_gap --policy myga --env stochastic_gap --arms 2 --experts 4 \
     --horizon 2000 --seed 0,1
   # gamma = 1/2 leaves an empty threshold grid: the solver's and the

@@ -1,14 +1,14 @@
-"""Exponential-weights contrast policies.
+"""Exponential-weights contrast policy (EXP4).
 
-``plain`` plays the weighted advice mixture as-is.  ``thresholded``
-additionally zeroes every arm whose mixture mass is at or below gamma
-and renormalizes over the survivors, falling back to the plain mixture
-when that would remove everything.  Both charge experts through the
-same importance-weighted estimator as the main policy, through the
-same advise/update state machine and weight state, which holds the real
-experts alone; neither carries auxiliary experts, so the thresholded
-variant's estimates are biased on the arms it refuses to play.  A
-round's play is a ``BaselinePlay``, its distribution alone.
+Without a gamma it plays the weighted advice mixture as-is.  With a
+gamma it additionally zeroes every arm whose mixture mass is at or
+below gamma and renormalizes over the survivors, falling back to the
+plain mixture when that would remove everything.  Either way it charges
+experts through the same importance-weighted estimator as the main
+policy, through the same advise/update state machine and weight state,
+which holds the real experts alone; it carries no auxiliary experts, so
+the thresholded play's estimates are biased on the arms it refuses to
+play.  A round's play is a ``BaselinePlay``, its distribution alone.
 """
 
 from __future__ import annotations
@@ -21,26 +21,22 @@ import numpy as np
 from . import simplex
 from .policy import ExpertPolicy
 
-VARIANTS = ("plain", "thresholded")
-
-
 @dataclass
 class Exp4Config:
+    """K, E, eta and gamma: None plays the plain mixture, one in (0, 1/2] thresholds it."""
+
     num_arms: int
     num_experts: int
     eta: float
-    variant: str = "plain"
-    gamma: float = 0.0
+    gamma: float | None = None
 
     def __post_init__(self) -> None:
         if self.num_arms < 2 or self.num_experts < 1:
             raise ValueError("need at least 2 arms and 1 expert")
         if not 0.0 < self.eta < math.inf:
             raise ValueError("eta must be positive")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant {self.variant!r} not one of {VARIANTS}")
-        if self.variant == "thresholded" and not 0.0 < self.gamma <= 0.5:
-            raise ValueError("thresholded variant needs gamma in (0, 1/2]")
+        if self.gamma is not None and not 0.0 < self.gamma <= 0.5:
+            raise ValueError("gamma must lie in (0, 1/2]")
 
 
 def threshold_mixture(p, gamma: float) -> list[float]:
@@ -73,6 +69,6 @@ class Exp4Policy(ExpertPolicy):
 
     def _play(self, advices: np.ndarray) -> BaselinePlay:
         p = simplex.weighted_average(advices, self.state.real_weights)
-        if self.cfg.variant == "thresholded":
+        if self.cfg.gamma is not None:
             p = threshold_mixture(p, self.cfg.gamma)
         return BaselinePlay(p)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import math
 import sys
 from dataclasses import dataclass, field
 
@@ -30,9 +29,12 @@ import numpy as np
 from .audit import Auditor, RegretReport, Violation, theorem_bound_value
 from .baselines import Exp4Config, Exp4Policy
 from .environments import KINDS, SAMPLE_STREAM_SALT, EnvSpec, generate, open_replay
-from .policy import MygaConfig, MygaPolicy, schedule_parameters
+from .policy import MygaConfig, MygaPolicy, resolve_grid_denominator, schedule_parameters
 
 POLICIES = ("myga", "exp4", "exp4_threshold")
+
+# A seed's ``bound_pass`` is R_T <= BOUND_FACTOR * bound_value.
+BOUND_FACTOR = 10.0
 
 ROUND_HEADER = ("seed,t,k_t,a,realized_loss,expected_loss,cum_LT,cum_Lstar,"
                 "cum_regret,cum_M,cum_m,residual,violations")
@@ -55,11 +57,10 @@ class ExperimentConfig:
     gamma: float | None = None
     grid_denominator: int | None = None
     l_star: float | None = None
-    mu_star: float = 0.1
-    delta: float = 0.2
+    mu_star: float = EnvSpec.mu_star   # the environment's own defaults
+    delta: float = EnvSpec.delta
     replay_path: str | None = None
     audit: bool = True
-    bound_factor: float = 10.0
     out: str | None = None
 
     def __post_init__(self) -> None:
@@ -76,17 +77,11 @@ class ExperimentConfig:
             listed.add(seed)
         if self.env == "replay" and not self.replay_path:
             raise ValueError("replay kind needs replay_path")
-        if not math.isfinite(self.bound_factor):
-            raise ValueError(f"bound factor {self.bound_factor} is not finite")
-        if self.bound_factor < 0.0:
-            raise ValueError(f"bound factor {self.bound_factor} is negative")
 
 
 @dataclass
 class SeedResult:
     seed: int
-    eta: float
-    gamma: float
     report: RegretReport
     violations: list[Violation]
     bound_pass: bool
@@ -94,7 +89,10 @@ class SeedResult:
 
 @dataclass
 class ExperimentResult:
-    config: ExperimentConfig
+    """The run's eta and gamma, scheduled or given, and each seed's outcome."""
+
+    eta: float
+    gamma: float
     seed_results: list[SeedResult] = field(default_factory=list)
 
     @property
@@ -159,19 +157,18 @@ def execute(config: ExperimentConfig) -> ExperimentResult:
         gamma = config.gamma
     if config.policy == "myga":
         make_policy = MygaPolicy
+        denom = resolve_grid_denominator(config.horizon, config.grid_denominator)
         policy_config = MygaConfig(num_arms=config.num_arms, num_experts=config.num_experts,
-                                   horizon=config.horizon, eta=eta, gamma=gamma,
-                                   grid_denominator=config.grid_denominator)
+                                   eta=eta, gamma=gamma, grid_denominator=denom)
     else:
-        variant = "thresholded" if config.policy == "exp4_threshold" else "plain"
         make_policy = Exp4Policy
         policy_config = Exp4Config(num_arms=config.num_arms, num_experts=config.num_experts,
-                                   eta=eta, variant=variant,
-                                   gamma=gamma if variant == "thresholded" else 0.0)
+                                   eta=eta,
+                                   gamma=gamma if config.policy == "exp4_threshold" else None)
     bound_value = theorem_bound_value(config.num_arms, config.num_experts,
                                       config.horizon, l_star)
 
-    result = ExperimentResult(config=config)
+    result = ExperimentResult(eta=eta, gamma=gamma)
     collect_rounds = config.out is not None
     solved = config.policy == "myga"   # only its plays carry a pivot and a residual
     with contextlib.ExitStack() as files:
@@ -209,10 +206,9 @@ def execute(config: ExperimentConfig) -> ExperimentResult:
                         rows = []
             violations = auditor.finalize()
             report = auditor.report
-            bound_pass = report.regret <= config.bound_factor * bound_value
+            bound_pass = report.regret <= BOUND_FACTOR * bound_value
             result.seed_results.append(SeedResult(
-                seed=seed, eta=eta, gamma=gamma, report=report,
-                violations=violations, bound_pass=bound_pass))
+                seed=seed, report=report, violations=violations, bound_pass=bound_pass))
             if collect_rounds:
                 if rows:
                     emit_csv(rounds_fh, rows)
@@ -280,7 +276,6 @@ _FIELD_PARSERS = {
     "delta": ("delta", float),
     "replay": ("replay_path", str),
     "audit": ("audit", _parse_bool),
-    "bound_factor": ("bound_factor", float),
     "out": ("out", str),
 }
 

@@ -65,8 +65,7 @@ def schedule_parameters(num_arms: int, num_experts: int, horizon: int,
         raise ValueError("cumulative-loss budget must be non-negative")
     if num_experts * horizon < 2:
         raise ValueError("schedule undefined for a single expert-round")
-    denom = _lattice_denominator(2 * horizon if grid_denominator is None
-                                 else int(grid_denominator))
+    denom = _lattice_denominator(resolve_grid_denominator(horizon, grid_denominator))
     budget = num_arms * max(l_star, 1.0)
     if budget < math.inf:
         rate = math.log(num_experts * horizon) / budget
@@ -76,6 +75,11 @@ def schedule_parameters(num_arms: int, num_experts: int, horizon: int,
     step = max(1, math.ceil(2.0 * eta * denom))
     step = min(step, denom // 2)
     return eta, step / denom
+
+
+def resolve_grid_denominator(horizon: int, grid_denominator: int | None) -> int:
+    """The grid denominator D a run uses: ``grid_denominator``, or 2T when it is None."""
+    return 2 * horizon if grid_denominator is None else int(grid_denominator)
 
 
 def _lattice_denominator(denom: int) -> int:
@@ -117,22 +121,19 @@ def loss_estimate(probs: np.ndarray, arm: int, observed_loss: float) -> float:
 
 @dataclass
 class MygaConfig:
+    """K, E, eta, gamma on the 1/D lattice, and D: a run's is ``resolve_grid_denominator``'s."""
+
     num_arms: int
     num_experts: int
-    horizon: int
     eta: float
     gamma: float
-    grid_denominator: int | None = None
+    grid_denominator: int
 
     def __post_init__(self) -> None:
         if self.num_arms < 2:
             raise ValueError("need at least 2 arms")
         if self.num_experts < 1:
             raise ValueError("need at least 1 expert")
-        if self.horizon < 1:
-            raise ValueError("need at least 1 round")
-        if self.grid_denominator is None:
-            self.grid_denominator = 2 * self.horizon
         if not 0.0 < self.eta < math.inf:
             raise ValueError("eta must be positive")
         _lattice_index(self.gamma, self.grid_denominator)

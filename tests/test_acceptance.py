@@ -196,12 +196,10 @@ def test_criterion_7_baseline_contrast(gap_family):
     reference = gap_family[0.01]
     myga_mean = float(np.mean([r.report.regret
                                for r in reference.seed_results]))
-    eta = reference.seed_results[0].eta
-    gamma = reference.seed_results[0].gamma
     config = ExperimentConfig(
         policy="exp4_threshold", env="stochastic_gap", num_arms=2,
         num_experts=4, horizon=10000, seeds=tuple(range(10)),
-        l_star=100.0, mu_star=0.01, delta=0.2, eta=eta, gamma=gamma)
+        l_star=100.0, mu_star=0.01, delta=0.2, eta=reference.eta, gamma=reference.gamma)
     baseline = execute(config)
     baseline_mean = float(np.mean([r.report.regret
                                    for r in baseline.seed_results]))

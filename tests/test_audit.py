@@ -383,8 +383,7 @@ class TestAuditorStreaming:
     def test_clean_run_has_no_violations(self):
         spec = EnvSpec(kind="zero_loss_expert", num_arms=3, num_experts=4,
                        horizon=120, seed=5)
-        cfg = MygaConfig(num_arms=3, num_experts=4, horizon=120, eta=0.2,
-                         gamma=0.1, grid_denominator=240)
+        cfg = MygaConfig(num_arms=3, num_experts=4, eta=0.2, gamma=0.1, grid_denominator=240)
         policy = MygaPolicy(cfg, sample_rng=np.random.default_rng(1))
         auditor = Auditor(num_arms=3, num_experts=4, gamma=cfg.gamma)
         run_policy(policy, spec, auditor)
@@ -394,8 +393,7 @@ class TestAuditorStreaming:
     def test_regret_matches_independent_accounting(self):
         spec = EnvSpec(kind="stochastic_gap", num_arms=3, num_experts=3,
                        horizon=200, seed=9, mu_star=0.2, delta=0.3)
-        cfg = MygaConfig(num_arms=3, num_experts=3, horizon=200, eta=0.1,
-                         gamma=0.05, grid_denominator=400)
+        cfg = MygaConfig(num_arms=3, num_experts=3, eta=0.1, gamma=0.05, grid_denominator=400)
         policy = MygaPolicy(cfg, sample_rng=np.random.default_rng(2))
         auditor = Auditor(num_arms=3, num_experts=3, gamma=cfg.gamma)
         play_loss = 0.0
@@ -414,8 +412,7 @@ class TestAuditorStreaming:
             play_loss - expert_loss.min(), abs=1e-9)
 
     def test_corrupted_rounds_are_caught(self, corrupted_solve):
-        cfg = MygaConfig(num_arms=2, num_experts=2, horizon=20, eta=0.5,
-                         gamma=0.01, grid_denominator=200)
+        cfg = MygaConfig(num_arms=2, num_experts=2, eta=0.5, gamma=0.01, grid_denominator=200)
         policy = MygaPolicy(cfg, sample_rng=np.random.default_rng(3))
         auditor = Auditor(num_arms=2, num_experts=2, gamma=cfg.gamma)
         advices = np.array([[1.0, 0.0], [0.4, 0.6]])
@@ -548,22 +545,19 @@ def round_families():
     """
     eta, gamma = schedule_parameters(2, 4, 10_000, 1600.0)
     gap = captured_rounds(
-        MygaConfig(num_arms=2, num_experts=4, horizon=10_000, eta=eta, gamma=gamma),
+        MygaConfig(num_arms=2, num_experts=4, eta=eta, gamma=gamma, grid_denominator=20_000),
         EnvSpec(kind="stochastic_gap", num_arms=2, num_experts=4, horizon=10_000,
                 seed=3, mu_star=0.16, delta=0.2), 60)
     lattice = captured_rounds(
-        MygaConfig(num_arms=5, num_experts=8, horizon=2000, eta=0.2, gamma=0.4,
-                   grid_denominator=4000),
+        MygaConfig(num_arms=5, num_experts=8, eta=0.2, gamma=0.4, grid_denominator=4000),
         EnvSpec(kind="adversarial_minority", num_arms=5, num_experts=8,
                 horizon=2000, seed=3), 60)
     empty_grid = captured_rounds(
-        MygaConfig(num_arms=3, num_experts=2, horizon=30, eta=0.3, gamma=0.5,
-                   grid_denominator=60),
+        MygaConfig(num_arms=3, num_experts=2, eta=0.3, gamma=0.5, grid_denominator=60),
         EnvSpec(kind="stochastic_gap", num_arms=3, num_experts=2, horizon=30, seed=1),
         30)
     varying_table = captured_rounds(
-        MygaConfig(num_arms=3, num_experts=20, horizon=40, eta=0.3, gamma=0.05,
-                   grid_denominator=20),
+        MygaConfig(num_arms=3, num_experts=20, eta=0.3, gamma=0.05, grid_denominator=20),
         EnvSpec(kind="zero_loss_expert", num_arms=3, num_experts=20, horizon=40,
                 seed=2), 40)
     full_pivot = [
@@ -657,8 +651,8 @@ def repeated_rounds(rounds):
     No round charges an expert and the advice repeats, so every round after
     the first reuses the first round's play: ``advise`` returns the same ``Play``.
     """
-    policy = MygaPolicy(MygaConfig(num_arms=2, num_experts=2, horizon=rounds, eta=0.5,
-                                   gamma=0.01, grid_denominator=200),
+    policy = MygaPolicy(MygaConfig(num_arms=2, num_experts=2, eta=0.5, gamma=0.01,
+                                   grid_denominator=200),
                         sample_rng=np.random.default_rng(3))
     rnds = []
     for t in range(1, rounds + 1):
@@ -836,12 +830,11 @@ class TestAgainstReferenceLoop:
                        horizon=horizon, seed=seed)
         eta, gamma = schedule_parameters(2, 4, horizon, float(horizon))
         if policy == "myga":
-            pol = MygaPolicy(MygaConfig(num_arms=2, num_experts=4, horizon=horizon,
-                                        eta=eta, gamma=gamma),
+            pol = MygaPolicy(MygaConfig(num_arms=2, num_experts=4, eta=eta, gamma=gamma,
+                                        grid_denominator=2 * horizon),
                              sample_rng=np.random.default_rng(seed))
         else:
-            pol = Exp4Policy(Exp4Config(num_arms=2, num_experts=4, eta=eta,
-                                        variant="thresholded", gamma=gamma),
+            pol = Exp4Policy(Exp4Config(num_arms=2, num_experts=4, eta=eta, gamma=gamma),
                              sample_rng=np.random.default_rng(seed))
         auditor, reference = Auditor(2, 4, gamma), ReferenceAuditor(2, 4, gamma)
         repeats = 0
@@ -867,14 +860,14 @@ class TestAgainstReferenceLoop:
         horizon = 2000
         if policy == "myga":   # minority_lattice's cell: K=5, E=8 on the threshold lattice
             arms, experts, gamma = 5, 8, 0.4
-            pol = MygaPolicy(MygaConfig(num_arms=arms, num_experts=experts, horizon=horizon,
-                                        eta=0.2, gamma=gamma, grid_denominator=4000),
+            pol = MygaPolicy(MygaConfig(num_arms=arms, num_experts=experts, eta=0.2,
+                                        gamma=gamma, grid_denominator=4000),
                              sample_rng=np.random.default_rng(0))
         else:
             arms, experts = 3, 4
             eta, gamma = schedule_parameters(arms, experts, horizon, float(horizon))
             pol = Exp4Policy(Exp4Config(num_arms=arms, num_experts=experts, eta=eta,
-                                        variant="thresholded", gamma=gamma),
+                                        gamma=gamma),
                              sample_rng=np.random.default_rng(0))
         spec = EnvSpec(kind=env, num_arms=arms, num_experts=experts, horizon=horizon, seed=0)
         auditor = Auditor(arms, experts, gamma)
@@ -941,12 +934,11 @@ class TestZeroLossRound:
                        horizon=horizon, seed=4)
         eta, gamma = schedule_parameters(2, 4, horizon, float(horizon))
         if policy == "myga":
-            pol = MygaPolicy(MygaConfig(num_arms=2, num_experts=4, horizon=horizon,
-                                        eta=eta, gamma=gamma),
+            pol = MygaPolicy(MygaConfig(num_arms=2, num_experts=4, eta=eta, gamma=gamma,
+                                        grid_denominator=2 * horizon),
                              sample_rng=np.random.default_rng(4))
         else:
-            pol = Exp4Policy(Exp4Config(num_arms=2, num_experts=4, eta=eta,
-                                        variant="thresholded", gamma=gamma),
+            pol = Exp4Policy(Exp4Config(num_arms=2, num_experts=4, eta=eta, gamma=gamma),
                              sample_rng=np.random.default_rng(4))
         zeros = (np.array([0.0, 0.0]), np.array([-0.0, -0.0]), np.array([0.0, -0.0]))
         auditor, reference = Auditor(2, 4, gamma), ReferenceAuditor(2, 4, gamma)

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from myga.baselines import BaselinePlay, Exp4Config, Exp4Policy, threshold_mixture
+from myga.simplex import weighted_average
 import numpy_reference as ref
 from round_protocol import RoundProtocolContract
 
@@ -51,16 +54,25 @@ class TestThresholdMixture:
 
 class TestExp4Config:
     def test_thresholded_requires_gamma(self):
-        with pytest.raises(ValueError, match="gamma"):
-            Exp4Config(num_arms=2, num_experts=2, eta=0.1, variant="thresholded")
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError, match="variant"):
-            Exp4Config(num_arms=2, num_experts=2, eta=0.1, variant="clipped")
+        # A gamma selects the thresholded play and must lie in (0, 1/2].
+        for gamma in (0.0, -0.1, 0.7, math.nan):
+            with pytest.raises(ValueError) as raised:
+                Exp4Config(num_arms=2, num_experts=2, eta=0.1, gamma=gamma)
+            assert str(raised.value) == "gamma must lie in (0, 1/2]"
+        assert Exp4Config(num_arms=2, num_experts=2, eta=0.1, gamma=0.5).gamma == 0.5
 
     def test_plain_ignores_gamma(self):
-        cfg = Exp4Config(num_arms=2, num_experts=2, eta=0.1)
-        assert cfg.gamma == 0.0
+        # Without a gamma the play is the weighted mixture's bits, unthresholded.
+        cfg = Exp4Config(num_arms=3, num_experts=4, eta=0.5)
+        assert cfg.gamma is None
+        policy = Exp4Policy(cfg, sample_rng=np.random.default_rng(0))
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            advices = rng.dirichlet(np.ones(3), size=4)
+            weights = policy.state.real_weights
+            p, play = policy.advise(advices)
+            assert play.p_original == weighted_average(advices, weights)
+            policy.update(policy.sample(p), float(rng.uniform()))
 
 
 class TestExp4Policy(RoundProtocolContract):
@@ -71,8 +83,7 @@ class TestExp4Policy(RoundProtocolContract):
 
     @staticmethod
     def starved_round():
-        cfg = Exp4Config(num_arms=2, num_experts=1, eta=0.5,
-                         variant="thresholded", gamma=0.3)
+        cfg = Exp4Config(num_arms=2, num_experts=1, eta=0.5, gamma=0.3)
         return (Exp4Policy(cfg, sample_rng=np.random.default_rng(0)),
                 np.array([[0.8, 0.2]]))
 
@@ -85,8 +96,7 @@ class TestExp4Policy(RoundProtocolContract):
         assert isinstance(play, BaselinePlay) and p is play.p_original
 
     def test_thresholded_first_round(self):
-        cfg = Exp4Config(num_arms=3, num_experts=2, eta=0.5,
-                         variant="thresholded", gamma=0.2)
+        cfg = Exp4Config(num_arms=3, num_experts=2, eta=0.5, gamma=0.2)
         policy = Exp4Policy(cfg, sample_rng=np.random.default_rng(0))
         advices = np.array([[1.0, 0.0, 0.0], [0.2, 0.5, 0.3]])
         p, _ = policy.advise(advices)
@@ -115,8 +125,7 @@ class TestExp4Policy(RoundProtocolContract):
 
     def test_long_run_stays_normalized(self):
         rng = np.random.default_rng(77)
-        cfg = Exp4Config(num_arms=4, num_experts=3, eta=0.2,
-                         variant="thresholded", gamma=0.05)
+        cfg = Exp4Config(num_arms=4, num_experts=3, eta=0.2, gamma=0.05)
         policy = Exp4Policy(cfg, sample_rng=np.random.default_rng(5))
         for _ in range(200):
             advices = rng.dirichlet(np.ones(4), size=3)

@@ -85,14 +85,13 @@ class TestBlockWeights:
 
 def gap_run():
     eta, gamma = schedule_parameters(2, 4, 10_000, 1600.0)
-    return (MygaConfig(num_arms=2, num_experts=4, horizon=10_000, eta=eta, gamma=gamma),
+    return (MygaConfig(num_arms=2, num_experts=4, eta=eta, gamma=gamma, grid_denominator=20_000),
             EnvSpec(kind="stochastic_gap", num_arms=2, num_experts=4, horizon=10_000,
                     seed=7, mu_star=0.16, delta=0.2))
 
 
 def lattice_run():
-    return (MygaConfig(num_arms=5, num_experts=8, horizon=2000, eta=0.2, gamma=0.4,
-                       grid_denominator=4000),
+    return (MygaConfig(num_arms=5, num_experts=8, eta=0.2, gamma=0.4, grid_denominator=4000),
             EnvSpec(kind="adversarial_minority", num_arms=5, num_experts=8, horizon=2000,
                     seed=3))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from myga.cli import (ROUND_HEADER, SUMMARY_HEADER, ExperimentConfig,
                       build_config, emit_csv, execute, main, parse_config_file,
                       run)
 from myga.environments import KINDS, EnvSpec, RoundData, generate, save_replay
-from myga.policy import MygaConfig, MygaPolicy
+from myga.policy import MygaConfig, MygaPolicy, schedule_parameters
 
 
 class TestParseConfigFile:
@@ -232,9 +233,25 @@ class TestExecute:
         config = self.base_config(eta=None, gamma=None, grid_denominator=None,
                                   l_star=0.0)
         result = execute(config)
-        for seed_result in result.seed_results:
-            assert seed_result.eta > 0.0
-            assert 0.0 < seed_result.gamma <= 0.5
+        assert (result.eta, result.gamma) == schedule_parameters(2, 2, 5, 0.0)
+        assert result.eta > 0.0
+        assert 0.0 < result.gamma <= 0.5
+
+    @pytest.mark.parametrize("env, kwargs", [
+        ("stochastic_gap", dict(num_experts=4, horizon=300, eta=None, gamma=None)),
+        ("adversarial_minority", dict(num_arms=5, num_experts=8, horizon=300, eta=0.2,
+                                      gamma=0.4)),
+    ], ids=["stochastic_gap", "adversarial_minority"])
+    def test_default_grid_denominator_is_twice_the_horizon(self, tmp_path, env, kwargs):
+        # A run without grid_denominator writes the bytes of the same run at D = 2T.
+        config = self.base_config(env=env, grid_denominator=None, **kwargs)
+        execute(dataclasses.replace(config, out=str(tmp_path / "default")))
+        execute(dataclasses.replace(config, grid_denominator=2 * config.horizon,
+                                    out=str(tmp_path / "twice")))
+        for suffix in ("_rounds.csv", "_summary.csv"):
+            default = (tmp_path / ("default" + suffix)).read_bytes()
+            assert default == (tmp_path / ("twice" + suffix)).read_bytes()
+            assert default.count(b"\n") > 1
 
     def test_replay_environment(self, tmp_path):
         rng = np.random.default_rng(19)
@@ -457,9 +474,12 @@ class TestRunAndMain:
         (["--lstar", "inf"], "cumulative-loss budget must be non-negative"),
         (["--delta", "nan"], "stochastic_gap needs mu_star in [0,1], delta >= 0"),
         (["--delta", "inf"], "stochastic_gap needs mu_star in [0,1], delta >= 0"),
-        (["--bound-factor", "nan"], "bound factor nan is not finite"),
-        (["--bound-factor=-inf"], "bound factor -inf is not finite"),
-        (["--bound-factor=-1"], "bound factor -1.0 is negative"),
+        # The bound's factor is the constant cli.BOUND_FACTOR, no setting.
+        (["--bound-factor", "10"], "unrecognized arguments: --bound-factor 10"),
+        (["--config", "{dir}/bound_factor.cfg"], "unknown configuration key 'bound_factor'"),
+        # The thresholded baseline takes the myga rule's gamma interval.
+        (["--policy", "exp4_threshold", "--gamma", "0"], "gamma must lie in (0, 1/2]"),
+        (["--policy", "exp4_threshold", "--gamma", "0.7"], "gamma must lie in (0, 1/2]"),
         (["--seed", "1,1"], "seed 1 is listed twice"),
         (["--seed", "3,0,2,0"], "seed 0 is listed twice"),
         # The lattice rule's D >= 2 clause is checked with the schedule:
@@ -480,7 +500,8 @@ class TestRunAndMain:
     ], ids=["one_arm", "off_lattice_gamma", "missing_replay", "malformed_replay",
             "replay_shape", "replay_without_path", "eta_nan", "eta_inf", "exp4_eta_nan",
             "exp4_eta_inf", "lstar_nan", "lstar_inf", "delta_nan", "delta_inf",
-            "bound_factor_nan", "bound_factor_neg_inf", "bound_factor_negative",
+            "bound_factor_flag", "bound_factor_key", "exp4_threshold_gamma_0",
+            "exp4_threshold_gamma_0.7",
             "repeated_seed", "repeated_seed_unsorted", "denominator_1", "denominator_0",
             "denominator_neg4", "exp4_denominator_1", "exp4_denominator_0",
             "exp4_denominator_neg4", "arms_before_denominator",
@@ -492,6 +513,7 @@ class TestRunAndMain:
         (tmp_path / "short.txt").write_text("2 2 2\n0.5 0.5\n1.0 0.0\n")
         (tmp_path / "three_arms.txt").write_text(
             "3 1 2\n0.5 0.5 0.5\n1.0 0.0 0.0\n0.5 0.5 0.5\n0.0 1.0 0.0\n")
+        (tmp_path / "bound_factor.cfg").write_text("bound_factor=10\n")
         prefix = str(tmp_path / "run")
         earlier = ROUND_HEADER.encode() + b"\n0,1,1,0,0.5,0.5,0.5,0.0,0.5,0.5,0.0,0.0,0\n"
         with open(prefix + "_rounds.csv", "wb") as fh:
@@ -502,10 +524,9 @@ class TestRunAndMain:
         assert open(prefix + "_rounds.csv", "rb").read() == earlier
         assert not os.path.exists(prefix + "_summary.csv")
 
-    @pytest.mark.parametrize("flags", [["--lstar", "1e308"], ["--bound-factor", "0"]],
-                             ids=["lstar_1e308", "bound_factor_zero"])
+    @pytest.mark.parametrize("flags", [["--lstar", "1e308"]], ids=["lstar_1e308"])
     def test_main_extreme_valid_values_exit_zero(self, capsys, flags):
-        # K * l_star overflows to inf at l_star 1e308; a zero bound factor is allowed.
+        # K * l_star overflows to inf at l_star 1e308.
         code = main(["--env", "stochastic_gap", "--arms", "2", "--experts", "4",
                      "--horizon", "5", "--grid-denominator", "10"] + flags)
         assert capsys.readouterr().err == ""
@@ -608,11 +629,11 @@ class TestChecksAtSource:
     def test_direct_advise_checks_each_distinct_play(self, monkeypatch, policy):
         spec = EnvSpec(kind="stochastic_gap", num_arms=3, num_experts=4, horizon=300, seed=0)
         if policy == "myga":
-            pol = MygaPolicy(MygaConfig(num_arms=3, num_experts=4, horizon=300, eta=0.3,
+            pol = MygaPolicy(MygaConfig(num_arms=3, num_experts=4, eta=0.3,
                                         gamma=0.05, grid_denominator=200), sample_rng=0)
         else:
-            pol = Exp4Policy(Exp4Config(num_arms=3, num_experts=4, eta=0.3,
-                                        variant="thresholded", gamma=0.05), sample_rng=0)
+            pol = Exp4Policy(Exp4Config(num_arms=3, num_experts=4, eta=0.3, gamma=0.05),
+                             sample_rng=0)
         plays = count_calls(monkeypatch, pol, "_play")
         row_checks = count_calls(monkeypatch, simplex_mod, "require_distribution_rows")
         for t in range(1, 301):

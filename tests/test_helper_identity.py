@@ -216,7 +216,7 @@ def test_solver_errors_match():
 
 
 def policy_plays(num_arms, num_experts, kind, gamma, denominator, rounds, seed):
-    cfg = MygaConfig(num_arms=num_arms, num_experts=num_experts, horizon=rounds, eta=0.3,
+    cfg = MygaConfig(num_arms=num_arms, num_experts=num_experts, eta=0.3,
                      gamma=gamma, grid_denominator=denominator)
     spec = EnvSpec(kind=kind, num_arms=num_arms, num_experts=num_experts, horizon=rounds,
                    seed=seed)

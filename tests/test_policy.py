@@ -13,7 +13,8 @@ from myga.cli import ExperimentConfig, execute
 from myga.environments import EnvSpec, generate
 from myga.fixed_point import mixture_residual
 from myga.policy import (MygaConfig, MygaPolicy, WeightState, build_threshold_grid,
-                         loss_estimate, schedule_parameters, threshold_advice_at)
+                         loss_estimate, resolve_grid_denominator, schedule_parameters,
+                         threshold_advice_at)
 from myga.simplex import cumulative, sample_index, validate
 from myga.truncation import StepFunction, truncate
 from round_protocol import RoundProtocolContract, bits, play_bits
@@ -207,7 +208,7 @@ class TestWeightState:
         # The hopeless real expert keeps its floored weight.  The hopeless
         # auxiliary expert's weight underflows to 0 unfloored, and the
         # round is the dense reference's, whose floored share is 1e-300.
-        config = MygaConfig(num_arms=2, num_experts=2, horizon=1, eta=1.0, gamma=0.25,
+        config = MygaConfig(num_arms=2, num_experts=2, eta=1.0, gamma=0.25,
                             grid_denominator=8)
         policy, dense = MygaPolicy(config), DensePolicy(config)
         for each in (policy, dense):
@@ -243,8 +244,8 @@ class TestRebaseSkip:
         # a charged one, and in no other.  The experts' advice repeats, so
         # the play is solved in those rounds alone and reused in the rest.
         eta, gamma = schedule_parameters(2, 4, 2000, 2000.0)
-        policy = MygaPolicy(MygaConfig(num_arms=2, num_experts=4, horizon=2000, eta=eta,
-                                       gamma=gamma), np.random.default_rng(0))
+        policy = MygaPolicy(MygaConfig(num_arms=2, num_experts=4, eta=eta, gamma=gamma,
+                                       grid_denominator=4000), np.random.default_rng(0))
         spec = EnvSpec(kind="stochastic_gap", num_arms=2, num_experts=4, horizon=2000, seed=0,
                        mu_star=0.1, delta=0.2)
         rebased, played, charged, grown = [], [], [], 0
@@ -274,32 +275,32 @@ class TestRebaseSkip:
 
 class TestMygaConfig:
     def test_denominator_defaults_to_twice_horizon(self):
-        cfg = MygaConfig(num_arms=2, num_experts=2, horizon=50, eta=0.1, gamma=0.25)
-        assert cfg.grid_denominator == 100
+        assert resolve_grid_denominator(50, None) == 100
+        assert resolve_grid_denominator(50, 30) == 30
 
     def test_rejects_off_lattice_gamma(self):
         with pytest.raises(ValueError, match="lattice"):
-            MygaConfig(num_arms=2, num_experts=2, horizon=50, eta=0.1, gamma=0.2501)
+            MygaConfig(num_arms=2, num_experts=2, eta=0.1, gamma=0.2501, grid_denominator=100)
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError, match="arms"):
-            MygaConfig(num_arms=1, num_experts=2, horizon=10, eta=0.1, gamma=0.5)
+            MygaConfig(num_arms=1, num_experts=2, eta=0.1, gamma=0.5, grid_denominator=20)
         with pytest.raises(ValueError, match="expert"):
-            MygaConfig(num_arms=2, num_experts=0, horizon=10, eta=0.1, gamma=0.5)
+            MygaConfig(num_arms=2, num_experts=0, eta=0.1, gamma=0.5, grid_denominator=20)
         with pytest.raises(ValueError, match="eta"):
-            MygaConfig(num_arms=2, num_experts=2, horizon=10, eta=0.0, gamma=0.5)
+            MygaConfig(num_arms=2, num_experts=2, eta=0.0, gamma=0.5, grid_denominator=20)
 
     @pytest.mark.parametrize("denominator", [0, 1, -4])
     def test_rejects_grid_denominator_below_two(self, denominator):
         with pytest.raises(ValueError, match="grid denominator must be at least 2"):
-            MygaConfig(num_arms=2, num_experts=1, horizon=1, eta=0.1, gamma=0.25,
+            MygaConfig(num_arms=2, num_experts=1, eta=0.1, gamma=0.25,
                        grid_denominator=denominator)
 
 
-def make_policy(num_arms=2, num_experts=2, horizon=100, eta=0.5, gamma=0.01,
-                grid_denominator=200, seed=0):
-    cfg = MygaConfig(num_arms=num_arms, num_experts=num_experts, horizon=horizon,
-                     eta=eta, gamma=gamma, grid_denominator=grid_denominator)
+def make_policy(num_arms=2, num_experts=2, eta=0.5, gamma=0.01, grid_denominator=200,
+                seed=0):
+    cfg = MygaConfig(num_arms=num_arms, num_experts=num_experts, eta=eta, gamma=gamma,
+                     grid_denominator=grid_denominator)
     return MygaPolicy(cfg, sample_rng=np.random.default_rng(seed))
 
 
@@ -397,7 +398,7 @@ class TestMygaPolicyUpdate(RoundProtocolContract):
         # the loss estimate.
         rng = np.random.default_rng(61)
         policy = make_policy(num_arms=6, num_experts=3, eta=0.3, gamma=0.125,
-                             grid_denominator=8, horizon=50)
+                             grid_denominator=8)
         aux = policy.state
         seen_minority = seen_majority = 0
         for _ in range(60):
@@ -450,11 +451,12 @@ def sampling_run(shape):
     if shape == "gap_wide_grid":
         horizon = 3000
         eta, gamma = schedule_parameters(2, 4, horizon, 480.0)
-        config = MygaConfig(num_arms=2, num_experts=4, horizon=horizon, eta=eta, gamma=gamma)
+        config = MygaConfig(num_arms=2, num_experts=4, eta=eta, gamma=gamma,
+                            grid_denominator=2 * horizon)
         spec = EnvSpec(kind="stochastic_gap", num_arms=2, num_experts=4, horizon=horizon,
                        seed=0, mu_star=0.16, delta=0.2)
     else:
-        config = MygaConfig(num_arms=5, num_experts=8, horizon=1500, eta=0.2, gamma=0.4,
+        config = MygaConfig(num_arms=5, num_experts=8, eta=0.2, gamma=0.4,
                             grid_denominator=4000)
         spec = EnvSpec(kind="adversarial_minority", num_arms=5, num_experts=8,
                        horizon=1500, seed=0)
@@ -560,7 +562,7 @@ class TestCachedCdf:
 
 
 def _config_of(gamma, denominator):
-    return MygaConfig(num_arms=2, num_experts=2, horizon=10, eta=0.1, gamma=gamma,
+    return MygaConfig(num_arms=2, num_experts=2, eta=0.1, gamma=gamma,
                       grid_denominator=denominator)
 
 
@@ -575,8 +577,7 @@ LATTICE_ERRORS = (
 
 
 @pytest.mark.parametrize("build, message", [
-    pytest.param(lambda: MygaConfig(num_arms=2, num_experts=2, horizon=0, eta=0.1, gamma=0.25,
-                                    grid_denominator=4),
+    pytest.param(lambda: execute(ExperimentConfig(horizon=0)),
                  "need at least 1 round", id="config-horizon"),
 ] + [
     pytest.param(lambda make=make, gamma=gamma, denom=denom: make(gamma, denom), message,

@@ -43,8 +43,7 @@ PINNED_CALLS = 6293
 
 def lattice_calls() -> Counter:
     """Calls per function over a minority_lattice-shaped run: K=5, E=8, grid 400, audited."""
-    cfg = MygaConfig(num_arms=5, num_experts=8, horizon=ROUNDS, eta=0.2, gamma=0.4,
-                     grid_denominator=4000)
+    cfg = MygaConfig(num_arms=5, num_experts=8, eta=0.2, gamma=0.4, grid_denominator=4000)
     spec = EnvSpec(kind="adversarial_minority", num_arms=5, num_experts=8,
                    horizon=ROUNDS, seed=0)
     policy = MygaPolicy(cfg, sample_rng=np.random.default_rng(0))
